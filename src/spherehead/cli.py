@@ -37,6 +37,7 @@ from .train import (
     emit_table,
     evaluate,
     fit,
+    init_seed,
     run_experiment,
 )
 
@@ -122,8 +123,7 @@ def _retrain_from_record(record: dict):
     """Rebuild the datasets and the trained model a record describes."""
     model_cfg, data_cfg, opt = _configs_from_record(record)
     train_ds, test_ds = build_datasets(data_cfg, record["seed"])
-    init_seed = int(np.random.SeedSequence(record["seed"]).generate_state(3)[2])
-    model = build_model(model_cfg, train_ds.dim, train_ds.class_count, init_seed)
+    model = build_model(model_cfg, train_ds.dim, train_ds.class_count, init_seed(record["seed"]))
     model, _ = fit(model, train_ds, opt)
     return model, train_ds, test_ds
 

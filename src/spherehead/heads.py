@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, LabelError, ShapeError, StateError
-from .ndcore import Tensor, expand_cols, expand_rows, matmul, transpose
+from .ndcore import Tensor, _accumulate, _record, expand_cols, matmul, transpose
 
 __all__ = [
     "FAMILIES",
@@ -185,8 +185,28 @@ def _row_norms(features: Tensor) -> Tensor:
     return sq.sqrt()
 
 
+def _unit_backward(t: Tensor, g_unit: np.ndarray, norms: np.ndarray, axis: int) -> None:
+    """Gradient into ``t`` of t / norms, norms = sqrt(sum(t * t, axis)).
+
+    Contribution by contribution, as the tape of div, tile, sqrt, sum and
+    mul adds it; the tiled norms sum back as a ones product.
+    """
+    g_tiled = -g_unit * t.data / (norms * norms)
+    if axis == 1:
+        g_norms = g_tiled @ np.ones((1, t.shape[1])).T
+    else:
+        g_norms = np.ones((t.shape[0], 1)).T @ g_tiled
+    g_sq = g_norms / (2.0 * norms) * t.data
+    _accumulate(t, g_unit / norms)
+    _accumulate(t, g_sq)  # t * t contributes once per operand
+    _accumulate(t, g_sq)
+
+
 def cosine_logits(features: Tensor, weights: HeadWeights) -> Tensor:
-    """cos theta between each feature row and each weight column, in [-1, 1]."""
+    """cos theta between each feature row and each weight column, in [-1, 1].
+
+    One tape node: unit rows times unit columns, clamped to [-1, 1].
+    """
     if not isinstance(features, Tensor):
         features = Tensor(features)
     if features.ndim != 2:
@@ -194,28 +214,44 @@ def cosine_logits(features: Tensor, weights: HeadWeights) -> Tensor:
     W = weights.W
     if features.shape[1] != weights.dim:
         raise ShapeError(f"feature dim {features.shape[1]} does not match weight dim {weights.dim}")
-    norms = _row_norms(features)
-    unit_features = features / expand_cols(norms, features.shape[1])
-    col_sq = (W * W).sum(axis=0, keepdims=True)
-    if np.any(col_sq.data == 0.0):
+    f = features.data
+    sq = np.sum(f * f, axis=1, keepdims=True)
+    if np.any(sq == 0.0):
+        raise DegenerateInputError("zero-norm feature row cannot be normalized")
+    col_sq = np.sum(W.data * W.data, axis=0, keepdims=True)
+    if np.any(col_sq == 0.0):
         raise DegenerateInputError("zero-norm weight column cannot be normalized")
-    unit_weights = W / expand_rows(col_sq.sqrt(), weights.dim)
-    return matmul(unit_features, unit_weights).clamp(-1.0, 1.0)
+    norms, col_norms = np.sqrt(sq), np.sqrt(col_sq)
+    unit_features, unit_weights = f / norms, W.data / col_norms
+    raw = unit_features @ unit_weights
+    inside = (raw > -1.0) & (raw < 1.0)  # the clamp passes no gradient at its bounds
+
+    def backward_fn(g: np.ndarray) -> None:
+        g = g * inside
+        if W.requires_grad:
+            _unit_backward(W, unit_features.T @ g, col_norms, axis=0)
+        if features.requires_grad:
+            _unit_backward(features, g @ unit_weights.T, norms, axis=1)
+
+    return _record("cosine_logits", (features, W), np.clip(raw, -1.0, 1.0), backward_fn)
 
 
 def _nll_sum(logits: Tensor, onehot: np.ndarray) -> Tensor:
     """Summed -log softmax(logits)[target], max-shifted against overflow.
 
-    The row maxima are detached constants: subtracting any constant from
-    a row leaves softmax and its gradient unchanged, so the shifted
-    expression still backpropagates the exact softmax gradient.
+    One tape node. The row maxima are constants: subtracting any constant
+    from a row leaves softmax and its gradient unchanged. The gradient is
+    g * (softmax - onehot), formed as the composed tape forms it.
     """
-    class_count = logits.shape[1]
-    row_max = logits.max(axis=1, keepdims=True).detach()
-    shifted = logits - expand_cols(row_max, class_count)
-    lse = shifted.exp().sum(axis=1, keepdims=True).log()
-    target = (shifted * Tensor(onehot)).sum(axis=1, keepdims=True)
-    return (lse - target).sum()
+    shifted = logits.data - np.max(logits.data, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    sum_e = np.sum(e, axis=1, keepdims=True)
+    target = np.sum(shifted * onehot, axis=1, keepdims=True)
+
+    def backward_fn(g: np.ndarray) -> None:
+        _accumulate(logits, -g * onehot + g / sum_e * e)
+
+    return _record("softmax_nll", (logits,), np.sum(np.log(sum_e) - target), backward_fn)
 
 
 def cce_loss(logits: Tensor, labels) -> Tensor:

@@ -10,6 +10,7 @@ from its recorded config and seed.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -63,11 +64,24 @@ def serialize_record(record: dict) -> str:
 
 
 def save_run(results_dir: str, record: dict) -> str:
-    """Write one record under results_dir; returns the file path."""
+    """Write one record under results_dir; returns the file path.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces the record in one rename, so an interrupted write leaves the
+    previous record (or none) in place, never a truncated one.
+    """
     path = run_path(results_dir, record["experiment"], record["seed"])
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_record(record))
+    text = serialize_record(record)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
     return path
 
 

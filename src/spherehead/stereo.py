@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, PoleSingularityError, ShapeError
-from .ndcore import Tensor, concat, expand_cols
+from .ndcore import Tensor, _accumulate, _record
 
 __all__ = [
     "EuclideanPoint",
@@ -140,12 +140,15 @@ def project(x) -> SpherePoint:
 
 
 def project_batch(X: Tensor) -> Tensor:
-    """Row-wise projection on the gradient tape: [B, n] -> [B, n+1].
+    """Row-wise projection on the gradient tape: [B, n] -> [B, n+1], one node.
 
     norm  = sum(X * X, axis=1)            squared norms, one per row
     a     = 2 X / (norm + 1)              scaled copies of the rows
     b     = (norm - 1) / (norm + 1)       the new last coordinate
     out   = concat(a, b) along columns
+
+    The backward pass makes the float operations of the tape of that
+    composition, in its order (see :mod:`spherehead.ndcore`).
     """
     if not isinstance(X, Tensor):
         X = Tensor(X)
@@ -153,14 +156,27 @@ def project_batch(X: Tensor) -> Tensor:
         raise ShapeError(f"project_batch needs a [B, n] tensor, got shape {X.shape}")
     if not np.all(np.isfinite(X.data)):
         raise DomainError("project_batch input has non-finite entries")
-    n = X.shape[1]
-    norm = (X * X).sum(axis=1, keepdims=True)  # [B, 1]
-    if not np.all(np.isfinite(norm.data)):
+    x = X.data
+    n = x.shape[1]
+    norm = np.sum(x * x, axis=1, keepdims=True)  # [B, 1]
+    if not np.all(np.isfinite(norm)):
         raise DomainError("squared norm overflows float64")
     denom = norm + 1.0
-    a = (X * 2.0) / expand_cols(denom, n)
-    b = (norm - 1.0) / denom
-    return concat([a, b], axis=1)
+    doubled = x * 2.0
+    height = norm - 1.0
+
+    def backward_fn(g: np.ndarray) -> None:
+        ga, gb = g[:, :n], g[:, n:]
+        denom_sq = denom * denom
+        # denom feeds b, then a through a tiled column; norm feeds b and denom
+        g_denom = -gb * height / denom_sq + (-ga * doubled / denom_sq) @ np.ones((1, n)).T
+        g_sq = (gb / denom + g_denom) * x
+        _accumulate(X, g_sq)  # X * X contributes once per operand
+        _accumulate(X, g_sq)
+        _accumulate(X, ga / denom * 2.0)
+
+    out = np.concatenate([doubled / denom, height / denom], axis=1)
+    return _record("project_batch", (X,), out, backward_fn)
 
 
 def inverse_project(p) -> EuclideanPoint:

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import results as results_store
 from .data import Dataset, SplitSpec, gen_gaussian_blobs, gen_two_spirals, load_cifar_binary, load_delimited, split
-from .errors import ConfigError, LayoutError, ShapeError, StateError, TrainingDiverged
+from .errors import ConfigError, DegenerateInputError, LayoutError, ShapeError, StateError, TrainingDiverged
 from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, broadface_step, head_forward
-from .ndcore import Tensor, backward, expand_rows, matmul, relu
+from .ndcore import Tensor, backward, linear, relu
 from .stereo import project_batch
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "Model",
     "RunReport",
     "default_learning_rate",
+    "init_seed",
     "build_model",
     "build_datasets",
     "sgd_step",
@@ -184,14 +185,21 @@ class Model:
         if len(X.shape) != 2:
             raise ShapeError(f"expected a [B, n] batch, got shape {X.shape}")
         h = X
-        rows = X.shape[0]
         for i, (W, b) in enumerate(self.layers):
-            h = matmul(h, W) + expand_rows(b, rows)
+            h = linear(h, W, b)
             if i < len(self.layers) - 1:
                 h = relu(h)
         if self.config.projection_enabled:
             h = project_batch(h)
         return h
+
+
+def init_seed(seed: int) -> int:
+    """The weight-init seed of a run seed: the third stream of its SeedSequence.
+
+    The first two streams draw and split the data (:func:`build_datasets`).
+    """
+    return int(np.random.SeedSequence(seed).generate_state(3)[2])
 
 
 def build_model(config: ModelConfig, input_dim: int, class_count: int, seed: int) -> Model:
@@ -343,7 +351,10 @@ def evaluate(model: Model, ds: Dataset) -> float:
     if model.config.margin.family == "cce":
         columns = W
     else:
-        columns = W / np.linalg.norm(W, axis=0, keepdims=True)
+        col_norms = np.linalg.norm(W, axis=0, keepdims=True)
+        if np.any(col_norms == 0.0):
+            raise DegenerateInputError("zero-norm weight column cannot be normalized")
+        columns = W / col_norms
     hits = 0
     for start in range(0, len(ds), _EVAL_CHUNK):
         stop = min(start + _EVAL_CHUNK, len(ds))
@@ -483,8 +494,7 @@ def run_experiment(model_cfg: ModelConfig, data_cfg: DataConfig, opt: OptimConfi
     for seed in seeds:
         started = time.perf_counter()
         train_ds, test_ds = build_datasets(data_cfg, seed)
-        init_seed = int(np.random.SeedSequence(seed).generate_state(3)[2])
-        model = build_model(model_cfg, train_ds.dim, train_ds.class_count, init_seed)
+        model = build_model(model_cfg, train_ds.dim, train_ds.class_count, init_seed(seed))
         seed_opt = OptimConfig(
             learning_rate=opt.learning_rate,
             epochs=opt.epochs,

@@ -1,0 +1,285 @@
+"""Fused tape nodes against the primitive chains they stand for.
+
+Each fused node (``linear``, ``project_batch``, ``cosine_logits``, the
+softmax-NLL and ``expand``) must give the forward value and every input
+gradient of its chain of primitives bit for bit, and match central
+differences. The chains are rebuilt here from ``ndcore`` primitives, with
+the tiling written as a ``matmul`` with a ones tensor.
+"""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+from spherehead import heads, train
+from spherehead.errors import ShapeError
+from spherehead.heads import EmbeddingQueue, HeadWeights, MarginConfig, _nll_sum, _one_hot, cosine_logits
+from spherehead.ndcore import Tensor, backward, concat, expand_cols, expand_rows, linear, matmul, trace, transpose
+from spherehead.stereo import project_batch
+from spherehead.train import ModelConfig, build_model
+
+from .helpers import check_gradients
+
+TRIALS = 25
+
+
+# -- the primitive chains --------------------------------------------------
+
+
+def ones_cols(col, n):
+    return matmul(col, Tensor(np.ones((1, n))))
+
+
+def ones_rows(row, m):
+    return matmul(Tensor(np.ones((m, 1))), row)
+
+
+def chain_linear(x, W, b):
+    return matmul(x, W) + ones_rows(b, x.shape[0])
+
+
+def chain_project_batch(X):
+    norm = (X * X).sum(axis=1, keepdims=True)
+    denom = norm + 1.0
+    a = (X * 2.0) / ones_cols(denom, X.shape[1])
+    b = (norm - 1.0) / denom
+    return concat([a, b], axis=1)
+
+
+def chain_cosine_logits(features, weights):
+    W = weights.W
+    norms = (features * features).sum(axis=1, keepdims=True).sqrt()
+    unit_features = features / ones_cols(norms, features.shape[1])
+    col_norms = (W * W).sum(axis=0, keepdims=True).sqrt()
+    unit_weights = W / ones_rows(col_norms, W.shape[0])
+    return matmul(unit_features, unit_weights).clamp(-1.0, 1.0)
+
+
+def chain_nll_sum(logits, onehot):
+    row_max = Tensor(np.max(logits.data, axis=1, keepdims=True))
+    shifted = logits - ones_cols(row_max, logits.shape[1])
+    lse = shifted.exp().sum(axis=1, keepdims=True).log()
+    target = (shifted * Tensor(onehot)).sum(axis=1, keepdims=True)
+    return (lse - target).sum()
+
+
+# -- helpers ---------------------------------------------------------------
+
+
+def bits(a):
+    """Raw float64 bits, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def value_and_grads(fn, arrays, grad_mask=None):
+    grad_mask = grad_mask or [True] * len(arrays)
+    leaves = [Tensor(a.copy(), requires_grad=flag) for a, flag in zip(arrays, grad_mask)]
+    loss = fn(*leaves)
+    backward(loss)
+    return loss.data, [leaf.grad for leaf, flag in zip(leaves, grad_mask) if flag]
+
+
+def assert_same_bits(fused, chain, arrays, grad_mask=None):
+    value_f, grads_f = value_and_grads(fused, arrays, grad_mask)
+    value_c, grads_c = value_and_grads(chain, arrays, grad_mask)
+    assert_array_equal(bits(value_f), bits(value_c))
+    for g_f, g_c in zip(grads_f, grads_c):
+        assert g_f is not None and g_c is not None
+        assert_array_equal(bits(g_f), bits(g_c))
+
+
+def instance(rng, B=None, d=None, C=None):
+    B = int(rng.integers(2, 7)) if B is None else B
+    d = int(rng.integers(2, 9)) if d is None else d
+    C = int(rng.integers(2, 6)) if C is None else C
+    return rng.normal(size=(B, d)) * rng.uniform(0.1, 5.0), rng.normal(size=(d, C)), rng.integers(0, C, size=B)
+
+
+# -- bitwise equality with the chains ----------------------------------------
+
+
+class TestSameBitsAsChain:
+    def test_expand(self):
+        rng = np.random.default_rng(70)
+        for _ in range(TRIALS):
+            col, row = rng.normal(size=(4, 1)), rng.normal(size=(1, 5))
+            R, S = rng.normal(size=(4, 7)), rng.normal(size=(3, 5))
+            assert_same_bits(lambda c: (expand_cols(c, 7) * Tensor(R)).sum(),
+                             lambda c: (ones_cols(c, 7) * Tensor(R)).sum(), [col])
+            assert_same_bits(lambda r: (expand_rows(r, 3) * Tensor(S)).sum(),
+                             lambda r: (ones_rows(r, 3) * Tensor(S)).sum(), [row])
+
+    @pytest.mark.parametrize("grad_mask", [[True, True, True], [False, True, True]])
+    def test_linear(self, grad_mask):
+        rng = np.random.default_rng(71)
+        for _ in range(TRIALS):
+            x, W, _ = instance(rng, B=int(rng.integers(1, 40)))
+            b = rng.normal(size=(1, W.shape[1]))
+            R = Tensor(rng.normal(size=(x.shape[0], W.shape[1])))
+            assert_same_bits(lambda x_, W_, b_: (linear(x_, W_, b_).relu() * R).sum(),
+                             lambda x_, W_, b_: (chain_linear(x_, W_, b_).relu() * R).sum(),
+                             [x, W, b], grad_mask)
+
+    def test_project_batch(self):
+        rng = np.random.default_rng(72)
+        for _ in range(TRIALS):
+            X, _, _ = instance(rng)
+            X[0] = 0.0  # the origin lands on the south pole
+            R = Tensor(rng.normal(size=(X.shape[0], X.shape[1] + 1)))
+            assert_same_bits(lambda t: (project_batch(t) * R).sum(),
+                             lambda t: (chain_project_batch(t) * R).sum(), [X])
+
+    def test_cosine_logits(self):
+        rng = np.random.default_rng(73)
+        for _ in range(TRIALS):
+            X, W, _ = instance(rng)
+            X[0] = W[:, 0] * 3.0  # parallel to a column: the clamp bound is hit
+            R = Tensor(rng.normal(size=(X.shape[0], W.shape[1])))
+            fused = lambda f, w: (cosine_logits(f, HeadWeights(w)) * R).sum()
+            chain = lambda f, w: (chain_cosine_logits(f, HeadWeights(w)) * R).sum()
+            assert_same_bits(fused, chain, [X, W])
+            assert_same_bits(fused, chain, [X, W], [False, True])
+
+    def test_cosine_logits_features_with_second_consumer(self):
+        """As in sphereface: the row norms of the features scale the cosines."""
+        rng = np.random.default_rng(74)
+
+        def scaled(cos_fn, tile):
+            def fn(f, w):
+                norms = (f * f).sum(axis=1, keepdims=True).sqrt()
+                return (tile(norms, w.shape[1]) * cos_fn(f, HeadWeights(w)) * R).sum()
+            return fn
+
+        for _ in range(TRIALS):
+            X, W, _ = instance(rng)
+            R = Tensor(rng.normal(size=(X.shape[0], W.shape[1])))
+            assert_same_bits(scaled(cosine_logits, expand_cols), scaled(chain_cosine_logits, ones_cols), [X, W])
+
+    def test_cosine_logits_weights_with_second_consumer(self):
+        """As in the BroadFace queue block: W also feeds the compensated rows."""
+        rng = np.random.default_rng(75)
+
+        def two_blocks(cos_fn):
+            def fn(f, w):
+                current = matmul(Tensor(onehot), transpose(w))
+                comp = Tensor(offset) + Tensor(ratios) * current
+                head = HeadWeights(w)
+                return (cos_fn(f, head) * R).sum() + (cos_fn(comp, head) * S).sum()
+            return fn
+
+        for _ in range(TRIALS):
+            X, W, _ = instance(rng)
+            Q = int(rng.integers(1, 6))
+            onehot = _one_hot(rng.integers(0, W.shape[1], size=Q), W.shape[1])
+            offset = rng.normal(size=(Q, W.shape[0]))
+            ratios = np.repeat(rng.uniform(0.5, 2.0, size=(Q, 1)), W.shape[0], axis=1)
+            R = Tensor(rng.normal(size=(X.shape[0], W.shape[1])))
+            S = Tensor(rng.normal(size=(Q, W.shape[1])))
+            assert_same_bits(two_blocks(cosine_logits), two_blocks(chain_cosine_logits), [X, W])
+
+    def test_softmax_nll(self):
+        rng = np.random.default_rng(76)
+        for _ in range(TRIALS):
+            X, W, labels = instance(rng)
+            logits = X @ W * 4.0
+            onehot = _one_hot(labels, W.shape[1])
+            assert_same_bits(lambda z: _nll_sum(z, onehot) / 3.0,
+                             lambda z: chain_nll_sum(z, onehot) / 3.0, [logits])
+
+    @pytest.mark.parametrize("family", heads.FAMILIES)
+    @pytest.mark.parametrize("projection", [True, False])
+    def test_training_step_of_every_family(self, family, projection, monkeypatch):
+        """Two steps of a model, fused against every chain swapped back in."""
+
+        def steps():
+            cfg = ModelConfig(feature_dim=5, encoder_layers=(7,), projection_enabled=projection,
+                              margin=MarginConfig.for_family(family, s=6.0, queue_capacity=8 if family == "broadface" else None))
+            model = build_model(cfg, 3, 4, seed=5)
+            queue = EmbeddingQueue(cfg.margin.queue_capacity) if family == "broadface" else None
+            rng = np.random.default_rng(77)
+            out = []
+            for _ in range(2):
+                loss = train._batch_loss(model, rng.normal(size=(6, 3)), rng.integers(0, 4, size=6), queue)
+                for p in model.parameters():
+                    p.zero_grad()
+                backward(loss)
+                out.append(bits(loss.data))
+                out.extend(bits(p.grad) for p in model.parameters())
+                for p in model.parameters():
+                    p.data -= 0.1 * p.grad
+            return out
+
+        fused = steps()
+        monkeypatch.setattr(train, "linear", chain_linear)
+        monkeypatch.setattr(train, "project_batch", chain_project_batch)
+        monkeypatch.setattr(heads, "cosine_logits", chain_cosine_logits)
+        monkeypatch.setattr(heads, "_nll_sum", chain_nll_sum)
+        monkeypatch.setattr(heads, "expand_cols", ones_cols)
+        chained = steps()
+        assert len(fused) == len(chained)
+        for f, c in zip(fused, chained):
+            assert_array_equal(f, c)
+
+
+# -- finite differences --------------------------------------------------------
+
+
+class TestFiniteDifferences:
+    """``project_batch`` and ``expand`` are checked in test_stereo and test_tensor."""
+
+    def test_linear(self):
+        rng = np.random.default_rng(80)
+        for _ in range(TRIALS):
+            x, W, _ = instance(rng)
+            b = rng.normal(size=(1, W.shape[1]))
+            R = Tensor(rng.normal(size=(x.shape[0], W.shape[1])))
+            check_gradients(lambda x_, W_, b_: (linear(x_, W_, b_) * R).sum(), [x, W, b], tol=1e-5)
+
+    def test_cosine_logits(self):
+        rng = np.random.default_rng(82)
+        for _ in range(TRIALS):
+            X, W, _ = instance(rng)
+            if np.max(np.abs(chain_cosine_logits(Tensor(X), HeadWeights(Tensor(W))).data)) > 0.97:
+                continue  # the clamp's kink is not differentiable
+            R = Tensor(rng.normal(size=(X.shape[0], W.shape[1])))
+            check_gradients(lambda f, w: (cosine_logits(f, HeadWeights(w)) * R).sum(), [X, W], tol=1e-5)
+
+    def test_softmax_nll(self):
+        rng = np.random.default_rng(83)
+        for _ in range(TRIALS):
+            X, W, labels = instance(rng)
+            onehot = _one_hot(labels, W.shape[1])
+            check_gradients(lambda z: _nll_sum(z, onehot), [X @ W * 3.0], tol=1e-5)
+
+
+# -- tape size ------------------------------------------------------------------
+
+
+# Nodes on the tape of one B=32 step on projected spirals features, encoder
+# [64, 32] into 16 features: three linear layers, two ReLUs, the projection,
+# then the head. BroadFace is counted with its queue holding a previous batch.
+TAPE_NODES = {"cce": 9, "cosface": 11, "arcface": 20, "sphereface": 26, "broadface": 38}
+
+
+@pytest.mark.parametrize("family", heads.FAMILIES)
+def test_tape_size_of_a_spirals_step(family):
+    train_ds, _ = train.build_datasets(train.DataConfig("two_spirals", {"n_per_class": 100}), seed=1)
+    margin = MarginConfig.for_family(family, s=12.0)
+    model = build_model(ModelConfig(feature_dim=16, margin=margin, encoder_layers=(64, 32)),
+                        train_ds.dim, train_ds.class_count, seed=2)
+    queue = EmbeddingQueue(margin.queue_capacity) if family == "broadface" else None
+    X, y = train_ds.features.data, train_ds.labels
+    if queue is not None:
+        train._batch_loss(model, X[32:64], y[32:64], queue)
+    loss = train._batch_loss(model, X[:32], y[:32], queue)
+    assert len(trace(loss)) <= TAPE_NODES[family]
+
+
+def test_linear_rejects_mismatched_shapes():
+    x, W = Tensor(np.ones((4, 3))), Tensor(np.ones((3, 2)))
+    with pytest.raises(ShapeError):
+        linear(x, Tensor(np.ones((2, 2))), Tensor(np.zeros((1, 2))))
+    with pytest.raises(ShapeError):
+        linear(x, W, Tensor(np.zeros((4, 2))))
+    with pytest.raises(ShapeError):
+        linear(Tensor(np.ones(3)), W, Tensor(np.zeros((1, 2))))

@@ -122,6 +122,38 @@ class TestParseErrors:
             load_run(str(path))
 
 
+class TestInterruptedWrite:
+    def test_failed_write_keeps_previous_record(self, tmp_path, monkeypatch):
+        old = make_record(epoch_loss=[1.5, 0.9, 0.4])
+        path = save_run(str(tmp_path), old)
+        real_open = open
+
+        class HalfWritten:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return HalfWritten(fh) if "w" in mode else fh
+
+        monkeypatch.setattr("builtins.open", failing_open)
+        with pytest.raises(OSError, match="disk full"):
+            save_run(str(tmp_path), make_record(epoch_loss=[9.0, 8.0, 7.0]))
+        monkeypatch.undo()
+        assert load_run(path) == old
+        assert os.listdir(os.path.dirname(path)) == ["3.txt"]
+
+
 class TestListRuns:
     def test_groups_by_experiment_sorted(self, tmp_path):
         for experiment in ("b-exp", "a-exp"):

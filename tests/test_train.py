@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from spherehead.data import Dataset, gen_gaussian_blobs
-from spherehead.errors import ConfigError, LayoutError, StateError, TrainingDiverged
+from spherehead.errors import ConfigError, DegenerateInputError, LayoutError, StateError, TrainingDiverged
 from spherehead.heads import FAMILIES, MarginConfig
 from spherehead.ndcore import Tensor
 from spherehead.results import load_run
@@ -20,6 +20,7 @@ from spherehead.train import (
     evaluate,
     experiment_name,
     fit,
+    init_seed,
     population_std,
     run_experiment,
     sgd_step,
@@ -385,6 +386,13 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate(model, ds.take([]))
 
+    def test_zero_weight_column_rejected(self):
+        ds = small_blobs()
+        model, _ = quick_fit("cosface", ds, epochs=1)
+        model.head.W.data[:, 1] = 0.0
+        with pytest.raises(DegenerateInputError):
+            evaluate(model, ds)
+
 
 class TestBuildDatasets:
     def test_spirals_default_sizes(self):
@@ -490,6 +498,12 @@ class TestRunExperiment:
         a = run_experiment(mc, dc, opt, [1, 2], results_dir=str(tmp_path / "a"))
         b = run_experiment(mc, dc, opt, [1, 2], results_dir=str(tmp_path / "b"))
         assert a.fingerprint() == b.fingerprint()
+
+    def test_init_seed_is_the_third_seed_stream(self):
+        # records store only the run seed, so this derivation must never drift
+        for seed in (0, 1, 12345):
+            streams = np.random.SeedSequence(seed).generate_state(3)
+            assert init_seed(seed) == int(streams[2])
 
     def test_fingerprint_ignores_wall_time_only(self):
         a = make_report()
