@@ -46,6 +46,7 @@ from .stereo import (
     inverse_project,
     project,
     project_batch,
+    project_rows,
     scale_factor,
 )
 from .train import (

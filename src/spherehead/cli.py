@@ -21,11 +21,11 @@ import sys
 
 import numpy as np
 
-from .errors import ParseError, SphereheadError
+from .errors import DomainError, ParseError, SphereheadError
 from .heads import FAMILIES, MarginConfig
 from .ndcore import Tensor
 from .results import default_results_dir, list_runs, load_run
-from .stereo import project
+from .stereo import project, project_rows
 from .train import (
     DataConfig,
     ModelConfig,
@@ -148,8 +148,66 @@ def _resolve_run_path(path_arg: str, parser: argparse.ArgumentParser) -> str:
     raise FileNotFoundError(f"no run record at {path_arg!r}")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# rows per numpy parse call and per formatted write; whole-file blocks
+# would hold a Python string per cell of the file at once
+_BLOCK_ROWS = 2048
+
+
+def _write_rows(fh, rows: np.ndarray, first: str = "%.17g") -> None:
+    """Write rows as comma-separated lines, one block of rows per write.
+
+    Every value is printed ``%.17g`` (17 significant digits round-trip
+    float64), except column 0, which is printed with ``first``.
+    """
+    template = ",".join([first] + ["%.17g"] * (rows.shape[1] - 1)) + "\n"
+    for start in range(0, rows.shape[0], _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        fh.write((template * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def _numbered(lines: list) -> list:
+    """(line number, line) for each non-blank line, numbered from 1."""
+    return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
+
+
+def _parse_lines(path: str, lines: list, width: int) -> np.ndarray:
+    """Parse the non-blank lines one at a time, naming the first bad line."""
+    values = []
+    for lineno, line in _numbered(lines):
+        try:
+            row = [float(piece) for piece in line.split(",")]
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric value in {line!r}")
+        if len(row) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+        values.append(row)
+    return np.array(values, dtype=np.float64)
+
+
+def _parse_rows(path: str, lines: list) -> np.ndarray:
+    """Parse the non-blank comma-separated lines into a float64 [N, width] array.
+
+    The first non-blank line sets the width. Each block of lines is
+    joined, split into cells and converted by one numpy call, which
+    accepts and rounds each cell exactly as ``float()`` does.
+    If a block fails, the whole file is parsed again line by line, which
+    raises :class:`ParseError` at ``path:lineno``.
+    """
+    rows = [line for line in lines if line.strip()]
+    if not rows:
+        return np.empty((0, 0))
+    commas = rows[0].count(",")
+    X = np.empty((len(rows), commas + 1))
+    try:
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS]
+            if any(line.count(",") != commas for line in block):
+                raise ValueError("ragged rows")
+            cells = np.array(",".join(block).split(","), dtype=np.float64)
+            X[start:start + len(block)] = cells.reshape(len(block), commas + 1)
+    except ValueError:
+        X = _parse_lines(path, lines, commas + 1)
+    return X
 
 
 def cmd_train(args, parser: argparse.ArgumentParser) -> int:
@@ -173,12 +231,12 @@ def cmd_train(args, parser: argparse.ArgumentParser) -> int:
     for seed in sorted(report.accuracies):
         print(f"seed {seed}: test accuracy {report.accuracies[seed]:.4f}")
     for seed in report.failed_seeds:
-        print(f"seed {seed}: diverged", file=sys.stderr)
+        print(f"seed {seed}: {report.failures[seed]}", file=sys.stderr)
     if report.accuracies:
         print(f"{report.experiment}: test accuracy {100.0 * report.mean_accuracy:.2f}"
               f"+-{100.0 * report.std_accuracy:.2f} over {len(report.accuracies)} seeds")
         return 0
-    print(f"{report.experiment}: every seed diverged", file=sys.stderr)
+    print(f"{report.experiment}: every seed failed", file=sys.stderr)
     return 1
 
 
@@ -198,30 +256,23 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
 def cmd_project(args, parser: argparse.ArgumentParser) -> int:
     with open(args.infile, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    out_rows = []
-    width = None
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        pieces = line.split(",")
-        try:
-            values = [float(piece) for piece in pieces]
-        except ValueError:
-            raise ParseError(f"{args.infile}:{lineno}: non-numeric value in {line!r}")
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise ParseError(
-                f"{args.infile}:{lineno}: expected {width} columns, got {len(values)}"
-            )
-        point = project(np.asarray(values, dtype=np.float64))
-        out_rows.append(",".join(_fmt(v) for v in point.coords))
-    text = "\n".join(out_rows) + ("\n" if out_rows else "")
+    X = _parse_rows(args.infile, lines)
+    try:
+        lifted = project_rows(X) if X.size else X
+    except DomainError:
+        # lift row by row only to name the line of the first bad row
+        for (lineno, _), row in zip(_numbered(lines), X):
+            try:
+                project(row)
+            except DomainError as err:
+                raise type(err)(f"{args.infile}:{lineno}: {err}") from err
+        raise
+    del lines, X  # free the input text before the output text is built
     if args.out is None:
-        sys.stdout.write(text)
+        _write_rows(sys.stdout, lifted)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_rows(fh, lifted)
     return 0
 
 
@@ -231,9 +282,9 @@ def cmd_export_embeddings(args, parser: argparse.ArgumentParser) -> int:
     model, train_ds, test_ds = _retrain_from_record(record)
     ds = train_ds if args.split == "train" else test_ds
     feats = model.forward_features(Tensor(ds.features.data))
+    labeled = np.column_stack([np.asarray(ds.labels, dtype=np.float64), feats.data])
     with open(args.out, "w", encoding="utf-8") as fh:
-        for label, row in zip(ds.labels, feats.data):
-            fh.write(",".join([str(int(label))] + [_fmt(v) for v in row]) + "\n")
+        _write_rows(fh, labeled, first="%d")
     print(f"wrote {len(ds)} rows of {feats.shape[1]} features to {args.out}")
     return 0
 

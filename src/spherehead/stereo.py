@@ -10,8 +10,12 @@ sphere. Closed form, with z the signed height of the image:
 
 The map is a bijection onto the sphere minus the pole itself, fixes the
 unit shell (|x| = 1 lands on the equator), and sends the origin to the
-south pole. :func:`project_batch` is the same arithmetic on the gradient
-tape so projected features can sit inside a trained model.
+south pole. :func:`project_rows` is the one eager form, row by row
+over an [N, n] array, and :func:`project` is its one-row case.
+:func:`project_batch` is the same formula on the gradient tape so
+projected features can sit inside a trained model; it sums the squared
+norms with ``np.sum`` rather than a BLAS dot, so its last bit can differ
+(see :func:`project`).
 
 All functions are pure; nothing here holds state.
 """
@@ -28,6 +32,7 @@ __all__ = [
     "SpherePoint",
     "scale_factor",
     "project",
+    "project_rows",
     "project_batch",
     "inverse_project",
     "check_ball_convexity",
@@ -117,26 +122,70 @@ def scale_factor(x) -> float:
     z = (|x|^2 - 1)/(|x|^2 + 1), always in [-1, 1): -1 at the origin,
     0 on the unit shell, approaching 1 as |x| grows.
     """
-    coords = _euclidean_coords(x)
-    sq = _sqnorm(coords)
-    if not np.isfinite(sq):
-        raise DomainError("squared norm overflows float64")
-    return (sq - 1.0) / (sq + 1.0)
+    return float(project(x).coords[-1])
 
 
 def project(x) -> SpherePoint:
     """Map a Euclidean point onto the unit sphere one dimension up.
 
-    Same arithmetic as :func:`project_batch` on a single row: squared
-    norm first, then the scaled copy of x, then the appended height.
+    The one-row case of :func:`project_rows`, so a file lifted by
+    ``spherehead project`` and a point lifted here agree bit for bit.
+    It is not always bitwise :func:`project_batch`: the tape op sums the
+    squared norm with ``np.sum``, whose pairwise order differs from the
+    BLAS dot here in the last bit on about a third of 16-dim rows. The
+    tape op keeps ``np.sum`` because changing the order of its float ops
+    would change every trained model's record digest.
     """
     coords = _euclidean_coords(x)
-    sq = _sqnorm(coords)
-    if not np.isfinite(sq):
-        raise DomainError("squared norm overflows float64")
-    a = 2.0 * coords / (sq + 1.0)
-    b = (sq - 1.0) / (sq + 1.0)
-    return SpherePoint(np.concatenate([a, [b]]))
+    # project_rows made SpherePoint's checks; skip repeating them
+    point = SpherePoint.__new__(SpherePoint)
+    point.coords = project_rows(coords[None, :])[0]
+    return point
+
+
+def _where(bad: np.ndarray) -> str:
+    return "" if bad.size == 1 else f" (first in row {int(np.argmax(bad))})"
+
+
+def project_rows(X) -> np.ndarray:
+    """Lift every row of X onto the unit sphere: [N, n] -> [N, n+1].
+
+    The one eager form of the projection. Squared norms are
+    ``np.vecdot(X, X)``, the same BLAS dot as ``x @ x`` row by row, then
+    the scaled rows and the appended height, as in the module formula.
+
+    Each lifted row passes the :class:`SpherePoint` checks. Non-finite
+    entries and a squared norm that overflows float64 raise
+    :class:`DomainError`, a row off the unit sphere by more than
+    ``UNIT_TOL`` raises :class:`DomainError`, and the north pole raises
+    :class:`PoleSingularityError`. With more than one row, the message
+    names the first offending row.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise ShapeError(f"project_rows needs an [N, n] array with n >= 1, got shape {X.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.vecdot(X, X)
+    if not np.isfinite(sq).all():
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise DomainError("non-finite entries" + _where(~finite))
+        raise DomainError("squared norm overflows float64" + _where(np.isinf(sq)))
+    n = X.shape[1]
+    denom = sq + 1.0
+    out = np.empty((X.shape[0], n + 1))
+    np.divide(2.0 * X, denom[:, None], out=out[:, :n])
+    np.divide(sq - 1.0, denom, out=out[:, n])
+    out_sq = np.vecdot(out, out)
+    off = np.abs(out_sq - 1.0) > UNIT_TOL
+    if off.any():
+        raise DomainError(f"not on the unit sphere: |coords|^2 = {float(out_sq[off][0])!r}" + _where(off))
+    pole = out[:, n] == 1.0
+    if pole.any():
+        pole &= ~out[:, :n].any(axis=1)
+        if pole.any():
+            raise PoleSingularityError("the north pole is excluded from the sphere image" + _where(pole))
+    return out
 
 
 def project_batch(X: Tensor) -> Tensor:

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import results as results_store
 from .data import Dataset, SplitSpec, gen_gaussian_blobs, gen_two_spirals, load_cifar_binary, load_delimited, split
-from .errors import ConfigError, DegenerateInputError, LayoutError, ShapeError, StateError, TrainingDiverged
+from .errors import (ConfigError, DegenerateInputError, LayoutError, ShapeError, SphereheadError, StateError,
+                     TrainingDiverged)
 from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, broadface_step, head_forward
 from .ndcore import Tensor, backward, linear, relu
 from .stereo import project_batch
@@ -427,8 +428,10 @@ class RunReport:
     """Aggregate of one experiment over its seeds.
 
     Accuracies and digests are keyed by seed and cover only the seeds
-    that finished; diverged seeds are listed separately. Wall time is
-    bookkeeping, not identity: fingerprint() ignores it.
+    that finished; seeds that diverged or raised another library error
+    are listed in failed_seeds, and ``failures`` says how each one
+    failed ("diverged" or "failed: <error>"). Wall time and failure
+    texts are bookkeeping, not identity: fingerprint() ignores them.
     """
 
     experiment: str
@@ -438,6 +441,7 @@ class RunReport:
     failed_seeds: tuple
     record_digests: dict
     wall_time_s: float
+    failures: dict = field(default_factory=dict)
 
     @property
     def mean_accuracy(self) -> float:
@@ -472,8 +476,9 @@ def run_experiment(model_cfg: ModelConfig, data_cfg: DataConfig, opt: OptimConfi
 
     Per seed, the dataset draw, split, parameter init, and shuffles all
     derive from that seed, and opt.seed is overridden to match so one
-    integer pins the whole run. A seed whose training diverges is
-    reported as failed rather than aborting the batch.
+    integer pins the whole run. A seed whose training or evaluation
+    raises a library error (a divergence, a degenerate input, a domain
+    error) is reported as failed rather than aborting the batch.
     """
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
@@ -489,7 +494,7 @@ def run_experiment(model_cfg: ModelConfig, data_cfg: DataConfig, opt: OptimConfi
     }
     accuracies: dict[int, float] = {}
     digests: dict[int, str] = {}
-    failed: list[int] = []
+    failures: dict[int, str] = {}
     total_wall = 0.0
     for seed in seeds:
         started = time.perf_counter()
@@ -504,11 +509,11 @@ def run_experiment(model_cfg: ModelConfig, data_cfg: DataConfig, opt: OptimConfi
         )
         try:
             model, history = fit(model, train_ds, seed_opt)
-        except TrainingDiverged:
-            failed.append(seed)
+            test_acc = evaluate(model, test_ds)
+        except SphereheadError as err:
+            failures[seed] = "diverged" if isinstance(err, TrainingDiverged) else f"failed: {err}"
             total_wall += time.perf_counter() - started
             continue
-        test_acc = evaluate(model, test_ds)
         wall = time.perf_counter() - started
         total_wall += wall
         record = {
@@ -531,9 +536,10 @@ def run_experiment(model_cfg: ModelConfig, data_cfg: DataConfig, opt: OptimConfi
         config=config_echo,
         seeds=seeds,
         accuracies=accuracies,
-        failed_seeds=tuple(failed),
+        failed_seeds=tuple(failures),
         record_digests=digests,
         wall_time_s=total_wall,
+        failures=failures,
     )
 
 

@@ -1,8 +1,9 @@
-"""Independent reference implementations of the classification losses.
+"""Independent reference implementations of the classification losses,
+the one-row projection and the CLI's text rendering.
 
-Written against the loss definitions directly, sample by sample, with no
+Written against the definitions directly, sample by sample, with no
 shared code with the package: plain numpy, python loops, explicit
-formulas. Tests compare the tape-based implementations to these.
+formulas. Tests compare the package's implementations to these.
 """
 
 import numpy as np
@@ -105,3 +106,21 @@ def oracle_broadface(X, W, s, m, labels, queue_entries):
         cos_row = oracle_cosine_logits(b_star[None, :], W)[0]
         total += arcface_persample(cos_row, y, s, m)
     return total / (len(labels) + len(queue_entries))
+
+
+def oracle_lift_row(x):
+    """phi(x) for one row: |x|^2 as the BLAS dot x @ x, then the formula."""
+    x = np.asarray(x, dtype=np.float64)
+    sq = float(x @ x)
+    return np.concatenate([2.0 * x / (sq + 1.0), [(sq - 1.0) / (sq + 1.0)]])
+
+
+def oracle_render_rows(rows, labels=None):
+    """Comma-separated text, one value at a time with format(v, ".17g")."""
+    lines = []
+    for i, row in enumerate(rows):
+        cells = [format(float(v), ".17g") for v in row]
+        if labels is not None:
+            cells.insert(0, str(int(labels[i])))
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)

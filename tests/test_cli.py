@@ -1,11 +1,18 @@
 import io
 import os
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
+from spherehead import cli, train
 from spherehead.cli import main
+from spherehead.errors import DomainError, ParseError
+from spherehead.ndcore import Tensor
+from spherehead.results import load_run
+
+from .oracles import oracle_lift_row, oracle_render_rows
 
 
 def run_cli(argv):
@@ -89,6 +96,66 @@ class TestProjectVerb:
         assert code == 1
         assert err != ""
 
+    @pytest.mark.parametrize("text, lineno, error", [
+        ("1,2\n1,oops\n", 2, ParseError),
+        ("1,2\n\n1,2,3\n", 3, ParseError),
+        ("1,2\n3,4\n\nnan,0\n", 4, DomainError),
+        ("1,2\ninf,0\n", 2, DomainError),
+        ("1,2\n\n3,4\n0,1e155\n", 4, DomainError),
+        ("1,2\n2e154,0\n1,oops\n", 3, ParseError),
+    ])
+    def test_errors_name_the_line_and_write_nothing(self, tmp_path, text, lineno, error):
+        src, dst = tmp_path / "pts.csv", tmp_path / "out.csv"
+        src.write_text(text)
+        args = cli.build_parser().parse_args(["project", "--in", str(src), "--out", str(dst)])
+        with pytest.raises(error, match="^" + re.escape(f"{src}:{lineno}: ")):
+            cli.cmd_project(args, None)
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("text", ["", "\n\n  \n\t\n"])
+    def test_no_rows_give_empty_output(self, tmp_path, text):
+        src, dst = tmp_path / "pts.csv", tmp_path / "out.csv"
+        src.write_text(text)
+        code, out, err = run_cli(["project", "--in", str(src)])
+        assert (code, out, err) == (0, "", "")
+        assert run_cli(["project", "--in", str(src), "--out", str(dst)])[0] == 0
+        assert dst.read_bytes() == b""
+
+    @pytest.mark.parametrize("text", [
+        "1,2\n-3.5,4e-3\n0,0\n",
+        "1,2\n-3.5,4e-3\n0,0",  # no trailing newline
+        "1,2\r\n-3.5,4e-3\r\n0,0\r\n",
+        " 1.5, -0\n1_000,+2\n1e-320 ,\t7\n",  # cells float() accepts
+    ])
+    def test_output_matches_per_row_rendering(self, tmp_path, text):
+        src = tmp_path / "pts.csv"
+        src.write_bytes(text.encode())
+        code, out, _ = run_cli(["project", "--in", str(src)])
+        rows = [[float(v) for v in line.split(",")] for line in text.splitlines()]
+        assert (code, out) == (0, oracle_render_rows([oracle_lift_row(x) for x in rows]))
+
+    # block size and +-1 rows, then the 10k x 16 shards of the project-rows benchmark
+    @pytest.mark.parametrize("count, dim", [(cli._BLOCK_ROWS - 1, 3), (cli._BLOCK_ROWS, 3),
+                                            (cli._BLOCK_ROWS + 1, 3), (10_000, 16)])
+    def test_files_match_per_row_rendering(self, tmp_path, count, dim):
+        rng = np.random.default_rng(count)
+        X = rng.normal(size=(count, dim))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        X *= 10.0 ** rng.uniform(-2.0, 2.0, size=(count, 1))
+        src, dst = tmp_path / "pts.csv", tmp_path / "out.csv"
+        np.savetxt(src, X, fmt="%.17g", delimiter=",")
+        assert run_cli(["project", "--in", str(src), "--out", str(dst)])[0] == 0
+        assert dst.read_text() == oracle_render_rows([oracle_lift_row(x) for x in X])
+
+    def test_ragged_row_in_a_later_block(self, tmp_path):
+        lines = ["1,2"] * (cli._BLOCK_ROWS + 5)
+        lines[cli._BLOCK_ROWS + 2] = "1,2,3"
+        src = tmp_path / "pts.csv"
+        src.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(["project", "--in", str(src)])
+        assert code == 1
+        assert f":{cli._BLOCK_ROWS + 3}: expected 2 columns, got 3" in err
+
 
 class TestUsageErrors:
     def test_no_verb(self):
@@ -151,6 +218,22 @@ class TestTrainVerb:
                                 "--project", "off", "--out", str(tmp_path)] + TINY)
         assert code == 0
         assert "blobs-cce-noproj" in out
+
+    def test_failed_seed_is_reported_as_failed(self, tmp_path, monkeypatch):
+        real_fit = train.fit
+
+        def fit(model, ds, opt):
+            if opt.seed == 2:
+                raise DomainError("squared norm overflows float64")
+            return real_fit(model, ds, opt)
+
+        monkeypatch.setattr(train, "fit", fit)
+        code, out, err = run_cli(["train", "--dataset", "blobs", "--loss", "cce",
+                                  "--out", str(tmp_path)] + TINY)
+        assert code == 0
+        assert "seed 1: test accuracy" in out
+        assert "seed 2: failed: squared norm overflows float64" in err
+        assert "diverged" not in err
 
     def test_all_seeds_diverging_exits_nonzero(self, tmp_path):
         code, out, err = run_cli(["train", "--dataset", "blobs", "--loss", "cce",
@@ -224,6 +307,14 @@ class TestExportVerb:
         assert run_cli(["export-embeddings", "--run", run_file, "--out", str(a)])[0] == 0
         assert run_cli(["export-embeddings", "--run", run_file, "--out", str(b)])[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_matches_per_value_rendering(self, trained_store, tmp_path):
+        run_file = os.path.join(trained_store, "blobs-cosface-proj", "1.txt")
+        out_file = tmp_path / "emb.csv"
+        assert run_cli(["export-embeddings", "--run", run_file, "--out", str(out_file)])[0] == 0
+        model, _, test_ds = cli._retrain_from_record(load_run(run_file))
+        feats = model.forward_features(Tensor(test_ds.features.data)).data
+        assert out_file.read_text() == oracle_render_rows(feats, labels=test_ds.labels)
 
     def test_labels_are_integers_in_range(self, trained_store, tmp_path):
         run_file = os.path.join(trained_store, "blobs-cosface-proj", "1.txt")

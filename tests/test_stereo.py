@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from spherehead import stereo
 from spherehead.errors import DomainError, PoleSingularityError, ShapeError
 from spherehead.ndcore import Tensor, backward
 from spherehead.stereo import (
@@ -14,9 +17,11 @@ from spherehead.stereo import (
     inverse_project,
     project,
     project_batch,
+    project_rows,
     scale_factor,
 )
 from .helpers import check_gradients
+from .oracles import oracle_lift_row
 
 
 class TestScaleFactor:
@@ -120,6 +125,87 @@ class TestProject:
             project([np.nan, 0.0])
         with pytest.raises(DomainError):
             project([1e200])
+
+
+def _scaled_rows(low: float, high: float):
+    """Rows of one width in 1..64, each a direction times 10**e, e in [low, high]."""
+    def rows(dim):
+        row = st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim),
+                        st.floats(low, high))
+        return st.lists(row, min_size=1, max_size=6)
+
+    def build(pairs):
+        X = np.array([direction for direction, _ in pairs], dtype=np.float64)
+        # scale the largest entry to 1 first, so subnormal entries cannot
+        # make the norm inexact; an all-zero direction stays the origin
+        peak = np.max(np.abs(X), axis=1, keepdims=True)
+        X = np.divide(X, peak, out=np.zeros_like(X), where=peak > 0.0)
+        X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1.0)
+        return X * 10.0 ** np.array([[e] for _, e in pairs])
+
+    return st.integers(1, 64).flatmap(rows).map(build)
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestProjectRows:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(X=_scaled_rows(-150.0, 150.0))
+    def test_rows_are_bitwise_single_projection(self, X):
+        out = project_rows(X)
+        assert out.shape == (X.shape[0], X.shape[1] + 1)
+        for i in range(X.shape[0]):
+            assert_array_equal(_bits(out[i]), _bits(project(X[i]).coords))
+            assert_array_equal(_bits(out[i]), _bits(oracle_lift_row(X[i])))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(X=_scaled_rows(154.2, 300.0))
+    def test_past_overflow_raises_never_inf(self, X):
+        # |x| above sqrt(max float64) ~ 1.34e154 overflows |x|^2; an
+        # all-zero direction is the origin, which lifts fine
+        overflow = np.any(X != 0.0, axis=1)
+        for row, big in zip(X, overflow):
+            if big:
+                with pytest.raises(DomainError, match="overflows"):
+                    project(row)
+            else:
+                assert_array_equal(project(row).coords, [0.0] * X.shape[1] + [-1.0])
+        if overflow.any():
+            with pytest.raises(DomainError, match="overflows"):
+                project_rows(X)
+    def test_origin_and_three_four(self):
+        out = project_rows([[0.0, 0.0], [3.0, 4.0]])
+        assert_array_equal(out[0], [0.0, 0.0, -1.0])
+        assert_array_equal(out[1], project([3.0, 4.0]).coords)
+
+    def test_no_rows_give_no_rows(self):
+        assert project_rows(np.empty((0, 3))).shape == (0, 4)
+
+    def test_errors_name_the_first_bad_row(self):
+        X = np.ones((5, 2))
+        X[3, 1] = np.nan
+        X[4, 0] = np.inf
+        with pytest.raises(DomainError, match=r"non-finite.*row 3"):
+            project_rows(X)
+        X = np.ones((4, 2))
+        X[2, 0] = 1e200
+        with pytest.raises(DomainError, match=r"overflows.*row 2"):
+            project_rows(X)
+
+    def test_unit_norm_gate_still_runs(self, monkeypatch):
+        # no finite row misses the sphere by 1e-12; a negative tolerance
+        # shows the gate is applied to the lifted rows
+        monkeypatch.setattr(stereo, "UNIT_TOL", -1.0)
+        with pytest.raises(DomainError, match=r"not on the unit sphere.*row 0"):
+            project_rows([[3.0, 4.0], [1.0, 0.0]])
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            project_rows([1.0, 2.0])
+        with pytest.raises(ShapeError):
+            project_rows(np.empty((3, 0)))
 
 
 class TestProjectBatch:

@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from spherehead import train
 from spherehead.data import Dataset, gen_gaussian_blobs
-from spherehead.errors import ConfigError, DegenerateInputError, LayoutError, StateError, TrainingDiverged
+from spherehead.errors import ConfigError, DegenerateInputError, DomainError, LayoutError, StateError, TrainingDiverged
 from spherehead.heads import FAMILIES, MarginConfig
 from spherehead.ndcore import Tensor
 from spherehead.results import load_run
@@ -525,6 +528,24 @@ class TestRunExperiment:
         assert set(report.failed_seeds) == {1, 2}
         assert report.accuracies == {}
         assert np.isnan(report.mean_accuracy)
+
+    def test_failed_seed_does_not_abort_the_rest(self, tmp_path, monkeypatch):
+        real_fit = train.fit
+
+        def fit(model, ds, opt):
+            if opt.seed == 2:
+                raise DomainError("squared norm overflows float64")
+            return real_fit(model, ds, opt)
+
+        monkeypatch.setattr(train, "fit", fit)
+        mc = ModelConfig(feature_dim=4, margin=margin_for("cosface"), encoder_layers=(8,))
+        dc = DataConfig("blobs", {"classes": 3, "n_per_class": 20})
+        opt = OptimConfig(learning_rate=3e-3, epochs=2, batch_size=16)
+        report = run_experiment(mc, dc, opt, [1, 2, 3], results_dir=str(tmp_path))
+        assert report.failed_seeds == (2,)
+        assert sorted(report.accuracies) == [1, 3]
+        assert report.failures == {2: "failed: squared norm overflows float64"}
+        assert sorted(os.listdir(tmp_path / "blobs-cosface-proj")) == ["1.txt", "3.txt"]
 
     def test_custom_experiment_name(self, tmp_path):
         mc = ModelConfig(feature_dim=4, margin=margin_for("cce"), encoder_layers=(8,))
