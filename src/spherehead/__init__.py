@@ -41,7 +41,6 @@ from .results import default_results_dir, list_runs, load_run, record_digest, sa
 from .stereo import (
     EuclideanPoint,
     SpherePoint,
-    check_ball_convexity,
     hemisphere_map,
     inverse_project,
     project,

@@ -36,6 +36,19 @@ _CIFAR_PIXELS = 3072  # 3 planes of 32 x 32
 _CIFAR_SIDE = 32
 
 
+def _checked_labels(labels, class_count: int) -> np.ndarray:
+    """Labels as a new flat int64 array, checked to be integers in [0, class_count)."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ShapeError(f"labels must be a flat sequence, got shape {labels.shape}")
+    if not np.issubdtype(labels.dtype, np.integer) and not np.all(labels == labels.astype(np.int64)):
+        raise LabelError("labels must be integers")
+    labels = labels.astype(np.int64)
+    if labels.size and (labels.min() < 0 or labels.max() >= class_count):
+        raise LabelError(f"labels must lie in [0, {class_count}), got range [{labels.min()}, {labels.max()}]")
+    return labels
+
+
 class Dataset:
     """Immutable bundle of features [N, n], labels [N], and class count."""
 
@@ -54,19 +67,10 @@ class Dataset:
             raise ShapeError(
                 f"{features.shape[0]} feature rows need {features.shape[0]} labels, got shape {labels.shape}"
             )
-        if not np.issubdtype(labels.dtype, np.integer):
-            if labels.size and not np.all(labels == labels.astype(np.int64)):
-                raise LabelError("labels must be integers")
-            labels = labels.astype(np.int64)
-        labels = labels.astype(np.int64)
         if class_count < 1:
             raise ConfigError(f"class count must be positive, got {class_count}")
-        if labels.size and (labels.min() < 0 or labels.max() >= class_count):
-            raise LabelError(
-                f"labels must lie in [0, {class_count}), got range [{labels.min()}, {labels.max()}]"
-            )
         self.features = Tensor(features)
-        self.labels = labels
+        self.labels = _checked_labels(labels, class_count)
         self.class_count = int(class_count)
         self.name = str(name)
 

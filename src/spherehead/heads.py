@@ -1,19 +1,22 @@
 """Classification heads: cosine logits and the margin-based objectives.
 
-Five objectives share one skeleton: compute cos theta between each
-feature and each class weight column, perturb the target-class entry
-according to the family, then take mean softmax cross-entropy.
+Five objectives share one skeleton, :func:`head_forward`: build the
+one-hot targets, turn features into logits the family's way, then take
+softmax cross-entropy averaged over the rows. The families differ only
+in their logits, one entry each in ``_LOGITS``:
 
-    cce         raw linear logits, no normalization, no margin
-    sphereface  target exponent |x| * psi(m * theta_y), others |x| * cos theta
-    cosface     target s * (cos theta_y - m), others s * cos theta
-    arcface     target s * cos(theta_y + m), others s * cos theta
-    broadface   arcface over the batch plus a FIFO queue of past
-                embeddings, each compensated for weight drift
+    cce         raw linear logits features @ W, no normalization, no margin
+    sphereface  |x| * cos theta, the target replaced by |x| * psi(m * theta)
+    cosface     s * (cos theta - m * onehot)
+    arcface     s * cos theta, the target replaced by s * cos(theta_y + m)
+    broadface   arcface over the batch, plus arcface over a FIFO queue of
+                past embeddings, each compensated for weight drift
 
 The queue keeps detached embeddings only; gradient from queue terms
-reaches the weight matrix and nothing else. All losses are scalar
-tensors on the gradient tape.
+reaches the weight matrix and nothing else. ``sphereface_loss``,
+``cosface_loss``, ``arcface_loss`` and ``broadface_step`` are
+:func:`head_forward` behind a check of the config's family. All losses
+are scalar tensors on the gradient tape.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError, LabelError, ShapeError, StateError
+from .data import _checked_labels
+from .errors import ConfigError, DegenerateInputError, ShapeError, StateError
 from .ndcore import Tensor, _accumulate, _record, expand_cols, matmul, transpose
 
 __all__ = [
@@ -74,14 +78,14 @@ class MarginConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if not self.s > 0.0:
-            raise ConfigError(f"scale must be positive, got {self.s!r}")
-        if self.family == "sphereface":
-            if self.m != int(self.m) or not 1 <= self.m <= 4:
-                raise ConfigError(f"sphereface margin must be an integer in 1..4, got {self.m!r}")
-        elif self.family in ("cosface", "arcface", "broadface"):
-            if not 0.0 <= self.m <= 1.0:
-                raise ConfigError(f"{self.family} margin must be in [0, 1], got {self.m!r}")
+        if not 0.0 < self.s < np.inf:
+            raise ConfigError(f"scale must be positive and finite, got {self.s!r}")
+        if not np.isfinite(self.m):
+            raise ConfigError(f"margin must be finite, got {self.m!r}")
+        if self.family == "sphereface" and self.m not in (1, 2, 3, 4):
+            raise ConfigError(f"sphereface margin must be an integer in 1..4, got {self.m!r}")
+        if self.family in ("cosface", "arcface", "broadface") and not 0.0 <= self.m <= 1.0:
+            raise ConfigError(f"{self.family} margin must be in [0, 1], got {self.m!r}")
         if self.queue_capacity < 0:
             raise ConfigError(f"queue capacity must be non-negative, got {self.queue_capacity!r}")
         if self.queue_capacity > 0 and self.family != "broadface":
@@ -163,26 +167,10 @@ class EmbeddingQueue:
 
 
 def _one_hot(labels, class_count: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ShapeError(f"labels must be a flat sequence, got shape {labels.shape}")
-    if not np.issubdtype(labels.dtype, np.integer):
-        if not np.all(labels == labels.astype(np.int64)):
-            raise LabelError("labels must be integers")
-        labels = labels.astype(np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= class_count):
-        raise LabelError(f"labels must lie in [0, {class_count}), got range [{labels.min()}, {labels.max()}]")
+    labels = _checked_labels(labels, class_count)
     out = np.zeros((labels.size, class_count))
     out[np.arange(labels.size), labels] = 1.0
     return out
-
-
-def _row_norms(features: Tensor) -> Tensor:
-    """Per-row L2 norms as a [B, 1] tensor; rejects zero rows."""
-    sq = (features * features).sum(axis=1, keepdims=True)
-    if np.any(sq.data == 0.0):
-        raise DegenerateInputError("zero-norm feature row cannot be normalized")
-    return sq.sqrt()
 
 
 def _unit_backward(t: Tensor, g_unit: np.ndarray, norms: np.ndarray, axis: int) -> None:
@@ -295,50 +283,33 @@ def _psi_sphereface(cos_target: Tensor, m: int, use_monotone_psi: bool) -> Tenso
     return folded * Tensor(sign) - Tensor(2.0 * k)
 
 
-def sphereface_loss(features: Tensor, weights: HeadWeights, cfg: MarginConfig, labels) -> Tensor:
-    """Multiplicative angular margin: target exponent |x| * psi(m * theta)."""
-    if cfg.family != "sphereface":
-        raise ConfigError(f"sphereface_loss needs a sphereface config, got {cfg.family!r}")
+def _sphereface_logits(features: Tensor, weights: HeadWeights, cfg: MarginConfig, onehot: np.ndarray) -> Tensor:
     cosines = cosine_logits(features, weights)
-    onehot = _one_hot(labels, weights.class_count)
-    norms = _row_norms(features if isinstance(features, Tensor) else Tensor(features))
+    norms = (features * features).sum(axis=1, keepdims=True).sqrt()
     cos_target = _target_column(cosines, onehot)
     psi = _psi_sphereface(cos_target, int(cfg.m), cfg.use_monotone_psi)
     margined = _replace_target(cosines, onehot, psi, cos_target)
-    logits = expand_cols(norms, weights.class_count) * margined
-    return _nll_sum(logits, onehot) / float(onehot.shape[0])
+    return expand_cols(norms, weights.class_count) * margined
 
 
-def cosface_loss(features: Tensor, weights: HeadWeights, cfg: MarginConfig, labels) -> Tensor:
-    """Additive cosine margin: target logit s * (cos theta - m)."""
-    if cfg.family != "cosface":
-        raise ConfigError(f"cosface_loss needs a cosface config, got {cfg.family!r}")
+def _arcface_logits(features: Tensor, weights: HeadWeights, cfg: MarginConfig, onehot: np.ndarray) -> Tensor:
     cosines = cosine_logits(features, weights)
-    onehot = _one_hot(labels, weights.class_count)
-    logits = (cosines - Tensor(onehot * cfg.m)) * cfg.s
-    return _nll_sum(logits, onehot) / float(onehot.shape[0])
-
-
-def _arcface_logits(cosines: Tensor, onehot: np.ndarray, cfg: MarginConfig) -> Tensor:
     if cfg.m == 0.0:
         return cosines * cfg.s
     cos_target = _target_column(cosines, onehot)
     theta = cos_target.clamp(-COS_CLAMP, COS_CLAMP).acos()
-    shifted = (theta + cfg.m).cos()
-    return _replace_target(cosines, onehot, shifted, cos_target) * cfg.s
+    return _replace_target(cosines, onehot, (theta + cfg.m).cos(), cos_target) * cfg.s
 
 
-def _arcface_nll_sum(features: Tensor, weights: HeadWeights, cfg: MarginConfig, onehot: np.ndarray) -> Tensor:
-    cosines = cosine_logits(features, weights)
-    return _nll_sum(_arcface_logits(cosines, onehot, cfg), onehot)
-
-
-def arcface_loss(features: Tensor, weights: HeadWeights, cfg: MarginConfig, labels) -> Tensor:
-    """Additive angular margin: target logit s * cos(theta + m)."""
-    if cfg.family != "arcface":
-        raise ConfigError(f"arcface_loss needs an arcface config, got {cfg.family!r}")
-    onehot = _one_hot(labels, weights.class_count)
-    return _arcface_nll_sum(features, weights, cfg, onehot) / float(onehot.shape[0])
+# family -> (features, weights, cfg, onehot) -> logits [B, C]. Every entry
+# looks its tape ops up as module globals when called.
+_LOGITS = {
+    "cce": lambda f, w, cfg, onehot: matmul(f, w.W),
+    "sphereface": _sphereface_logits,
+    "cosface": lambda f, w, cfg, onehot: (cosine_logits(f, w) - Tensor(onehot * cfg.m)) * cfg.s,
+    "arcface": _arcface_logits,
+    "broadface": _arcface_logits,
+}
 
 
 def compensate(entry: QueueEntry, current_W_column: np.ndarray) -> np.ndarray:
@@ -357,7 +328,7 @@ def compensate(entry: QueueEntry, current_W_column: np.ndarray) -> np.ndarray:
 
 
 def _compensated_block(queue: EmbeddingQueue, weights: HeadWeights) -> tuple[Tensor, np.ndarray]:
-    """All queue embeddings, drift-corrected on the tape: [Q, d] plus labels.
+    """All queue embeddings, drift-corrected on the tape: [Q, d] plus one-hot labels.
 
     Only the current-weight term rides the tape; embeddings and
     snapshots are constants, so queue gradient reaches W alone.
@@ -372,58 +343,67 @@ def _compensated_block(queue: EmbeddingQueue, weights: HeadWeights) -> tuple[Ten
     onehot = _one_hot(labels, weights.class_count)
     current_cols = matmul(Tensor(onehot), transpose(weights.W))  # [Q, d] rows = W[:, y_j]
     constant_part = Tensor(emb - ratios * snaps)
-    return constant_part + Tensor(np.repeat(ratios, emb.shape[1], axis=1)) * current_cols, labels
-
-
-def broadface_step(batch_features: Tensor, weights: HeadWeights, cfg: MarginConfig,
-                   labels, queue: EmbeddingQueue) -> tuple[Tensor, EmbeddingQueue]:
-    """One mixed-batch loss evaluation plus queue bookkeeping.
-
-    Loss averages the per-sample margin loss over the live batch and the
-    drift-corrected queue entries together. Afterwards the batch's
-    embeddings (detached) and the current target weight columns are
-    pushed, evicting oldest-first past capacity.
-    """
-    if cfg.family != "broadface":
-        raise ConfigError(f"broadface_step needs a broadface config, got {cfg.family!r}")
-    if not isinstance(batch_features, Tensor):
-        batch_features = Tensor(batch_features)
-    inner = MarginConfig(family="arcface", m=cfg.m, s=cfg.s)
-    onehot = _one_hot(labels, weights.class_count)
-    total = _arcface_nll_sum(batch_features, weights, inner, onehot)
-    count = onehot.shape[0]
-    if len(queue) > 0:
-        comp, queued_labels = _compensated_block(queue, weights)
-        total = total + _arcface_nll_sum(comp, weights, inner, _one_hot(queued_labels, weights.class_count))
-        count += len(queue)
-    loss = total / float(count)
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    for i in range(batch_features.shape[0]):
-        queue.push(batch_features.data[i], int(labels_arr[i]), weights.W.data[:, labels_arr[i]])
-    return loss, queue
+    return constant_part + Tensor(np.repeat(ratios, emb.shape[1], axis=1)) * current_cols, onehot
 
 
 def head_forward(features: Tensor, weights: HeadWeights, cfg: MarginConfig,
                  labels, queue: EmbeddingQueue | None = None) -> Tensor:
-    """Dispatch to the configured family's loss.
+    """The configured family's mean loss over the batch (and broadface queue).
 
-    cce sees raw linear logits (features @ W); the margin families see
-    cosine logits. broadface without a queue degrades to arcface, the
-    empty-queue case.
+    With a queue, broadface averages the margin loss over the live batch
+    and the drift-corrected queue entries together, then pushes the
+    batch's embeddings (detached) and current target weight columns,
+    evicting oldest-first past capacity. Without one it is arcface, the
+    empty-queue case, and keeps no state.
     """
-    if cfg.family == "cce":
-        if not isinstance(features, Tensor):
-            features = Tensor(features)
-        return cce_loss(matmul(features, weights.W), labels)
-    if cfg.family == "sphereface":
-        return sphereface_loss(features, weights, cfg, labels)
-    if cfg.family == "cosface":
-        return cosface_loss(features, weights, cfg, labels)
-    if cfg.family == "arcface":
-        return arcface_loss(features, weights, cfg, labels)
-    if cfg.family == "broadface":
-        if queue is None:
-            queue = EmbeddingQueue(cfg.queue_capacity)
-        loss, _ = broadface_step(features, weights, cfg, labels, queue)
-        return loss
-    raise ConfigError(f"unknown family {cfg.family!r}")
+    if queue is not None and cfg.family != "broadface":
+        raise ConfigError(f"a queue is a broadface knob, not valid for {cfg.family!r}")
+    if not isinstance(features, Tensor):
+        features = Tensor(features)
+    if features.ndim != 2:
+        raise ShapeError(f"features must be [B, d], got shape {features.shape}")
+    onehot = _one_hot(labels, weights.class_count)
+    if onehot.shape[0] != features.shape[0]:
+        raise ShapeError(f"{features.shape[0]} feature rows but {onehot.shape[0]} labels")
+    total = _nll_sum(_LOGITS[cfg.family](features, weights, cfg, onehot), onehot)
+    count = onehot.shape[0]
+    if queue is not None and len(queue) > 0:
+        block, block_onehot = _compensated_block(queue, weights)
+        total = total + _nll_sum(_arcface_logits(block, weights, cfg, block_onehot), block_onehot)
+        count += len(queue)
+    loss = total / float(count)
+    if queue is not None:
+        labels = np.asarray(labels, dtype=np.int64)
+        for i in range(features.shape[0]):
+            queue.push(features.data[i], int(labels[i]), weights.W.data[:, labels[i]])
+    return loss
+
+
+def _require_family(cfg: MarginConfig, family: str, name: str) -> None:
+    if cfg.family != family:
+        raise ConfigError(f"{name} needs a {family} config, got {cfg.family!r}")
+
+
+def sphereface_loss(features: Tensor, weights: HeadWeights, cfg: MarginConfig, labels) -> Tensor:
+    """Multiplicative angular margin: target exponent |x| * psi(m * theta)."""
+    _require_family(cfg, "sphereface", "sphereface_loss")
+    return head_forward(features, weights, cfg, labels)
+
+
+def cosface_loss(features: Tensor, weights: HeadWeights, cfg: MarginConfig, labels) -> Tensor:
+    """Additive cosine margin: target logit s * (cos theta - m)."""
+    _require_family(cfg, "cosface", "cosface_loss")
+    return head_forward(features, weights, cfg, labels)
+
+
+def arcface_loss(features: Tensor, weights: HeadWeights, cfg: MarginConfig, labels) -> Tensor:
+    """Additive angular margin: target logit s * cos(theta + m)."""
+    _require_family(cfg, "arcface", "arcface_loss")
+    return head_forward(features, weights, cfg, labels)
+
+
+def broadface_step(batch_features: Tensor, weights: HeadWeights, cfg: MarginConfig,
+                   labels, queue: EmbeddingQueue) -> tuple[Tensor, EmbeddingQueue]:
+    """One mixed-batch loss evaluation plus queue bookkeeping; see :func:`head_forward`."""
+    _require_family(cfg, "broadface", "broadface_step")
+    return head_forward(batch_features, weights, cfg, labels, queue), queue

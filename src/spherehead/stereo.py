@@ -35,7 +35,6 @@ __all__ = [
     "project_rows",
     "project_batch",
     "inverse_project",
-    "check_ball_convexity",
     "hemisphere_map",
     "POLE_EPS",
     "UNIT_TOL",
@@ -249,42 +248,6 @@ def inverse_project(p) -> EuclideanPoint:
     if last >= 1.0 - POLE_EPS:
         raise PoleSingularityError(f"cannot invert within {POLE_EPS:g} of the north pole (last = {last!r})")
     return EuclideanPoint(coords[:-1] / (1.0 - last))
-
-
-def check_ball_convexity(sampler_seed: int, trials: int, dims=(2, 3, 16)) -> dict:
-    """Sample segments between points of the closed unit ball and count escapes.
-
-    Draws x, y with norm at most 1 and a mixing weight in [0, 1], then
-    checks the combination stays inside the ball. The count of cases with
-    norm exceeding 1 + 1e-12 comes back in the report; the ball is convex,
-    so the expected count is zero. Trials are split evenly across ``dims``.
-    """
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
-    rng = np.random.default_rng(sampler_seed)
-    dims = tuple(int(d) for d in dims)
-    violations = 0
-    worst = 0.0
-    per_dim = [trials // len(dims)] * len(dims)
-    per_dim[-1] += trials - sum(per_dim)
-    for dim, count in zip(dims, per_dim):
-        if count == 0:
-            continue
-        # directions from an isotropic Gaussian, radii warped to be
-        # uniform over the ball's volume
-        def ball(k: int) -> np.ndarray:
-            raw = rng.normal(size=(k, dim))
-            unit = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-            radii = rng.uniform(size=(k, 1)) ** (1.0 / dim)
-            return unit * radii
-
-        x, y = ball(count), ball(count)
-        alpha = rng.uniform(size=(count, 1))
-        mixed = alpha * x + (1.0 - alpha) * y
-        norms = np.linalg.norm(mixed, axis=1)
-        violations += int(np.sum(norms > 1.0 + 1e-12))
-        worst = max(worst, float(np.max(norms)))
-    return {"violations": violations, "trials": trials, "dims": list(dims), "max_norm": worst}
 
 
 def hemisphere_map(v, sign: str) -> SpherePoint:

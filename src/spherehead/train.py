@@ -21,7 +21,7 @@ from . import results as results_store
 from .data import Dataset, SplitSpec, gen_gaussian_blobs, gen_two_spirals, load_cifar_binary, load_delimited, split
 from .errors import (ConfigError, DegenerateInputError, LayoutError, ShapeError, SphereheadError, StateError,
                      TrainingDiverged)
-from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, broadface_step, head_forward
+from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, head_forward
 from .ndcore import Tensor, backward, linear, relu
 from .stereo import project_batch
 
@@ -246,27 +246,20 @@ def sgd_step(params: list, grads: list, velocities: list | None, opt: OptimConfi
 
 
 def _batch_loss(model: Model, X: np.ndarray, y: np.ndarray, queue: EmbeddingQueue | None) -> Tensor:
-    feats = model.forward_features(Tensor(X))
-    cfg = model.config.margin
-    if cfg.family == "broadface" and queue is not None:
-        loss, _ = broadface_step(feats, model.head, cfg, y, queue)
-        return loss
-    return head_forward(feats, model.head, cfg, y)
+    return head_forward(model.forward_features(Tensor(X)), model.head, model.config.margin, y, queue)
 
 
 def _dataset_loss(model: Model, ds: Dataset, batch_size: int) -> float:
     """Sample-weighted mean loss over the dataset, no parameter updates.
 
-    broadface is measured against a throwaway queue so bookkeeping from
-    the measurement never leaks into training state.
+    broadface is measured without a queue (its empty-queue loss), so the
+    measurement never touches training state.
     """
-    cfg = model.config.margin
     total = 0.0
     n = len(ds)
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
-        queue = EmbeddingQueue(cfg.queue_capacity) if cfg.family == "broadface" else None
-        loss = _batch_loss(model, ds.features.data[start:stop], ds.labels[start:stop], queue)
+        loss = _batch_loss(model, ds.features.data[start:stop], ds.labels[start:stop], None)
         total += loss.item() * (stop - start)
     return total / n
 

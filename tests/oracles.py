@@ -1,5 +1,6 @@
 """Independent reference implementations of the classification losses,
-the one-row projection and the CLI's text rendering.
+the one-row projection and the CLI's text rendering, plus a sampled
+probe of the unit ball's convexity.
 
 Written against the definitions directly, sample by sample, with no
 shared code with the package: plain numpy, python loops, explicit
@@ -7,6 +8,8 @@ formulas. Tests compare the package's implementations to these.
 """
 
 import numpy as np
+
+from spherehead.errors import DomainError
 
 
 def softmax_nll(logits_row, label):
@@ -124,3 +127,39 @@ def oracle_render_rows(rows, labels=None):
             cells.insert(0, str(int(labels[i])))
         lines.append(",".join(cells) + "\n")
     return "".join(lines)
+
+
+def check_ball_convexity(sampler_seed: int, trials: int, dims=(2, 3, 16)) -> dict:
+    """Sample segments between points of the closed unit ball and count escapes.
+
+    Draws x, y with norm at most 1 and a mixing weight in [0, 1], then
+    checks the combination stays inside the ball. The count of cases with
+    norm exceeding 1 + 1e-12 comes back in the report; the ball is convex,
+    so the expected count is zero. Trials are split evenly across ``dims``.
+    """
+    if trials < 1:
+        raise DomainError("trials must be at least 1")
+    rng = np.random.default_rng(sampler_seed)
+    dims = tuple(int(d) for d in dims)
+    violations = 0
+    worst = 0.0
+    per_dim = [trials // len(dims)] * len(dims)
+    per_dim[-1] += trials - sum(per_dim)
+    for dim, count in zip(dims, per_dim):
+        if count == 0:
+            continue
+        # directions from an isotropic Gaussian, radii warped to be
+        # uniform over the ball's volume
+        def ball(k: int) -> np.ndarray:
+            raw = rng.normal(size=(k, dim))
+            unit = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+            radii = rng.uniform(size=(k, 1)) ** (1.0 / dim)
+            return unit * radii
+
+        x, y = ball(count), ball(count)
+        alpha = rng.uniform(size=(count, 1))
+        mixed = alpha * x + (1.0 - alpha) * y
+        norms = np.linalg.norm(mixed, axis=1)
+        violations += int(np.sum(norms > 1.0 + 1e-12))
+        worst = max(worst, float(np.max(norms)))
+    return {"violations": violations, "trials": trials, "dims": list(dims), "max_norm": worst}

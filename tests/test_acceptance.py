@@ -25,7 +25,6 @@ from spherehead.heads import (
 )
 from spherehead.ndcore import Tensor, expand_cols
 from spherehead.stereo import (
-    check_ball_convexity,
     hemisphere_map,
     inverse_project,
     project,
@@ -42,8 +41,10 @@ from spherehead.train import (
 
 from .conftest import record_criterion
 from .helpers import check_gradients
-from .oracles import oracle_cosine_logits
+from .oracles import check_ball_convexity, oracle_cosine_logits
 from .test_data import write_cifar10_dir
+
+pytestmark = pytest.mark.acceptance
 
 
 def conclude(number: int, ok: bool, detail: str) -> None:

@@ -173,6 +173,12 @@ class TestUsageErrors:
         assert code == 2
         assert "integer" in err
 
+    @pytest.mark.parametrize("flag, value", [("--m", "nan"), ("--m", "inf"), ("--s", "inf"), ("--s", "nan")])
+    def test_non_finite_margin_or_scale(self, flag, value):
+        code, _, err = run_cli(["train", "--dataset", "blobs", "--loss", "sphereface", flag, value])
+        assert code == 2
+        assert "finite" in err
+
     def test_queue_with_non_broadface(self):
         code, _, err = run_cli(["train", "--dataset", "blobs", "--loss", "cosface",
                                 "--queue", "64"])

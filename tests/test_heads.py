@@ -1,5 +1,7 @@
 """Margin losses: frozen values, oracle agreement, reductions, gradients."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -70,6 +72,14 @@ class TestMarginConfig:
     def test_scale_positive(self):
         with pytest.raises(ConfigError):
             MarginConfig(family="cce", s=0.0)
+
+    @pytest.mark.parametrize("family", ["cce", "sphereface", "cosface", "arcface", "broadface"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_margin_and_scale_rejected(self, family, value):
+        with pytest.raises(ConfigError):
+            MarginConfig.for_family(family, m=value)
+        with pytest.raises(ConfigError):
+            MarginConfig.for_family(family, s=value)
 
     def test_queue_capacity_only_for_broadface(self):
         MarginConfig(family="broadface", m=0.5, queue_capacity=16)
@@ -508,6 +518,72 @@ class TestHeadForward:
         ]
         for cfg, expected in checks:
             assert head_forward(Tensor(X), w, cfg, labels).item() == pytest.approx(expected, abs=1e-12)
+
+
+    def test_broadface_without_queue_is_arcface_bit_for_bit(self, monkeypatch):
+        pushes = []
+        monkeypatch.setattr(EmbeddingQueue, "push", lambda self, *entry: pushes.append(entry))
+        rng = np.random.default_rng(67)
+        X, W, labels = random_instance(rng, batch=5, dim=4, classes=3)
+        results = []
+        for cfg in (MarginConfig(family="broadface", m=0.5, s=8.0, queue_capacity=8),
+                    MarginConfig(family="arcface", m=0.5, s=8.0)):
+            f, w = Tensor(X, requires_grad=True), Tensor(W, requires_grad=True)
+            loss = head_forward(f, HeadWeights(w), cfg, labels)
+            backward(loss)
+            results.append((loss.data, f.grad, w.grad))
+        for broad, arc in zip(*results):
+            assert_array_equal(np.asarray(broad).view(np.int64), np.asarray(arc).view(np.int64))
+        assert pushes == []
+
+    def test_broadface_with_queue_keeps_its_bits(self):
+        """Loss and gradient bits of a second BroadFace step, frozen from the per-family code."""
+        rng = np.random.default_rng(2024)
+        W = rng.normal(size=(5, 4))
+        X1, X2 = rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
+        y1, y2 = rng.integers(0, 4, size=6), rng.integers(0, 4, size=6)
+        cfg = MarginConfig.for_family("broadface", queue_capacity=8)
+        outcomes = []
+        for step in (broadface_step, lambda *args: (head_forward(*args), None)):
+            queue = EmbeddingQueue(8)
+            step(Tensor(X1), HeadWeights(Tensor(W)), cfg, y1, queue)
+            f, w = Tensor(X2, requires_grad=True), Tensor(W, requires_grad=True)
+            loss, _ = step(f, HeadWeights(w), cfg, y2, queue)
+            backward(loss)
+            assert len(queue) == 8
+            assert loss.item().hex() == "0x1.a41eae44cf168p+2"
+            assert hashlib.sha256(w.grad.tobytes()).hexdigest()[:16] == "34ce425b3a03b327"
+            assert hashlib.sha256(f.grad.tobytes()).hexdigest()[:16] == "994ea7930ecc6235"
+            outcomes.append([(e.embedding, e.label, e.snapshot_weight) for e in queue.entries])
+        for a, b in zip(*outcomes):
+            assert_array_equal(a[0], b[0])
+            assert a[1] == b[1]
+            assert_array_equal(a[2], b[2])
+
+    @pytest.mark.parametrize("alias, family", [(sphereface_loss, "sphereface"), (cosface_loss, "cosface"),
+                                               (arcface_loss, "arcface"), (broadface_step, "broadface")])
+    def test_aliases_reject_other_families(self, alias, family):
+        rng = np.random.default_rng(68)
+        X, W, labels = random_instance(rng)
+        extra = (EmbeddingQueue(4),) if alias is broadface_step else ()
+        for other in ("cce", "sphereface", "cosface", "arcface", "broadface"):
+            if other != family:
+                with pytest.raises(ConfigError, match=family):
+                    alias(Tensor(X), HeadWeights(Tensor(W)), MarginConfig.for_family(other), labels, *extra)
+
+    def test_queue_only_for_broadface(self):
+        rng = np.random.default_rng(69)
+        X, W, labels = random_instance(rng)
+        with pytest.raises(ConfigError):
+            head_forward(Tensor(X), HeadWeights(Tensor(W)), MarginConfig.for_family("arcface"), labels,
+                         EmbeddingQueue(4))
+
+    @pytest.mark.parametrize("family", ["cce", "sphereface", "cosface", "arcface", "broadface"])
+    def test_label_count_must_match_rows(self, family):
+        rng = np.random.default_rng(70)
+        X, W, labels = random_instance(rng, batch=4)
+        with pytest.raises(ShapeError):
+            head_forward(Tensor(X), HeadWeights(Tensor(W)), MarginConfig.for_family(family), labels[:3])
 
 
 class TestLossGradients:

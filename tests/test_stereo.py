@@ -12,7 +12,6 @@ from spherehead.ndcore import Tensor, backward
 from spherehead.stereo import (
     EuclideanPoint,
     SpherePoint,
-    check_ball_convexity,
     hemisphere_map,
     inverse_project,
     project,
@@ -21,7 +20,7 @@ from spherehead.stereo import (
     scale_factor,
 )
 from .helpers import check_gradients
-from .oracles import oracle_lift_row
+from .oracles import check_ball_convexity, oracle_lift_row
 
 
 class TestScaleFactor:

@@ -627,3 +627,36 @@ class TestEmitTable:
         off = make_report(proj=False)
         with pytest.raises(LayoutError):
             emit_table([empty, off])
+
+
+# Fingerprints of short spirals runs, one per family and projection setting.
+# They pin the determinism contract: a change to the order of float ops in
+# any layer (encoder, lift, head, queue, optimizer) moves them. Update them
+# only for a change that means to move every record digest.
+GOLDEN_FINGERPRINTS = {
+    ("cce", True): "67267d72f07d974f41bb49cadc5955bb5ad888ae62632a6241b3de2f3180e20e",
+    ("cce", False): "e6c2cb8cb6d4c1f4860f7d878171b2ca6e0aba2229f6d36424a904e7ff967df1",
+    ("sphereface", True): "5e334d892a7a78a759720da7966a5d025638f4e56165e75f4ddac2b708058595",
+    ("sphereface", False): "250c7e1573e672d0615f33edd78d561543ddf0fd885492f0acff5ddee305ece5",
+    ("cosface", True): "5b953fe04f09df5f0dce0fb68a6db142df4cbe81d874cd36e7cfd4f344679f75",
+    ("cosface", False): "b773edc7311bb9fe24ac357c7e4d4c71f3e70c9def33ab72537ee322bb4bbf39",
+    ("arcface", True): "aff2af7046f5a389c79f805e01746322bcc83c563b3e58e2c7e69def09b87243",
+    ("arcface", False): "493736801e004a5ed5557308f0e49d281964e4823edfeb3dbbe1201badff76c0",
+    ("broadface", True): "1e8b8d081fba807474c3290fffa1c546665370472db6980c5cd7fa4018c3a7ba",
+    ("broadface", False): "44d4f3640ed5e4c2f3ebb36b535a01883bbebe23c9120bc4ef661dbb910926d7",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("projection", [True, False])
+def test_golden_fingerprint(family, projection, tmp_path):
+    # s = 12 is not a power of two, so scaling the cosines rounds
+    margin = margin_for(family, s=12.0, queue_capacity=64 if family == "broadface" else None)
+    report = run_experiment(
+        ModelConfig(feature_dim=4, margin=margin, encoder_layers=(16,), projection_enabled=projection),
+        DataConfig("two_spirals", {"n_per_class": 100}),
+        OptimConfig(learning_rate=0.05, epochs=6, batch_size=16),
+        seeds=(1, 2, 3), results_dir=str(tmp_path),
+    )
+    assert report.failed_seeds == ()
+    assert report.fingerprint() == GOLDEN_FINGERPRINTS[family, projection]
