@@ -21,7 +21,8 @@ import sys
 
 import numpy as np
 
-from .errors import DomainError, ParseError, SphereheadError
+from .data import _BLOCK_ROWS, read_delimited
+from .errors import DomainError, SphereheadError
 from .heads import FAMILIES, MarginConfig
 from .ndcore import Tensor
 from .results import default_results_dir, list_runs, load_run
@@ -148,11 +149,6 @@ def _resolve_run_path(path_arg: str, parser: argparse.ArgumentParser) -> str:
     raise FileNotFoundError(f"no run record at {path_arg!r}")
 
 
-# rows per numpy parse call and per formatted write; whole-file blocks
-# would hold a Python string per cell of the file at once
-_BLOCK_ROWS = 2048
-
-
 def _write_rows(fh, rows: np.ndarray, first: str = "%.17g") -> None:
     """Write rows as comma-separated lines, one block of rows per write.
 
@@ -163,51 +159,6 @@ def _write_rows(fh, rows: np.ndarray, first: str = "%.17g") -> None:
     for start in range(0, rows.shape[0], _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
         fh.write((template * block.shape[0]) % tuple(block.ravel().tolist()))
-
-
-def _numbered(lines: list) -> list:
-    """(line number, line) for each non-blank line, numbered from 1."""
-    return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
-
-
-def _parse_lines(path: str, lines: list, width: int) -> np.ndarray:
-    """Parse the non-blank lines one at a time, naming the first bad line."""
-    values = []
-    for lineno, line in _numbered(lines):
-        try:
-            row = [float(piece) for piece in line.split(",")]
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric value in {line!r}")
-        if len(row) != width:
-            raise ParseError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
-        values.append(row)
-    return np.array(values, dtype=np.float64)
-
-
-def _parse_rows(path: str, lines: list) -> np.ndarray:
-    """Parse the non-blank comma-separated lines into a float64 [N, width] array.
-
-    The first non-blank line sets the width. Each block of lines is
-    joined, split into cells and converted by one numpy call, which
-    accepts and rounds each cell exactly as ``float()`` does.
-    If a block fails, the whole file is parsed again line by line, which
-    raises :class:`ParseError` at ``path:lineno``.
-    """
-    rows = [line for line in lines if line.strip()]
-    if not rows:
-        return np.empty((0, 0))
-    commas = rows[0].count(",")
-    X = np.empty((len(rows), commas + 1))
-    try:
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[start:start + _BLOCK_ROWS]
-            if any(line.count(",") != commas for line in block):
-                raise ValueError("ragged rows")
-            cells = np.array(",".join(block).split(","), dtype=np.float64)
-            X[start:start + len(block)] = cells.reshape(len(block), commas + 1)
-    except ValueError:
-        X = _parse_lines(path, lines, commas + 1)
-    return X
 
 
 def cmd_train(args, parser: argparse.ArgumentParser) -> int:
@@ -254,20 +205,18 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_project(args, parser: argparse.ArgumentParser) -> int:
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    X = _parse_rows(args.infile, lines)
+    X, linenos = read_delimited(args.infile)
     try:
         lifted = project_rows(X) if X.size else X
     except DomainError:
         # lift row by row only to name the line of the first bad row
-        for (lineno, _), row in zip(_numbered(lines), X):
+        for lineno, row in zip(linenos, X):
             try:
                 project(row)
             except DomainError as err:
                 raise type(err)(f"{args.infile}:{lineno}: {err}") from err
         raise
-    del lines, X  # free the input text before the output text is built
+    del X  # free the input before the output text is built
     if args.out is None:
         _write_rows(sys.stdout, lifted)
     else:

@@ -1,8 +1,10 @@
 """Dataset construction: synthetic 2D benchmarks, delimited text, CIFAR bytes.
 
-Everything returns a :class:`Dataset` holding a constant feature tensor
+The loaders return a :class:`Dataset` holding a constant feature tensor
 and integer labels. Construction validates shapes, label ranges, and
-finiteness once so downstream code can trust them. All generators and
+finiteness once so downstream code can trust them. :func:`read_delimited`
+is the one delimited-text parser, shared by :func:`load_delimited` and
+``spherehead project``. All generators and
 loaders are deterministic functions of their arguments, seeds included.
 """
 
@@ -10,10 +12,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import compress, count
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, LabelError, ParseError, ShapeError
+from .errors import ConfigError, DomainError, FormatError, LabelError, ParseError, ShapeError
 from .ndcore import Tensor
 
 __all__ = [
@@ -22,6 +25,7 @@ __all__ = [
     "gen_two_spirals",
     "gen_gaussian_blobs",
     "load_delimited",
+    "read_delimited",
     "load_cifar_binary",
     "split",
 ]
@@ -149,48 +153,91 @@ def gen_gaussian_blobs(C: int, n_per_class: int, spread: float, radius: float, s
     return Dataset(features, labels, C, "blobs")
 
 
+# rows per numpy parse call and per formatted write; whole-file blocks
+# would hold a Python string per cell of the file at once
+_BLOCK_ROWS = 2048
+
+
+def read_delimited(path: str, delimiter: str = ",", header: bool = False):
+    """Parse the non-blank lines of a delimited numeric file into float64 [N, width].
+
+    Returns the array and a sequence holding the 1-based line number of
+    each row. With ``header`` the first line is skipped. The first row
+    sets the width; no rows give a [0, 0] array. Each block of lines is
+    joined, split into cells and converted by one numpy call, which
+    accepts and rounds each cell exactly as ``float()`` does. If a block
+    fails, the rows are parsed again one line at a time, which raises
+    :class:`ParseError` at ``path:lineno`` for a ragged row or a cell
+    that is not a number.
+    """
+    first = 2 if header else 1  # line number of the first line read
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()[first - 1:]
+    rows = list(filter(str.strip, lines))
+    if len(rows) == len(lines):
+        linenos = range(first, first + len(rows))
+    else:  # blank lines: number the rows in one pass that runs in C
+        linenos = list(compress(count(first), map(str.strip, lines)))
+    if not rows:
+        return np.empty((0, 0)), linenos
+    width = rows[0].count(delimiter) + 1
+    X = np.empty((len(rows), width))
+    try:
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS]
+            if any(line.count(delimiter) != width - 1 for line in block):
+                raise ValueError("ragged rows")
+            cells = np.array(delimiter.join(block).split(delimiter), dtype=np.float64)
+            X[start:start + len(block)] = cells.reshape(len(block), width)
+    except ValueError:
+        X = np.array([_parse_line(path, lineno, line, delimiter, width)
+                      for lineno, line in zip(linenos, rows)])
+    return X, linenos
+
+
+def _parse_line(path: str, lineno: int, line: str, delimiter: str, width: int) -> list:
+    """One row's cells as floats, or :class:`ParseError` naming the line and column."""
+    cells = line.split(delimiter)
+    if len(cells) != width:
+        raise ParseError(f"{path}:{lineno}: expected {width} columns, got {len(cells)}")
+    values = []
+    for col, cell in enumerate(cells, start=1):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: column {col}: not a number: {cell.strip()!r}") from None
+    return values
+
+
 def load_delimited(path: str, delimiter: str = ",", label_column: int = 0,
                    header: bool = False) -> Dataset:
     """Read a rectangular numeric text file; one column holds the labels.
 
-    Labels are remapped to a dense [0, C) range in sorted order of the
-    distinct raw values. Errors carry 1-based line numbers (and column
-    numbers for bad cells).
+    Rows come from :func:`read_delimited`. Labels are remapped to a dense
+    [0, C) range in sorted order of the distinct raw values. Errors name
+    the 1-based line: :class:`ParseError` for a bad cell (with its
+    column), a ragged row or a label that is not integer-valued, and
+    :class:`DomainError` for a non-finite feature.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    start = 1 if header else 0
-    rows = [(i + 1, line) for i, line in enumerate(lines[start:], start=start) if line.strip()]
-    if not rows:
+    X, linenos = read_delimited(path, delimiter, header)
+    if not len(X):
         raise ParseError(f"{path}: no data rows")
-    width = None
-    raw_labels: list[float] = []
-    feature_rows: list[list[float]] = []
-    for lineno, line in rows:
-        cells = line.split(delimiter)
-        if width is None:
-            width = len(cells)
-            if width < 2:
-                raise ParseError(f"{path}:{lineno}: need a label column and at least one feature")
-            if not -width <= label_column < width:
-                raise ParseError(f"{path}: label column {label_column} out of range for {width} columns")
-        elif len(cells) != width:
-            raise ParseError(f"{path}:{lineno}: expected {width} cells, found {len(cells)}")
-        values = []
-        for col, cell in enumerate(cells):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: column {col + 1}: not a number: {cell.strip()!r}") from None
-        label = values.pop(label_column % width)
-        if label != int(label):
-            raise ParseError(f"{path}:{lineno}: label column must be integer-valued, found {label!r}")
-        raw_labels.append(label)
-        feature_rows.append(values)
-    distinct = sorted(set(raw_labels))
-    remap = {v: i for i, v in enumerate(distinct)}
-    labels = np.array([remap[v] for v in raw_labels], dtype=np.int64)
-    return Dataset(np.array(feature_rows), labels, len(distinct), os.path.basename(path))
+    width = X.shape[1]
+    if width < 2:
+        raise ParseError(f"{path}:{linenos[0]}: need a label column and at least one feature")
+    if not -width <= label_column < width:
+        raise ParseError(f"{path}: label column {label_column} out of range for {width} columns")
+    raw = X[:, label_column]
+    bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.trunc(raw)))
+    if bad.size:
+        raise ParseError(f"{path}:{linenos[bad[0]]}: label column must be integer-valued, "
+                         f"found {float(raw[bad[0]])!r}")
+    features = np.delete(X, label_column, axis=1)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise DomainError(f"{path}:{linenos[bad[0]]}: non-finite entries")
+    distinct, labels = np.unique(raw, return_inverse=True)
+    return Dataset(features, labels, len(distinct), os.path.basename(path))
 
 
 def _mean_pool(planes: np.ndarray, side_out: int) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Independent reference implementations of the classification losses,
-the one-row projection and the CLI's text rendering, plus a sampled
-probe of the unit ball's convexity.
+the one-row projection, the CLI's text rendering and the per-cell
+delimited-text loader, plus a sampled probe of the unit ball's convexity.
 
 Written against the definitions directly, sample by sample, with no
 shared code with the package: plain numpy, python loops, explicit
@@ -9,7 +9,7 @@ formulas. Tests compare the package's implementations to these.
 
 import numpy as np
 
-from spherehead.errors import DomainError
+from spherehead.errors import DomainError, ParseError
 
 
 def softmax_nll(logits_row, label):
@@ -163,3 +163,46 @@ def check_ball_convexity(sampler_seed: int, trials: int, dims=(2, 3, 16)) -> dic
         violations += int(np.sum(norms > 1.0 + 1e-12))
         worst = max(worst, float(np.max(norms)))
     return {"violations": violations, "trials": trials, "dims": list(dims), "max_norm": worst}
+
+
+def oracle_load_delimited(path, delimiter=",", label_column=0, header=False):
+    """(features, labels, class count) of a delimited file, one ``float()`` per cell.
+
+    The loader as it was before the block parser: each cell is converted
+    on its own, and labels are remapped in sorted order of the distinct
+    raw values.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = 1 if header else 0
+    rows = [(i + 1, line) for i, line in enumerate(lines[start:], start=start) if line.strip()]
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    width = None
+    raw_labels = []
+    feature_rows = []
+    for lineno, line in rows:
+        cells = line.split(delimiter)
+        if width is None:
+            width = len(cells)
+            if width < 2:
+                raise ParseError(f"{path}:{lineno}: need a label column and at least one feature")
+            if not -width <= label_column < width:
+                raise ParseError(f"{path}: label column {label_column} out of range for {width} columns")
+        elif len(cells) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} cells, found {len(cells)}")
+        values = []
+        for col, cell in enumerate(cells):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: column {col + 1}: not a number: {cell.strip()!r}") from None
+        label = values.pop(label_column % width)
+        if label != int(label):
+            raise ParseError(f"{path}:{lineno}: label column must be integer-valued, found {label!r}")
+        raw_labels.append(label)
+        feature_rows.append(values)
+    distinct = sorted(set(raw_labels))
+    remap = {v: i for i, v in enumerate(distinct)}
+    labels = np.array([remap[v] for v in raw_labels], dtype=np.int64)
+    return np.array(feature_rows), labels, len(distinct)

@@ -250,6 +250,15 @@ class TestTrainVerb:
         assert code == 1
         assert "diverged" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_label_cell_is_an_error(self, tmp_path, cell):
+        src = tmp_path / "pts.csv"
+        src.write_text(f"0,1.0,2.0\n{cell},3.0,4.0\n")
+        code, out, err = run_cli(["train", "--dataset", f"csv:{src}", "--loss", "cce",
+                                  "--out", str(tmp_path)] + TINY)
+        assert (code, out) == (1, "")
+        assert err == f"error: {src}:2: label column must be integer-valued, found {cell}\n"
+
     def test_results_env_var_is_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPHEREHEAD_RESULTS", str(tmp_path / "envstore"))
         code, _, _ = run_cli(["train", "--dataset", "blobs", "--loss", "cce",

@@ -1,10 +1,15 @@
 """Dataset generators, text and CIFAR loaders, deterministic splits."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spherehead.data import (
+    _BLOCK_ROWS,
     Dataset,
     SplitSpec,
     gen_gaussian_blobs,
@@ -13,7 +18,9 @@ from spherehead.data import (
     load_delimited,
     split,
 )
-from spherehead.errors import ConfigError, FormatError, LabelError, ParseError, ShapeError
+from spherehead.errors import ConfigError, DomainError, FormatError, LabelError, ParseError, ShapeError
+
+from .oracles import oracle_load_delimited
 
 
 class TestDataset:
@@ -152,6 +159,48 @@ class TestGaussianBlobs:
             gen_gaussian_blobs(2, 10, -0.1, 1.0, seed=0)
 
 
+def assert_same_as_oracle(path, **kwargs):
+    ds = load_delimited(str(path), **kwargs)
+    features, labels, class_count = oracle_load_delimited(str(path), **kwargs)
+    assert ds.features.data.shape == features.shape
+    assert ds.features.data.tobytes() == features.tobytes()
+    assert_array_equal(ds.labels, labels)
+    assert ds.class_count == class_count
+
+
+@st.composite
+def delimited_files(draw):
+    """(text, delimiter, label column, header) of a file the per-cell loader accepts."""
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    width = draw(st.integers(2, 5))
+    label_column = draw(st.sampled_from([0, width // 2, -1]))
+    pad = st.sampled_from(["", " ", "  "] + ([] if delimiter == "\t" else ["\t"]))
+    value = st.floats(min_value=-1e300, max_value=1e300)
+    feature = st.one_of(
+        st.builds(lambda v, form: form.format(v), value,
+                  st.sampled_from(["{!r}", "{:.17g}", "{:.3e}", "{:+}"])),
+        st.sampled_from([" 1.5", "1_000", "+2", "1e-320", "-0", ".5", "5.", "4e-3 "]),
+    )
+    label = st.one_of(
+        st.builds(lambda k, form: form.format(k), st.integers(-3, 3),
+                  st.sampled_from(["{}", "{}.0", "{:+d}", "{:e}"])),
+        st.just("-0.0"),
+    )
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        cells = [draw(pad) + draw(feature) + draw(pad) for _ in range(width - 1)]
+        cells.insert(label_column % width, draw(pad) + draw(label) + draw(pad))
+        rows.append(delimiter.join(cells))
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["", "  ", "\t"])))
+    header = draw(st.booleans())
+    if header:
+        rows.insert(0, draw(st.sampled_from(["", "label" + delimiter + "x", "# any text"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(rows) + draw(st.sampled_from(["", newline]))
+    return text, delimiter, label_column, header
+
+
 class TestLoadDelimited:
     def test_labels_remap_densely(self, tmp_path):
         path = tmp_path / "toy.csv"
@@ -231,6 +280,43 @@ class TestLoadDelimited:
                 fh.write(",".join([str(label)] + [f"{v:.17g}" for v in row]) + "\n")
         ds = load_delimited(str(path))
         assert_array_equal(ds.features.data, features)
+
+    @pytest.mark.parametrize("text, header, error, where", [
+        ("0,1\n\nnan,2\n", False, ParseError, ":3: label column must be integer-valued, found nan"),
+        ("0,1\ninf,2\n", False, ParseError, ":2: label column must be integer-valued, found inf"),
+        ("h\n0,1\n-inf,2\n", True, ParseError, ":3: label column must be integer-valued, found -inf"),
+        ("0,1\n\n1,nan\n", False, DomainError, ":3: non-finite entries"),
+        ("h\n0,1\n1,-inf\n", True, DomainError, ":3: non-finite entries"),
+        ("0,1\n1,1e999\n", False, DomainError, ":2: non-finite entries"),
+        ("0,1\n" * (_BLOCK_ROWS + 3) + "1,oops\n", False, ParseError,
+         f":{_BLOCK_ROWS + 4}: column 2: not a number: 'oops'"),
+        ("\n0,1\n" * (_BLOCK_ROWS + 3) + "1,2,3\n", False, ParseError,
+         f":{2 * _BLOCK_ROWS + 7}: expected 2 columns, got 3"),
+    ])
+    def test_errors_name_the_line(self, tmp_path, text, header, error, where):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(error, match="^" + re.escape(f"{path}{where}") + "$"):
+            load_delimited(str(path), header=header)
+
+    # block size and +-1 rows, with a blank line inside the first block
+    @pytest.mark.parametrize("count", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_block_boundaries_match_the_per_cell_loader(self, tmp_path, count):
+        rng = np.random.default_rng(count)
+        lines = [f"{v:.17g};{k};{w!r}" for v, k, w in
+                 zip(rng.normal(size=count), rng.integers(-3, 4, size=count), rng.normal(size=count).tolist())]
+        lines.insert(count // 2, "  ")
+        path = tmp_path / "blocks.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert_same_as_oracle(path, delimiter=";", label_column=1)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(spec=delimited_files())
+    def test_matches_the_per_cell_loader(self, tmp_path_factory, spec):
+        text, delimiter, label_column, header = spec
+        path = tmp_path_factory.mktemp("parity") / "data.txt"
+        path.write_bytes(text.encode())
+        assert_same_as_oracle(path, delimiter=delimiter, label_column=label_column, header=header)
 
 
 def write_cifar10_dir(dirpath, records_per_file=40, rng_seed=0, mutate=None):
