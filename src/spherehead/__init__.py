@@ -26,11 +26,9 @@ from .heads import (
     EmbeddingQueue,
     HeadWeights,
     MarginConfig,
-    QueueEntry,
     arcface_loss,
     broadface_step,
     cce_loss,
-    compensate,
     cosface_loss,
     cosine_logits,
     head_forward,

@@ -168,8 +168,10 @@ def read_delimited(path: str, delimiter: str = ",", header: bool = False):
     accepts and rounds each cell exactly as ``float()`` does. If a block
     fails, the rows are parsed again one line at a time, which raises
     :class:`ParseError` at ``path:lineno`` for a ragged row or a cell
-    that is not a number.
+    that is not a number. An empty delimiter is a :class:`ConfigError`.
     """
+    if not delimiter:
+        raise ConfigError(f"{path}: the delimiter must be a non-empty string, got {delimiter!r}")
     first = 2 if header else 1  # line number of the first line read
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()[first - 1:]

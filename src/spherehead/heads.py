@@ -13,7 +13,12 @@ in their logits, one entry each in ``_LOGITS``:
                 past embeddings, each compensated for weight drift
 
 The queue keeps detached embeddings only; gradient from queue terms
-reaches the weight matrix and nothing else. ``sphereface_loss``,
+reaches the weight matrix and nothing else. It is a ring of three
+arrays (embeddings [Q, d], labels [Q], snapshots [Q, d]) written one
+row per push; ``stacked()`` returns fresh copies of the rows,
+oldest first. A row that is not a 1-D embedding with a snapshot of
+the same shape, or whose length is not the queue's d, raises
+``StateError`` at ``push``, before anything is written. ``sphereface_loss``,
 ``cosface_loss``, ``arcface_loss`` and ``broadface_step`` are
 :func:`head_forward` behind a check of the config's family. All losses
 are scalar tensors on the gradient tape.
@@ -21,9 +26,7 @@ are scalar tensors on the gradient tape.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,14 +39,12 @@ __all__ = [
     "MarginConfig",
     "HeadWeights",
     "EmbeddingQueue",
-    "QueueEntry",
     "cosine_logits",
     "cce_loss",
     "sphereface_loss",
     "cosface_loss",
     "arcface_loss",
     "broadface_step",
-    "compensate",
     "head_forward",
 ]
 
@@ -132,38 +133,50 @@ class HeadWeights:
         return self.W.shape[1]
 
 
-class QueueEntry(NamedTuple):
-    embedding: np.ndarray
-    label: int
-    snapshot_weight: np.ndarray
-
-
 class EmbeddingQueue:
-    """FIFO store of past (embedding, label, weight-snapshot) triples."""
+    """FIFO store of past (embedding, label, weight-snapshot) rows.
+
+    A ring of three arrays, embeddings [Q, d], labels [Q] and snapshots
+    [Q, d], allocated by the first push, which fixes d. Each push writes
+    one row of each, over the oldest once the queue is full.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 0:
             raise ConfigError(f"queue capacity must be non-negative, got {capacity!r}")
         self.capacity = int(capacity)
-        self.entries: deque[QueueEntry] = deque(maxlen=self.capacity)
+        self._emb = self._snaps = np.empty((self.capacity, 0))
+        self._labels = np.empty(self.capacity, dtype=np.int64)
+        self._next = 0  # the row the next push writes
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._count
 
     def push(self, embedding: np.ndarray, label: int, snapshot_weight: np.ndarray) -> None:
-        if self.entries and embedding.shape != self.entries[0].embedding.shape:
-            raise StateError(
-                f"embedding dim {embedding.shape} does not match queued {self.entries[0].embedding.shape}"
-            )
-        if self.capacity > 0:
-            self.entries.append(QueueEntry(embedding.copy(), int(label), snapshot_weight.copy()))
+        """Copy one row in; a bad row raises :class:`StateError` before anything is written."""
+        if embedding.ndim != 1 or snapshot_weight.shape != embedding.shape:
+            raise StateError(f"a queue row needs a 1-D embedding and a snapshot of its shape, "
+                             f"got {embedding.shape} and {snapshot_weight.shape}")
+        if self._count and embedding.shape[0] != self._emb.shape[1]:
+            raise StateError(f"embedding dim {embedding.shape} does not match queued ({self._emb.shape[1]},)")
+        if self.capacity == 0:
+            return
+        if not self._count:  # the first row fixes d
+            d = embedding.shape[0]
+            self._emb, self._snaps = np.empty((self.capacity, d)), np.empty((self.capacity, d))
+        i = self._next
+        self._emb[i] = embedding
+        self._labels[i] = label
+        self._snaps[i] = snapshot_weight
+        self._next = i + 1 if i + 1 < self.capacity else 0
+        if self._count < self.capacity:
+            self._count += 1
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Entries as arrays: embeddings [Q, d], labels [Q], snapshots [Q, d]."""
-        emb = np.stack([e.embedding for e in self.entries])
-        labels = np.array([e.label for e in self.entries], dtype=np.int64)
-        snaps = np.stack([e.snapshot_weight for e in self.entries])
-        return emb, labels, snaps
+        """Rows oldest-first as fresh arrays: embeddings [Q, d], labels [Q], snapshots [Q, d]."""
+        n, c = self._next, self._count  # unwrapped, n == c; full, the oldest row is n
+        return tuple(np.concatenate((a[n:c], a[:n])) for a in (self._emb, self._labels, self._snaps))
 
 
 def _one_hot(labels, class_count: int) -> np.ndarray:
@@ -310,21 +323,6 @@ _LOGITS = {
     "arcface": _arcface_logits,
     "broadface": _arcface_logits,
 }
-
-
-def compensate(entry: QueueEntry, current_W_column: np.ndarray) -> np.ndarray:
-    """Drift-corrected embedding: b + (|b| / |W_snap|) * (W_now - W_snap).
-
-    Identity when the weight column has not moved; the correction scales
-    with the embedding's own norm.
-    """
-    snap = np.asarray(entry.snapshot_weight, dtype=np.float64)
-    snap_norm = float(np.linalg.norm(snap))
-    if snap_norm == 0.0:
-        raise DegenerateInputError("zero-norm snapshot weight column cannot anchor compensation")
-    b = np.asarray(entry.embedding, dtype=np.float64)
-    ratio = float(np.linalg.norm(b)) / snap_norm
-    return b + ratio * (np.asarray(current_W_column, dtype=np.float64) - snap)
 
 
 def _compensated_block(queue: EmbeddingQueue, weights: HeadWeights) -> tuple[Tensor, np.ndarray]:

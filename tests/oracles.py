@@ -1,15 +1,19 @@
 """Independent reference implementations of the classification losses,
-the one-row projection, the CLI's text rendering and the per-cell
-delimited-text loader, plus a sampled probe of the unit ball's convexity.
+the one-row projection, the CLI's text rendering, the per-cell
+delimited-text loader and the BroadFace queue as a deque of row copies,
+plus a sampled probe of the unit ball's convexity.
 
 Written against the definitions directly, sample by sample, with no
 shared code with the package: plain numpy, python loops, explicit
 formulas. Tests compare the package's implementations to these.
 """
 
+from collections import deque
+from typing import NamedTuple
+
 import numpy as np
 
-from spherehead.errors import DomainError, ParseError
+from spherehead.errors import ConfigError, DegenerateInputError, DomainError, ParseError, StateError
 
 
 def softmax_nll(logits_row, label):
@@ -90,6 +94,58 @@ def oracle_compensate(b, w_snapshot, w_current):
     w_current = np.asarray(w_current, dtype=np.float64)
     ratio = np.linalg.norm(b) / np.linalg.norm(w_snapshot)
     return b + ratio * (w_current - w_snapshot)
+
+
+class QueueEntry(NamedTuple):
+    embedding: np.ndarray
+    label: int
+    snapshot_weight: np.ndarray
+
+
+class DequeQueue:
+    """The BroadFace queue as it was before the ring buffer: a deque of copied rows.
+
+    ``stacked()`` restacks every entry on each call. Only the embedding
+    shape is checked, against the first entry.
+    """
+
+    def __init__(self, capacity: int):
+        if capacity < 0:
+            raise ConfigError(f"queue capacity must be non-negative, got {capacity!r}")
+        self.capacity = int(capacity)
+        self.entries: deque[QueueEntry] = deque(maxlen=self.capacity)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def push(self, embedding, label, snapshot_weight) -> None:
+        if self.entries and embedding.shape != self.entries[0].embedding.shape:
+            raise StateError(
+                f"embedding dim {embedding.shape} does not match queued {self.entries[0].embedding.shape}"
+            )
+        if self.capacity > 0:
+            self.entries.append(QueueEntry(embedding.copy(), int(label), snapshot_weight.copy()))
+
+    def stacked(self):
+        emb = np.stack([e.embedding for e in self.entries])
+        labels = np.array([e.label for e in self.entries], dtype=np.int64)
+        snaps = np.stack([e.snapshot_weight for e in self.entries])
+        return emb, labels, snaps
+
+
+def compensate(entry: QueueEntry, current_W_column) -> np.ndarray:
+    """Drift-corrected embedding of one queue entry: b + (|b| / |W_snap|) * (W_now - W_snap).
+
+    Identity when the weight column has not moved; the correction scales
+    with the embedding's own norm.
+    """
+    snap = np.asarray(entry.snapshot_weight, dtype=np.float64)
+    snap_norm = float(np.linalg.norm(snap))
+    if snap_norm == 0.0:
+        raise DegenerateInputError("zero-norm snapshot weight column cannot anchor compensation")
+    b = np.asarray(entry.embedding, dtype=np.float64)
+    ratio = float(np.linalg.norm(b)) / snap_norm
+    return b + ratio * (np.asarray(current_W_column, dtype=np.float64) - snap)
 
 
 def oracle_broadface(X, W, s, m, labels, queue_entries):

@@ -6,6 +6,7 @@ Criterion 8 is directional-only: misses there emit warnings instead of
 failing, since small-scale runs are allowed to wobble.
 """
 
+import copy
 import time
 import warnings
 
@@ -221,11 +222,9 @@ def test_criterion_05_finite_difference_gradients():
         W_past = rng.normal(size=W.shape) + 0.1
         seed_queue = EmbeddingQueue(8)
         broadface_step(Tensor(X_past), HeadWeights(Tensor(W_past)), bf_cfg, labels_past, seed_queue)
-        frozen = list(seed_queue.entries)
 
         def broadface_fn(f, w):
-            queue = EmbeddingQueue(8)
-            queue.entries.extend(frozen)
+            queue = copy.deepcopy(seed_queue)
             loss, _ = broadface_step(f, HeadWeights(w), bf_cfg, labels, queue)
             return loss
 

@@ -3,13 +3,23 @@
 ``benchmarks/training.py`` and ``benchmarks/projection.py`` import
 ``spherehead`` names at module level and read module attributes such as
 ``cli.main`` when they run. A rename that breaks either fails here
-rather than only when the benchmark runs.
+rather than only when the benchmark runs. The benchmark's traced
+BroadFace queue is checked against the package's queue too: its push
+and eviction counters rest on ``push``, ``len`` and ``capacity``.
 """
 
+import importlib
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+from spherehead.heads import EmbeddingQueue
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +51,41 @@ def test_benchmark_modules_import_and_find_their_names():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+class _StubRecorder:
+    """Stands in for ``spans.SpanRecorder``: keeps span names, times nothing."""
+
+    def __init__(self):
+        self.names = []
+
+    def span(self, name):
+        self.names.append(name)
+        return nullcontext()
+
+
+@pytest.fixture
+def benchmark_training(monkeypatch):
+    """``benchmarks/training.py`` imported in-process, writing no bytecode."""
+    bench_dir = str(ROOT / "benchmarks")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(bench_dir)
+    before = set(sys.modules)
+    yield importlib.import_module("training")
+    for name in set(sys.modules) - before:
+        if os.path.dirname(getattr(sys.modules[name], "__file__", None) or "") == bench_dir:
+            del sys.modules[name]
+
+
+def test_traced_queue_counts_pushes_and_evictions(benchmark_training):
+    rec = _StubRecorder()
+    traced, base = benchmark_training.TracedQueue(8, rec), EmbeddingQueue(8)
+    rng = np.random.default_rng(40)
+    for _ in range(40):
+        row = (rng.normal(size=3), int(rng.integers(0, 4)), rng.normal(size=3))
+        traced.push(*row)
+        base.push(*row)
+    assert (traced.pushes, traced.evictions, len(traced)) == (40, 32, 8)
+    for ours, ref in zip(traced.stacked(), base.stacked()):
+        assert_array_equal(ours, ref)
+    assert rec.names == ["heads.queue_push"] * 40 + ["heads.queue_stacked"]

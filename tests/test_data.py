@@ -232,6 +232,12 @@ class TestLoadDelimited:
         ds = load_delimited(str(path), delimiter=";")
         assert_array_equal(ds.features.data, [[1.0, 2.0], [3.0, 4.0]])
 
+    def test_empty_delimiter_is_a_config_error(self, tmp_path):
+        path = tmp_path / "toy.csv"
+        path.write_text("0,1.0\n1,2.0\n")
+        with pytest.raises(ConfigError, match="delimiter must be a non-empty string"):
+            load_delimited(str(path), delimiter="")
+
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("0,1.0,2.0\n1,3.0\n")

@@ -1,9 +1,12 @@
 """Margin losses: frozen values, oracle agreement, reductions, gradients."""
 
+import copy
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spherehead.errors import (
@@ -17,11 +20,10 @@ from spherehead.heads import (
     EmbeddingQueue,
     HeadWeights,
     MarginConfig,
-    QueueEntry,
+    _compensated_block,
     arcface_loss,
     broadface_step,
     cce_loss,
-    compensate,
     cosface_loss,
     cosine_logits,
     head_forward,
@@ -30,6 +32,9 @@ from spherehead.heads import (
 from spherehead.ndcore import Tensor, backward
 from .helpers import check_gradients
 from .oracles import (
+    DequeQueue,
+    QueueEntry,
+    compensate,
     oracle_arcface,
     oracle_broadface,
     oracle_cce,
@@ -38,6 +43,26 @@ from .oracles import (
     oracle_cosine_logits,
     oracle_sphereface,
 )
+
+
+# signed zeros, subnormals, the float64 extremes and non-finite values
+SPECIAL_FLOATS = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                           np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def queue_pushes(draw):
+    """(capacity, embeddings [n, d], labels [n], snapshots [n, d]) for n pushes.
+
+    Values are normals scaled by 10**k for k in [-300, 300), a fifth of
+    them replaced by ``SPECIAL_FLOATS``.
+    """
+    capacity, n, d = draw(st.integers(0, 9)), draw(st.integers(0, 40)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(2, n, d)) * 10.0 ** rng.integers(-300, 300, size=(2, n, d))
+    special = rng.random((2, n, d)) < 0.2
+    values[special] = rng.choice(SPECIAL_FLOATS, size=int(special.sum()))
+    return capacity, values[0], rng.integers(0, 20, size=n), values[1]
 
 
 def random_instance(rng, batch=3, dim=4, classes=3):
@@ -356,6 +381,24 @@ class TestCompensate:
         with pytest.raises(DegenerateInputError):
             compensate(entry, np.array([1.0, 0.0]))
 
+    def test_block_matches_reference_per_entry(self):
+        rng = np.random.default_rng(58)
+        W = rng.normal(size=(4, 3))
+        q = EmbeddingQueue(6)
+        for _ in range(9):  # wrapped, so the block must read oldest-first
+            q.push(rng.normal(size=4), int(rng.integers(0, 3)), rng.normal(size=4))
+        block, onehot = _compensated_block(q, HeadWeights(Tensor(W)))
+        emb, labels, snaps = q.stacked()
+        assert_array_equal(onehot.argmax(axis=1), labels)
+        for row, b, y, snap in zip(block.data, emb, labels, snaps):
+            assert_allclose(row, compensate(QueueEntry(b, y, snap), W[:, y]), rtol=1e-12, atol=1e-15)
+
+    def test_block_rejects_zero_snapshot(self):
+        q = EmbeddingQueue(2)
+        q.push(np.array([1.0, 0.0]), 0, np.zeros(2))
+        with pytest.raises(DegenerateInputError):
+            _compensated_block(q, HeadWeights(Tensor(np.eye(2))))
+
 
 class TestEmbeddingQueue:
     def test_fifo_eviction(self):
@@ -363,7 +406,9 @@ class TestEmbeddingQueue:
         for i in range(5):
             q.push(np.array([float(i), 0.0]), i % 2, np.array([1.0, 0.0]))
         assert len(q) == 3
-        assert [e.embedding[0] for e in q.entries] == [2.0, 3.0, 4.0]
+        emb, labels, _ = q.stacked()
+        assert emb[:, 0].tolist() == [2.0, 3.0, 4.0]
+        assert labels.tolist() == [0, 1, 0]
 
     def test_capacity_zero_stays_empty(self):
         q = EmbeddingQueue(capacity=0)
@@ -383,13 +428,71 @@ class TestEmbeddingQueue:
         emb = np.array([1.0, 2.0])
         q.push(emb, 0, np.array([1.0, 0.0]))
         emb[0] = 99.0
-        assert q.entries[0].embedding[0] == 1.0
+        assert q.stacked()[0][0, 0] == 1.0
 
     def test_dimension_mismatch_rejected(self):
         q = EmbeddingQueue(capacity=4)
         q.push(np.ones(2), 0, np.ones(2))
         with pytest.raises(StateError):
             q.push(np.ones(3), 0, np.ones(3))
+
+    @pytest.mark.parametrize("embedding, snapshot", [
+        (np.ones((1, 2)), np.ones((1, 2))),  # not 1-D
+        (np.ones(3), np.ones(3)),  # not the queue's d
+        (np.ones(2), np.ones(1)),  # would broadcast into the row
+        (np.ones(2), np.ones(3)),
+        (np.ones(2), np.ones((2, 1))),
+    ])
+    def test_bad_row_rejected_before_any_write(self, embedding, snapshot):
+        q = EmbeddingQueue(capacity=2)
+        for i in range(3):  # wrapped: the next push would overwrite a live row
+            q.push(np.array([float(i), 1.0]), i, np.array([1.0, float(i)]))
+        before = q.stacked()
+        with pytest.raises(StateError):
+            q.push(embedding, 1, snapshot)
+        assert len(q) == 2
+        for held, now in zip(before, q.stacked()):
+            assert_array_equal(held, now)
+
+    def test_capacity_zero_rejects_a_bad_row_and_stores_nothing(self):
+        q = EmbeddingQueue(capacity=0)
+        q.push(np.ones(2), 0, np.ones(2))
+        q.push(np.ones(5), 0, np.ones(5))  # capacity 0 never fixes d
+        with pytest.raises(StateError):
+            q.push(np.ones(2), 0, np.ones(1))
+        assert len(q) == 0
+        assert [a.shape[0] for a in q.stacked()] == [0, 0, 0]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=queue_pushes())
+    @example(case=(1, np.array([[1.0], [-0.0], [5e-324]]), np.array([3, 0, 7]), np.array([[2.0], [1.0], [-1.0]])))
+    @example(case=(4, np.arange(8.0).reshape(4, 2), np.arange(4), np.ones((4, 2))))
+    def test_ring_matches_deque_oracle_after_every_push(self, case):
+        capacity, embeddings, labels, snapshots = case
+        ring, oracle = EmbeddingQueue(capacity), DequeQueue(capacity)
+        for row in zip(embeddings, labels, snapshots):
+            ring.push(*row)
+            oracle.push(*row)
+            assert len(ring) == len(oracle)
+            got = ring.stacked()
+            if len(oracle):
+                for ours, ref in zip(got, oracle.stacked()):
+                    assert ours.dtype == ref.dtype and ours.shape == ref.shape
+                    assert_array_equal(ours.view(np.int64), ref.view(np.int64))
+            else:
+                assert [a.shape[0] for a in got] == [0, 0, 0]
+
+    def test_stacked_arrays_survive_later_pushes(self):
+        rng = np.random.default_rng(57)
+        q = EmbeddingQueue(capacity=5)
+        held = []
+        for step in range(12):  # holds copies unwrapped, at capacity and wrapped
+            q.push(rng.normal(size=3), step, rng.normal(size=3))
+            arrays = q.stacked()
+            held.append((arrays, [a.copy() for a in arrays]))
+        for arrays, copies in held:
+            for a, c in zip(arrays, copies):
+                assert_array_equal(a, c)
 
 
 class TestBroadfaceStep:
@@ -441,7 +544,7 @@ class TestBroadfaceStep:
         broadface_step(Tensor(X1), w1, cfg, labels1, queue)
         w2 = HeadWeights(Tensor(W2))  # weights moved between steps
         loss, _ = broadface_step(Tensor(X2), w2, cfg, labels2, queue)
-        entries = [(e.embedding, e.label, e.snapshot_weight) for e in list(queue.entries)[:3]]
+        entries = list(zip(*queue.stacked()))[:3]
         ref = oracle_broadface(X2, W2, 6.0, 0.4, labels2, entries)
         assert loss.item() == pytest.approx(ref, abs=1e-12)
 
@@ -554,11 +657,9 @@ class TestHeadForward:
             assert loss.item().hex() == "0x1.a41eae44cf168p+2"
             assert hashlib.sha256(w.grad.tobytes()).hexdigest()[:16] == "34ce425b3a03b327"
             assert hashlib.sha256(f.grad.tobytes()).hexdigest()[:16] == "994ea7930ecc6235"
-            outcomes.append([(e.embedding, e.label, e.snapshot_weight) for e in queue.entries])
+            outcomes.append(queue.stacked())
         for a, b in zip(*outcomes):
-            assert_array_equal(a[0], b[0])
-            assert a[1] == b[1]
-            assert_array_equal(a[2], b[2])
+            assert_array_equal(a, b)
 
     @pytest.mark.parametrize("alias, family", [(sphereface_loss, "sphereface"), (cosface_loss, "cosface"),
                                                (arcface_loss, "arcface"), (broadface_step, "broadface")])
@@ -660,11 +761,9 @@ class TestLossGradients:
             X2, W, labels2 = self._safe_instance(rng)
             seed_queue = EmbeddingQueue(8)
             broadface_step(Tensor(X1), HeadWeights(Tensor(W_past)), cfg, labels1, seed_queue)
-            frozen = list(seed_queue.entries)
 
             def loss_fn(f, w):
-                queue = EmbeddingQueue(8)
-                queue.entries.extend(frozen)
+                queue = copy.deepcopy(seed_queue)
                 loss, _ = broadface_step(f, HeadWeights(w), cfg, labels2, queue)
                 return loss
 

@@ -1,6 +1,8 @@
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherehead.errors import ParseError
 from spherehead.results import (
@@ -63,6 +65,45 @@ class TestRoundTrip:
         config = {"model": {"margin": {"family": "arcface", "m": 0.5}}, "data": {"kind": "blobs"}}
         loaded = load_run(save_run(str(tmp_path), make_record(config=config)))
         assert loaded["config"] == config
+
+
+# any finite float64, with subnormals, signed zeros and the extremes drawn often
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -1.1125369292536007e-308, 1e308, -1e308, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def run_records(draw):
+    history = draw(st.lists(st.tuples(FINITE, FINITE), min_size=0, max_size=30))
+    return make_record(
+        seed=draw(st.integers(0, 2**31 - 1)),
+        config={"optim": {"learning_rate": draw(FINITE)}, "model": {"feature_dim": 8}},
+        **{key: draw(FINITE) for key in ("wall_time_s", "initial_loss",
+                                         "final_train_accuracy", "final_test_accuracy")},
+        stopped_early_at=draw(st.one_of(st.none(), st.integers(0, 10**6))),
+        epoch_loss=[loss for loss, _ in history],
+        epoch_accuracy=[acc for _, acc in history],
+    )
+
+
+def _float_bits(record):
+    """Every float of a record as float.hex, so -0.0 and 0.0 differ."""
+    scalars = [record[k] for k in ("wall_time_s", "initial_loss", "final_train_accuracy",
+                                   "final_test_accuracy")]
+    values = scalars + record["epoch_loss"] + record["epoch_accuracy"]
+    return [float(v).hex() for v in values + [record["config"]["optim"]["learning_rate"]]]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(record=run_records())
+def test_save_then_load_is_the_identity(tmp_path_factory, record):
+    path = save_run(str(tmp_path_factory.mktemp("runs")), record)
+    loaded = load_run(path)
+    assert loaded == record
+    assert _float_bits(loaded) == _float_bits(record)
+    assert record_digest(loaded) == record_digest(record)
 
 
 class TestFormat:

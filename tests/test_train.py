@@ -434,6 +434,12 @@ class TestBuildDatasets:
         train, test = build_datasets(cfg, 0)
         assert len(train) == 2 and len(test) == 2
 
+    def test_delimited_empty_delimiter_is_a_config_error(self, tmp_path):
+        path = tmp_path / "toy.csv"
+        path.write_text("0,1.0\n1,2.0\n")
+        with pytest.raises(ConfigError, match="delimiter"):
+            build_datasets(DataConfig("delimited", {"path": str(path), "delimiter": ""}), 0)
+
     def test_cifar_requires_dir(self):
         with pytest.raises(ConfigError):
             build_datasets(DataConfig("cifar10"), 0)
