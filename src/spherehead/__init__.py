@@ -44,7 +44,6 @@ from .stereo import (
     project,
     project_batch,
     project_rows,
-    scale_factor,
 )
 from .train import (
     DataConfig,
@@ -59,7 +58,6 @@ from .train import (
     evaluate,
     experiment_name,
     fit,
-    population_std,
     run_experiment,
     sgd_step,
 )

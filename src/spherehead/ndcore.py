@@ -9,10 +9,9 @@ replays those closures in reverse topological order over an explicit
 Deliberate restrictions, chosen to remove whole classes of silent bugs:
 
 * float64 only; row-major contiguous storage; no views or strides;
-* no broadcasting beyond scalar-with-tensor (pair equal shapes, or expand
-  explicitly with :func:`expand_cols` / :func:`expand_rows`);
-* fixed subgradient conventions: relu'(0) = 0, clamp' = 0 at the bounds,
-  max routes its gradient to the first maximal element.
+* no broadcasting beyond scalar-with-tensor (pair equal shapes, or tile a
+  column explicitly with :func:`expand_cols`);
+* fixed subgradient conventions: relu'(0) = 0, clamp' = 0 at the bounds.
 
 Everything here is single-threaded per computation; independent graphs in
 separate threads share no mutable state.
@@ -20,11 +19,10 @@ separate threads share no mutable state.
 Fused nodes. The hot chains of a training step are single tape nodes:
 :func:`linear` (``x @ W + b``), ``stereo.project_batch``,
 ``heads.cosine_logits``, the softmax-NLL of ``heads`` (op
-``softmax_nll``) and the tiling ops :func:`expand_cols` /
-:func:`expand_rows` (op ``expand``). Each one makes the same numpy float
-operations, in the same order, as the tape of the primitive chain it
-replaces, so losses, gradients and run records are bit for bit those of
-the chain:
+``softmax_nll``) and the column tiling :func:`expand_cols` (op
+``expand``). Each one makes the same numpy float operations, in the same
+order, as the tape of the primitive chain it replaces, so losses,
+gradients and run records are bit for bit those of the chain:
 
 * a tiling in the forward pass is numpy broadcasting, which is exact;
 * a backward sum over a tiled axis stays the BLAS product with a ones
@@ -44,7 +42,7 @@ float operations changes run records and accuracies, not only speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -56,11 +54,9 @@ __all__ = [
     "TapeNode",
     "backward",
     "trace",
-    "concat",
     "matmul",
     "linear",
     "expand_cols",
-    "expand_rows",
 ]
 
 
@@ -112,10 +108,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        """Copy of the values as a fresh leaf, cut off from the tape."""
-        return Tensor(self.data.copy())
-
     def backward(self) -> None:
         backward(self)
 
@@ -143,17 +135,8 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
 
     def relu(self):
         return relu(self)
@@ -167,23 +150,11 @@ class Tensor:
     def cos(self):
         return cos(self)
 
-    def sin(self):
-        return sin(self)
-
     def acos(self):
         return acos(self)
 
     def sum(self, axis: int | None = None, keepdims: bool = False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis: int | None = None, keepdims: bool = False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def max(self, axis: int | None = None, keepdims: bool = False):
-        return reduce_max(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape: Sequence[int]):
-        return reshape(self, shape)
 
     def transpose(self):
         return transpose(self)
@@ -213,9 +184,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def ops(self) -> list[str]:
-        return [n.op for n in self.nodes]
 
 
 def trace(root: Tensor) -> Tape:
@@ -377,36 +345,6 @@ def div(a, b) -> Tensor:
 # -- elementwise unary ----------------------------------------------------
 
 
-def neg(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, -g)
-
-    return _record("neg", (a,), -a.data, backward_fn)
-
-
-def exp(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g * out_data)
-
-    return _record("exp", (a,), out_data, backward_fn)
-
-
-def log(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("log of non-positive input")
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g / a.data)
-
-    return _record("log", (a,), np.log(a.data), backward_fn)
-
-
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0.0  # subgradient 0 at exactly 0
@@ -450,15 +388,6 @@ def cos(a: Tensor) -> Tensor:
         _accumulate(a, -g * np.sin(a.data))
 
     return _record("cos", (a,), np.cos(a.data), backward_fn)
-
-
-def sin(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g * np.cos(a.data))
-
-    return _record("sin", (a,), np.sin(a.data), backward_fn)
 
 
 def acos(a: Tensor) -> Tensor:
@@ -517,21 +446,10 @@ def expand_cols(col: Tensor, n: int) -> Tensor:
     return _record("expand", (col,), np.broadcast_to(col.data, (col.shape[0], n)).copy(), backward_fn)
 
 
-def expand_rows(row: Tensor, m: int) -> Tensor:
-    """Tile a [1, C] row into [m, C]; backward is a ones-row product."""
-    if row.ndim != 2 or row.shape[0] != 1:
-        raise ShapeError(f"expand_rows needs a [1, C] row, got {row.shape}")
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(row, np.ones((m, 1)).T @ g)
-
-    return _record("expand", (row,), np.broadcast_to(row.data, (m, row.shape[1])).copy(), backward_fn)
-
-
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ W + b`` for a [1, C] bias row, as one tape node.
 
-    The floats of ``matmul(x, W) + expand_rows(b, B)``: the bias row
+    The floats of ``matmul(x, W) + matmul(ones[B, 1], b)``: the bias row
     broadcasts, and its gradient is the ones-row product, not ``np.sum``.
     """
     x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
@@ -554,113 +472,20 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     return _record("linear", (x, W, b), x.data @ W.data + b.data, backward_fn)
 
 
-# -- shape ops -------------------------------------------------------------
-
-
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    a = _as_tensor(a)
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.size:
-        raise ShapeError(f"cannot reshape {a.shape} to {shape}")
-    old_shape = a.shape
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g.reshape(old_shape))
-
-    return _record("reshape", (a,), a.data.reshape(shape).copy(), backward_fn)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = tuple(tensors)
-    if not tensors:
-        raise ShapeError("concat of zero tensors")
-    rank = tensors[0].ndim
-    axis = _check_axis("concat", axis, rank)
-    for t in tensors[1:]:
-        if t.ndim != rank:
-            raise ShapeError(f"concat: ranks differ, {tensors[0].shape} vs {t.shape}")
-        for d in range(rank):
-            if d != axis and t.shape[d] != tensors[0].shape[d]:
-                raise ShapeError(f"concat: shapes {tensors[0].shape} and {t.shape} differ off axis {axis}")
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward_fn(g: np.ndarray) -> None:
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * rank
-            index[axis] = slice(start, stop)
-            if t.requires_grad:
-                _accumulate(t, g[tuple(index)])
-
-    return _record("concat", tensors, np.concatenate([t.data for t in tensors], axis=axis), backward_fn)
-
-
 # -- reductions ------------------------------------------------------------
-
-
-def _check_axis(op: str, axis: int, rank: int) -> int:
-    if not -rank <= axis < rank:
-        raise ShapeError(f"{op}: axis {axis} out of range for rank {rank}")
-    return axis % rank
-
-
-def _spread(g: np.ndarray, shape: tuple[int, ...], axis: int | None, keepdims: bool) -> np.ndarray:
-    if axis is not None and not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape)
 
 
 def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     if axis is not None:
-        axis = _check_axis("sum", axis, a.ndim)
+        if not -a.ndim <= axis < a.ndim:
+            raise ShapeError(f"sum: axis {axis} out of range for rank {a.ndim}")
+        axis %= a.ndim
     shape = a.shape
 
     def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, _spread(g, shape, axis, keepdims))
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(g, shape))
 
     return _record("sum", (a,), np.sum(a.data, axis=axis, keepdims=keepdims), backward_fn)
-
-
-def reduce_mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    if axis is not None:
-        axis = _check_axis("mean", axis, a.ndim)
-    count = a.size if axis is None else a.shape[axis]
-    if count == 0:
-        raise ShapeError("mean over zero elements")
-    shape = a.shape
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, _spread(g / count, shape, axis, keepdims))
-
-    return _record("mean", (a,), np.mean(a.data, axis=axis, keepdims=keepdims), backward_fn)
-
-
-def reduce_max(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    if axis is not None:
-        axis = _check_axis("max", axis, a.ndim)
-    if a.size == 0:
-        raise ShapeError("max of empty tensor")
-
-    if axis is None:
-        flat_idx = int(np.argmax(a.data))  # first maximal element in row-major order
-
-        def backward_fn(g: np.ndarray) -> None:
-            buf = np.zeros_like(a.data)
-            buf.reshape(-1)[flat_idx] = np.sum(g)
-            _accumulate(a, buf)
-
-        return _record("max", (a,), np.max(a.data, keepdims=keepdims), backward_fn)
-
-    idx = np.argmax(a.data, axis=axis)  # first maximal along the axis
-
-    def backward_fn(g: np.ndarray) -> None:
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        buf = np.zeros_like(a.data)
-        np.put_along_axis(buf, np.expand_dims(idx, axis), g, axis=axis)
-        _accumulate(a, buf)
-
-    return _record("max", (a,), np.max(a.data, axis=axis, keepdims=keepdims), backward_fn)

@@ -30,7 +30,6 @@ from .ndcore import Tensor, _accumulate, _record
 __all__ = [
     "EuclideanPoint",
     "SpherePoint",
-    "scale_factor",
     "project",
     "project_rows",
     "project_batch",
@@ -113,15 +112,6 @@ def _euclidean_coords(x) -> np.ndarray:
     if isinstance(x, EuclideanPoint):
         return x.coords
     return _vector(x, "EuclideanPoint")
-
-
-def scale_factor(x) -> float:
-    """Signed height z of the projected image of ``x``.
-
-    z = (|x|^2 - 1)/(|x|^2 + 1), always in [-1, 1): -1 at the origin,
-    0 on the unit shell, approaching 1 as |x| grows.
-    """
-    return float(project(x).coords[-1])
 
 
 def project(x) -> SpherePoint:

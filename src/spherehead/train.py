@@ -41,7 +41,6 @@ __all__ = [
     "run_experiment",
     "experiment_name",
     "emit_table",
-    "population_std",
 ]
 
 # Plateau rule: stop once the best epoch loss has gone PLATEAU_WINDOW
@@ -403,14 +402,6 @@ def build_datasets(cfg: DataConfig, seed: int) -> tuple[Dataset, Dataset]:
     return split(ds, SplitSpec(cfg.train_fraction, split_seed))
 
 
-def population_std(values) -> float:
-    """Population standard deviation (divide by N, not N-1)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ConfigError("population_std needs at least one value")
-    return float(np.sqrt(np.mean((arr - arr.mean()) ** 2)))
-
-
 def experiment_name(model_cfg: ModelConfig, data_cfg: DataConfig) -> str:
     proj = "proj" if model_cfg.projection_enabled else "noproj"
     return f"{data_cfg.kind}-{model_cfg.margin.family}-{proj}"
@@ -446,7 +437,8 @@ class RunReport:
     def std_accuracy(self) -> float:
         if not self.accuracies:
             return float("nan")
-        return population_std([self.accuracies[s] for s in sorted(self.accuracies)])
+        # numpy's default is the population form: divide by N, not N - 1
+        return float(np.std([self.accuracies[s] for s in sorted(self.accuracies)]))
 
     def fingerprint(self) -> str:
         """sha256 over everything reproducible: config, seeds, outcomes."""
@@ -541,15 +533,13 @@ def _table_key(report: RunReport) -> tuple[str, str, bool]:
     return (report.config["data"]["kind"], model["margin"]["family"], bool(model["projection_enabled"]))
 
 
-def emit_table(reports, layout: str = "paper_table") -> str:
+def emit_table(reports) -> str:
     """Render mean+-std accuracy as a with/without-embedding comparison.
 
     Every (dataset, family) needs both embedding settings; the strictly
     better mean in a pair is starred. Rows follow the canonical family
     order, datasets sort by name.
     """
-    if layout != "paper_table":
-        raise LayoutError(f"unknown table layout {layout!r}")
     reports = list(reports)
     if not reports:
         raise LayoutError("no reports to tabulate")

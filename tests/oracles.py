@@ -6,6 +6,12 @@ plus a sampled probe of the unit ball's convexity.
 Written against the definitions directly, sample by sample, with no
 shared code with the package: plain numpy, python loops, explicit
 formulas. Tests compare the package's implementations to these.
+
+The one exception is the tape primitives :func:`exp`, :func:`log` and
+:func:`concat`. The package never records them; the primitive chains in
+``tests/test_fused.py`` do, to rebuild the tape that each fused node
+stands for. They sit on ``ndcore``'s own recording and accumulation so
+that those chains make the floats the fused nodes are compared against.
 """
 
 from collections import deque
@@ -13,7 +19,51 @@ from typing import NamedTuple
 
 import numpy as np
 
-from spherehead.errors import ConfigError, DegenerateInputError, DomainError, ParseError, StateError
+from spherehead.errors import ConfigError, DegenerateInputError, DomainError, ParseError, ShapeError, StateError
+from spherehead.ndcore import Tensor, _accumulate, _record
+
+
+def exp(a: Tensor) -> Tensor:
+    out_data = np.exp(a.data)
+
+    def backward_fn(g):
+        _accumulate(a, g * out_data)
+
+    return _record("exp", (a,), out_data, backward_fn)
+
+
+def log(a: Tensor) -> Tensor:
+    if np.any(a.data <= 0.0):
+        raise DomainError("log of non-positive input")
+
+    def backward_fn(g):
+        _accumulate(a, g / a.data)
+
+    return _record("log", (a,), np.log(a.data), backward_fn)
+
+
+def concat(tensors, axis: int = 0) -> Tensor:
+    """Join tensors of one rank along ``axis``; each gets its slice back."""
+    tensors = tuple(tensors)
+    if not tensors:
+        raise ShapeError("concat of zero tensors")
+    rank = tensors[0].ndim
+    if not -rank <= axis < rank:
+        raise ShapeError(f"concat: axis {axis} out of range for rank {rank}")
+    axis %= rank
+    for t in tensors[1:]:
+        if t.ndim != rank or any(t.shape[d] != tensors[0].shape[d] for d in range(rank) if d != axis):
+            raise ShapeError(f"concat: shapes {tensors[0].shape} and {t.shape} differ off axis {axis}")
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+
+    def backward_fn(g):
+        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+            index = [slice(None)] * rank
+            index[axis] = slice(start, stop)
+            if t.requires_grad:
+                _accumulate(t, g[tuple(index)])
+
+    return _record("concat", tensors, np.concatenate([t.data for t in tensors], axis=axis), backward_fn)
 
 
 def softmax_nll(logits_row, label):

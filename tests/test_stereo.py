@@ -17,39 +17,45 @@ from spherehead.stereo import (
     project,
     project_batch,
     project_rows,
-    scale_factor,
 )
 from .helpers import check_gradients
 from .oracles import check_ball_convexity, oracle_lift_row
 
 
+def height(x) -> float:
+    """Signed height z = (|x|^2 - 1)/(|x|^2 + 1), the last coordinate of phi(x)."""
+    return float(project(x).coords[-1])
+
+
 class TestScaleFactor:
+    """The height z of the lifted point, read off ``project``."""
+
     def test_origin_gives_minus_one(self):
-        assert scale_factor(np.zeros(3)) == -1.0
-        assert scale_factor([0.0]) == -1.0
+        assert height(np.zeros(3)) == -1.0
+        assert height([0.0]) == -1.0
 
     def test_unit_shell_gives_zero(self):
-        assert scale_factor([1.0, 0.0]) == 0.0
-        assert scale_factor([0.6, 0.8]) == pytest.approx(0.0, abs=1e-15)
+        assert height([1.0, 0.0]) == 0.0
+        assert height([0.6, 0.8]) == pytest.approx(0.0, abs=1e-15)
 
     def test_three_four(self):
         # |x|^2 = 25, so (25 - 1)/(25 + 1) = 24/26 = 12/13
-        assert scale_factor([3.0, 4.0]) == 0.9230769230769231
+        assert height([3.0, 4.0]) == 0.9230769230769231
 
     def test_range(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
             x = rng.normal(size=rng.integers(1, 8)) * 10.0 ** rng.integers(-3, 4)
-            z = scale_factor(x)
+            z = height(x)
             assert -1.0 <= z < 1.0 or z == pytest.approx(1.0)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
-            scale_factor([np.inf, 1.0])
+            height([np.inf, 1.0])
         with pytest.raises(DomainError):
-            scale_factor([np.nan])
+            height([np.nan])
         with pytest.raises(DomainError):
-            scale_factor([1e200, 1e200])  # squared norm overflows
+            height([1e200, 1e200])  # squared norm overflows
 
 
 class TestProject:
@@ -86,7 +92,7 @@ class TestProject:
         rng = np.random.default_rng(8)
         for _ in range(100):
             x = rng.normal(size=3) * 5.0
-            z = scale_factor(x)
+            z = height(x)
             via_line = np.concatenate([(1.0 - z) * x, [z]])
             assert_allclose(project(x).coords, via_line, rtol=0, atol=1e-12)
 
