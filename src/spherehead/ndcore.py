@@ -11,7 +11,7 @@ Deliberate restrictions, chosen to remove whole classes of silent bugs:
 * float64 only; row-major contiguous storage; no views or strides;
 * no broadcasting beyond scalar-with-tensor (pair equal shapes, or tile a
   column explicitly with :func:`expand_cols`);
-* fixed subgradient conventions: relu'(0) = 0, clamp' = 0 at the bounds.
+* a fixed subgradient convention: relu'(0) = 0.
 
 Everything here is single-threaded per computation; independent graphs in
 separate threads share no mutable state.
@@ -19,8 +19,12 @@ separate threads share no mutable state.
 Fused nodes. The hot chains of a training step are single tape nodes:
 :func:`linear` (``x @ W + b``), ``stereo.project_batch``,
 ``heads.cosine_logits``, the softmax-NLL of ``heads`` (op
-``softmax_nll``) and the column tiling :func:`expand_cols` (op
-``expand``). Each one makes the same numpy float operations, in the same
+``softmax_nll``), the angular target swap of ``heads`` (op
+``swap_target``) and the column tiling :func:`expand_cols` (op
+``expand``). The swap takes each target cosine through the clamp,
+arccos and margin curve itself, so there is no clamp, acos or cos op
+here; the chains in the tests build those on :func:`_record`.
+Each fused node makes the same numpy float operations, in the same
 order, as the tape of the primitive chain it replaces, so losses,
 gradients and run records are bit for bit those of the chain:
 
@@ -30,7 +34,9 @@ gradients and run records are bit for bit those of the chain:
   ``np.sum`` adds in another order;
 * an input the chain uses more than once (``X * X`` uses it twice) gets
   each contribution by its own :func:`_accumulate` call, in the order the
-  reverse tape of the chain would add them.
+  reverse tape of the chain would add them;
+* an intermediate the node keeps to itself gets its first gradient as
+  ``g + 0.0``, the way :func:`_accumulate` stores it (-0.0 becomes 0.0).
 
 Why bit for bit: training is chaotic in the last bit. Summing the bias
 gradient of ``linear`` with ``np.sum`` instead of the ones product moves
@@ -138,26 +144,11 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def relu(self):
-        return relu(self)
-
-    def clamp(self, lo: float, hi: float):
-        return clamp(self, lo, hi)
-
     def sqrt(self):
         return sqrt(self)
 
-    def cos(self):
-        return cos(self)
-
-    def acos(self):
-        return acos(self)
-
     def sum(self, axis: int | None = None, keepdims: bool = False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def transpose(self):
-        return transpose(self)
 
 
 @dataclass(frozen=True)
@@ -355,19 +346,6 @@ def relu(a: Tensor) -> Tensor:
     return _record("relu", (a,), a.data * mask, backward_fn)
 
 
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    a = _as_tensor(a)
-    lo, hi = float(lo), float(hi)
-    if not lo < hi:
-        raise DomainError(f"clamp needs lo < hi, got [{lo}, {hi}]")
-    mask = (a.data > lo) & (a.data < hi)  # gradient 0 at the bounds
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g * mask)
-
-    return _record("clamp", (a,), np.clip(a.data, lo, hi), backward_fn)
-
-
 def sqrt(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     if np.any(a.data <= 0.0):
@@ -379,27 +357,6 @@ def sqrt(a: Tensor) -> Tensor:
         _accumulate(a, g / (2.0 * out_data))
 
     return _record("sqrt", (a,), out_data, backward_fn)
-
-
-def cos(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, -g * np.sin(a.data))
-
-    return _record("cos", (a,), np.cos(a.data), backward_fn)
-
-
-def acos(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    if np.any(np.abs(a.data) > 1.0):
-        raise DomainError("acos input outside [-1, 1]")
-
-    def backward_fn(g: np.ndarray) -> None:
-        # unbounded at |x| = 1; callers clamp to (-1, 1) first
-        _accumulate(a, -g / np.sqrt(1.0 - a.data * a.data))
-
-    return _record("acos", (a,), np.arccos(a.data), backward_fn)
 
 
 # -- linear algebra --------------------------------------------------------

@@ -7,11 +7,12 @@ Written against the definitions directly, sample by sample, with no
 shared code with the package: plain numpy, python loops, explicit
 formulas. Tests compare the package's implementations to these.
 
-The one exception is the tape primitives :func:`exp`, :func:`log` and
-:func:`concat`. The package never records them; the primitive chains in
-``tests/test_fused.py`` do, to rebuild the tape that each fused node
-stands for. They sit on ``ndcore``'s own recording and accumulation so
-that those chains make the floats the fused nodes are compared against.
+The one exception is the tape primitives :func:`exp`, :func:`log`,
+:func:`concat`, :func:`clamp`, :func:`acos` and :func:`cos`. The package
+never records them; the primitive chains in ``tests/test_fused.py`` do,
+to rebuild the tape that each fused node stands for. They sit on
+``ndcore``'s own recording and accumulation so that those chains make
+the floats the fused nodes are compared against.
 """
 
 from collections import deque
@@ -40,6 +41,36 @@ def log(a: Tensor) -> Tensor:
         _accumulate(a, g / a.data)
 
     return _record("log", (a,), np.log(a.data), backward_fn)
+
+
+def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
+    lo, hi = float(lo), float(hi)
+    if not lo < hi:
+        raise DomainError(f"clamp needs lo < hi, got [{lo}, {hi}]")
+    mask = (a.data > lo) & (a.data < hi)  # gradient 0 at the bounds
+
+    def backward_fn(g):
+        _accumulate(a, g * mask)
+
+    return _record("clamp", (a,), np.clip(a.data, lo, hi), backward_fn)
+
+
+def cos(a: Tensor) -> Tensor:
+    def backward_fn(g):
+        _accumulate(a, -g * np.sin(a.data))
+
+    return _record("cos", (a,), np.cos(a.data), backward_fn)
+
+
+def acos(a: Tensor) -> Tensor:
+    if np.any(np.abs(a.data) > 1.0):
+        raise DomainError("acos input outside [-1, 1]")
+
+    def backward_fn(g):
+        # unbounded at |x| = 1; callers clamp to (-1, 1) first
+        _accumulate(a, -g / np.sqrt(1.0 - a.data * a.data))
+
+    return _record("acos", (a,), np.arccos(a.data), backward_fn)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

@@ -1,11 +1,12 @@
 """Fused tape nodes against the primitive chains they stand for.
 
 Each fused node (``linear``, ``project_batch``, ``cosine_logits``, the
-softmax-NLL and ``expand``) must give the forward value and every input
-gradient of its chain of primitives bit for bit, and match central
-differences. The chains are rebuilt here from ``ndcore`` primitives, with
-the tiling written as a ``matmul`` with a ones tensor. ``exp``, ``log``
-and ``concat``, which only these chains use, come from ``tests/oracles.py``.
+softmax-NLL, the angular target swap and ``expand``) must give the
+forward value and every input gradient of its chain of primitives bit
+for bit, and match central differences. The chains are rebuilt here from
+``ndcore`` primitives, with the tiling written as a ``matmul`` with a
+ones tensor. ``exp``, ``log``, ``concat``, ``clamp``, ``acos`` and
+``cos``, which only these chains use, come from ``tests/oracles.py``.
 """
 
 import ast
@@ -17,14 +18,15 @@ from numpy.testing import assert_array_equal
 
 import spherehead
 from spherehead import heads, train
-from spherehead.errors import ShapeError
-from spherehead.heads import EmbeddingQueue, HeadWeights, MarginConfig, _nll_sum, _one_hot, cosine_logits
-from spherehead.ndcore import Tensor, backward, expand_cols, linear, matmul, trace, transpose
+from spherehead.errors import ShapeError, TrainingDiverged
+from spherehead.heads import (COS_CLAMP, EmbeddingQueue, HeadWeights, MarginConfig, _nll_sum, _one_hot,
+                              _swap_target, cosine_logits)
+from spherehead.ndcore import Tensor, backward, expand_cols, linear, matmul, relu, trace, transpose
 from spherehead.stereo import project_batch
 from spherehead.train import ModelConfig, build_model
 
 from .helpers import check_gradients
-from .oracles import concat, exp, log
+from .oracles import acos, clamp, concat, cos, exp, log
 
 TRIALS = 25
 
@@ -58,7 +60,7 @@ def chain_cosine_logits(features, weights):
     unit_features = features / ones_cols(norms, features.shape[1])
     col_norms = (W * W).sum(axis=0, keepdims=True).sqrt()
     unit_weights = W / ones_rows(col_norms, W.shape[0])
-    return matmul(unit_features, unit_weights).clamp(-1.0, 1.0)
+    return clamp(matmul(unit_features, unit_weights), -1.0, 1.0)
 
 
 def chain_nll_sum(logits, onehot):
@@ -67,6 +69,52 @@ def chain_nll_sum(logits, onehot):
     lse = log(exp(shifted).sum(axis=1, keepdims=True))
     target = (shifted * Tensor(onehot)).sum(axis=1, keepdims=True)
     return (lse - target).sum()
+
+
+def chain_target_column(cosines, onehot):
+    return (cosines * Tensor(onehot)).sum(axis=1, keepdims=True)
+
+
+def chain_replace_target(cosines, onehot, new_target, old_target):
+    return cosines + ones_cols(new_target - old_target, cosines.shape[1]) * Tensor(onehot)
+
+
+def chain_psi_sphereface(cos_target, m, use_monotone_psi):
+    if m == 1:
+        return cos_target
+    theta = acos(clamp(cos_target, -COS_CLAMP, COS_CLAMP))
+    folded = cos(theta * float(m))
+    if not use_monotone_psi:
+        return folded
+    k = np.floor(m * theta.data / np.pi)
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    return folded * Tensor(sign) - Tensor(2.0 * k)
+
+
+def chain_swap_target(cosines, onehot, cfg):
+    cos_target = chain_target_column(cosines, onehot)
+    if cfg.family == "sphereface":
+        psi = chain_psi_sphereface(cos_target, int(cfg.m), cfg.use_monotone_psi)
+        return chain_replace_target(cosines, onehot, psi, cos_target)
+    theta = acos(clamp(cos_target, -COS_CLAMP, COS_CLAMP))
+    return chain_replace_target(cosines, onehot, cos(theta + cfg.m), cos_target) * cfg.s
+
+
+# the margin curves of the swap: arcface's cos(theta + m) at s = 12, and
+# sphereface's psi(m * theta), monotone and literal, at every m
+SWAP_CONFIGS = ([MarginConfig("arcface", m=m, s=12.0) for m in (0.1, 0.5, 1.0)]
+                + [MarginConfig("sphereface", m=m, use_monotone_psi=monotone)
+                   for m in (1, 2, 3, 4) for monotone in (True, False)])
+
+
+def swap_instance(rng):
+    """Cosines [B, C] whose target entries include exactly +-1 and +-COS_CLAMP."""
+    B, C = int(rng.integers(5, 9)), int(rng.integers(2, 6))
+    cosines = rng.uniform(-1.0, 1.0, size=(B, C))
+    labels = rng.integers(0, C, size=B)
+    edges = rng.permutation([1.0, -1.0, COS_CLAMP, -COS_CLAMP])
+    cosines[np.arange(4), labels[:4]] = edges
+    return cosines, _one_hot(labels, C), Tensor(rng.normal(size=(B, C)))
 
 
 # -- helpers ---------------------------------------------------------------
@@ -136,8 +184,8 @@ class TestSameBitsAsChain:
             x, W, _ = instance(rng, B=int(rng.integers(1, 40)))
             b = rng.normal(size=(1, W.shape[1]))
             R = Tensor(rng.normal(size=(x.shape[0], W.shape[1])))
-            assert_same_bits(lambda x_, W_, b_: (linear(x_, W_, b_).relu() * R).sum(),
-                             lambda x_, W_, b_: (chain_linear(x_, W_, b_).relu() * R).sum(),
+            assert_same_bits(lambda x_, W_, b_: (relu(linear(x_, W_, b_)) * R).sum(),
+                             lambda x_, W_, b_: (relu(chain_linear(x_, W_, b_)) * R).sum(),
                              [x, W, b], grad_mask)
 
     def test_project_batch(self):
@@ -206,6 +254,14 @@ class TestSameBitsAsChain:
             assert_same_bits(lambda z: _nll_sum(z, onehot) / 3.0,
                              lambda z: chain_nll_sum(z, onehot) / 3.0, [logits])
 
+    @pytest.mark.parametrize("cfg", SWAP_CONFIGS, ids=lambda c: f"{c.family}-m{c.m:g}-mono{c.use_monotone_psi:d}")
+    def test_swap_target(self, cfg):
+        rng = np.random.default_rng(78)
+        for _ in range(TRIALS):
+            cosines, onehot, R = swap_instance(rng)
+            assert_same_bits(lambda c: (_swap_target(c, onehot, cfg) * R).sum(),
+                             lambda c: (chain_swap_target(c, onehot, cfg) * R).sum(), [cosines])
+
     @pytest.mark.parametrize("family", heads.FAMILIES)
     @pytest.mark.parametrize("projection", [True, False])
     def test_training_step_of_every_family(self, family, projection, monkeypatch):
@@ -224,6 +280,7 @@ class TestSameBitsAsChain:
         monkeypatch.setattr(heads, "cosine_logits", chain_cosine_logits)
         monkeypatch.setattr(heads, "_nll_sum", chain_nll_sum)
         monkeypatch.setattr(heads, "expand_cols", ones_cols)
+        monkeypatch.setattr(heads, "_swap_target", chain_swap_target)
         chained = steps()
         assert len(fused) == len(chained)
         for f, c in zip(fused, chained):
@@ -260,6 +317,15 @@ class TestFiniteDifferences:
             onehot = _one_hot(labels, W.shape[1])
             check_gradients(lambda z: _nll_sum(z, onehot), [X @ W * 3.0], tol=1e-5)
 
+    @pytest.mark.parametrize("cfg", SWAP_CONFIGS, ids=lambda c: f"{c.family}-m{c.m:g}-mono{c.use_monotone_psi:d}")
+    def test_swap_target(self, cfg):
+        """Target cosines inside (-0.95, 0.95): the clamp's kinks stay out of the stencil."""
+        rng = np.random.default_rng(84)
+        for _ in range(TRIALS):
+            cosines, onehot, R = swap_instance(rng)
+            cosines = np.clip(cosines, -0.95, 0.95)
+            check_gradients(lambda c: (_swap_target(c, onehot, cfg) * R).sum(), [cosines], tol=1e-5)
+
 
 # -- tape size ------------------------------------------------------------------
 
@@ -267,7 +333,7 @@ class TestFiniteDifferences:
 # Nodes on the tape of one B=32 step on projected spirals features, encoder
 # [64, 32] into 16 features: three linear layers, two ReLUs, the projection,
 # then the head. BroadFace is counted with its queue holding a previous batch.
-TAPE_NODES = {"cce": 9, "cosface": 11, "arcface": 20, "sphereface": 26, "broadface": 38}
+TAPE_NODES = {"cce": 9, "cosface": 11, "arcface": 10, "sphereface": 15, "broadface": 18}
 
 
 @pytest.mark.parametrize("family", heads.FAMILIES)
@@ -282,6 +348,29 @@ def test_tape_size_of_a_spirals_step(family):
         train._batch_loss(model, X[32:64], y[32:64], queue)
     loss = train._batch_loss(model, X[:32], y[:32], queue)
     assert len(trace(loss)) <= TAPE_NODES[family]
+
+
+@pytest.mark.parametrize("family", ["arcface", "sphereface", "broadface"])
+@pytest.mark.parametrize("swap", ["fused", "chain"])
+def test_nan_cosine_ends_fit_as_training_diverged(family, swap, monkeypatch):
+    """A NaN target cosine passes the swap as NaN, so the loss check catches it."""
+    real_cosine_logits = heads.cosine_logits
+
+    def poisoned(features, weights):
+        out = real_cosine_logits(features, weights)
+        out.data[0] = np.nan
+        return out
+
+    monkeypatch.setattr(heads, "cosine_logits", poisoned)
+    if swap == "chain":
+        monkeypatch.setattr(heads, "_swap_target", chain_swap_target)
+    train_ds, _ = train.build_datasets(train.DataConfig("two_spirals", {"n_per_class": 20}), seed=1)
+    model = build_model(ModelConfig(feature_dim=4, margin=MarginConfig.for_family(family), encoder_layers=(8,)),
+                        train_ds.dim, train_ds.class_count, seed=2)
+    with pytest.raises(TrainingDiverged) as excinfo:
+        train.fit(model, train_ds, train.OptimConfig(learning_rate=1e-3, epochs=2, batch_size=8))
+    assert (excinfo.value.epoch, excinfo.value.batch) == (1, 0)
+    assert np.isnan(excinfo.value.loss_trajectory[-1])
 
 
 def test_linear_rejects_mismatched_shapes():

@@ -5,7 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -21,6 +21,7 @@ from spherehead.heads import (
     HeadWeights,
     MarginConfig,
     _compensated_block,
+    _swap_target,
     arcface_loss,
     broadface_step,
     cce_loss,
@@ -257,6 +258,19 @@ class TestSpherefaceLoss:
             x = np.array([[np.cos(angle), np.sin(angle), 0.0]]) * 2.0
             losses.append(sphereface_loss(Tensor(x), w, cfg, [0]).item())
         assert np.all(np.diff(losses) > 0.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(m=st.sampled_from([2, 3, 4]), thetas=st.lists(st.floats(1e-5, np.pi - 1e-5), min_size=2, max_size=2))
+    def test_monotone_psi_strictly_decreasing_through_the_swap(self, m, thetas):
+        # the swap node's target entry is psi(m * theta) of the target
+        # cosine; a gap of 1e-4 keeps the flat tangents where the pieces
+        # meet (m * theta = k pi) above rounding
+        small, large = sorted(thetas)
+        assume(large - small >= 1e-4)
+        cfg = MarginConfig(family="sphereface", m=m, use_monotone_psi=True)
+        cosines = Tensor([[np.cos(small), 0.0], [np.cos(large), 0.0]])
+        psi = _swap_target(cosines, np.array([[1.0, 0.0], [1.0, 0.0]]), cfg).data[:, 0]
+        assert psi[0] > psi[1]
 
     def test_literal_psi_not_monotone_for_m2(self):
         # the bare cos(m * theta) target curve turns back up past theta = pi/2
