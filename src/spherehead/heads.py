@@ -294,9 +294,10 @@ def _swap_target(cosines: Tensor, onehot: np.ndarray, cfg: MarginConfig) -> Tens
     m = cfg.m if arc else int(cfg.m)
     columns = cosines.shape[1]
     t = np.sum(cosines.data * onehot, axis=1, keepdims=True)
-    psi = t
+    curve = arc or m > 1  # sphereface's psi at m = 1 is t itself
     fold = not arc and cfg.use_monotone_psi
-    if arc or m > 1:
+    psi = t
+    if curve:
         inside = (t > -COS_CLAMP) & (t < COS_CLAMP)
         clamped = np.clip(t, -COS_CLAMP, COS_CLAMP)
         theta = np.arccos(clamped)
@@ -315,7 +316,7 @@ def _swap_target(cosines: Tensor, onehot: np.ndarray, cfg: MarginConfig) -> Tens
             g = g * cfg.s + 0.0
         g_delta = ((g + 0.0) * onehot + 0.0) @ np.ones((1, columns)).T + 0.0
         _accumulate(cosines, g)
-        if psi is t:  # the chain's t - t: +g_delta first
+        if not curve:  # the chain's t - t: +g_delta first
             g_t = g_delta + 0.0
             g_t += -g_delta
         else:

@@ -79,10 +79,14 @@ def chain_replace_target(cosines, onehot, new_target, old_target):
     return cosines + ones_cols(new_target - old_target, cosines.shape[1]) * Tensor(onehot)
 
 
+def chain_theta(cos_target):
+    return acos(clamp(cos_target, -COS_CLAMP, COS_CLAMP))
+
+
 def chain_psi_sphereface(cos_target, m, use_monotone_psi):
     if m == 1:
         return cos_target
-    theta = acos(clamp(cos_target, -COS_CLAMP, COS_CLAMP))
+    theta = chain_theta(cos_target)
     folded = cos(theta * float(m))
     if not use_monotone_psi:
         return folded
@@ -96,8 +100,7 @@ def chain_swap_target(cosines, onehot, cfg):
     if cfg.family == "sphereface":
         psi = chain_psi_sphereface(cos_target, int(cfg.m), cfg.use_monotone_psi)
         return chain_replace_target(cosines, onehot, psi, cos_target)
-    theta = acos(clamp(cos_target, -COS_CLAMP, COS_CLAMP))
-    return chain_replace_target(cosines, onehot, cos(theta + cfg.m), cos_target) * cfg.s
+    return chain_replace_target(cosines, onehot, cos(chain_theta(cos_target) + cfg.m), cos_target) * cfg.s
 
 
 # the margin curves of the swap: arcface's cos(theta + m) at s = 12, and
@@ -105,6 +108,10 @@ def chain_swap_target(cosines, onehot, cfg):
 SWAP_CONFIGS = ([MarginConfig("arcface", m=m, s=12.0) for m in (0.1, 0.5, 1.0)]
                 + [MarginConfig("sphereface", m=m, use_monotone_psi=monotone)
                    for m in (1, 2, 3, 4) for monotone in (True, False)])
+
+
+def swap_id(cfg):
+    return f"{cfg.family}-m{cfg.m:g}-mono{cfg.use_monotone_psi:d}"
 
 
 def swap_instance(rng):
@@ -254,7 +261,7 @@ class TestSameBitsAsChain:
             assert_same_bits(lambda z: _nll_sum(z, onehot) / 3.0,
                              lambda z: chain_nll_sum(z, onehot) / 3.0, [logits])
 
-    @pytest.mark.parametrize("cfg", SWAP_CONFIGS, ids=lambda c: f"{c.family}-m{c.m:g}-mono{c.use_monotone_psi:d}")
+    @pytest.mark.parametrize("cfg", SWAP_CONFIGS, ids=swap_id)
     def test_swap_target(self, cfg):
         rng = np.random.default_rng(78)
         for _ in range(TRIALS):
@@ -317,7 +324,7 @@ class TestFiniteDifferences:
             onehot = _one_hot(labels, W.shape[1])
             check_gradients(lambda z: _nll_sum(z, onehot), [X @ W * 3.0], tol=1e-5)
 
-    @pytest.mark.parametrize("cfg", SWAP_CONFIGS, ids=lambda c: f"{c.family}-m{c.m:g}-mono{c.use_monotone_psi:d}")
+    @pytest.mark.parametrize("cfg", SWAP_CONFIGS, ids=swap_id)
     def test_swap_target(self, cfg):
         """Target cosines inside (-0.95, 0.95): the clamp's kinks stay out of the stencil."""
         rng = np.random.default_rng(84)
