@@ -13,10 +13,12 @@ in their logits, one entry each in ``_LOGITS``:
                 past embeddings, each compensated for weight drift
 
 Sphereface, arcface and broadface swap the target cosine for their
-margin curve in one tape node, ``swap_target``, with the floats of the
-primitive chain it replaces. A projected B=32 step with encoder
-[64, 32] records 9 (cce), 11 (cosface), 10 (arcface), 15 (sphereface)
-or 18 (broadface, queue filled) tape nodes.
+margin curve in one tape node, ``swap_target``, and broadface's
+drift-corrected queue block is one node, ``compensate``; each has the
+floats of the primitive chain it replaces. With the encoder as one
+``mlp`` node, a projected B=32 step records 5 (cce), 7 (cosface),
+6 (arcface), 11 (sphereface) or 11 (broadface, queue filled) tape
+nodes.
 
 The queue keeps detached embeddings only; gradient from queue terms
 reaches the weight matrix and nothing else. It is a ring of three
@@ -38,7 +40,7 @@ import numpy as np
 
 from .data import _checked_labels
 from .errors import ConfigError, DegenerateInputError, ShapeError, StateError
-from .ndcore import Tensor, _accumulate, _record, expand_cols, matmul, transpose
+from .ndcore import Tensor, _accumulate, _record, expand_cols, matmul
 
 __all__ = [
     "FAMILIES",
@@ -333,8 +335,11 @@ def _swap_target(cosines: Tensor, onehot: np.ndarray, cfg: MarginConfig) -> Tens
 
 
 def _sphereface_logits(features: Tensor, weights: HeadWeights, cfg: MarginConfig, onehot: np.ndarray) -> Tensor:
-    cosines = cosine_logits(features, weights)
+    # the |x| factor is recorded before the cosines, so walking the nodes
+    # in reverse creation order would give features.grad the cosine
+    # terms first, as the depth-first walk of backward does
     norms = (features * features).sum(axis=1, keepdims=True).sqrt()
+    cosines = cosine_logits(features, weights)
     return expand_cols(norms, weights.class_count) * _swap_target(cosines, onehot, cfg)
 
 
@@ -357,8 +362,13 @@ _LOGITS = {
 def _compensated_block(queue: EmbeddingQueue, weights: HeadWeights) -> tuple[Tensor, np.ndarray]:
     """All queue embeddings, drift-corrected on the tape: [Q, d] plus one-hot labels.
 
-    Only the current-weight term rides the tape; embeddings and
-    snapshots are constants, so queue gradient reaches W alone.
+    One tape node with W as its only input: row j is
+    ``emb_j - r_j * snap_j + r_j * W[:, y_j]``, r_j = |emb_j| / |snap_j|.
+    Embeddings and snapshots are constants, so queue gradient reaches W
+    alone. W's columns are gathered as the product ``onehot @ W.T``,
+    whose signed zeros and ``0 * inf`` differ from fancy indexing; the
+    backward makes the floats of the add, mul, matmul and transpose
+    chain it replaces.
     """
     emb, labels, snaps = queue.stacked()
     if emb.shape[1] != weights.dim:
@@ -368,9 +378,13 @@ def _compensated_block(queue: EmbeddingQueue, weights: HeadWeights) -> tuple[Ten
         raise DegenerateInputError("zero-norm snapshot weight column cannot anchor compensation")
     ratios = (np.linalg.norm(emb, axis=1) / snap_norms)[:, None]  # [Q, 1]
     onehot = _one_hot(labels, weights.class_count)
-    current_cols = matmul(Tensor(onehot), transpose(weights.W))  # [Q, d] rows = W[:, y_j]
-    constant_part = Tensor(emb - ratios * snaps)
-    return constant_part + Tensor(np.repeat(ratios, emb.shape[1], axis=1)) * current_cols, onehot
+    W = weights.W
+
+    def backward_fn(g: np.ndarray) -> None:
+        _accumulate(W, (onehot.T @ ((g + 0.0) * ratios + 0.0) + 0.0).T)
+
+    out = (emb - ratios * snaps) + ratios * (onehot @ W.data.T)
+    return _record("compensate", (W,), out, backward_fn), onehot
 
 
 def head_forward(features: Tensor, weights: HeadWeights, cfg: MarginConfig,

@@ -3,27 +3,27 @@
 Small enough to read in one sitting: a :class:`Tensor` wraps a contiguous
 row-major numpy float64 array, every differentiable operation attaches a
 closure that pushes gradients back to its inputs, and :func:`backward`
-replays those closures in reverse topological order over an explicit
-:class:`Tape`.
+replays those closures in reverse topological order. :func:`trace`
+returns that order as an explicit :class:`Tape`.
 
 Deliberate restrictions, chosen to remove whole classes of silent bugs:
 
 * float64 only; row-major contiguous storage; no views or strides;
 * no broadcasting beyond scalar-with-tensor (pair equal shapes, or tile a
   column explicitly with :func:`expand_cols`);
-* a fixed subgradient convention: relu'(0) = 0.
+* a fixed subgradient convention: relu'(0) = 0 (inside :func:`mlp`).
 
 Everything here is single-threaded per computation; independent graphs in
 separate threads share no mutable state.
 
 Fused nodes. The hot chains of a training step are single tape nodes:
-:func:`linear` (``x @ W + b``), ``stereo.project_batch``,
-``heads.cosine_logits``, the softmax-NLL of ``heads`` (op
-``softmax_nll``), the angular target swap of ``heads`` (op
-``swap_target``) and the column tiling :func:`expand_cols` (op
-``expand``). The swap takes each target cosine through the clamp,
-arccos and margin curve itself, so there is no clamp, acos or cos op
-here; the chains in the tests build those on :func:`_record`.
+the encoder :func:`mlp` (every ``h @ W + b`` and ReLU),
+``stereo.project_batch``, ``heads.cosine_logits``, the softmax-NLL of
+``heads`` (op ``softmax_nll``), the angular target swap of ``heads``
+(op ``swap_target``), the BroadFace compensated queue block of
+``heads`` (op ``compensate``) and the column tiling :func:`expand_cols`
+(op ``expand``). There is no linear, ReLU, transpose, clamp, acos or
+cos op here; the chains in the tests build those on :func:`_record`.
 Each fused node makes the same numpy float operations, in the same
 order, as the tape of the primitive chain it replaces, so losses,
 gradients and run records are bit for bit those of the chain:
@@ -39,7 +39,7 @@ gradients and run records are bit for bit those of the chain:
   ``g + 0.0``, the way :func:`_accumulate` stores it (-0.0 becomes 0.0).
 
 Why bit for bit: training is chaotic in the last bit. Summing the bias
-gradient of ``linear`` with ``np.sum`` instead of the ones product moves
+gradient of an encoder layer with ``np.sum`` instead of the ones product moves
 a step's gradients by 7e-17 relative, and criterion 7's cce mean accuracy
 from 0.978 to 0.927 (seed 3: 1.00 to 0.85). Any change to the order of
 float operations changes run records and accuracies, not only speed.
@@ -61,7 +61,7 @@ __all__ = [
     "backward",
     "trace",
     "matmul",
-    "linear",
+    "mlp",
     "expand_cols",
 ]
 
@@ -177,42 +177,49 @@ class Tape:
         return len(self.nodes)
 
 
-def trace(root: Tensor) -> Tape:
-    """Collect the gradient-relevant ancestry of ``root`` in topological order."""
-    nodes: list[TapeNode] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+def _post_order(root: Tensor) -> list[Tensor]:
+    """The op tensors ``root`` depends on through requires-grad inputs, producers first.
+
+    A depth-first walk that takes each tensor's inputs in order and
+    lists a tensor once all of them are listed; leaves are not listed.
+    """
+    order: list[Tensor] = []
+    seen: set[Tensor] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)] if root._parents else []
     while stack:
         t, expanded = stack.pop()
         if expanded:
-            if t._op != "leaf":
-                nodes.append(TapeNode(t._op, t._parents, t))
-            continue
-        if id(t) in seen or not t.requires_grad:
-            continue
-        seen.add(id(t))
-        stack.append((t, True))
-        for p in reversed(t._parents):
-            stack.append((p, False))
-    return Tape(nodes)
+            order.append(t)
+        elif t not in seen:
+            seen.add(t)
+            stack.append((t, True))
+            for p in reversed(t._parents):
+                if p._parents:
+                    stack.append((p, False))
+    return order
+
+
+def trace(root: Tensor) -> Tape:
+    """Collect the gradient-relevant ancestry of ``root`` in topological order."""
+    return Tape([TapeNode(t._op, t._parents, t) for t in _post_order(root)])
 
 
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires-grad tensor reachable from ``loss``.
 
     ``loss`` must be a scalar. Gradients accumulate additively across calls;
-    callers zero them between steps.
+    callers zero them between steps. The walk is :func:`trace`'s order,
+    reversed, with no :class:`TapeNode` built.
     """
     if loss.ndim != 0:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         return
-    tape = trace(loss)
+    order = _post_order(loss)
     _accumulate(loss, np.ones(()))
-    for node in reversed(tape.nodes):
-        out = node.output
-        if out.grad is not None and out._backward is not None:
-            out._backward(out.grad)
+    for t in reversed(order):
+        if t.grad is not None:
+            t._backward(t.grad)
 
 
 # -- op plumbing ---------------------------------------------------------
@@ -227,17 +234,18 @@ def _record(
     out = Tensor.__new__(Tensor)
     out.data = _as_array(data)
     out.grad = None
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._op = op
-        out._parents = parents
-        out._backward = backward_fn
-    else:
-        # constants fold out of the tape entirely
-        out.requires_grad = False
-        out._op = "leaf"
-        out._parents = ()
-        out._backward = None
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._op = op
+            out._parents = parents
+            out._backward = backward_fn
+            return out
+    # constants fold out of the tape entirely
+    out.requires_grad = False
+    out._op = "leaf"
+    out._parents = ()
+    out._backward = None
     return out
 
 
@@ -336,16 +344,6 @@ def div(a, b) -> Tensor:
 # -- elementwise unary ----------------------------------------------------
 
 
-def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    mask = a.data > 0.0  # subgradient 0 at exactly 0
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g * mask)
-
-    return _record("relu", (a,), a.data * mask, backward_fn)
-
-
 def sqrt(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     if np.any(a.data <= 0.0):
@@ -378,16 +376,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), a.data @ b.data, backward_fn)
 
 
-def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    _check_2d("transpose", a)
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g.T)
-
-    return _record("transpose", (a,), a.data.T.copy(), backward_fn)
-
-
 def expand_cols(col: Tensor, n: int) -> Tensor:
     """Tile a [B, 1] column into [B, n].
 
@@ -403,30 +391,55 @@ def expand_cols(col: Tensor, n: int) -> Tensor:
     return _record("expand", (col,), np.broadcast_to(col.data, (col.shape[0], n)).copy(), backward_fn)
 
 
-def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ W + b`` for a [1, C] bias row, as one tape node.
+def mlp(x: Tensor, layers) -> Tensor:
+    """The encoder ``h <- relu(h @ W + b)`` over ``layers``, the last one affine only, as one tape node.
 
-    The floats of ``matmul(x, W) + matmul(ones[B, 1], b)``: the bias row
-    broadcasts, and its gradient is the ones-row product, not ``np.sum``.
+    ``layers`` is a sequence of (W [n, k], b [1, k]) pairs. The floats
+    are those of the chain of ``linear`` nodes (``h @ W`` plus the bias
+    row as a ones product) and ReLU nodes (``z * (z > 0)``) it replaces:
+    walking the layers backwards, a hidden layer's gradient is first
+    masked and stored as ``g * mask + 0.0``; then the bias gets the
+    ones-row product, the layer's input ``g @ W.T + 0.0`` and W
+    ``h_in.T @ g``. Only the masks and each layer's input are kept.
     """
-    x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
-    _check_2d("linear", x)
-    _check_2d("linear", W)
-    if x.shape[1] != W.shape[0]:
-        raise ShapeError(f"linear: inner dimensions disagree, {x.shape} x {W.shape}")
-    if b.shape != (1, W.shape[1]):
-        raise ShapeError(f"linear: bias must be [1, {W.shape[1]}], got {b.shape}")
+    x = _as_tensor(x)
+    _check_2d("mlp", x)
+    layers = tuple(layers)
+    if not layers:
+        raise ShapeError("mlp needs at least one layer")
+    h = x.data
+    inputs, masks = [], []
+    for i, (W, b) in enumerate(layers):
+        _check_2d("mlp", W)
+        if h.shape[1] != W.shape[0]:
+            raise ShapeError(f"mlp layer {i}: inner dimensions disagree, {h.shape} x {W.shape}")
+        if b.shape != (1, W.shape[1]):
+            raise ShapeError(f"mlp layer {i}: bias must be [1, {W.shape[1]}], got {b.shape}")
+        inputs.append(h)
+        h = h @ W.data + b.data
+        if i < len(layers) - 1:
+            mask = h > 0.0  # subgradient 0 at exactly 0
+            masks.append(mask)
+            h = h * mask
     rows = x.shape[0]
 
     def backward_fn(g: np.ndarray) -> None:
-        if b.requires_grad:
-            _accumulate(b, np.ones((rows, 1)).T @ g)
-        if x.requires_grad:
-            _accumulate(x, g @ W.data.T)
-        if W.requires_grad:
-            _accumulate(W, x.data.T @ g)
+        for i in range(len(layers) - 1, -1, -1):
+            W, b = layers[i]
+            if i < len(masks):
+                g = np.add(g * masks[i], 0.0, order="C")
+            if b.requires_grad:
+                _accumulate(b, np.ones((rows, 1)).T @ g)
+            g_in = None
+            if i > 0:
+                g_in = g @ W.data.T + 0.0
+            elif x.requires_grad:
+                _accumulate(x, g @ W.data.T)
+            if W.requires_grad:
+                _accumulate(W, inputs[i].T @ g)
+            g = g_in
 
-    return _record("linear", (x, W, b), x.data @ W.data + b.data, backward_fn)
+    return _record("mlp", (x,) + tuple(p for layer in layers for p in layer), h, backward_fn)
 
 
 # -- reductions ------------------------------------------------------------

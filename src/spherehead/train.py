@@ -22,7 +22,7 @@ from .data import Dataset, SplitSpec, gen_gaussian_blobs, gen_two_spirals, load_
 from .errors import (ConfigError, DegenerateInputError, LayoutError, ShapeError, SphereheadError, StateError,
                      TrainingDiverged)
 from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, head_forward
-from .ndcore import Tensor, backward, linear, relu
+from .ndcore import Tensor, backward, mlp
 from .stereo import project_batch
 
 __all__ = [
@@ -178,17 +178,14 @@ class Model:
 
         Hidden layers are affine + ReLU; the final feature layer stays
         linear so features cover all of feature space, and the sphere
-        embedding (when enabled) is applied last.
+        embedding (when enabled) is applied last. The layers are one
+        tape node, :func:`~spherehead.ndcore.mlp`.
         """
         if not isinstance(X, Tensor):
             X = Tensor(X)
         if len(X.shape) != 2:
             raise ShapeError(f"expected a [B, n] batch, got shape {X.shape}")
-        h = X
-        for i, (W, b) in enumerate(self.layers):
-            h = linear(h, W, b)
-            if i < len(self.layers) - 1:
-                h = relu(h)
+        h = mlp(X, self.layers)
         if self.config.projection_enabled:
             h = project_batch(h)
         return h

@@ -8,8 +8,8 @@ shared code with the package: plain numpy, python loops, explicit
 formulas. Tests compare the package's implementations to these.
 
 The one exception is the tape primitives :func:`exp`, :func:`log`,
-:func:`concat`, :func:`clamp`, :func:`acos` and :func:`cos`. The package
-never records them; the primitive chains in ``tests/test_fused.py`` do,
+:func:`concat`, :func:`clamp`, :func:`acos`, :func:`cos`, :func:`relu`
+and :func:`transpose`. The package never records them; the primitive chains in ``tests/test_fused.py`` do,
 to rebuild the tape that each fused node stands for. They sit on
 ``ndcore``'s own recording and accumulation so that those chains make
 the floats the fused nodes are compared against.
@@ -53,6 +53,25 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
         _accumulate(a, g * mask)
 
     return _record("clamp", (a,), np.clip(a.data, lo, hi), backward_fn)
+
+
+def relu(a: Tensor) -> Tensor:
+    mask = a.data > 0.0  # subgradient 0 at exactly 0
+
+    def backward_fn(g):
+        _accumulate(a, g * mask)
+
+    return _record("relu", (a,), a.data * mask, backward_fn)
+
+
+def transpose(a: Tensor) -> Tensor:
+    if a.ndim != 2:
+        raise ShapeError(f"transpose needs a 2-D tensor, got shape {a.shape}")
+
+    def backward_fn(g):
+        _accumulate(a, g.T)
+
+    return _record("transpose", (a,), a.data.T.copy(), backward_fn)
 
 
 def cos(a: Tensor) -> Tensor:

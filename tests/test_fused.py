@@ -1,12 +1,13 @@
 """Fused tape nodes against the primitive chains they stand for.
 
-Each fused node (``linear``, ``project_batch``, ``cosine_logits``, the
-softmax-NLL, the angular target swap and ``expand``) must give the
-forward value and every input gradient of its chain of primitives bit
-for bit, and match central differences. The chains are rebuilt here from
-``ndcore`` primitives, with the tiling written as a ``matmul`` with a
-ones tensor. ``exp``, ``log``, ``concat``, ``clamp``, ``acos`` and
-``cos``, which only these chains use, come from ``tests/oracles.py``.
+Each fused node (the encoder ``mlp``, ``project_batch``,
+``cosine_logits``, the softmax-NLL, the angular target swap, the BroadFace
+compensated block and ``expand``) must give the forward value and every
+input gradient of its chain of primitives bit for bit, and match central
+differences. The chains are rebuilt here from ``ndcore`` primitives, with
+the tiling written as a ``matmul`` with a ones tensor. ``exp``, ``log``,
+``concat``, ``clamp``, ``acos``, ``cos``, ``relu`` and ``transpose``,
+which only these chains use, come from ``tests/oracles.py``.
 """
 
 import ast
@@ -17,16 +18,16 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import spherehead
-from spherehead import heads, train
-from spherehead.errors import ShapeError, TrainingDiverged
-from spherehead.heads import (COS_CLAMP, EmbeddingQueue, HeadWeights, MarginConfig, _nll_sum, _one_hot,
-                              _swap_target, cosine_logits)
-from spherehead.ndcore import Tensor, backward, expand_cols, linear, matmul, relu, trace, transpose
+from spherehead import heads, ndcore, stereo, train
+from spherehead.errors import DegenerateInputError, ShapeError, StateError, TrainingDiverged
+from spherehead.heads import (COS_CLAMP, EmbeddingQueue, HeadWeights, MarginConfig, _compensated_block, _nll_sum,
+                              _one_hot, _swap_target, cosine_logits)
+from spherehead.ndcore import Tensor, backward, expand_cols, matmul, mlp, trace
 from spherehead.stereo import project_batch
 from spherehead.train import ModelConfig, build_model
 
 from .helpers import check_gradients
-from .oracles import acos, clamp, concat, cos, exp, log
+from .oracles import acos, clamp, concat, cos, exp, log, relu, transpose
 
 TRIALS = 25
 
@@ -46,10 +47,22 @@ def chain_linear(x, W, b):
     return matmul(x, W) + ones_rows(b, x.shape[0])
 
 
+def chain_mlp(x, layers):
+    h = x
+    for i, (W, b) in enumerate(layers):
+        h = chain_linear(h, W, b)
+        if i < len(layers) - 1:
+            h = relu(h)
+    return h
+
+
 def chain_project_batch(X):
+    # X * 2.0 is created first, so a walk in reverse creation order adds
+    # X's gradient terms in the depth-first walk's order, as the fused node does
+    doubled = X * 2.0
     norm = (X * X).sum(axis=1, keepdims=True)
     denom = norm + 1.0
-    a = (X * 2.0) / ones_cols(denom, X.shape[1])
+    a = doubled / ones_cols(denom, X.shape[1])
     b = (norm - 1.0) / denom
     return concat([a, b], axis=1)
 
@@ -103,6 +116,15 @@ def chain_swap_target(cosines, onehot, cfg):
     return chain_replace_target(cosines, onehot, cos(chain_theta(cos_target) + cfg.m), cos_target) * cfg.s
 
 
+def chain_compensated_block(queue, weights):
+    emb, labels, snaps = queue.stacked()
+    ratios = (np.linalg.norm(emb, axis=1) / np.linalg.norm(snaps, axis=1))[:, None]
+    onehot = _one_hot(labels, weights.class_count)
+    current_cols = matmul(Tensor(onehot), transpose(weights.W))
+    constant_part = Tensor(emb - ratios * snaps)
+    return constant_part + Tensor(np.repeat(ratios, emb.shape[1], axis=1)) * current_cols, onehot
+
+
 # the margin curves of the swap: arcface's cos(theta + m) at s = 12, and
 # sphereface's psi(m * theta), monotone and literal, at every m
 SWAP_CONFIGS = ([MarginConfig("arcface", m=m, s=12.0) for m in (0.1, 0.5, 1.0)]
@@ -149,8 +171,11 @@ def assert_same_bits(fused, chain, arrays, grad_mask=None):
         assert_array_equal(bits(g_f), bits(g_c))
 
 
-def two_training_steps(family, projection):
-    """Two SGD steps of a small model; yields each loss and the parameters after its backward."""
+def two_training_steps(family, projection, walk=backward):
+    """Two SGD steps of a small model; yields each loss and the parameters after its backward.
+
+    ``walk(loss)`` is the backward pass.
+    """
     cfg = ModelConfig(feature_dim=5, encoder_layers=(7,), projection_enabled=projection,
                       margin=MarginConfig.for_family(family, s=6.0, queue_capacity=8 if family == "broadface" else None))
     model = build_model(cfg, 3, 4, seed=5)
@@ -160,10 +185,19 @@ def two_training_steps(family, projection):
         loss = train._batch_loss(model, rng.normal(size=(6, 3)), rng.integers(0, 4, size=6), queue)
         for p in model.parameters():
             p.zero_grad()
-        backward(loss)
+        walk(loss)
         yield loss, model.parameters()
         for p in model.parameters():
             p.data -= 0.1 * p.grad
+
+
+def step_bits(family, projection, walk=backward):
+    """The bits of each loss and parameter gradient of ``two_training_steps``."""
+    out = []
+    for loss, params in two_training_steps(family, projection, walk):
+        out.append(bits(loss.data))
+        out.extend(bits(p.grad) for p in params)
+    return out
 
 
 def instance(rng, B=None, d=None, C=None):
@@ -171,6 +205,40 @@ def instance(rng, B=None, d=None, C=None):
     d = int(rng.integers(2, 9)) if d is None else d
     C = int(rng.integers(2, 6)) if C is None else C
     return rng.normal(size=(B, d)) * rng.uniform(0.1, 5.0), rng.normal(size=(d, C)), rng.integers(0, C, size=B)
+
+
+def mlp_instance(rng, depth):
+    """Input and layers whose first pre-activation row is exactly -0.0, then 0.0, in its first columns.
+
+    Row 0 of x is 1e-200 and the first two columns of W are -+1e-200, so
+    every product underflows to a zero of the column's sign; the bias adds
+    -0.0 and 0.0.
+    """
+    widths = [int(w) for w in rng.integers(2, 9, size=depth + 1)]
+    x = rng.normal(size=(int(rng.integers(1, 41)), widths[0]))
+    layers = [(rng.normal(size=(n, k)), rng.normal(size=(1, k))) for n, k in zip(widths[:-1], widths[1:])]
+    W, b = layers[0]
+    x[0] = 1e-200
+    W[:, 0], W[:, 1] = -1e-200, 1e-200
+    b[0, :2] = -0.0, 0.0
+    return x, [a for layer in layers for a in layer]
+
+
+def pairs(flat):
+    return list(zip(flat[::2], flat[1::2]))
+
+
+def filled_queue(rng, W, Q):
+    """A queue of Q rows for W's classes: random embeddings and snapshots, some entries -0.0."""
+    d, C = W.shape
+    queue = EmbeddingQueue(Q)
+    for _ in range(Q):
+        emb, snap = rng.normal(size=d), rng.normal(size=d)
+        emb[1:][rng.random(d - 1) < 0.2] = -0.0
+        snap[0] = -0.0
+        snap[-1] = 1.0  # never an all-zero snapshot
+        queue.push(emb, int(rng.integers(0, C)), snap)
+    return queue
 
 
 # -- bitwise equality with the chains ----------------------------------------
@@ -186,14 +254,29 @@ class TestSameBitsAsChain:
 
     @pytest.mark.parametrize("grad_mask", [[True, True, True], [False, True, True]])
     def test_linear(self, grad_mask):
+        """A one-layer ``mlp`` is the affine map alone."""
         rng = np.random.default_rng(71)
         for _ in range(TRIALS):
             x, W, _ = instance(rng, B=int(rng.integers(1, 40)))
             b = rng.normal(size=(1, W.shape[1]))
             R = Tensor(rng.normal(size=(x.shape[0], W.shape[1])))
-            assert_same_bits(lambda x_, W_, b_: (relu(linear(x_, W_, b_)) * R).sum(),
+            assert_same_bits(lambda x_, W_, b_: (relu(mlp(x_, [(W_, b_)])) * R).sum(),
                              lambda x_, W_, b_: (relu(chain_linear(x_, W_, b_)) * R).sum(),
                              [x, W, b], grad_mask)
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_mlp(self, x_grad):
+        rng = np.random.default_rng(79)
+        signs = set()
+        for trial in range(3 * TRIALS):
+            x, params = mlp_instance(rng, depth=trial % 3 + 1)
+            W, b = params[0], params[1]
+            signs |= set(np.signbit((x @ W + b)[0, :2]).tolist())
+            R = Tensor(rng.normal(size=(x.shape[0], params[-1].shape[1])))
+            assert_same_bits(lambda x_, *p: (mlp(x_, pairs(p)) * R).sum(),
+                             lambda x_, *p: (chain_mlp(x_, pairs(p)) * R).sum(),
+                             [x] + params, [x_grad] + [True] * len(params))
+        assert signs == {True, False}  # pre-activations of -0.0 and 0.0 both occurred
 
     def test_project_batch(self):
         rng = np.random.default_rng(72)
@@ -231,26 +314,40 @@ class TestSameBitsAsChain:
             assert_same_bits(scaled(cosine_logits, expand_cols), scaled(chain_cosine_logits, ones_cols), [X, W])
 
     def test_cosine_logits_weights_with_second_consumer(self):
-        """As in the BroadFace queue block: W also feeds the compensated rows."""
+        """As in BroadFace: W feeds the batch cosines, the compensated queue block and its cosines."""
         rng = np.random.default_rng(75)
 
-        def two_blocks(cos_fn):
+        def two_blocks(cos_fn, block_fn):
             def fn(f, w):
-                current = matmul(Tensor(onehot), transpose(w))
-                comp = Tensor(offset) + Tensor(ratios) * current
                 head = HeadWeights(w)
-                return (cos_fn(f, head) * R).sum() + (cos_fn(comp, head) * S).sum()
+                block, _ = block_fn(queue, head)
+                return (cos_fn(f, head) * R).sum() + (cos_fn(block, head) * S).sum()
             return fn
 
         for _ in range(TRIALS):
             X, W, _ = instance(rng)
+            W[0, rng.random(W.shape[1]) < 0.3] = -0.0
             Q = int(rng.integers(1, 6))
-            onehot = _one_hot(rng.integers(0, W.shape[1], size=Q), W.shape[1])
-            offset = rng.normal(size=(Q, W.shape[0]))
-            ratios = np.repeat(rng.uniform(0.5, 2.0, size=(Q, 1)), W.shape[0], axis=1)
+            queue = filled_queue(rng, W, Q)
             R = Tensor(rng.normal(size=(X.shape[0], W.shape[1])))
             S = Tensor(rng.normal(size=(Q, W.shape[1])))
-            assert_same_bits(two_blocks(cosine_logits), two_blocks(chain_cosine_logits), [X, W])
+            assert_same_bits(two_blocks(cosine_logits, _compensated_block),
+                             two_blocks(chain_cosine_logits, chain_compensated_block), [X, W])
+
+    def test_compensated_block(self):
+        """Signed zeros and a 0 * inf in W gather as in the chain's product with the one-hot labels."""
+        rng = np.random.default_rng(69)
+        for trial in range(TRIALS):
+            _, W, _ = instance(rng)
+            W[rng.random(W.shape) < 0.3] = -0.0
+            if trial % 5 == 0:
+                W[0, -1] = np.inf
+            Q = int(rng.integers(1, 9))
+            queue = filled_queue(rng, W, Q)
+            S = Tensor(rng.normal(size=(Q, W.shape[0])))
+            with np.errstate(invalid="ignore"):
+                assert_same_bits(lambda w: (_compensated_block(queue, HeadWeights(w))[0] * S).sum(),
+                                 lambda w: (chain_compensated_block(queue, HeadWeights(w))[0] * S).sum(), [W])
 
     def test_softmax_nll(self):
         rng = np.random.default_rng(76)
@@ -273,25 +370,53 @@ class TestSameBitsAsChain:
     @pytest.mark.parametrize("projection", [True, False])
     def test_training_step_of_every_family(self, family, projection, monkeypatch):
         """Two steps of a model, fused against every chain swapped back in."""
-
-        def steps():
-            out = []
-            for loss, params in two_training_steps(family, projection):
-                out.append(bits(loss.data))
-                out.extend(bits(p.grad) for p in params)
-            return out
-
-        fused = steps()
-        monkeypatch.setattr(train, "linear", chain_linear)
+        fused = step_bits(family, projection)
+        monkeypatch.setattr(train, "mlp", chain_mlp)
         monkeypatch.setattr(train, "project_batch", chain_project_batch)
         monkeypatch.setattr(heads, "cosine_logits", chain_cosine_logits)
         monkeypatch.setattr(heads, "_nll_sum", chain_nll_sum)
         monkeypatch.setattr(heads, "expand_cols", ones_cols)
         monkeypatch.setattr(heads, "_swap_target", chain_swap_target)
-        chained = steps()
+        monkeypatch.setattr(heads, "_compensated_block", chain_compensated_block)
+        chained = step_bits(family, projection)
         assert len(fused) == len(chained)
         for f, c in zip(fused, chained):
             assert_array_equal(f, c)
+
+
+@pytest.mark.parametrize("family", heads.FAMILIES)
+@pytest.mark.parametrize("projection", [True, False])
+def test_reverse_creation_order_walk_gives_the_same_bits(family, projection, monkeypatch):
+    """Backward without the depth-first trace: each step's nodes, newest first, as ``_record`` made them.
+
+    For every tensor with several consumers (W in broadface, the features
+    in sphereface), the order in which nodes are created must add its
+    gradient terms in the depth-first walk's order.
+    """
+    expected = step_bits(family, projection)
+    created = []
+    real_record = ndcore._record
+
+    def recording(op, parents, data, backward_fn):
+        out = real_record(op, parents, data, backward_fn)
+        if out._parents:
+            created.append(out)
+        return out
+
+    def creation_order_walk(loss):
+        nodes = created[:]
+        created.clear()
+        ndcore._accumulate(loss, np.ones(()))
+        for t in reversed(nodes):
+            if t.grad is not None:
+                t._backward(t.grad)
+
+    for module in (ndcore, heads, stereo):
+        monkeypatch.setattr(module, "_record", recording)
+    walked = step_bits(family, projection, creation_order_walk)
+    assert len(walked) == len(expected)
+    for w, e in zip(walked, expected):
+        assert_array_equal(w, e)
 
 
 # -- finite differences --------------------------------------------------------
@@ -306,7 +431,37 @@ class TestFiniteDifferences:
             x, W, _ = instance(rng)
             b = rng.normal(size=(1, W.shape[1]))
             R = Tensor(rng.normal(size=(x.shape[0], W.shape[1])))
-            check_gradients(lambda x_, W_, b_: (linear(x_, W_, b_) * R).sum(), [x, W, b], tol=1e-5)
+            check_gradients(lambda x_, W_, b_: (mlp(x_, [(W_, b_)]) * R).sum(), [x, W, b], tol=1e-5)
+
+    def test_mlp(self):
+        """Depth 1 to 3; a draw with a pre-activation near a ReLU kink is skipped."""
+        rng = np.random.default_rng(85)
+        checked = 0
+        for trial in range(TRIALS):
+            depth = trial % 3 + 1
+            widths = rng.integers(2, 6, size=depth + 1)
+            x = rng.normal(size=(int(rng.integers(1, 6)), widths[0]))
+            params = [a for n, k in zip(widths[:-1], widths[1:]) for a in (rng.normal(size=(n, k)), rng.normal(size=(1, k)))]
+            h = x
+            for W, b in pairs(params)[:-1]:
+                h = h @ W + b
+                if np.min(np.abs(h)) < 1e-3:
+                    break
+                h = np.maximum(h, 0.0)
+            else:
+                R = Tensor(rng.normal(size=(x.shape[0], widths[-1])))
+                check_gradients(lambda x_, *p: (mlp(x_, pairs(p)) * R).sum(), [x] + params, tol=1e-5)
+                checked += 1
+        assert checked >= TRIALS // 2
+
+    def test_compensated_block(self):
+        rng = np.random.default_rng(86)
+        for _ in range(TRIALS):
+            _, W, _ = instance(rng)
+            Q = int(rng.integers(1, 9))
+            queue = filled_queue(rng, W, Q)
+            S = Tensor(rng.normal(size=(Q, W.shape[0])))
+            check_gradients(lambda w: (_compensated_block(queue, HeadWeights(w))[0] * S).sum(), [W], tol=1e-5)
 
     def test_cosine_logits(self):
         rng = np.random.default_rng(82)
@@ -338,9 +493,9 @@ class TestFiniteDifferences:
 
 
 # Nodes on the tape of one B=32 step on projected spirals features, encoder
-# [64, 32] into 16 features: three linear layers, two ReLUs, the projection,
+# [64, 32] into 16 features: the encoder as one mlp node, the projection,
 # then the head. BroadFace is counted with its queue holding a previous batch.
-TAPE_NODES = {"cce": 9, "cosface": 11, "arcface": 10, "sphereface": 15, "broadface": 18}
+TAPE_NODES = {"cce": 5, "cosface": 7, "arcface": 6, "sphereface": 11, "broadface": 11}
 
 
 @pytest.mark.parametrize("family", heads.FAMILIES)
@@ -381,13 +536,35 @@ def test_nan_cosine_ends_fit_as_training_diverged(family, swap, monkeypatch):
 
 
 def test_linear_rejects_mismatched_shapes():
-    x, W = Tensor(np.ones((4, 3))), Tensor(np.ones((3, 2)))
+    """Every layer of ``mlp`` is checked, not only the first."""
+    x, W, b = Tensor(np.ones((4, 3))), Tensor(np.ones((3, 2))), Tensor(np.zeros((1, 2)))
     with pytest.raises(ShapeError):
-        linear(x, Tensor(np.ones((2, 2))), Tensor(np.zeros((1, 2))))
+        mlp(x, [(Tensor(np.ones((2, 2))), b)])
     with pytest.raises(ShapeError):
-        linear(x, W, Tensor(np.zeros((4, 2))))
+        mlp(x, [(W, Tensor(np.zeros((4, 2))))])
     with pytest.raises(ShapeError):
-        linear(Tensor(np.ones(3)), W, Tensor(np.zeros((1, 2))))
+        mlp(Tensor(np.ones(3)), [(W, b)])
+    with pytest.raises(ShapeError):
+        mlp(x, [(W, b), (Tensor(np.ones((3, 2))), b)])
+    with pytest.raises(ShapeError):
+        mlp(x, [(W, b), (Tensor(np.ones(2)), b)])
+    with pytest.raises(ShapeError):
+        mlp(x, [(W, b), (Tensor(np.ones((2, 2))), Tensor(np.zeros((1, 3))))])
+    with pytest.raises(ShapeError):
+        mlp(x, [])
+
+
+def test_compensated_block_rejects_bad_queues():
+    W = HeadWeights(np.ones((3, 2)))
+    wrong_dim = EmbeddingQueue(4)
+    wrong_dim.push(np.ones(4), 0, np.ones(4))
+    with pytest.raises(StateError):
+        _compensated_block(wrong_dim, W)
+    zero_snapshot = EmbeddingQueue(4)
+    zero_snapshot.push(np.ones(3), 0, np.ones(3))
+    zero_snapshot.push(np.ones(3), 1, np.zeros(3))
+    with pytest.raises(DegenerateInputError):
+        _compensated_block(zero_snapshot, W)
 
 
 # -- op inventory -----------------------------------------------------------------

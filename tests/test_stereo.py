@@ -283,6 +283,27 @@ class TestInverseProject:
             back = inverse_project(project(x)).coords
             assert np.linalg.norm(back - x) <= 1e-9 * max(np.linalg.norm(x), 1.0)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(X=_scaled_rows(-150.0, 150.0))
+    def test_round_trip_or_pole_error_for_any_norm(self, X):
+        """|x| in 1e-150..1e150, dims 1..64: within the bound, or a pole error past 1 - POLE_EPS.
+
+        The inverse divides by 1 - p_last = 2 / (|x|^2 + 1), which the
+        subtraction forms by cancellation; its relative error, and the
+        round trip's, grows as eps * (|x|^2 + 1). The worst of 68k random
+        cases read 1.12 of that, so the bound below is 4 of it.
+        """
+        eps = np.finfo(np.float64).eps
+        for x in X:
+            p = project(x)
+            if p.coords[-1] >= 1.0 - stereo.POLE_EPS:
+                with pytest.raises(PoleSingularityError):
+                    inverse_project(p)
+                continue
+            back = inverse_project(p).coords
+            sq = float(x @ x)
+            assert np.linalg.norm(back - x) <= 4.0 * eps * (sq + 1.0) * np.linalg.norm(x)
+
     def test_forward_round_trip_on_sphere(self):
         rng = np.random.default_rng(15)
         for _ in range(200):
