@@ -40,7 +40,7 @@ import numpy as np
 
 from .data import _checked_labels
 from .errors import ConfigError, DegenerateInputError, ShapeError, StateError
-from .ndcore import Tensor, _accumulate, _record, expand_cols, matmul
+from .ndcore import Tensor, _accumulate, _record, matmul
 
 __all__ = [
     "FAMILIES",
@@ -340,7 +340,7 @@ def _sphereface_logits(features: Tensor, weights: HeadWeights, cfg: MarginConfig
     # terms first, as the depth-first walk of backward does
     norms = (features * features).sum(axis=1, keepdims=True).sqrt()
     cosines = cosine_logits(features, weights)
-    return expand_cols(norms, weights.class_count) * _swap_target(cosines, onehot, cfg)
+    return norms * _swap_target(cosines, onehot, cfg)
 
 
 def _arcface_logits(features: Tensor, weights: HeadWeights, cfg: MarginConfig, onehot: np.ndarray) -> Tensor:

@@ -9,8 +9,9 @@ returns that order as an explicit :class:`Tape`.
 Deliberate restrictions, chosen to remove whole classes of silent bugs:
 
 * float64 only; row-major contiguous storage; no views or strides;
-* no broadcasting beyond scalar-with-tensor (pair equal shapes, or tile a
-  column explicitly with :func:`expand_cols`);
+* one broadcast rule: a binary op pairs equal shapes, a scalar with a
+  tensor, or a [B, 1] column or [1, C] row with a [B, C] matrix, and
+  backward sums a broadcast axis back as a product with a ones vector;
 * a fixed subgradient convention: relu'(0) = 0 (inside :func:`mlp`).
 
 Everything here is single-threaded per computation; independent graphs in
@@ -21,17 +22,18 @@ the encoder :func:`mlp` (every ``h @ W + b`` and ReLU),
 ``stereo.project_batch``, ``heads.cosine_logits``, the softmax-NLL of
 ``heads`` (op ``softmax_nll``), the angular target swap of ``heads``
 (op ``swap_target``), the BroadFace compensated queue block of
-``heads`` (op ``compensate``) and the column tiling :func:`expand_cols`
-(op ``expand``). There is no linear, ReLU, transpose, clamp, acos or
-cos op here; the chains in the tests build those on :func:`_record`.
+``heads`` (op ``compensate``). There is no linear, ReLU, transpose,
+clamp, acos or cos op here; the chains in the tests build those on
+:func:`_record`.
 Each fused node makes the same numpy float operations, in the same
 order, as the tape of the primitive chain it replaces, so losses,
 gradients and run records are bit for bit those of the chain:
 
 * a tiling in the forward pass is numpy broadcasting, which is exact;
-* a backward sum over a tiled axis stays the BLAS product with a ones
-  vector that the tiling matmul's backward would make, because
-  ``np.sum`` adds in another order;
+* a backward sum over a tiled axis, in a fused node or in
+  :func:`_accumulate`, stays the BLAS product with a ones vector that the
+  tiling matmul's backward would make, because ``np.sum`` adds in another
+  order;
 * an input the chain uses more than once (``X * X`` uses it twice) gets
   each contribution by its own :func:`_accumulate` call, in the order the
   reverse tape of the chain would add them;
@@ -62,7 +64,6 @@ __all__ = [
     "trace",
     "matmul",
     "mlp",
-    "expand_cols",
 ]
 
 
@@ -256,8 +257,13 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     bitwise equal to adding it to zeros, the sign of zero included.
     """
     if g.shape != t.data.shape:
-        # only the scalar-with-tensor pairing can get here
-        g = np.sum(g).reshape(t.data.shape)
+        if t.ndim == 0:
+            g = np.sum(g).reshape(())
+        else:  # a broadcast column or row, summed as the tiling matmul's backward would
+            if t.shape[1] == 1:
+                g = g @ np.ones((1, g.shape[1])).T
+            if t.shape[0] == 1:
+                g = np.ones((g.shape[0], 1)).T @ g
     if t.grad is None:
         # asarray: a 0-d sum comes back from numpy as a scalar
         t.grad = np.asarray(np.add(g, 0.0, order="C"))
@@ -274,8 +280,13 @@ def _as_tensor(x) -> Tensor:
 
 
 def _check_pair(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} must match (or one be scalar)")
+    if a.ndim == 0 or b.ndim == 0:
+        return
+    part, full = (a, b) if a.size <= b.size else (b, a)
+    if part.ndim != full.ndim or (part.shape != full.shape and (
+            part.ndim != 2 or any(p not in (1, f) for p, f in zip(part.shape, full.shape)))):
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} must match, "
+                         f"or pair a scalar, [B, 1] or [1, C] with [B, C]")
 
 
 def _check_2d(op: str, t: Tensor) -> None:
@@ -374,21 +385,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, a.data.T @ g)
 
     return _record("matmul", (a, b), a.data @ b.data, backward_fn)
-
-
-def expand_cols(col: Tensor, n: int) -> Tensor:
-    """Tile a [B, 1] column into [B, n].
-
-    Backward sums each gradient row as a product with a ones column,
-    the same BLAS call as the ones-row matmul this tiling stands for.
-    """
-    if col.ndim != 2 or col.shape[1] != 1:
-        raise ShapeError(f"expand_cols needs a [B, 1] column, got {col.shape}")
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(col, g @ np.ones((1, n)).T)
-
-    return _record("expand", (col,), np.broadcast_to(col.data, (col.shape[0], n)).copy(), backward_fn)
 
 
 def mlp(x: Tensor, layers) -> Tensor:

@@ -24,7 +24,7 @@ from spherehead.heads import (
     cosine_logits,
     sphereface_loss,
 )
-from spherehead.ndcore import Tensor, expand_cols
+from spherehead.ndcore import Tensor
 from spherehead.stereo import (
     hemisphere_map,
     inverse_project,
@@ -159,7 +159,7 @@ def test_criterion_04_reduction_identities():
         sphere = sphereface_loss(f, weights, MarginConfig(family="sphereface", m=1), labels).item()
         cosines = cosine_logits(f, weights)
         norms = ((f * f).sum(axis=1, keepdims=True)).sqrt()
-        scaled = cosines * expand_cols(norms, W.shape[1])
+        scaled = cosines * norms
         worst = max(worst, abs(sphere - cce_loss(scaled, labels).item()))
 
         # zero-margin cosface and arcface are cce on s-scaled cosines

@@ -1,8 +1,9 @@
 """Fused tape nodes against the primitive chains they stand for.
 
 Each fused node (the encoder ``mlp``, ``project_batch``,
-``cosine_logits``, the softmax-NLL, the angular target swap, the BroadFace
-compensated block and ``expand``) must give the forward value and every
+``cosine_logits``, the softmax-NLL, the angular target swap and the
+BroadFace compensated block), and a broadcast operand of a binary op, must
+give the forward value and every
 input gradient of its chain of primitives bit for bit, and match central
 differences. The chains are rebuilt here from ``ndcore`` primitives, with
 the tiling written as a ``matmul`` with a ones tensor. ``exp``, ``log``,
@@ -22,7 +23,7 @@ from spherehead import heads, ndcore, stereo, train
 from spherehead.errors import DegenerateInputError, ShapeError, StateError, TrainingDiverged
 from spherehead.heads import (COS_CLAMP, EmbeddingQueue, HeadWeights, MarginConfig, _compensated_block, _nll_sum,
                               _one_hot, _swap_target, cosine_logits)
-from spherehead.ndcore import Tensor, backward, expand_cols, matmul, mlp, trace
+from spherehead.ndcore import Tensor, backward, matmul, mlp, trace
 from spherehead.stereo import project_batch
 from spherehead.train import ModelConfig, build_model
 
@@ -246,11 +247,12 @@ def filled_queue(rng, W, Q):
 
 class TestSameBitsAsChain:
     def test_expand(self):
+        """A broadcast column or row sums its gradient back as the tiling matmul's backward does."""
         rng = np.random.default_rng(70)
         for _ in range(TRIALS):
-            col, R = rng.normal(size=(4, 1)), rng.normal(size=(4, 7))
-            assert_same_bits(lambda c: (expand_cols(c, 7) * Tensor(R)).sum(),
-                             lambda c: (ones_cols(c, 7) * Tensor(R)).sum(), [col])
+            col, row, R = rng.normal(size=(4, 1)), rng.normal(size=(1, 7)), Tensor(rng.normal(size=(4, 7)))
+            assert_same_bits(lambda c: (c * R).sum(), lambda c: (ones_cols(c, 7) * R).sum(), [col])
+            assert_same_bits(lambda r: (R / r).sum(), lambda r: (R / ones_rows(r, 4)).sum(), [row])
 
     @pytest.mark.parametrize("grad_mask", [[True, True, True], [False, True, True]])
     def test_linear(self, grad_mask):
@@ -311,7 +313,8 @@ class TestSameBitsAsChain:
         for _ in range(TRIALS):
             X, W, _ = instance(rng)
             R = Tensor(rng.normal(size=(X.shape[0], W.shape[1])))
-            assert_same_bits(scaled(cosine_logits, expand_cols), scaled(chain_cosine_logits, ones_cols), [X, W])
+            assert_same_bits(scaled(cosine_logits, lambda norms, _: norms),
+                             scaled(chain_cosine_logits, ones_cols), [X, W])
 
     def test_cosine_logits_weights_with_second_consumer(self):
         """As in BroadFace: W feeds the batch cosines, the compensated queue block and its cosines."""
@@ -375,7 +378,6 @@ class TestSameBitsAsChain:
         monkeypatch.setattr(train, "project_batch", chain_project_batch)
         monkeypatch.setattr(heads, "cosine_logits", chain_cosine_logits)
         monkeypatch.setattr(heads, "_nll_sum", chain_nll_sum)
-        monkeypatch.setattr(heads, "expand_cols", ones_cols)
         monkeypatch.setattr(heads, "_swap_target", chain_swap_target)
         monkeypatch.setattr(heads, "_compensated_block", chain_compensated_block)
         chained = step_bits(family, projection)
@@ -423,7 +425,7 @@ def test_reverse_creation_order_walk_gives_the_same_bits(family, projection, mon
 
 
 class TestFiniteDifferences:
-    """``project_batch`` and ``expand`` are checked in test_stereo and test_tensor."""
+    """``project_batch`` and broadcasting are checked in test_stereo and test_tensor."""
 
     def test_linear(self):
         rng = np.random.default_rng(80)
@@ -495,7 +497,7 @@ class TestFiniteDifferences:
 # Nodes on the tape of one B=32 step on projected spirals features, encoder
 # [64, 32] into 16 features: the encoder as one mlp node, the projection,
 # then the head. BroadFace is counted with its queue holding a previous batch.
-TAPE_NODES = {"cce": 5, "cosface": 7, "arcface": 6, "sphereface": 11, "broadface": 11}
+TAPE_NODES = {"cce": 5, "cosface": 7, "arcface": 6, "sphereface": 10, "broadface": 11}
 
 
 @pytest.mark.parametrize("family", heads.FAMILIES)

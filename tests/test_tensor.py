@@ -1,11 +1,13 @@
 """Tensor core: forward values, reverse-mode gradients, tape discipline."""
 
+import operator
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spherehead.errors import DomainError, ShapeError
-from spherehead.ndcore import Tensor, backward, expand_cols, matmul, trace
+from spherehead.ndcore import Tensor, backward, matmul, trace
 from .helpers import check_gradients
 from .oracles import acos, clamp, concat, cos, exp, log, relu, transpose
 
@@ -74,8 +76,10 @@ class TestForwardValues:
         assert_array_equal(transpose(Tensor(a)).data, a.T)
 
     def test_expand_helpers(self):
-        col = Tensor([[2.0], [3.0]])
-        assert_array_equal(expand_cols(col, 3).data, [[2.0, 2.0, 2.0], [3.0, 3.0, 3.0]])
+        """A [B, 1] column or [1, C] row broadcasts across a [B, C] operand."""
+        col, row, ones = Tensor([[2.0], [3.0]]), Tensor([[1.0, 2.0, 3.0]]), Tensor(np.ones((2, 3)))
+        assert_array_equal((col * ones).data, [[2.0, 2.0, 2.0], [3.0, 3.0, 3.0]])
+        assert_array_equal((ones * row).data, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
 
     def test_float64_contiguous_storage(self):
         t = Tensor(np.arange(4, dtype=np.int32).reshape(2, 2).T)
@@ -235,8 +239,12 @@ class TestErrors:
             concat([Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0, 3.0]])], axis=0)
 
     def test_expand_shape_checks(self):
-        with pytest.raises(ShapeError):
-            expand_cols(Tensor([[1.0, 2.0]]), 3)
+        """Only a [B, 1] or [1, C] operand broadcasts against [B, C], and only within rank 2."""
+        for a, b in [((4, 2), (4, 3)), ((1, 3), (4, 1)), ((3,), (4, 3)), ((4, 1), (4,)), ((2, 1), (4, 3))]:
+            for x, y in [(a, b), (b, a)]:
+                for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v, lambda u, v: u / v):
+                    with pytest.raises(ShapeError):
+                        op(Tensor(np.ones(x)), Tensor(np.ones(y)))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -336,7 +344,7 @@ class TestFiniteDifferenceInvariant:
             a = self._draw(rng)
             check_gradients(lambda x: (x.sum(axis=1) * x.sum(axis=1)).sum(), [a])
             check_gradients(lambda x: (x.sum(axis=0, keepdims=True) * 2.0).sum(), [a])
-            check_gradients(lambda x: (x * expand_cols(x.sum(axis=-1, keepdims=True), 4)).sum(), [a])
+            check_gradients(lambda x: (x * x.sum(axis=-1, keepdims=True)).sum(), [a])
 
     def test_concat_expand(self):
         rng = np.random.default_rng(53)
@@ -346,7 +354,7 @@ class TestFiniteDifferenceInvariant:
             check_gradients(lambda x, y: (concat([x, y], axis=1).sum(axis=1) * 0.25).sum(), [a, b])
             check_gradients(lambda x, y: (concat([x, y], axis=0) * concat([y, x], axis=0)).sum(), [a, b])
             col = rng.normal(size=(3, 1))
-            check_gradients(lambda c: (expand_cols(c, 4) * 0.5).sum(), [col])
+            check_gradients(lambda c: (c * Tensor(np.full((3, 4), 0.5))).sum(), [col])
 
     def test_composite_expression(self):
         rng = np.random.default_rng(54)
@@ -357,3 +365,36 @@ class TestFiniteDifferenceInvariant:
                 lambda a, b: (relu(matmul(a, b)) + 0.1).sqrt().sum(),
                 [x, w],
             )
+
+
+
+# each binary op on tensors and its numpy counterpart
+BINARY_OPS = {"add": (operator.add, np.add), "sub": (operator.sub, np.subtract),
+              "mul": (operator.mul, np.multiply), "div": (operator.truediv, np.divide)}
+
+
+@pytest.mark.parametrize("name", list(BINARY_OPS))
+@pytest.mark.parametrize("small", [(3, 1), (1, 4)], ids=["column", "row"])
+@pytest.mark.parametrize("small_first", [True, False], ids=["small-left", "small-right"])
+class TestBroadcast:
+    """A [B, 1] or [1, C] operand against [B, C], on either side of add, sub, mul and div."""
+
+    @staticmethod
+    def operands(rng, small, small_first):
+        # magnitudes in [0.5, 2] keep every divisor away from zero
+        a, b = (rng.uniform(0.5, 2.0, size=shape) * rng.choice([-1.0, 1.0], size=shape) for shape in (small, (3, 4)))
+        return (a, b) if small_first else (b, a)
+
+    def test_forward_matches_numpy(self, name, small, small_first):
+        x, y = self.operands(np.random.default_rng(55), small, small_first)
+        op, np_op = BINARY_OPS[name]
+        out = op(Tensor(x), Tensor(y))
+        assert out.shape == (3, 4)
+        assert_array_equal(out.data, np_op(x, y))
+
+    def test_gradients_match_finite_differences(self, name, small, small_first):
+        rng = np.random.default_rng(56)
+        op, _ = BINARY_OPS[name]
+        R = Tensor(rng.normal(size=(3, 4)))
+        for _ in range(5):
+            check_gradients(lambda u, v: (op(u, v) * R).sum(), list(self.operands(rng, small, small_first)))
