@@ -8,7 +8,8 @@ in their logits, one entry each in ``_LOGITS``:
     cce         raw linear logits features @ W, no normalization, no margin
     sphereface  |x| * cos theta, the target replaced by |x| * psi(m * theta)
     cosface     s * (cos theta - m * onehot)
-    arcface     s * cos theta, the target replaced by s * cos(theta_y + m)
+    arcface     s * cos theta, the target replaced by s * cos(theta_y + m),
+                or s * (cos theta_y - m sin m) past theta_y = pi - m
     broadface   arcface over the batch, plus arcface over a FIFO queue of
                 past embeddings, each compensated for weight drift
 
@@ -17,7 +18,7 @@ margin curve in one tape node, ``swap_target``, and broadface's
 drift-corrected queue block is one node, ``compensate``; each has the
 floats of the primitive chain it replaces. With the encoder as one
 ``mlp`` node, a projected B=32 step records 5 (cce), 7 (cosface),
-6 (arcface), 11 (sphereface) or 11 (broadface, queue filled) tape
+6 (arcface), 10 (sphereface) or 11 (broadface, queue filled) tape
 nodes.
 
 The queue keeps detached embeddings only; gradient from queue terms
@@ -284,13 +285,17 @@ def _swap_target(cosines: Tensor, onehot: np.ndarray, cfg: MarginConfig) -> Tens
     [k pi/m, (k+1) pi/m] (the strictly decreasing extension, k a
     per-sample constant), or the literal cos(m * theta); at m = 1 both
     are the cosine itself. theta is the arccos of t clamped to
-    [-COS_CLAMP, COS_CLAMP], with no gradient at the bounds.
+    [-COS_CLAMP, COS_CLAMP], with no gradient at the bounds. Past
+    theta = pi - m, where cos(theta + m) turns back up, arcface takes
+    ArcFace's fallback t - m sin m, with gradient 1 into t; the curve
+    stays strictly decreasing, since the step down at the switch is
+    cos m + m sin m - 1 > 0.
 
     The floats are those of the chain it replaces (target column,
-    clamp, acos, angle, cos, fold, sub, tile, mul, add, scale): each
-    intermediate's first gradient is ``g + 0.0``, the target column
-    gets the chain's two terms in its reverse-tape order, and the tile
-    sums back as a ones product.
+    clamp, acos, angle, cos, fold or fallback select, sub, tile, mul,
+    add, scale): each intermediate's first gradient is ``g + 0.0``, the
+    target column gets the chain's terms in its reverse-tape order, and
+    the tile sums back as a ones product.
     """
     arc = cfg.family != "sphereface"
     m = cfg.m if arc else int(cfg.m)
@@ -305,7 +310,10 @@ def _swap_target(cosines: Tensor, onehot: np.ndarray, cfg: MarginConfig) -> Tens
         theta = np.arccos(clamped)
         angle = theta + m if arc else theta * float(m)
         psi = np.cos(angle)
-        if fold:
+        if arc:
+            fall = theta > np.pi - m
+            psi = np.where(fall, t - m * np.sin(m), psi)
+        elif fold:
             k = np.floor(m * theta / np.pi)
             sign = np.where(k % 2 == 0, 1.0, -1.0)
             psi = psi * sign - 2.0 * k
@@ -324,11 +332,15 @@ def _swap_target(cosines: Tensor, onehot: np.ndarray, cfg: MarginConfig) -> Tens
         else:
             g_t = -g_delta + 0.0
             g_psi = g_delta + 0.0
-            if fold:
+            if arc:  # the select gives the fallback rows to t, the rest to the curve
+                g_fall, g_psi = g_psi * fall + 0.0, g_psi * ~fall + 0.0
+            elif fold:
                 g_psi = (g_psi + 0.0) * sign + 0.0
             g_angle = -g_psi * np.sin(angle) + 0.0
             g_theta = g_angle + 0.0 if arc else g_angle * float(m) + 0.0
             g_t += (-g_theta / np.sqrt(1.0 - clamped * clamped) + 0.0) * inside
+            if arc:
+                g_t += g_fall
         _accumulate(cosines, (g_t + 0.0) * onehot)
 
     return _record("swap_target", (cosines,), out, backward_fn)

@@ -10,12 +10,12 @@ sphere. Closed form, with z the signed height of the image:
 
 The map is a bijection onto the sphere minus the pole itself, fixes the
 unit shell (|x| = 1 lands on the equator), and sends the origin to the
-south pole. :func:`project_rows` is the one eager form, row by row
-over an [N, n] array, and :func:`project` is its one-row case.
-:func:`project_batch` is the same formula on the gradient tape so
-projected features can sit inside a trained model; it sums the squared
-norms with ``np.sum`` rather than a BLAS dot, so its last bit can differ
-(see :func:`project`).
+south pole. :func:`project_rows` is the eager form, row by row over an
+[N, n] array, and :func:`project` is its one-row case.
+:func:`project_batch` puts the lift on the gradient tape so projected
+features can sit inside a trained model. Both take their floats from one
+formula, ``_lift``, so a point lifted eagerly and a feature row lifted
+in training agree bit for bit.
 
 All functions are pure; nothing here holds state.
 """
@@ -118,12 +118,8 @@ def project(x) -> SpherePoint:
     """Map a Euclidean point onto the unit sphere one dimension up.
 
     The one-row case of :func:`project_rows`, so a file lifted by
-    ``spherehead project`` and a point lifted here agree bit for bit.
-    It is not always bitwise :func:`project_batch`: the tape op sums the
-    squared norm with ``np.sum``, whose pairwise order differs from the
-    BLAS dot here in the last bit on about a third of 16-dim rows. The
-    tape op keeps ``np.sum`` because changing the order of its float ops
-    would change every trained model's record digest.
+    ``spherehead project``, a point lifted here and a row of
+    :func:`project_batch` agree bit for bit.
     """
     coords = _euclidean_coords(x)
     # project_rows made SpherePoint's checks; skip repeating them
@@ -136,16 +132,36 @@ def _where(bad: np.ndarray) -> str:
     return "" if bad.size == 1 else f" (first in row {int(np.argmax(bad))})"
 
 
+def _lift(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi of every row of a 2-D X, with the squared norms and denominators as [N, 1] columns.
+
+    Squared norms are ``np.vecdot(X, X)``, the same BLAS dot as ``x @ x``
+    row by row. Non-finite entries and a squared norm that overflows
+    float64 raise :class:`DomainError`; with more than one row, the
+    message names the first offending row.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.vecdot(X, X)[:, None]
+    if not np.isfinite(sq).all():
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise DomainError("non-finite entries" + _where(~finite))
+        raise DomainError("squared norm overflows float64" + _where(np.isinf(sq[:, 0])))
+    n = X.shape[1]
+    denom = sq + 1.0
+    out = np.empty((X.shape[0], n + 1))
+    np.divide(2.0 * X, denom, out=out[:, :n])
+    np.divide(sq - 1.0, denom, out=out[:, n:])
+    return out, sq, denom
+
+
 def project_rows(X) -> np.ndarray:
     """Lift every row of X onto the unit sphere: [N, n] -> [N, n+1].
 
-    The one eager form of the projection. Squared norms are
-    ``np.vecdot(X, X)``, the same BLAS dot as ``x @ x`` row by row, then
-    the scaled rows and the appended height, as in the module formula.
-
-    Each lifted row passes the :class:`SpherePoint` checks. Non-finite
-    entries and a squared norm that overflows float64 raise
-    :class:`DomainError`, a row off the unit sphere by more than
+    The eager form of the projection, with the floats of ``_lift`` and
+    its :class:`DomainError` on non-finite entries and on a squared norm
+    that overflows float64. Each lifted row then passes the
+    :class:`SpherePoint` checks: a row off the unit sphere by more than
     ``UNIT_TOL`` raises :class:`DomainError`, and the north pole raises
     :class:`PoleSingularityError`. With more than one row, the message
     names the first offending row.
@@ -153,18 +169,8 @@ def project_rows(X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] == 0:
         raise ShapeError(f"project_rows needs an [N, n] array with n >= 1, got shape {X.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.vecdot(X, X)
-    if not np.isfinite(sq).all():
-        finite = np.isfinite(X).all(axis=1)
-        if not finite.all():
-            raise DomainError("non-finite entries" + _where(~finite))
-        raise DomainError("squared norm overflows float64" + _where(np.isinf(sq)))
+    out, _, _ = _lift(X)
     n = X.shape[1]
-    denom = sq + 1.0
-    out = np.empty((X.shape[0], n + 1))
-    np.divide(2.0 * X, denom[:, None], out=out[:, :n])
-    np.divide(sq - 1.0, denom, out=out[:, n])
     out_sq = np.vecdot(out, out)
     off = np.abs(out_sq - 1.0) > UNIT_TOL
     if off.any():
@@ -180,40 +186,35 @@ def project_rows(X) -> np.ndarray:
 def project_batch(X: Tensor) -> Tensor:
     """Row-wise projection on the gradient tape: [B, n] -> [B, n+1], one node.
 
+    The forward pass is ``_lift``, as in :func:`project_rows`, with its
+    :class:`DomainError` on non-finite entries and overflow. The backward
+    pass makes the float operations of the tape of
+
     norm  = sum(X * X, axis=1)            squared norms, one per row
     a     = 2 X / (norm + 1)              scaled copies of the rows
     b     = (norm - 1) / (norm + 1)       the new last coordinate
     out   = concat(a, b) along columns
 
-    The backward pass makes the float operations of the tape of that
-    composition, in its order (see :mod:`spherehead.ndcore`).
+    in its order (see :mod:`spherehead.ndcore`).
     """
     if not isinstance(X, Tensor):
         X = Tensor(X)
     if X.ndim != 2:
         raise ShapeError(f"project_batch needs a [B, n] tensor, got shape {X.shape}")
-    if not np.all(np.isfinite(X.data)):
-        raise DomainError("project_batch input has non-finite entries")
     x = X.data
+    out, norm, denom = _lift(x)
     n = x.shape[1]
-    norm = np.sum(x * x, axis=1, keepdims=True)  # [B, 1]
-    if not np.all(np.isfinite(norm)):
-        raise DomainError("squared norm overflows float64")
-    denom = norm + 1.0
-    doubled = x * 2.0
-    height = norm - 1.0
 
     def backward_fn(g: np.ndarray) -> None:
         ga, gb = g[:, :n], g[:, n:]
         denom_sq = denom * denom
         # denom feeds b, then a through a tiled column; norm feeds b and denom
-        g_denom = -gb * height / denom_sq + (-ga * doubled / denom_sq) @ np.ones((1, n)).T
+        g_denom = -gb * (norm - 1.0) / denom_sq + (-ga * (x * 2.0) / denom_sq) @ np.ones((1, n)).T
         g_sq = (gb / denom + g_denom) * x
         _accumulate(X, g_sq)  # X * X contributes once per operand
         _accumulate(X, g_sq)
         _accumulate(X, ga / denom * 2.0)
 
-    out = np.concatenate([doubled / denom, height / denom], axis=1)
     return _record("project_batch", (X,), out, backward_fn)
 
 

@@ -8,8 +8,8 @@ shared code with the package: plain numpy, python loops, explicit
 formulas. Tests compare the package's implementations to these.
 
 The one exception is the tape primitives :func:`exp`, :func:`log`,
-:func:`concat`, :func:`clamp`, :func:`acos`, :func:`cos`, :func:`relu`
-and :func:`transpose`. The package never records them; the primitive chains in ``tests/test_fused.py`` do,
+:func:`concat`, :func:`clamp`, :func:`acos`, :func:`cos`, :func:`relu`,
+:func:`transpose`, :func:`row_sqnorms` and :func:`where`. The package never records them; the primitive chains in ``tests/test_fused.py`` do,
 to rebuild the tape that each fused node stands for. They sit on
 ``ndcore``'s own recording and accumulation so that those chains make
 the floats the fused nodes are compared against.
@@ -116,6 +116,31 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _record("concat", tensors, np.concatenate([t.data for t in tensors], axis=axis), backward_fn)
 
 
+def row_sqnorms(a: Tensor) -> Tensor:
+    """Squared row norms [B, 1] as ``np.vecdot``; the backward of ``(a * a).sum(axis=1, keepdims=True)``.
+
+    The sum's stored gradient is the column tiled across the row, and the
+    product gives it to ``a`` once per operand.
+    """
+    def backward_fn(g):
+        g_sq = np.broadcast_to(g, a.shape) + 0.0
+        _accumulate(a, g_sq * a.data)
+        _accumulate(a, g_sq * a.data)
+
+    return _record("row_sqnorms", (a,), np.vecdot(a.data, a.data)[:, None], backward_fn)
+
+
+def where(mask, a: Tensor, b: Tensor) -> Tensor:
+    """``a`` where ``mask`` holds, else ``b``; each input gets the gradient of its own entries."""
+    def backward_fn(g):
+        if a.requires_grad:
+            _accumulate(a, g * mask)
+        if b.requires_grad:
+            _accumulate(b, g * ~mask)
+
+    return _record("where", (a, b), np.where(mask, a.data, b.data), backward_fn)
+
+
 def softmax_nll(logits_row, label):
     """-log softmax(logits)[label] for one sample, max-shifted."""
     row = np.asarray(logits_row, dtype=np.float64)
@@ -176,10 +201,11 @@ def oracle_cosface(X, W, s, m, labels):
 
 
 def arcface_persample(cos_row, y, s, m):
+    """Target logit s cos(theta + m), or s (cos theta - m sin m) once theta + m passes pi."""
     row = s * np.asarray(cos_row, dtype=np.float64).copy()
     if m != 0.0:
         theta = np.arccos(np.clip(cos_row[y], -1.0 + 1e-12, 1.0 - 1e-12))
-        row[y] = s * np.cos(theta + m)
+        row[y] = s * (cos_row[y] - m * np.sin(m) if theta > np.pi - m else np.cos(theta + m))
     return softmax_nll(row, y)
 
 

@@ -7,8 +7,9 @@ give the forward value and every
 input gradient of its chain of primitives bit for bit, and match central
 differences. The chains are rebuilt here from ``ndcore`` primitives, with
 the tiling written as a ``matmul`` with a ones tensor. ``exp``, ``log``,
-``concat``, ``clamp``, ``acos``, ``cos``, ``relu`` and ``transpose``,
-which only these chains use, come from ``tests/oracles.py``.
+``concat``, ``clamp``, ``acos``, ``cos``, ``relu``, ``transpose``,
+``row_sqnorms`` and ``where``, which only these chains use, come from
+``tests/oracles.py``.
 """
 
 import ast
@@ -28,7 +29,7 @@ from spherehead.stereo import project_batch
 from spherehead.train import ModelConfig, build_model
 
 from .helpers import check_gradients
-from .oracles import acos, clamp, concat, cos, exp, log, relu, transpose
+from .oracles import acos, clamp, concat, cos, exp, log, relu, row_sqnorms, transpose, where
 
 TRIALS = 25
 
@@ -61,7 +62,7 @@ def chain_project_batch(X):
     # X * 2.0 is created first, so a walk in reverse creation order adds
     # X's gradient terms in the depth-first walk's order, as the fused node does
     doubled = X * 2.0
-    norm = (X * X).sum(axis=1, keepdims=True)
+    norm = row_sqnorms(X)
     denom = norm + 1.0
     a = doubled / ones_cols(denom, X.shape[1])
     b = (norm - 1.0) / denom
@@ -114,7 +115,10 @@ def chain_swap_target(cosines, onehot, cfg):
     if cfg.family == "sphereface":
         psi = chain_psi_sphereface(cos_target, int(cfg.m), cfg.use_monotone_psi)
         return chain_replace_target(cosines, onehot, psi, cos_target)
-    return chain_replace_target(cosines, onehot, cos(chain_theta(cos_target) + cfg.m), cos_target) * cfg.s
+    theta = chain_theta(cos_target)
+    # past theta = pi - m, cos(theta + m) turns back up; ArcFace falls back to cos theta - m sin m
+    psi = where(theta.data > np.pi - cfg.m, cos_target - cfg.m * np.sin(cfg.m), cos(theta + cfg.m))
+    return chain_replace_target(cosines, onehot, psi, cos_target) * cfg.s
 
 
 def chain_compensated_block(queue, weights):
@@ -489,6 +493,20 @@ class TestFiniteDifferences:
             cosines, onehot, R = swap_instance(rng)
             cosines = np.clip(cosines, -0.95, 0.95)
             check_gradients(lambda c: (_swap_target(c, onehot, cfg) * R).sum(), [cosines], tol=1e-5)
+
+    @pytest.mark.parametrize("m", [0.1, 0.5, 1.0])
+    def test_swap_target_on_both_sides_of_the_arcface_fallback(self, m):
+        """Target angles 1e-3 to m/2 before and past theta = pi - m, where the curve switches."""
+        rng = np.random.default_rng(87)
+        cfg = MarginConfig("arcface", m=m, s=12.0)
+        for _ in range(TRIALS):
+            B, C = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+            cosines = rng.uniform(-0.95, 0.95, size=(B, C))
+            labels = rng.integers(0, C, size=B)
+            sides = np.where(np.arange(B) % 2 == 0, -1.0, 1.0)
+            cosines[np.arange(B), labels] = np.cos(np.pi - m + sides * rng.uniform(1e-3, m / 2.0, size=B))
+            R = Tensor(rng.normal(size=(B, C)))
+            check_gradients(lambda c: (_swap_target(c, _one_hot(labels, C), cfg) * R).sum(), [cosines], tol=1e-5)
 
 
 # -- tape size ------------------------------------------------------------------

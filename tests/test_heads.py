@@ -355,6 +355,20 @@ class TestArcfaceLoss:
             ours = arcface_loss(Tensor(X), HeadWeights(Tensor(W)), cfg, labels).item()
             assert ours == pytest.approx(oracle_arcface(X, W, 8.0, 0.5, labels), abs=1e-12)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(m=st.sampled_from([0.1, 0.5, 1.0]), thetas=st.lists(st.floats(1e-5, np.pi - 1e-5), min_size=2, max_size=2))
+    @example(m=0.5, thetas=[np.pi - 0.5 - 1e-3, np.pi - 0.5 + 1e-3])
+    def test_target_strictly_decreasing_through_the_fallback(self, m, thetas):
+        # cos(theta + m) turns back up past theta = pi - m; the fallback
+        # t - m sin m steps down there by cos m + m sin m - 1 > 0 and keeps
+        # falling, so the target entry falls over all of [0, pi]
+        small, large = sorted(thetas)
+        assume(large - small >= 1e-4)
+        cfg = MarginConfig(family="arcface", m=m, s=1.0)
+        cosines = Tensor([[np.cos(small), 0.0], [np.cos(large), 0.0]])
+        psi = _swap_target(cosines, np.array([[1.0, 0.0], [1.0, 0.0]]), cfg).data[:, 0]
+        assert psi[0] > psi[1]
+
     def test_large_scale_no_overflow(self):
         rng = np.random.default_rng(54)
         X, W, labels = random_instance(rng)

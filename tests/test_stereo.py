@@ -254,6 +254,12 @@ class TestProjectBatch:
         assert X.grad is not None
         assert np.all(X.grad != 0.0)
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(X=_scaled_rows(-150.0, 150.0))
+    def test_same_bits_as_project_rows(self, X):
+        """The tape lift and the eager lift are one formula: a trained model sees ``spherehead project``'s rows."""
+        assert_array_equal(_bits(project_batch(Tensor(X)).data), _bits(project_rows(X)))
+
     def test_shape_and_domain_errors(self):
         with pytest.raises(ShapeError):
             project_batch(Tensor([1.0, 2.0]))
