@@ -286,10 +286,8 @@ def _swap_target(cosines: Tensor, onehot: np.ndarray, cfg: MarginConfig) -> Tens
     per-sample constant), or the literal cos(m * theta); at m = 1 both
     are the cosine itself. theta is the arccos of t clamped to
     [-COS_CLAMP, COS_CLAMP], with no gradient at the bounds. Past
-    theta = pi - m, where cos(theta + m) turns back up, arcface takes
-    ArcFace's fallback t - m sin m, with gradient 1 into t; the curve
-    stays strictly decreasing, since the step down at the switch is
-    cos m + m sin m - 1 > 0.
+    theta = pi - m, arcface falls back to t - m sin m (gradient 1 into
+    t), which steps down by cos m + m sin m - 1 > 0 and keeps falling.
 
     The floats are those of the chain it replaces (target column,
     clamp, acos, angle, cos, fold or fallback select, sub, tile, mul,

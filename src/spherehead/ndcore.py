@@ -280,13 +280,12 @@ def _as_tensor(x) -> Tensor:
 
 
 def _check_pair(op: str, a: Tensor, b: Tensor) -> None:
-    if a.ndim == 0 or b.ndim == 0:
+    if a.shape == b.shape or a.ndim == 0 or b.ndim == 0:
         return
-    part, full = (a, b) if a.size <= b.size else (b, a)
-    if part.ndim != full.ndim or (part.shape != full.shape and (
-            part.ndim != 2 or any(p not in (1, f) for p, f in zip(part.shape, full.shape)))):
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} must match, "
-                         f"or pair a scalar, [B, 1] or [1, C] with [B, C]")
+    part, full = (a, b) if a.size < b.size else (b, a)
+    if not (part.ndim == full.ndim == 2 and all(p in (1, f) for p, f in zip(part.shape, full.shape))):
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} must match, or pair a scalar, "
+                         f"[B, 1] or [1, C] with [B, C]")
 
 
 def _check_2d(op: str, t: Tensor) -> None:

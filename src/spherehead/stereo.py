@@ -132,13 +132,10 @@ def _where(bad: np.ndarray) -> str:
     return "" if bad.size == 1 else f" (first in row {int(np.argmax(bad))})"
 
 
-def _lift(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """phi of every row of a 2-D X, with the squared norms and denominators as [N, 1] columns.
+def _lift(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi of every row of a 2-D X, and the squared norms ``np.vecdot(X, X)`` as an [N, 1] column.
 
-    Squared norms are ``np.vecdot(X, X)``, the same BLAS dot as ``x @ x``
-    row by row. Non-finite entries and a squared norm that overflows
-    float64 raise :class:`DomainError`; with more than one row, the
-    message names the first offending row.
+    A non-finite entry or a squared norm past float64 raises :class:`DomainError`.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.vecdot(X, X)[:, None]
@@ -148,28 +145,24 @@ def _lift(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise DomainError("non-finite entries" + _where(~finite))
         raise DomainError("squared norm overflows float64" + _where(np.isinf(sq[:, 0])))
     n = X.shape[1]
-    denom = sq + 1.0
     out = np.empty((X.shape[0], n + 1))
-    np.divide(2.0 * X, denom, out=out[:, :n])
-    np.divide(sq - 1.0, denom, out=out[:, n:])
-    return out, sq, denom
+    np.divide(2.0 * X, sq + 1.0, out=out[:, :n])
+    np.divide(sq - 1.0, sq + 1.0, out=out[:, n:])
+    return out, sq
 
 
 def project_rows(X) -> np.ndarray:
     """Lift every row of X onto the unit sphere: [N, n] -> [N, n+1].
 
-    The eager form of the projection, with the floats of ``_lift`` and
-    its :class:`DomainError` on non-finite entries and on a squared norm
-    that overflows float64. Each lifted row then passes the
-    :class:`SpherePoint` checks: a row off the unit sphere by more than
-    ``UNIT_TOL`` raises :class:`DomainError`, and the north pole raises
-    :class:`PoleSingularityError`. With more than one row, the message
-    names the first offending row.
+    ``_lift``, then the :class:`SpherePoint` checks: a row off the unit
+    sphere by more than ``UNIT_TOL`` raises :class:`DomainError`, and the
+    north pole :class:`PoleSingularityError`. With more than one row,
+    every error names the first offending row.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] == 0:
         raise ShapeError(f"project_rows needs an [N, n] array with n >= 1, got shape {X.shape}")
-    out, _, _ = _lift(X)
+    out, _ = _lift(X)
     n = X.shape[1]
     out_sq = np.vecdot(out, out)
     off = np.abs(out_sq - 1.0) > UNIT_TOL
@@ -186,9 +179,8 @@ def project_rows(X) -> np.ndarray:
 def project_batch(X: Tensor) -> Tensor:
     """Row-wise projection on the gradient tape: [B, n] -> [B, n+1], one node.
 
-    The forward pass is ``_lift``, as in :func:`project_rows`, with its
-    :class:`DomainError` on non-finite entries and overflow. The backward
-    pass makes the float operations of the tape of
+    The forward pass is ``_lift``, as in :func:`project_rows`. The
+    backward pass makes the float operations of the tape of
 
     norm  = sum(X * X, axis=1)            squared norms, one per row
     a     = 2 X / (norm + 1)              scaled copies of the rows
@@ -202,11 +194,12 @@ def project_batch(X: Tensor) -> Tensor:
     if X.ndim != 2:
         raise ShapeError(f"project_batch needs a [B, n] tensor, got shape {X.shape}")
     x = X.data
-    out, norm, denom = _lift(x)
+    out, norm = _lift(x)
     n = x.shape[1]
 
     def backward_fn(g: np.ndarray) -> None:
         ga, gb = g[:, :n], g[:, n:]
+        denom = norm + 1.0
         denom_sq = denom * denom
         # denom feeds b, then a through a tiled column; norm feeds b and denom
         g_denom = -gb * (norm - 1.0) / denom_sq + (-ga * (x * 2.0) / denom_sq) @ np.ones((1, n)).T
