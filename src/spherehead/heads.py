@@ -330,15 +330,14 @@ def _swap_target(cosines: Tensor, onehot: np.ndarray, cfg: MarginConfig) -> Tens
         else:
             g_t = -g_delta + 0.0
             g_psi = g_delta + 0.0
-            if arc:  # the select gives the fallback rows to t, the rest to the curve
-                g_fall, g_psi = g_psi * fall + 0.0, g_psi * ~fall + 0.0
-            elif fold:
+            if fold:
                 g_psi = (g_psi + 0.0) * sign + 0.0
             g_angle = -g_psi * np.sin(angle) + 0.0
             g_theta = g_angle + 0.0 if arc else g_angle * float(m) + 0.0
-            g_t += (-g_theta / np.sqrt(1.0 - clamped * clamped) + 0.0) * inside
-            if arc:
-                g_t += g_fall
+            g_curve = (-g_theta / np.sqrt(1.0 - clamped * clamped) + 0.0) * inside
+            # a fallback row takes g_psi; the chain's other term there is +0.0,
+            # which changes no bit of g_t, as g_t is never -0.0
+            g_t += np.where(fall, g_psi, g_curve) if arc else g_curve
         _accumulate(cosines, (g_t + 0.0) * onehot)
 
     return _record("swap_target", (cosines,), out, backward_fn)

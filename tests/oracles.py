@@ -9,7 +9,8 @@ formulas. Tests compare the package's implementations to these.
 
 The one exception is the tape primitives :func:`exp`, :func:`log`,
 :func:`concat`, :func:`clamp`, :func:`acos`, :func:`cos`, :func:`relu`,
-:func:`transpose`, :func:`row_sqnorms` and :func:`where`. The package never records them; the primitive chains in ``tests/test_fused.py`` do,
+:func:`transpose`, :func:`row_sqnorms` and :func:`where`. The package
+never records them; the primitive chains in ``tests/test_fused.py`` do,
 to rebuild the tape that each fused node stands for. They sit on
 ``ndcore``'s own recording and accumulation so that those chains make
 the floats the fused nodes are compared against.

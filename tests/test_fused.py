@@ -2,10 +2,9 @@
 
 Each fused node (the encoder ``mlp``, ``project_batch``,
 ``cosine_logits``, the softmax-NLL, the angular target swap and the
-BroadFace compensated block), and a broadcast operand of a binary op, must
-give the forward value and every
-input gradient of its chain of primitives bit for bit, and match central
-differences. The chains are rebuilt here from ``ndcore`` primitives, with
+BroadFace compensated block), and a broadcast operand of a binary op,
+must give the forward value and every input gradient of its chain of
+primitives bit for bit, and match central differences. The chains are rebuilt here from ``ndcore`` primitives, with
 the tiling written as a ``matmul`` with a ones tensor. ``exp``, ``log``,
 ``concat``, ``clamp``, ``acos``, ``cos``, ``relu``, ``transpose``,
 ``row_sqnorms`` and ``where``, which only these chains use, come from
