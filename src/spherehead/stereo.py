@@ -146,8 +146,9 @@ def _lift(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("squared norm overflows float64" + _where(np.isinf(sq[:, 0])))
     n = X.shape[1]
     out = np.empty((X.shape[0], n + 1))
-    np.divide(2.0 * X, sq + 1.0, out=out[:, :n])
-    np.divide(sq - 1.0, sq + 1.0, out=out[:, n:])
+    denom = sq + 1.0
+    np.divide(2.0 * X, denom, out=out[:, :n])
+    np.divide(sq - 1.0, denom, out=out[:, n:])
     return out, sq
 
 
