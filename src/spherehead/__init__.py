@@ -28,9 +28,7 @@ from .heads import (
     MarginConfig,
     arcface_loss,
     broadface_step,
-    cce_loss,
     cosface_loss,
-    cosine_logits,
     head_forward,
     sphereface_loss,
 )

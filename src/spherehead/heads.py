@@ -13,13 +13,15 @@ in their logits, one entry each in ``_LOGITS``:
     broadface   arcface over the batch, plus arcface over a FIFO queue of
                 past embeddings, each compensated for weight drift
 
-Sphereface, arcface and broadface swap the target cosine for their
-margin curve in one tape node, ``swap_target``, and broadface's
-drift-corrected queue block is one node, ``compensate``; each has the
-floats of the primitive chain it replaces. With the encoder as one
-``mlp`` node, a projected B=32 step records 5 (cce), 7 (cosface),
-6 (arcface), 10 (sphereface) or 11 (broadface, queue filled) tape
-nodes.
+A loss is one tape node, ``head``, with the features and W as its
+inputs. Its pieces are plain numpy functions that return a value and a
+``back`` function: the cosines, the softmax-NLL, the target swap of
+sphereface, arcface and broadface, and broadface's drift-corrected queue
+block. ``back(g)`` gives the gradient terms that the tape of the
+primitive chain would add, in the order it would add them, so the node
+has the floats of that chain. With the encoder as one ``mlp`` node and
+the lift as one ``project_batch`` node, a training step records 3 tape
+nodes (2 without the lift) in every family.
 
 The queue keeps detached embeddings only; gradient from queue terms
 reaches the weight matrix and nothing else. It is a ring of three
@@ -41,15 +43,13 @@ import numpy as np
 
 from .data import _checked_labels
 from .errors import ConfigError, DegenerateInputError, ShapeError, StateError
-from .ndcore import Tensor, _accumulate, _record, matmul
+from .ndcore import Tensor, _accumulate, _record
 
 __all__ = [
     "FAMILIES",
     "MarginConfig",
     "HeadWeights",
     "EmbeddingQueue",
-    "cosine_logits",
-    "cce_loss",
     "sphereface_loss",
     "cosface_loss",
     "arcface_loss",
@@ -195,89 +195,75 @@ def _one_hot(labels, class_count: int) -> np.ndarray:
     return out
 
 
-def _unit_backward(t: Tensor, g_unit: np.ndarray, norms: np.ndarray, axis: int) -> None:
-    """Gradient into ``t`` of t / norms, norms = sqrt(sum(t * t, axis)).
+def _gathered(terms: list) -> np.ndarray:
+    """An intermediate's gradient from its terms, as :func:`_accumulate` stores it.
 
-    Contribution by contribution, as the tape of div, tile, sqrt, sum and
-    mul adds it; the tiled norms sum back as a ones product.
+    The first term plus 0.0, then the others added in turn. A ``+ 0.0``
+    on a gradient that already had one changes no bit, so where a chain
+    node would only pass its gradient on, no second one is added.
     """
-    g_tiled = -g_unit * t.data / (norms * norms)
+    g = np.add(terms[0], 0.0, order="C")
+    for term in terms[1:]:
+        g += term
+    return g
+
+
+def _unit_terms(t: np.ndarray, g_unit: np.ndarray, norms: np.ndarray, axis: int) -> list:
+    """Gradient terms into ``t`` of t / norms, norms = sqrt(sum(t * t, axis)).
+
+    Term by term, as the tape of div, tile, sqrt, sum and mul adds them;
+    the tiled norms sum back as a ones product.
+    """
+    g_tiled = -g_unit * t / (norms * norms)
     if axis == 1:
         g_norms = g_tiled @ np.ones((1, t.shape[1])).T
     else:
         g_norms = np.ones((t.shape[0], 1)).T @ g_tiled
-    g_sq = g_norms / (2.0 * norms) * t.data
-    _accumulate(t, g_unit / norms)
-    _accumulate(t, g_sq)  # t * t contributes once per operand
-    _accumulate(t, g_sq)
+    g_sq = g_norms / (2.0 * norms) * t
+    return [g_unit / norms, g_sq, g_sq]  # t * t contributes once per operand
 
 
-def cosine_logits(features: Tensor, weights: HeadWeights) -> Tensor:
+def _cosine_logits(f: np.ndarray, W: np.ndarray):
     """cos theta between each feature row and each weight column, in [-1, 1].
 
-    One tape node: unit rows times unit columns, clamped to [-1, 1].
+    Unit rows times unit columns, clamped to [-1, 1]. Returns the
+    cosines, the row norms |x| and ``back``: ``back(g)`` gives the
+    gradient terms of ``f`` and of ``W``.
     """
-    if not isinstance(features, Tensor):
-        features = Tensor(features)
-    if features.ndim != 2:
-        raise ShapeError(f"features must be [B, d], got shape {features.shape}")
-    W = weights.W
-    if features.shape[1] != weights.dim:
-        raise ShapeError(f"feature dim {features.shape[1]} does not match weight dim {weights.dim}")
-    f = features.data
     sq = np.sum(f * f, axis=1, keepdims=True)
     if np.any(sq == 0.0):
         raise DegenerateInputError("zero-norm feature row cannot be normalized")
-    col_sq = np.sum(W.data * W.data, axis=0, keepdims=True)
+    col_sq = np.sum(W * W, axis=0, keepdims=True)
     if np.any(col_sq == 0.0):
         raise DegenerateInputError("zero-norm weight column cannot be normalized")
     norms, col_norms = np.sqrt(sq), np.sqrt(col_sq)
-    unit_features, unit_weights = f / norms, W.data / col_norms
+    unit_features, unit_weights = f / norms, W / col_norms
     raw = unit_features @ unit_weights
     inside = (raw > -1.0) & (raw < 1.0)  # the clamp passes no gradient at its bounds
 
-    def backward_fn(g: np.ndarray) -> None:
+    def back(g):
         g = g * inside
-        if W.requires_grad:
-            _unit_backward(W, unit_features.T @ g, col_norms, axis=0)
-        if features.requires_grad:
-            _unit_backward(features, g @ unit_weights.T, norms, axis=1)
+        return _unit_terms(f, g @ unit_weights.T, norms, 1), _unit_terms(W, unit_features.T @ g, col_norms, 0)
 
-    return _record("cosine_logits", (features, W), np.clip(raw, -1.0, 1.0), backward_fn)
+    return np.clip(raw, -1.0, 1.0), norms, back
 
 
-def _nll_sum(logits: Tensor, onehot: np.ndarray) -> Tensor:
-    """Summed -log softmax(logits)[target], max-shifted against overflow.
+def _nll_sum(logits: np.ndarray, onehot: np.ndarray):
+    """Summed -log softmax(logits)[target], max-shifted against overflow, and ``back``.
 
-    One tape node. The row maxima are constants: subtracting any constant
-    from a row leaves softmax and its gradient unchanged. The gradient is
-    g * (softmax - onehot), formed as the composed tape forms it.
+    The row maxima are constants: subtracting any constant from a row
+    leaves softmax and its gradient unchanged. ``back(g)`` gives the one
+    logits term g * (softmax - onehot), formed as the composed tape forms it.
     """
-    shifted = logits.data - np.max(logits.data, axis=1, keepdims=True)
+    shifted = logits - np.max(logits, axis=1, keepdims=True)
     e = np.exp(shifted)
     sum_e = np.sum(e, axis=1, keepdims=True)
     target = np.sum(shifted * onehot, axis=1, keepdims=True)
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(logits, -g * onehot + g / sum_e * e)
-
-    return _record("softmax_nll", (logits,), np.sum(np.log(sum_e) - target), backward_fn)
+    return np.sum(np.log(sum_e) - target), lambda g: [-g * onehot + g / sum_e * e]
 
 
-def cce_loss(logits: Tensor, labels) -> Tensor:
-    """Mean softmax cross-entropy over the batch."""
-    if not isinstance(logits, Tensor):
-        logits = Tensor(logits)
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be [B, C], got shape {logits.shape}")
-    onehot = _one_hot(labels, logits.shape[1])
-    if onehot.shape[0] != logits.shape[0]:
-        raise ShapeError(f"{logits.shape[0]} logit rows but {onehot.shape[0]} labels")
-    return _nll_sum(logits, onehot) / float(logits.shape[0])
-
-
-def _swap_target(cosines: Tensor, onehot: np.ndarray, cfg: MarginConfig) -> Tensor:
-    """Each row's target cosine t swapped for psi(t), as one tape node.
+def _swap_target(cosines: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
+    """Each row's target cosine t swapped for psi(t), and ``back``.
 
     Returns ``cosines + tile(psi(t) - t) * onehot``, times s for arcface
     and broadface. psi is arcface's cos(theta + m), or sphereface's
@@ -289,16 +275,16 @@ def _swap_target(cosines: Tensor, onehot: np.ndarray, cfg: MarginConfig) -> Tens
     theta = pi - m, arcface falls back to t - m sin m (gradient 1 into
     t), which steps down by cos m + m sin m - 1 > 0 and keeps falling.
 
-    The floats are those of the chain it replaces (target column,
-    clamp, acos, angle, cos, fold or fallback select, sub, tile, mul,
-    add, scale): each intermediate's first gradient is ``g + 0.0``, the
-    target column gets the chain's terms in its reverse-tape order, and
-    the tile sums back as a ones product.
+    ``back(g)`` gives the two cosine terms of the chain it replaces
+    (target column, clamp, acos, angle, cos, fold or fallback select,
+    sub, tile, mul, add, scale): each intermediate's first gradient is
+    ``g + 0.0``, the target column gets the chain's terms in its
+    reverse-tape order, and the tile sums back as a ones product.
     """
     arc = cfg.family != "sphereface"
     m = cfg.m if arc else int(cfg.m)
     columns = cosines.shape[1]
-    t = np.sum(cosines.data * onehot, axis=1, keepdims=True)
+    t = np.sum(cosines * onehot, axis=1, keepdims=True)
     curve = arc or m > 1  # sphereface's psi at m = 1 is t itself
     fold = not arc and cfg.use_monotone_psi
     psi = t
@@ -315,15 +301,14 @@ def _swap_target(cosines: Tensor, onehot: np.ndarray, cfg: MarginConfig) -> Tens
             k = np.floor(m * theta / np.pi)
             sign = np.where(k % 2 == 0, 1.0, -1.0)
             psi = psi * sign - 2.0 * k
-    out = cosines.data + (psi - t) * onehot
+    out = cosines + (psi - t) * onehot
     if arc:
         out = out * cfg.s
 
-    def backward_fn(g: np.ndarray) -> None:
+    def back(g):
         if arc:
             g = g * cfg.s + 0.0
         g_delta = ((g + 0.0) * onehot + 0.0) @ np.ones((1, columns)).T + 0.0
-        _accumulate(cosines, g)
         if not curve:  # the chain's t - t: +g_delta first
             g_t = g_delta + 0.0
             g_t += -g_delta
@@ -338,90 +323,130 @@ def _swap_target(cosines: Tensor, onehot: np.ndarray, cfg: MarginConfig) -> Tens
             # a fallback row takes g_psi; the chain's other term there is +0.0,
             # which changes no bit of g_t, as g_t is never -0.0
             g_t += np.where(fall, g_psi, g_curve) if arc else g_curve
-        _accumulate(cosines, (g_t + 0.0) * onehot)
+        return [g, (g_t + 0.0) * onehot]
 
-    return _record("swap_target", (cosines,), out, backward_fn)
-
-
-def _sphereface_logits(features: Tensor, weights: HeadWeights, cfg: MarginConfig, onehot: np.ndarray) -> Tensor:
-    # the |x| factor is recorded before the cosines, so walking the nodes
-    # in reverse creation order would give features.grad the cosine
-    # terms first, as the depth-first walk of backward does
-    norms = (features * features).sum(axis=1, keepdims=True).sqrt()
-    cosines = cosine_logits(features, weights)
-    return norms * _swap_target(cosines, onehot, cfg)
+    return out, back
 
 
-def _arcface_logits(features: Tensor, weights: HeadWeights, cfg: MarginConfig, onehot: np.ndarray) -> Tensor:
-    cosines = cosine_logits(features, weights)
-    return cosines * cfg.s if cfg.m == 0.0 else _swap_target(cosines, onehot, cfg)
+# Each family's logits: (features, W, cfg, onehot) -> (logits [B, C], back),
+# where back(g) gives the gradient terms of the features and of W.
 
 
-# family -> (features, weights, cfg, onehot) -> logits [B, C]. Every entry
-# looks its tape ops up as module globals when called.
+def _linear_logits(f: np.ndarray, W: np.ndarray, cfg: MarginConfig, onehot: np.ndarray):
+    return f @ W, lambda g: ([g @ W.T], [f.T @ g])
+
+
+def _sphereface_logits(f: np.ndarray, W: np.ndarray, cfg: MarginConfig, onehot: np.ndarray):
+    cosines, norms, back_cosines = _cosine_logits(f, W)
+    swapped, back_swap = _swap_target(cosines, onehot, cfg)
+
+    def back(g):
+        f_terms, w_terms = back_cosines(_gathered(back_swap(g * norms + 0.0)))
+        # |x| = sqrt(sum(x * x)): the tiled column sums back as a ones product,
+        # then x * x gives the features one term per operand
+        g_sq = (g * swapped) @ np.ones((1, swapped.shape[1])).T / (2.0 * norms) + 0.0
+        return f_terms + [g_sq * f, g_sq * f], w_terms
+
+    return norms * swapped, back
+
+
+def _cosface_logits(f: np.ndarray, W: np.ndarray, cfg: MarginConfig, onehot: np.ndarray):
+    cosines, _, back_cosines = _cosine_logits(f, W)
+    return (cosines - onehot * cfg.m) * cfg.s, lambda g: back_cosines(g * cfg.s + 0.0)
+
+
+def _arcface_logits(f: np.ndarray, W: np.ndarray, cfg: MarginConfig, onehot: np.ndarray):
+    cosines, _, back_cosines = _cosine_logits(f, W)
+    if cfg.m == 0.0:
+        return cosines * cfg.s, lambda g: back_cosines(g * cfg.s + 0.0)
+    swapped, back_swap = _swap_target(cosines, onehot, cfg)
+    return swapped, lambda g: back_cosines(_gathered(back_swap(g)))
+
+
 _LOGITS = {
-    "cce": lambda f, w, cfg, onehot: matmul(f, w.W),
+    "cce": _linear_logits,
     "sphereface": _sphereface_logits,
-    "cosface": lambda f, w, cfg, onehot: (cosine_logits(f, w) - Tensor(onehot * cfg.m)) * cfg.s,
+    "cosface": _cosface_logits,
     "arcface": _arcface_logits,
     "broadface": _arcface_logits,
 }
 
 
-def _compensated_block(queue: EmbeddingQueue, weights: HeadWeights) -> tuple[Tensor, np.ndarray]:
-    """All queue embeddings, drift-corrected on the tape: [Q, d] plus one-hot labels.
+def _compensated_block(queue: EmbeddingQueue, W: np.ndarray):
+    """All queue embeddings, drift-corrected: [Q, d], their one-hot labels and ``back``.
 
-    One tape node with W as its only input: row j is
-    ``emb_j - r_j * snap_j + r_j * W[:, y_j]``, r_j = |emb_j| / |snap_j|.
-    Embeddings and snapshots are constants, so queue gradient reaches W
-    alone. W's columns are gathered as the product ``onehot @ W.T``,
-    whose signed zeros and ``0 * inf`` differ from fancy indexing; the
-    backward makes the floats of the add, mul, matmul and transpose
-    chain it replaces.
+    Row j is ``emb_j - r_j * snap_j + r_j * W[:, y_j]``, r_j = |emb_j| /
+    |snap_j|. Embeddings and snapshots are constants, so ``back(g)``
+    gives one term, into W alone. W's columns are gathered as the
+    product ``onehot @ W.T``, whose signed zeros and ``0 * inf`` differ
+    from fancy indexing; the term has the floats of the add, mul, matmul
+    and transpose chain it replaces.
     """
     emb, labels, snaps = queue.stacked()
-    if emb.shape[1] != weights.dim:
-        raise StateError(f"queued embedding dim {emb.shape[1]} does not match weight dim {weights.dim}")
+    if emb.shape[1] != W.shape[0]:
+        raise StateError(f"queued embedding dim {emb.shape[1]} does not match weight dim {W.shape[0]}")
     snap_norms = np.linalg.norm(snaps, axis=1)
     if np.any(snap_norms == 0.0):
         raise DegenerateInputError("zero-norm snapshot weight column cannot anchor compensation")
     ratios = (np.linalg.norm(emb, axis=1) / snap_norms)[:, None]  # [Q, 1]
-    onehot = _one_hot(labels, weights.class_count)
-    W = weights.W
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(W, (onehot.T @ ((g + 0.0) * ratios + 0.0) + 0.0).T)
-
-    out = (emb - ratios * snaps) + ratios * (onehot @ W.data.T)
-    return _record("compensate", (W,), out, backward_fn), onehot
+    onehot = _one_hot(labels, W.shape[1])
+    out = (emb - ratios * snaps) + ratios * (onehot @ W.T)
+    return out, onehot, lambda g: [(onehot.T @ ((g + 0.0) * ratios + 0.0) + 0.0).T]
 
 
 def head_forward(features: Tensor, weights: HeadWeights, cfg: MarginConfig,
                  labels, queue: EmbeddingQueue | None = None) -> Tensor:
-    """The configured family's mean loss over the batch (and broadface queue).
+    """The configured family's mean loss over the batch (and broadface queue), one ``head`` node.
 
     With a queue, broadface averages the margin loss over the live batch
     and the drift-corrected queue entries together, then pushes the
     batch's embeddings (detached) and current target weight columns,
     evicting oldest-first past capacity. Without one it is arcface, the
     empty-queue case, and keeps no state.
+
+    The node's inputs are the features and W. Its backward takes g /
+    count, then the queue block, then the batch, so W gets the block's
+    cosine terms, the compensation term, then the batch's terms: the
+    order in which the depth-first walk of the chain's tape added them.
     """
     if queue is not None and cfg.family != "broadface":
         raise ConfigError(f"a queue is a broadface knob, not valid for {cfg.family!r}")
     if not isinstance(features, Tensor):
         features = Tensor(features)
-    if features.ndim != 2:
-        raise ShapeError(f"features must be [B, d], got shape {features.shape}")
+    if features.ndim != 2 or features.shape[0] == 0:
+        raise ShapeError(f"features must be [B, d] with B >= 1, got shape {features.shape}")
+    if features.shape[1] != weights.dim:
+        raise ShapeError(f"feature dim {features.shape[1]} does not match weight dim {weights.dim}")
     onehot = _one_hot(labels, weights.class_count)
     if onehot.shape[0] != features.shape[0]:
         raise ShapeError(f"{features.shape[0]} feature rows but {onehot.shape[0]} labels")
-    total = _nll_sum(_LOGITS[cfg.family](features, weights, cfg, onehot), onehot)
+    W = weights.W
+    logits, back_logits = _LOGITS[cfg.family](features.data, W.data, cfg, onehot)
+    total, back_nll = _nll_sum(logits, onehot)
     count = onehot.shape[0]
-    if queue is not None and len(queue) > 0:
-        block, block_onehot = _compensated_block(queue, weights)
-        total = total + _nll_sum(_arcface_logits(block, weights, cfg, block_onehot), block_onehot)
+    queued = queue is not None and len(queue) > 0
+    if queued:
+        block, block_onehot, back_block = _compensated_block(queue, W.data)
+        block_logits, back_block_logits = _arcface_logits(block, W.data, cfg, block_onehot)
+        block_total, back_block_nll = _nll_sum(block_logits, block_onehot)
+        total = total + block_total
         count += len(queue)
-    loss = total / float(count)
+
+    def backward_fn(g: np.ndarray) -> None:
+        g = g / float(count) + 0.0
+        w_terms = []
+        if queued and W.requires_grad:
+            block_terms, w_terms = back_block_logits(_gathered(back_block_nll(g)))
+            w_terms += back_block(_gathered(block_terms))
+        f_terms, batch_w_terms = back_logits(_gathered(back_nll(g)))
+        if features.requires_grad:
+            for term in f_terms:
+                _accumulate(features, term)
+        if W.requires_grad:
+            for term in w_terms + batch_w_terms:
+                _accumulate(W, term)
+
+    loss = _record("head", (features, W), total / float(count), backward_fn)
     if queue is not None:
         labels = np.asarray(labels, dtype=np.int64)
         for i in range(features.shape[0]):

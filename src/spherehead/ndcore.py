@@ -9,31 +9,28 @@ returns that order as an explicit :class:`Tape`.
 Deliberate restrictions, chosen to remove whole classes of silent bugs:
 
 * float64 only; row-major contiguous storage; no views or strides;
-* one broadcast rule: a binary op pairs equal shapes, a scalar with a
-  tensor, or a [B, 1] column or [1, C] row with a [B, C] matrix, and
-  backward sums a broadcast axis back as a product with a ones vector;
+* no general ops: a node hands each input a gradient of the input's own
+  shape, and nothing here broadcasts;
 * a fixed subgradient convention: relu'(0) = 0 (inside :func:`mlp`).
 
 Everything here is single-threaded per computation; independent graphs in
 separate threads share no mutable state.
 
-Fused nodes. The hot chains of a training step are single tape nodes:
-the encoder :func:`mlp` (every ``h @ W + b`` and ReLU),
-``stereo.project_batch``, ``heads.cosine_logits``, the softmax-NLL of
-``heads`` (op ``softmax_nll``), the angular target swap of ``heads``
-(op ``swap_target``), the BroadFace compensated queue block of
-``heads`` (op ``compensate``). There is no linear, ReLU, transpose,
-clamp, acos or cos op here; the chains in the tests build those on
-:func:`_record`.
+Fused nodes. A training step records three nodes: the encoder
+:func:`mlp` (every ``h @ W + b`` and ReLU), ``stereo.project_batch`` when
+the model lifts its features, and ``heads.head_forward``'s ``head`` (the
+logits, softmax-NLL, margin and BroadFace queue block of one loss). The
+primitive chains they stand for live in the tests, on
+``tests/oracles.py``'s reference ops, which record through
+:func:`_record` and :func:`_accumulate`.
 Each fused node makes the same numpy float operations, in the same
 order, as the tape of the primitive chain it replaces, so losses,
 gradients and run records are bit for bit those of the chain:
 
 * a tiling in the forward pass is numpy broadcasting, which is exact;
-* a backward sum over a tiled axis, in a fused node or in
-  :func:`_accumulate`, stays the BLAS product with a ones vector that the
-  tiling matmul's backward would make, because ``np.sum`` adds in another
-  order;
+* a backward sum over a tiled axis stays the BLAS product with a ones
+  vector that the tiling matmul's backward would make, because
+  ``np.sum`` adds in another order;
 * an input the chain uses more than once (``X * X`` uses it twice) gets
   each contribution by its own :func:`_accumulate` call, in the order the
   reverse tape of the chain would add them;
@@ -54,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ShapeError
 
 __all__ = [
     "Tensor",
@@ -62,7 +59,6 @@ __all__ = [
     "TapeNode",
     "backward",
     "trace",
-    "matmul",
     "mlp",
 ]
 
@@ -114,42 +110,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
-    # -- operator sugar --------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sqrt(self):
-        return sqrt(self)
-
-    def sum(self, axis: int | None = None, keepdims: bool = False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
 
 
 @dataclass(frozen=True)
@@ -251,19 +211,11 @@ def _record(
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``; callers skip inputs that need no gradient.
+    """Add ``g``, of ``t``'s shape, into ``t.grad``; callers skip inputs that need no gradient.
 
     The first contribution is stored as a C-ordered ``g + 0.0``, which is
     bitwise equal to adding it to zeros, the sign of zero included.
     """
-    if g.shape != t.data.shape:
-        if t.ndim == 0:
-            g = np.sum(g).reshape(())
-        else:  # a broadcast column or row, summed as the tiling matmul's backward would
-            if t.shape[1] == 1:
-                g = g @ np.ones((1, g.shape[1])).T
-            if t.shape[0] == 1:
-                g = np.ones((g.shape[0], 1)).T @ g
     if t.grad is None:
         # asarray: a 0-d sum comes back from numpy as a scalar
         t.grad = np.asarray(np.add(g, 0.0, order="C"))
@@ -271,119 +223,9 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    if isinstance(x, (int, float, np.floating, np.integer)):
-        return Tensor(float(x))
-    raise TypeError(f"expected Tensor or scalar, got {type(x).__name__}")
-
-
-def _check_pair(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape == b.shape or a.ndim == 0 or b.ndim == 0:
-        return
-    part, full = (a, b) if a.size < b.size else (b, a)
-    if not (part.ndim == full.ndim == 2 and all(p in (1, f) for p, f in zip(part.shape, full.shape))):
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} must match, or pair a scalar, "
-                         f"[B, 1] or [1, C] with [B, C]")
-
-
 def _check_2d(op: str, t: Tensor) -> None:
     if t.ndim != 2:
         raise ShapeError(f"{op} needs a 2-D tensor, got shape {t.shape}")
-
-
-# -- elementwise binary ----------------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_pair("add", a, b)
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, g)
-
-    return _record("add", (a, b), a.data + b.data, backward_fn)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_pair("sub", a, b)
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, -g)
-
-    return _record("sub", (a, b), a.data - b.data, backward_fn)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_pair("mul", a, b)
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g * b.data)
-        if b.requires_grad:
-            _accumulate(b, g * a.data)
-
-    return _record("mul", (a, b), a.data * b.data, backward_fn)
-
-
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_pair("div", a, b)
-    if np.any(b.data == 0.0):
-        raise DomainError("division by zero")
-    out_data = a.data / b.data
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g / b.data)
-        if b.requires_grad:
-            _accumulate(b, -g * a.data / (b.data * b.data))
-
-    return _record("div", (a, b), out_data, backward_fn)
-
-
-# -- elementwise unary ----------------------------------------------------
-
-
-def sqrt(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    if np.any(a.data <= 0.0):
-        # derivative is unbounded at 0; callers guard degenerate inputs first
-        raise DomainError("sqrt needs strictly positive input")
-    out_data = np.sqrt(a.data)
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g / (2.0 * out_data))
-
-    return _record("sqrt", (a,), out_data, backward_fn)
-
-
-# -- linear algebra --------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_2d("matmul", a)
-    _check_2d("matmul", b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
-
-    return _record("matmul", (a, b), a.data @ b.data, backward_fn)
 
 
 def mlp(x: Tensor, layers) -> Tensor:
@@ -397,7 +239,8 @@ def mlp(x: Tensor, layers) -> Tensor:
     ones-row product, the layer's input ``g @ W.T + 0.0`` and W
     ``h_in.T @ g``. Only the masks and each layer's input are kept.
     """
-    x = _as_tensor(x)
+    if not isinstance(x, Tensor):
+        x = Tensor(x)
     _check_2d("mlp", x)
     layers = tuple(layers)
     if not layers:
@@ -435,22 +278,3 @@ def mlp(x: Tensor, layers) -> Tensor:
             g = g_in
 
     return _record("mlp", (x,) + tuple(p for layer in layers for p in layer), h, backward_fn)
-
-
-# -- reductions ------------------------------------------------------------
-
-
-def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    if axis is not None:
-        if not -a.ndim <= axis < a.ndim:
-            raise ShapeError(f"sum: axis {axis} out of range for rank {a.ndim}")
-        axis %= a.ndim
-    shape = a.shape
-
-    def backward_fn(g: np.ndarray) -> None:
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, shape))
-
-    return _record("sum", (a,), np.sum(a.data, axis=axis, keepdims=keepdims), backward_fn)

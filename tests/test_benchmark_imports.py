@@ -5,7 +5,9 @@
 ``cli.main`` when they run. A rename that breaks either fails here
 rather than only when the benchmark runs. The benchmark's traced
 BroadFace queue is checked against the package's queue too: its push
-and eviction counters rest on ``push``, ``len`` and ``capacity``.
+and eviction counters rest on ``push``, ``len`` and ``capacity``. So is
+its tape counter, which reads ``trace(loss).nodes``, ``.op`` and
+``.inputs``.
 """
 
 import importlib
@@ -19,7 +21,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from spherehead.heads import EmbeddingQueue
+from spherehead.heads import FAMILIES, EmbeddingQueue
+from spherehead.ndcore import trace
+
+from .test_fused import TAPE_NODES, spirals_step_loss
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -89,3 +94,11 @@ def test_traced_queue_counts_pushes_and_evictions(benchmark_training):
     for ours, ref in zip(traced.stacked(), base.stacked()):
         assert_array_equal(ours, ref)
     assert rec.names == ["heads.queue_push"] * 40 + ["heads.queue_stacked"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_tape_counts_see_one_node_per_stage(benchmark_training, family):
+    """``_tape_counts`` reads 3 nodes a step with the lift and 2 without, in every family."""
+    for projection, ops in TAPE_NODES.items():
+        nodes, _, _ = benchmark_training._tape_counts(trace(spirals_step_loss(family, projection)))
+        assert nodes == len(ops)

@@ -1,17 +1,17 @@
 """Fused tape nodes against the primitive chains they stand for.
 
-Each fused node (the encoder ``mlp``, ``project_batch``,
-``cosine_logits``, the softmax-NLL, the angular target swap and the
-BroadFace compensated block), and a broadcast operand of a binary op,
-must give the forward value and every input gradient of its chain of
-primitives bit for bit, and match central differences. The chains are rebuilt here from ``ndcore`` primitives, with
-the tiling written as a ``matmul`` with a ones tensor. ``exp``, ``log``,
-``concat``, ``clamp``, ``acos``, ``cos``, ``relu``, ``transpose``,
-``row_sqnorms`` and ``where``, which only these chains use, come from
-``tests/oracles.py``.
+Each fused node (the encoder ``mlp``, ``project_batch`` and the whole
+loss, ``head``), each numpy piece of the head (the cosines, the
+softmax-NLL, the angular target swap and the BroadFace compensated
+block, recorded alone by ``tests/oracles.py``), and a broadcast operand
+of a binary op, must give the forward value and every input gradient of
+its chain of primitives bit for bit, and match central differences. The
+chains are rebuilt here from the reference ops of ``tests/oracles.py``,
+with the tiling written as a ``matmul`` with a ones tensor.
 """
 
 import ast
+import copy
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +21,14 @@ from numpy.testing import assert_array_equal
 import spherehead
 from spherehead import heads, ndcore, stereo, train
 from spherehead.errors import DegenerateInputError, ShapeError, StateError, TrainingDiverged
-from spherehead.heads import (COS_CLAMP, EmbeddingQueue, HeadWeights, MarginConfig, _compensated_block, _nll_sum,
-                              _one_hot, _swap_target, cosine_logits)
-from spherehead.ndcore import Tensor, backward, matmul, mlp, trace
+from spherehead.heads import COS_CLAMP, EmbeddingQueue, HeadWeights, MarginConfig, _one_hot, head_forward
+from spherehead.ndcore import Tensor, backward, mlp, trace
 from spherehead.stereo import project_batch
 from spherehead.train import ModelConfig, build_model
 
 from .helpers import check_gradients
-from .oracles import acos, clamp, concat, cos, exp, log, relu, row_sqnorms, transpose, where
+from .oracles import (acos, add, clamp, compensated_block, concat, cos, cosine_logits, div, exp, log, matmul, mul,
+                      nll_sum, reduce_sum, relu, row_sqnorms, sqrt, sub, swap_target, transpose, where)
 
 TRIALS = 25
 
@@ -45,7 +45,7 @@ def ones_rows(row, m):
 
 
 def chain_linear(x, W, b):
-    return matmul(x, W) + ones_rows(b, x.shape[0])
+    return add(matmul(x, W), ones_rows(b, x.shape[0]))
 
 
 def chain_mlp(x, layers):
@@ -58,39 +58,39 @@ def chain_mlp(x, layers):
 
 
 def chain_project_batch(X):
-    # X * 2.0 is created first, so a walk in reverse creation order adds
+    # mul(X, 2.0) is created first, so a walk in reverse creation order adds
     # X's gradient terms in the depth-first walk's order, as the fused node does
-    doubled = X * 2.0
+    doubled = mul(X, 2.0)
     norm = row_sqnorms(X)
-    denom = norm + 1.0
-    a = doubled / ones_cols(denom, X.shape[1])
-    b = (norm - 1.0) / denom
+    denom = add(norm, 1.0)
+    a = div(doubled, ones_cols(denom, X.shape[1]))
+    b = div(sub(norm, 1.0), denom)
     return concat([a, b], axis=1)
 
 
 def chain_cosine_logits(features, weights):
     W = weights.W
-    norms = (features * features).sum(axis=1, keepdims=True).sqrt()
-    unit_features = features / ones_cols(norms, features.shape[1])
-    col_norms = (W * W).sum(axis=0, keepdims=True).sqrt()
-    unit_weights = W / ones_rows(col_norms, W.shape[0])
+    norms = sqrt(reduce_sum(mul(features, features), axis=1, keepdims=True))
+    unit_features = div(features, ones_cols(norms, features.shape[1]))
+    col_norms = sqrt(reduce_sum(mul(W, W), axis=0, keepdims=True))
+    unit_weights = div(W, ones_rows(col_norms, W.shape[0]))
     return clamp(matmul(unit_features, unit_weights), -1.0, 1.0)
 
 
 def chain_nll_sum(logits, onehot):
     row_max = Tensor(np.max(logits.data, axis=1, keepdims=True))
-    shifted = logits - ones_cols(row_max, logits.shape[1])
-    lse = log(exp(shifted).sum(axis=1, keepdims=True))
-    target = (shifted * Tensor(onehot)).sum(axis=1, keepdims=True)
-    return (lse - target).sum()
+    shifted = sub(logits, ones_cols(row_max, logits.shape[1]))
+    lse = log(reduce_sum(exp(shifted), axis=1, keepdims=True))
+    target = reduce_sum(mul(shifted, Tensor(onehot)), axis=1, keepdims=True)
+    return reduce_sum(sub(lse, target))
 
 
 def chain_target_column(cosines, onehot):
-    return (cosines * Tensor(onehot)).sum(axis=1, keepdims=True)
+    return reduce_sum(mul(cosines, Tensor(onehot)), axis=1, keepdims=True)
 
 
 def chain_replace_target(cosines, onehot, new_target, old_target):
-    return cosines + ones_cols(new_target - old_target, cosines.shape[1]) * Tensor(onehot)
+    return add(cosines, mul(ones_cols(sub(new_target, old_target), cosines.shape[1]), Tensor(onehot)))
 
 
 def chain_theta(cos_target):
@@ -101,12 +101,12 @@ def chain_psi_sphereface(cos_target, m, use_monotone_psi):
     if m == 1:
         return cos_target
     theta = chain_theta(cos_target)
-    folded = cos(theta * float(m))
+    folded = cos(mul(theta, float(m)))
     if not use_monotone_psi:
         return folded
     k = np.floor(m * theta.data / np.pi)
     sign = np.where(k % 2 == 0, 1.0, -1.0)
-    return folded * Tensor(sign) - Tensor(2.0 * k)
+    return sub(mul(folded, Tensor(sign)), Tensor(2.0 * k))
 
 
 def chain_swap_target(cosines, onehot, cfg):
@@ -116,8 +116,8 @@ def chain_swap_target(cosines, onehot, cfg):
         return chain_replace_target(cosines, onehot, psi, cos_target)
     theta = chain_theta(cos_target)
     # past theta = pi - m, cos(theta + m) turns back up; ArcFace falls back to cos theta - m sin m
-    psi = where(theta.data > np.pi - cfg.m, cos_target - cfg.m * np.sin(cfg.m), cos(theta + cfg.m))
-    return chain_replace_target(cosines, onehot, psi, cos_target) * cfg.s
+    psi = where(theta.data > np.pi - cfg.m, sub(cos_target, cfg.m * np.sin(cfg.m)), cos(add(theta, cfg.m)))
+    return mul(chain_replace_target(cosines, onehot, psi, cos_target), cfg.s)
 
 
 def chain_compensated_block(queue, weights):
@@ -126,7 +126,42 @@ def chain_compensated_block(queue, weights):
     onehot = _one_hot(labels, weights.class_count)
     current_cols = matmul(Tensor(onehot), transpose(weights.W))
     constant_part = Tensor(emb - ratios * snaps)
-    return constant_part + Tensor(np.repeat(ratios, emb.shape[1], axis=1)) * current_cols, onehot
+    return add(constant_part, mul(Tensor(np.repeat(ratios, emb.shape[1], axis=1)), current_cols)), onehot
+
+
+def chain_arcface_logits(features, weights, cfg, onehot):
+    cosines = chain_cosine_logits(features, weights)
+    return mul(cosines, cfg.s) if cfg.m == 0.0 else chain_swap_target(cosines, onehot, cfg)
+
+
+def chain_sphereface_logits(features, weights, cfg, onehot):
+    norms = sqrt(reduce_sum(mul(features, features), axis=1, keepdims=True))
+    return mul(norms, chain_swap_target(chain_cosine_logits(features, weights), onehot, cfg))
+
+
+CHAIN_LOGITS = {
+    "cce": lambda f, w, cfg, onehot: matmul(f, w.W),
+    "sphereface": chain_sphereface_logits,
+    "cosface": lambda f, w, cfg, onehot: mul(sub(chain_cosine_logits(f, w), Tensor(onehot * cfg.m)), cfg.s),
+    "arcface": chain_arcface_logits,
+    "broadface": chain_arcface_logits,
+}
+
+
+def chain_head_forward(features, weights, cfg, labels, queue=None):
+    """``head_forward`` as the tape of its chain: the chain pieces, joined by ``add`` and ``div``."""
+    onehot = _one_hot(labels, weights.class_count)
+    total = chain_nll_sum(CHAIN_LOGITS[cfg.family](features, weights, cfg, onehot), onehot)
+    count = onehot.shape[0]
+    if queue is not None and len(queue) > 0:
+        block, block_onehot = chain_compensated_block(queue, weights)
+        total = add(total, chain_nll_sum(chain_arcface_logits(block, weights, cfg, block_onehot), block_onehot))
+        count += len(queue)
+    loss = div(total, float(count))
+    if queue is not None:
+        for i, y in enumerate(np.asarray(labels, dtype=np.int64)):
+            queue.push(features.data[i], int(y), weights.W.data[:, y])
+    return loss
 
 
 # the margin curves of the swap: arcface's cos(theta + m) at s = 12, and
@@ -148,6 +183,39 @@ def swap_instance(rng):
     edges = rng.permutation([1.0, -1.0, COS_CLAMP, -COS_CLAMP])
     cosines[np.arange(4), labels[:4]] = edges
     return cosines, _one_hot(labels, C), Tensor(rng.normal(size=(B, C)))
+
+
+# every family, with the margin variants of the swap and none at all
+HEAD_CONFIGS = ([MarginConfig("cce")]
+                + [MarginConfig("sphereface", m=m, use_monotone_psi=monotone)
+                   for m in (1, 2, 3, 4) for monotone in (True, False)]
+                + [MarginConfig("cosface", m=m, s=7.0) for m in (0.0, 0.35)]
+                + [MarginConfig(family, m=m, s=12.0, queue_capacity=8 if family == "broadface" else 0)
+                   for family in ("arcface", "broadface") for m in (0.0, 0.1, 0.5, 1.0)])
+
+
+def head_instance(rng, B, cfg, offset):
+    """Features [B, d], W [d, C] and labels; some rows of label 0 hit a chosen target cosine t.
+
+    Such a row is (t, s, -0.0, ...) times 4 with t * t + s * s == 1 in
+    floats, and W's column 0 is 2 e_0, so its norms are exact and its
+    target cosine is t itself: +-1, +-COS_CLAMP, or 1/4 m on either side
+    of theta = pi - m.
+    """
+    d, C = int(rng.integers(3, 7)), int(rng.integers(2, 5))
+    X = rng.normal(size=(B, d)) * rng.uniform(0.1, 5.0)
+    W = rng.normal(size=(d, C))
+    W[:, 0], W[0, 0] = 0.0, 2.0
+    W[1, rng.random(C) < 0.3] = -0.0
+    labels = rng.integers(0, C, size=B)
+    m = cfg.m if cfg.family != "sphereface" else 0.0
+    targets = [1.0, -1.0, COS_CLAMP, -COS_CLAMP, np.cos(np.pi - 0.75 * m), np.cos(np.pi - 1.25 * m), None, None]
+    for i in range(B):
+        t = targets[(i + offset) % len(targets)]
+        if t is not None:
+            X[i], labels[i] = -0.0, 0
+            X[i, :2] = 4.0 * t, 4.0 * np.sqrt(1.0 - t * t)
+    return X, W, labels
 
 
 # -- helpers ---------------------------------------------------------------
@@ -254,8 +322,8 @@ class TestSameBitsAsChain:
         rng = np.random.default_rng(70)
         for _ in range(TRIALS):
             col, row, R = rng.normal(size=(4, 1)), rng.normal(size=(1, 7)), Tensor(rng.normal(size=(4, 7)))
-            assert_same_bits(lambda c: (c * R).sum(), lambda c: (ones_cols(c, 7) * R).sum(), [col])
-            assert_same_bits(lambda r: (R / r).sum(), lambda r: (R / ones_rows(r, 4)).sum(), [row])
+            assert_same_bits(lambda c: reduce_sum(mul(c, R)), lambda c: reduce_sum(mul(ones_cols(c, 7), R)), [col])
+            assert_same_bits(lambda r: reduce_sum(div(R, r)), lambda r: reduce_sum(div(R, ones_rows(r, 4))), [row])
 
     @pytest.mark.parametrize("grad_mask", [[True, True, True], [False, True, True]])
     def test_linear(self, grad_mask):
@@ -265,8 +333,8 @@ class TestSameBitsAsChain:
             x, W, _ = instance(rng, B=int(rng.integers(1, 40)))
             b = rng.normal(size=(1, W.shape[1]))
             R = Tensor(rng.normal(size=(x.shape[0], W.shape[1])))
-            assert_same_bits(lambda x_, W_, b_: (relu(mlp(x_, [(W_, b_)])) * R).sum(),
-                             lambda x_, W_, b_: (relu(chain_linear(x_, W_, b_)) * R).sum(),
+            assert_same_bits(lambda x_, W_, b_: reduce_sum(mul(relu(mlp(x_, [(W_, b_)])), R)),
+                             lambda x_, W_, b_: reduce_sum(mul(relu(chain_linear(x_, W_, b_)), R)),
                              [x, W, b], grad_mask)
 
     @pytest.mark.parametrize("x_grad", [True, False])
@@ -278,8 +346,8 @@ class TestSameBitsAsChain:
             W, b = params[0], params[1]
             signs |= set(np.signbit((x @ W + b)[0, :2]).tolist())
             R = Tensor(rng.normal(size=(x.shape[0], params[-1].shape[1])))
-            assert_same_bits(lambda x_, *p: (mlp(x_, pairs(p)) * R).sum(),
-                             lambda x_, *p: (chain_mlp(x_, pairs(p)) * R).sum(),
+            assert_same_bits(lambda x_, *p: reduce_sum(mul(mlp(x_, pairs(p)), R)),
+                             lambda x_, *p: reduce_sum(mul(chain_mlp(x_, pairs(p)), R)),
                              [x] + params, [x_grad] + [True] * len(params))
         assert signs == {True, False}  # pre-activations of -0.0 and 0.0 both occurred
 
@@ -289,8 +357,8 @@ class TestSameBitsAsChain:
             X, _, _ = instance(rng)
             X[0] = 0.0  # the origin lands on the south pole
             R = Tensor(rng.normal(size=(X.shape[0], X.shape[1] + 1)))
-            assert_same_bits(lambda t: (project_batch(t) * R).sum(),
-                             lambda t: (chain_project_batch(t) * R).sum(), [X])
+            assert_same_bits(lambda t: reduce_sum(mul(project_batch(t), R)),
+                             lambda t: reduce_sum(mul(chain_project_batch(t), R)), [X])
 
     def test_cosine_logits(self):
         rng = np.random.default_rng(73)
@@ -298,8 +366,8 @@ class TestSameBitsAsChain:
             X, W, _ = instance(rng)
             X[0] = W[:, 0] * 3.0  # parallel to a column: the clamp bound is hit
             R = Tensor(rng.normal(size=(X.shape[0], W.shape[1])))
-            fused = lambda f, w: (cosine_logits(f, HeadWeights(w)) * R).sum()
-            chain = lambda f, w: (chain_cosine_logits(f, HeadWeights(w)) * R).sum()
+            fused = lambda f, w: reduce_sum(mul(cosine_logits(f, HeadWeights(w)), R))
+            chain = lambda f, w: reduce_sum(mul(chain_cosine_logits(f, HeadWeights(w)), R))
             assert_same_bits(fused, chain, [X, W])
             assert_same_bits(fused, chain, [X, W], [False, True])
 
@@ -309,8 +377,8 @@ class TestSameBitsAsChain:
 
         def scaled(cos_fn, tile):
             def fn(f, w):
-                norms = (f * f).sum(axis=1, keepdims=True).sqrt()
-                return (tile(norms, w.shape[1]) * cos_fn(f, HeadWeights(w)) * R).sum()
+                norms = sqrt(reduce_sum(mul(f, f), axis=1, keepdims=True))
+                return reduce_sum(mul(mul(tile(norms, w.shape[1]), cos_fn(f, HeadWeights(w))), R))
             return fn
 
         for _ in range(TRIALS):
@@ -327,7 +395,7 @@ class TestSameBitsAsChain:
             def fn(f, w):
                 head = HeadWeights(w)
                 block, _ = block_fn(queue, head)
-                return (cos_fn(f, head) * R).sum() + (cos_fn(block, head) * S).sum()
+                return add(reduce_sum(mul(cos_fn(f, head), R)), reduce_sum(mul(cos_fn(block, head), S)))
             return fn
 
         for _ in range(TRIALS):
@@ -337,7 +405,7 @@ class TestSameBitsAsChain:
             queue = filled_queue(rng, W, Q)
             R = Tensor(rng.normal(size=(X.shape[0], W.shape[1])))
             S = Tensor(rng.normal(size=(Q, W.shape[1])))
-            assert_same_bits(two_blocks(cosine_logits, _compensated_block),
+            assert_same_bits(two_blocks(cosine_logits, compensated_block),
                              two_blocks(chain_cosine_logits, chain_compensated_block), [X, W])
 
     def test_compensated_block(self):
@@ -352,8 +420,8 @@ class TestSameBitsAsChain:
             queue = filled_queue(rng, W, Q)
             S = Tensor(rng.normal(size=(Q, W.shape[0])))
             with np.errstate(invalid="ignore"):
-                assert_same_bits(lambda w: (_compensated_block(queue, HeadWeights(w))[0] * S).sum(),
-                                 lambda w: (chain_compensated_block(queue, HeadWeights(w))[0] * S).sum(), [W])
+                assert_same_bits(lambda w: reduce_sum(mul(compensated_block(queue, HeadWeights(w))[0], S)),
+                                 lambda w: reduce_sum(mul(chain_compensated_block(queue, HeadWeights(w))[0], S)), [W])
 
     def test_softmax_nll(self):
         rng = np.random.default_rng(76)
@@ -361,16 +429,35 @@ class TestSameBitsAsChain:
             X, W, labels = instance(rng)
             logits = X @ W * 4.0
             onehot = _one_hot(labels, W.shape[1])
-            assert_same_bits(lambda z: _nll_sum(z, onehot) / 3.0,
-                             lambda z: chain_nll_sum(z, onehot) / 3.0, [logits])
+            assert_same_bits(lambda z: div(nll_sum(z, onehot), 3.0),
+                             lambda z: div(chain_nll_sum(z, onehot), 3.0), [logits])
 
     @pytest.mark.parametrize("cfg", SWAP_CONFIGS, ids=swap_id)
     def test_swap_target(self, cfg):
         rng = np.random.default_rng(78)
         for _ in range(TRIALS):
             cosines, onehot, R = swap_instance(rng)
-            assert_same_bits(lambda c: (_swap_target(c, onehot, cfg) * R).sum(),
-                             lambda c: (chain_swap_target(c, onehot, cfg) * R).sum(), [cosines])
+            assert_same_bits(lambda c: reduce_sum(mul(swap_target(c, onehot, cfg), R)),
+                             lambda c: reduce_sum(mul(chain_swap_target(c, onehot, cfg), R)), [cosines])
+
+    @pytest.mark.parametrize("cfg", HEAD_CONFIGS, ids=swap_id)
+    def test_head_forward(self, cfg):
+        """The one ``head`` node against its chain: B = 1 to 6, edge targets, a filled queue with -0.0 entries."""
+        rng = np.random.default_rng(88)
+        targets, angles = set(), set()
+        for trial in range(2 * TRIALS):
+            B = trial % 6 + 1
+            X, W, labels = head_instance(rng, B, cfg, trial // 6)
+            queue = filled_queue(rng, W, int(rng.integers(1, 9))) if cfg.family == "broadface" else None
+            assert_same_bits(
+                lambda f, w: head_forward(f, HeadWeights(w), cfg, labels, copy.deepcopy(queue)),
+                lambda f, w: chain_head_forward(f, HeadWeights(w), cfg, labels, copy.deepcopy(queue)), [X, W])
+            target = heads._cosine_logits(X, W)[0][np.arange(B), labels]
+            targets |= set(target.tolist())
+            angles |= set(np.sign(np.arccos(target) - (np.pi - cfg.m)).tolist())
+        assert {1.0, -1.0, COS_CLAMP, -COS_CLAMP} <= targets
+        if cfg.family in ("arcface", "broadface") and cfg.m > 0.0:
+            assert {-1.0, 1.0} <= angles  # target angles before and past pi - m
 
     @pytest.mark.parametrize("family", heads.FAMILIES)
     @pytest.mark.parametrize("projection", [True, False])
@@ -379,10 +466,7 @@ class TestSameBitsAsChain:
         fused = step_bits(family, projection)
         monkeypatch.setattr(train, "mlp", chain_mlp)
         monkeypatch.setattr(train, "project_batch", chain_project_batch)
-        monkeypatch.setattr(heads, "cosine_logits", chain_cosine_logits)
-        monkeypatch.setattr(heads, "_nll_sum", chain_nll_sum)
-        monkeypatch.setattr(heads, "_swap_target", chain_swap_target)
-        monkeypatch.setattr(heads, "_compensated_block", chain_compensated_block)
+        monkeypatch.setattr(train, "head_forward", chain_head_forward)
         chained = step_bits(family, projection)
         assert len(fused) == len(chained)
         for f, c in zip(fused, chained):
@@ -436,7 +520,7 @@ class TestFiniteDifferences:
             x, W, _ = instance(rng)
             b = rng.normal(size=(1, W.shape[1]))
             R = Tensor(rng.normal(size=(x.shape[0], W.shape[1])))
-            check_gradients(lambda x_, W_, b_: (mlp(x_, [(W_, b_)]) * R).sum(), [x, W, b], tol=1e-5)
+            check_gradients(lambda x_, W_, b_: reduce_sum(mul(mlp(x_, [(W_, b_)]), R)), [x, W, b], tol=1e-5)
 
     def test_mlp(self):
         """Depth 1 to 3; a draw with a pre-activation near a ReLU kink is skipped."""
@@ -455,7 +539,7 @@ class TestFiniteDifferences:
                 h = np.maximum(h, 0.0)
             else:
                 R = Tensor(rng.normal(size=(x.shape[0], widths[-1])))
-                check_gradients(lambda x_, *p: (mlp(x_, pairs(p)) * R).sum(), [x] + params, tol=1e-5)
+                check_gradients(lambda x_, *p: reduce_sum(mul(mlp(x_, pairs(p)), R)), [x] + params, tol=1e-5)
                 checked += 1
         assert checked >= TRIALS // 2
 
@@ -466,7 +550,7 @@ class TestFiniteDifferences:
             Q = int(rng.integers(1, 9))
             queue = filled_queue(rng, W, Q)
             S = Tensor(rng.normal(size=(Q, W.shape[0])))
-            check_gradients(lambda w: (_compensated_block(queue, HeadWeights(w))[0] * S).sum(), [W], tol=1e-5)
+            check_gradients(lambda w: reduce_sum(mul(compensated_block(queue, HeadWeights(w))[0], S)), [W], tol=1e-5)
 
     def test_cosine_logits(self):
         rng = np.random.default_rng(82)
@@ -475,14 +559,14 @@ class TestFiniteDifferences:
             if np.max(np.abs(chain_cosine_logits(Tensor(X), HeadWeights(Tensor(W))).data)) > 0.97:
                 continue  # the clamp's kink is not differentiable
             R = Tensor(rng.normal(size=(X.shape[0], W.shape[1])))
-            check_gradients(lambda f, w: (cosine_logits(f, HeadWeights(w)) * R).sum(), [X, W], tol=1e-5)
+            check_gradients(lambda f, w: reduce_sum(mul(cosine_logits(f, HeadWeights(w)), R)), [X, W], tol=1e-5)
 
     def test_softmax_nll(self):
         rng = np.random.default_rng(83)
         for _ in range(TRIALS):
             X, W, labels = instance(rng)
             onehot = _one_hot(labels, W.shape[1])
-            check_gradients(lambda z: _nll_sum(z, onehot), [X @ W * 3.0], tol=1e-5)
+            check_gradients(lambda z: nll_sum(z, onehot), [X @ W * 3.0], tol=1e-5)
 
     @pytest.mark.parametrize("cfg", SWAP_CONFIGS, ids=swap_id)
     def test_swap_target(self, cfg):
@@ -491,7 +575,7 @@ class TestFiniteDifferences:
         for _ in range(TRIALS):
             cosines, onehot, R = swap_instance(rng)
             cosines = np.clip(cosines, -0.95, 0.95)
-            check_gradients(lambda c: (_swap_target(c, onehot, cfg) * R).sum(), [cosines], tol=1e-5)
+            check_gradients(lambda c: reduce_sum(mul(swap_target(c, onehot, cfg), R)), [cosines], tol=1e-5)
 
     @pytest.mark.parametrize("m", [0.1, 0.5, 1.0])
     def test_swap_target_on_both_sides_of_the_arcface_fallback(self, m):
@@ -505,46 +589,66 @@ class TestFiniteDifferences:
             sides = np.where(np.arange(B) % 2 == 0, -1.0, 1.0)
             cosines[np.arange(B), labels] = np.cos(np.pi - m + sides * rng.uniform(1e-3, m / 2.0, size=B))
             R = Tensor(rng.normal(size=(B, C)))
-            check_gradients(lambda c: (_swap_target(c, _one_hot(labels, C), cfg) * R).sum(), [cosines], tol=1e-5)
+            check_gradients(lambda c: reduce_sum(mul(swap_target(c, _one_hot(labels, C), cfg), R)), [cosines], tol=1e-5)
 
 
 # -- tape size ------------------------------------------------------------------
 
 
-# Nodes on the tape of one B=32 step on projected spirals features, encoder
-# [64, 32] into 16 features: the encoder as one mlp node, the projection,
-# then the head. BroadFace is counted with its queue holding a previous batch.
-TAPE_NODES = {"cce": 5, "cosface": 7, "arcface": 6, "sphereface": 10, "broadface": 11}
+# The nodes of one B=32 step on spirals features, encoder [64, 32] into 16
+# features, with the lift on and off: the encoder as one mlp node, the
+# projection, then the head. BroadFace is counted with its queue holding a
+# previous batch.
+TAPE_NODES = {True: ["mlp", "project_batch", "head"], False: ["mlp", "head"]}
 
 
-@pytest.mark.parametrize("family", heads.FAMILIES)
-def test_tape_size_of_a_spirals_step(family):
+def spirals_step_loss(family, projection):
+    """The loss of one B=32 step of ``test_tape_size_of_a_spirals_step``'s model."""
     train_ds, _ = train.build_datasets(train.DataConfig("two_spirals", {"n_per_class": 100}), seed=1)
     margin = MarginConfig.for_family(family, s=12.0)
-    model = build_model(ModelConfig(feature_dim=16, margin=margin, encoder_layers=(64, 32)),
+    model = build_model(ModelConfig(feature_dim=16, margin=margin, encoder_layers=(64, 32),
+                                    projection_enabled=projection),
                         train_ds.dim, train_ds.class_count, seed=2)
     queue = EmbeddingQueue(margin.queue_capacity) if family == "broadface" else None
     X, y = train_ds.features.data, train_ds.labels
     if queue is not None:
         train._batch_loss(model, X[32:64], y[32:64], queue)
-    loss = train._batch_loss(model, X[:32], y[:32], queue)
-    assert len(trace(loss)) <= TAPE_NODES[family]
+    return train._batch_loss(model, X[:32], y[:32], queue)
+
+
+@pytest.mark.parametrize("family", heads.FAMILIES)
+def test_tape_size_of_a_spirals_step(family):
+    for projection, ops in TAPE_NODES.items():
+        assert [node.op for node in trace(spirals_step_loss(family, projection)).nodes] == ops
 
 
 @pytest.mark.parametrize("family", ["arcface", "sphereface", "broadface"])
 @pytest.mark.parametrize("swap", ["fused", "chain"])
 def test_nan_cosine_ends_fit_as_training_diverged(family, swap, monkeypatch):
-    """A NaN target cosine passes the swap as NaN, so the loss check catches it."""
-    real_cosine_logits = heads.cosine_logits
+    """A NaN target cosine passes the swap as NaN, so the loss check catches it.
 
-    def poisoned(features, weights):
-        out = real_cosine_logits(features, weights)
-        out.data[0] = np.nan
-        return out
+    ``fused`` poisons the head's numpy cosine piece; ``chain`` trains
+    through ``chain_head_forward`` and poisons its chain cosines.
+    """
+    if swap == "fused":
+        real_cosine_logits = heads._cosine_logits
 
-    monkeypatch.setattr(heads, "cosine_logits", poisoned)
-    if swap == "chain":
-        monkeypatch.setattr(heads, "_swap_target", chain_swap_target)
+        def poisoned(f, W):
+            cosines, norms, back = real_cosine_logits(f, W)
+            cosines[0] = np.nan
+            return cosines, norms, back
+
+        monkeypatch.setattr(heads, "_cosine_logits", poisoned)
+    else:
+        real_chain = chain_cosine_logits
+
+        def poisoned_chain(features, weights):
+            out = real_chain(features, weights)
+            out.data[0] = np.nan
+            return out
+
+        monkeypatch.setitem(globals(), "chain_cosine_logits", poisoned_chain)
+        monkeypatch.setattr(train, "head_forward", chain_head_forward)
     train_ds, _ = train.build_datasets(train.DataConfig("two_spirals", {"n_per_class": 20}), seed=1)
     model = build_model(ModelConfig(feature_dim=4, margin=MarginConfig.for_family(family), encoder_layers=(8,)),
                         train_ds.dim, train_ds.class_count, seed=2)
@@ -578,12 +682,12 @@ def test_compensated_block_rejects_bad_queues():
     wrong_dim = EmbeddingQueue(4)
     wrong_dim.push(np.ones(4), 0, np.ones(4))
     with pytest.raises(StateError):
-        _compensated_block(wrong_dim, W)
+        compensated_block(wrong_dim, W)
     zero_snapshot = EmbeddingQueue(4)
     zero_snapshot.push(np.ones(3), 0, np.ones(3))
     zero_snapshot.push(np.ones(3), 1, np.zeros(3))
     with pytest.raises(DegenerateInputError):
-        _compensated_block(zero_snapshot, W)
+        compensated_block(zero_snapshot, W)
 
 
 # -- op inventory -----------------------------------------------------------------

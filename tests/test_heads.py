@@ -20,13 +20,9 @@ from spherehead.heads import (
     EmbeddingQueue,
     HeadWeights,
     MarginConfig,
-    _compensated_block,
-    _swap_target,
     arcface_loss,
     broadface_step,
-    cce_loss,
     cosface_loss,
-    cosine_logits,
     head_forward,
     sphereface_loss,
 )
@@ -35,7 +31,12 @@ from .helpers import check_gradients
 from .oracles import (
     DequeQueue,
     QueueEntry,
+    cce_loss,
     compensate,
+    compensated_block,
+    cosine_logits,
+    matmul,
+    mul,
     oracle_arcface,
     oracle_broadface,
     oracle_cce,
@@ -43,6 +44,7 @@ from .oracles import (
     oracle_cosface,
     oracle_cosine_logits,
     oracle_sphereface,
+    swap_target,
 )
 
 
@@ -167,8 +169,11 @@ class TestCosineLogits:
             cosine_logits(Tensor([[1.0, 1.0]]), bad_w)
 
     def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            cosine_logits(Tensor([[1.0, 2.0, 3.0]]), HeadWeights(Tensor(np.eye(2))))
+        """Checked by ``head_forward``, the cosines' one caller, for every family."""
+        for family in ("cce", "sphereface", "cosface", "arcface", "broadface"):
+            with pytest.raises(ShapeError):
+                head_forward(Tensor([[1.0, 2.0, 3.0]]), HeadWeights(Tensor(np.eye(2))),
+                             MarginConfig.for_family(family), [0])
 
 
 class TestCceLoss:
@@ -269,7 +274,7 @@ class TestSpherefaceLoss:
         assume(large - small >= 1e-4)
         cfg = MarginConfig(family="sphereface", m=m, use_monotone_psi=True)
         cosines = Tensor([[np.cos(small), 0.0], [np.cos(large), 0.0]])
-        psi = _swap_target(cosines, np.array([[1.0, 0.0], [1.0, 0.0]]), cfg).data[:, 0]
+        psi = swap_target(cosines, np.array([[1.0, 0.0], [1.0, 0.0]]), cfg).data[:, 0]
         assert psi[0] > psi[1]
 
     def test_literal_psi_not_monotone_for_m2(self):
@@ -306,7 +311,7 @@ class TestCosfaceLoss:
             w = HeadWeights(Tensor(W))
             cfg = MarginConfig(family="cosface", m=0.0, s=8.0)
             ours = cosface_loss(Tensor(X), w, cfg, labels).item()
-            ref = cce_loss(cosine_logits(Tensor(X), w) * 8.0, labels).item()
+            ref = cce_loss(mul(cosine_logits(Tensor(X), w), 8.0), labels).item()
             assert ours == pytest.approx(ref, abs=1e-12)
 
     def test_matches_oracle(self):
@@ -344,7 +349,7 @@ class TestArcfaceLoss:
             X, W, labels = random_instance(rng)
             w = HeadWeights(Tensor(W))
             ours = arcface_loss(Tensor(X), w, MarginConfig(family="arcface", m=0.0, s=8.0), labels).item()
-            ref = cce_loss(cosine_logits(Tensor(X), w) * 8.0, labels).item()
+            ref = cce_loss(mul(cosine_logits(Tensor(X), w), 8.0), labels).item()
             assert ours == pytest.approx(ref, abs=1e-12)
 
     def test_matches_oracle(self):
@@ -366,7 +371,7 @@ class TestArcfaceLoss:
         assume(large - small >= 1e-4)
         cfg = MarginConfig(family="arcface", m=m, s=1.0)
         cosines = Tensor([[np.cos(small), 0.0], [np.cos(large), 0.0]])
-        psi = _swap_target(cosines, np.array([[1.0, 0.0], [1.0, 0.0]]), cfg).data[:, 0]
+        psi = swap_target(cosines, np.array([[1.0, 0.0], [1.0, 0.0]]), cfg).data[:, 0]
         assert psi[0] > psi[1]
 
     def test_large_scale_no_overflow(self):
@@ -415,7 +420,7 @@ class TestCompensate:
         q = EmbeddingQueue(6)
         for _ in range(9):  # wrapped, so the block must read oldest-first
             q.push(rng.normal(size=4), int(rng.integers(0, 3)), rng.normal(size=4))
-        block, onehot = _compensated_block(q, HeadWeights(Tensor(W)))
+        block, onehot = compensated_block(q, HeadWeights(Tensor(W)))
         emb, labels, snaps = q.stacked()
         assert_array_equal(onehot.argmax(axis=1), labels)
         for row, b, y, snap in zip(block.data, emb, labels, snaps):
@@ -425,7 +430,7 @@ class TestCompensate:
         q = EmbeddingQueue(2)
         q.push(np.array([1.0, 0.0]), 0, np.zeros(2))
         with pytest.raises(DegenerateInputError):
-            _compensated_block(q, HeadWeights(Tensor(np.eye(2))))
+            compensated_block(q, HeadWeights(Tensor(np.eye(2))))
 
 
 class TestEmbeddingQueue:
@@ -707,6 +712,28 @@ class TestHeadForward:
             head_forward(Tensor(X), HeadWeights(Tensor(W)), MarginConfig.for_family("arcface"), labels,
                          EmbeddingQueue(4))
 
+    @pytest.mark.parametrize("family", ["sphereface", "cosface", "arcface", "broadface"])
+    def test_zero_feature_row_rejected(self, family):
+        """Every angular family rejects a zero row with the cosines' error, sphereface included."""
+        rng = np.random.default_rng(72)
+        X, W, labels = random_instance(rng)
+        X[1] = 0.0
+        with pytest.raises(DegenerateInputError, match="zero-norm feature row"):
+            head_forward(Tensor(X), HeadWeights(Tensor(W)), MarginConfig.for_family(family), labels)
+
+    def test_empty_batch_rejected(self):
+        """An empty batch is a ShapeError, not a 0 / 0 loss."""
+        for family in ("cce", "sphereface", "cosface", "arcface", "broadface"):
+            with pytest.raises(ShapeError):
+                head_forward(Tensor(np.zeros((0, 2))), HeadWeights(Tensor(np.eye(2))),
+                             MarginConfig.for_family(family), [])
+
+    def test_cce_accepts_a_zero_feature_row(self):
+        rng = np.random.default_rng(73)
+        X, W, labels = random_instance(rng)
+        X[1] = 0.0
+        assert np.isfinite(head_forward(Tensor(X), HeadWeights(Tensor(W)), MarginConfig("cce"), labels).item())
+
     @pytest.mark.parametrize("family", ["cce", "sphereface", "cosface", "arcface", "broadface"])
     def test_label_count_must_match_rows(self, family):
         rng = np.random.default_rng(70)
@@ -732,7 +759,7 @@ class TestLossGradients:
         for _ in range(10):
             X, W, labels = self._safe_instance(rng)
             check_gradients(
-                lambda f, w: cce_loss(f @ w, labels),
+                lambda f, w: cce_loss(matmul(f, w), labels),
                 [X, W],
                 tol=1e-5,
             )

@@ -19,7 +19,7 @@ from spherehead.stereo import (
     project_rows,
 )
 from .helpers import check_gradients
-from .oracles import check_ball_convexity, oracle_lift_row
+from .oracles import check_ball_convexity, matmul, oracle_lift_row, reduce_sum
 
 
 def height(x) -> float:
@@ -239,10 +239,10 @@ class TestProjectBatch:
         rng = np.random.default_rng(13)
         for _ in range(20):
             X = rng.normal(size=(3, 4)) * 2.0
-            check_gradients(lambda t: project_batch(t).sum(), [X], tol=1e-5)
+            check_gradients(lambda t: reduce_sum(project_batch(t)), [X], tol=1e-5)
             w = rng.normal(size=(5, 1))
             check_gradients(
-                lambda t: (project_batch(t) @ Tensor(w)).sum(),
+                lambda t: reduce_sum(matmul(project_batch(t), Tensor(w))),
                 [X],
                 tol=1e-5,
             )
@@ -250,7 +250,7 @@ class TestProjectBatch:
     def test_gradient_flows_through_norm_channel(self):
         X = Tensor([[3.0, 4.0]], requires_grad=True)
         out = project_batch(X)
-        backward(out.sum())
+        backward(reduce_sum(out))
         assert X.grad is not None
         assert np.all(X.grad != 0.0)
 

@@ -1,15 +1,13 @@
 """Tensor core: forward values, reverse-mode gradients, tape discipline."""
 
-import operator
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spherehead.errors import DomainError, ShapeError
-from spherehead.ndcore import Tensor, backward, matmul, trace
+from spherehead.ndcore import Tensor, backward, trace
 from .helpers import check_gradients
-from .oracles import acos, clamp, concat, cos, exp, log, relu, transpose
+from .oracles import acos, add, clamp, concat, cos, div, exp, log, matmul, mul, reduce_sum, relu, sqrt, sub, transpose
 
 
 class TestForwardValues:
@@ -18,18 +16,18 @@ class TestForwardValues:
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(3, 4)) + 3.0  # keep away from zero for div
         ta, tb = Tensor(a), Tensor(b)
-        assert_array_equal((ta + tb).data, a + b)
-        assert_array_equal((ta - tb).data, a - b)
-        assert_array_equal((ta * tb).data, a * b)
-        assert_array_equal((ta / tb).data, a / b)
+        assert_array_equal(add(ta, tb).data, a + b)
+        assert_array_equal(sub(ta, tb).data, a - b)
+        assert_array_equal(mul(ta, tb).data, a * b)
+        assert_array_equal(div(ta, tb).data, a / b)
 
     def test_scalar_operands(self):
         t = Tensor([1.0, 2.0, 3.0])
-        assert_array_equal((t + 1.0).data, [2.0, 3.0, 4.0])
-        assert_array_equal((1.0 + t).data, [2.0, 3.0, 4.0])
-        assert_array_equal((2.0 * t).data, [2.0, 4.0, 6.0])
-        assert_array_equal((t - 1.0).data, [0.0, 1.0, 2.0])
-        assert_array_equal((6.0 / t).data, [6.0, 3.0, 2.0])
+        assert_array_equal(add(t, 1.0).data, [2.0, 3.0, 4.0])
+        assert_array_equal(add(1.0, t).data, [2.0, 3.0, 4.0])
+        assert_array_equal(mul(2.0, t).data, [2.0, 4.0, 6.0])
+        assert_array_equal(sub(t, 1.0).data, [0.0, 1.0, 2.0])
+        assert_array_equal(div(6.0, t).data, [6.0, 3.0, 2.0])
 
     def test_unary_matches_numpy(self):
         rng = np.random.default_rng(7)
@@ -37,7 +35,7 @@ class TestForwardValues:
         t = Tensor(a)
         assert_array_equal(exp(t).data, np.exp(a))
         assert_array_equal(log(t).data, np.log(a))
-        assert_array_equal(t.sqrt().data, np.sqrt(a))
+        assert_array_equal(sqrt(t).data, np.sqrt(a))
         assert_array_equal(cos(t).data, np.cos(a))
 
     def test_relu_and_clamp(self):
@@ -60,10 +58,10 @@ class TestForwardValues:
     def test_reductions(self):
         a = np.array([[1.0, 5.0, 3.0], [2.0, 2.0, 2.0]])
         t = Tensor(a)
-        assert t.sum().item() == 15.0
-        assert_array_equal(t.sum(axis=1).data, [9.0, 6.0])
-        assert_array_equal(t.sum(axis=0, keepdims=True).data, [[3.0, 7.0, 5.0]])
-        assert_array_equal(t.sum(axis=-1, keepdims=True).data, [[9.0], [6.0]])
+        assert reduce_sum(t).item() == 15.0
+        assert_array_equal(reduce_sum(t, axis=1).data, [9.0, 6.0])
+        assert_array_equal(reduce_sum(t, axis=0, keepdims=True).data, [[3.0, 7.0, 5.0]])
+        assert_array_equal(reduce_sum(t, axis=-1, keepdims=True).data, [[9.0], [6.0]])
 
     def test_concat_both_axes(self):
         a = Tensor([[1.0, 2.0]])
@@ -78,8 +76,8 @@ class TestForwardValues:
     def test_expand_helpers(self):
         """A [B, 1] column or [1, C] row broadcasts across a [B, C] operand."""
         col, row, ones = Tensor([[2.0], [3.0]]), Tensor([[1.0, 2.0, 3.0]]), Tensor(np.ones((2, 3)))
-        assert_array_equal((col * ones).data, [[2.0, 2.0, 2.0], [3.0, 3.0, 3.0]])
-        assert_array_equal((ones * row).data, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+        assert_array_equal(mul(col, ones).data, [[2.0, 2.0, 2.0], [3.0, 3.0, 3.0]])
+        assert_array_equal(mul(ones, row).data, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
 
     def test_float64_contiguous_storage(self):
         t = Tensor(np.arange(4, dtype=np.int32).reshape(2, 2).T)
@@ -90,31 +88,31 @@ class TestForwardValues:
 class TestWorkedGradients:
     def test_sum_of_squares(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        loss = (x * x).sum()
+        loss = reduce_sum(mul(x, x))
         backward(loss)
         assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_relu_subgradient_zero_at_kink(self):
         x = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
-        backward(relu(x).sum())
+        backward(reduce_sum(relu(x)))
         assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
     def test_clamp_zero_gradient_at_bounds(self):
         x = Tensor([-1.0, 0.5, 1.0, 7.0], requires_grad=True)
-        backward(clamp(x, -1.0, 1.0).sum())
+        backward(reduce_sum(clamp(x, -1.0, 1.0)))
         assert_array_equal(x.grad, [0.0, 1.0, 0.0, 0.0])
 
     def test_matmul_gradients(self):
         a = Tensor([[1.0, 2.0]], requires_grad=True)
         b = Tensor([[3.0], [4.0]], requires_grad=True)
-        backward(matmul(a, b).sum())
+        backward(reduce_sum(matmul(a, b)))
         assert_array_equal(a.grad, [[3.0, 4.0]])
         assert_array_equal(b.grad, [[1.0], [2.0]])
 
     def test_scalar_broadcast_gradient_reduces(self):
         s = Tensor(2.0, requires_grad=True)
         x = Tensor(np.ones((2, 3)), requires_grad=True)
-        backward((s * x).sum())
+        backward(reduce_sum(mul(s, x)))
         assert s.grad.shape == ()
         assert float(s.grad) == 6.0
         assert_array_equal(x.grad, np.full((2, 3), 2.0))
@@ -123,43 +121,43 @@ class TestWorkedGradients:
         x = Tensor([0.5, 1.0, 2.0], requires_grad=True)
         y = exp(log(x))
         assert_allclose(y.data, x.data, rtol=1e-15)
-        backward(y.sum())
+        backward(reduce_sum(y))
         assert_allclose(x.grad, np.ones(3), rtol=1e-14)
 
     def test_reused_node_accumulates_both_paths(self):
         x = Tensor(3.0, requires_grad=True)
-        y = x * x + x  # dy/dx = 2x + 1 = 7
+        y = add(mul(x, x), x)  # dy/dx = 2x + 1 = 7
         backward(y)
         assert float(x.grad) == 7.0
 
     def test_detach_blocks_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         detached = Tensor(x.data.copy())  # a fresh leaf holding a copy of the values
-        backward((detached * x).sum())
+        backward(reduce_sum(mul(detached, x)))
         assert_array_equal(x.grad, [1.0, 2.0])  # only the live branch contributes
 
 
 class TestGradientAccounting:
     def test_accumulation_across_backward_calls(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        loss = (x * x).sum()
+        loss = reduce_sum(mul(x, x))
         backward(loss)
         first = x.grad.copy()
-        loss2 = (x * x).sum()
+        loss2 = reduce_sum(mul(x, x))
         backward(loss2)
         assert_allclose(x.grad, 2.0 * first, rtol=0, atol=1e-12)
 
     def test_zero_grad_resets(self):
         x = Tensor([1.0], requires_grad=True)
-        backward((x * x).sum())
+        backward(reduce_sum(mul(x, x)))
         x.zero_grad()
         assert x.grad is None
-        backward((x * x).sum())
+        backward(reduce_sum(mul(x, x)))
         assert_array_equal(x.grad, [2.0])
 
     def test_constant_loss_backward_is_noop(self):
         x = Tensor([1.0, 2.0])
-        loss = (x * x).sum()
+        loss = reduce_sum(mul(x, x))
         assert not loss.requires_grad
         backward(loss)  # must not raise
         assert x.grad is None
@@ -174,7 +172,7 @@ class TestGradientAccounting:
             rng = np.random.default_rng(99)
             x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
             w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-            backward((relu(matmul(x, w)) * 0.5).sum())
+            backward(reduce_sum(mul(relu(matmul(x, w)), 0.5)))
             return x.grad.copy(), w.grad.copy()
 
         gx1, gw1 = run()
@@ -187,7 +185,7 @@ class TestTape:
     def test_trace_is_topologically_ordered(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         w = Tensor([3.0, 4.0], requires_grad=True)
-        loss = ((x * w) + relu(x)).sum()
+        loss = reduce_sum(add(mul(x, w), relu(x)))
         tape = trace(loss)
         produced = set()
         for node in tape.nodes:
@@ -199,15 +197,15 @@ class TestTape:
 
     def test_constants_fold_out_of_tape(self):
         x = Tensor([1.0], requires_grad=True)
-        c = Tensor([2.0]) * Tensor([3.0])  # pure constant subexpression
+        c = mul(Tensor([2.0]), Tensor([3.0]))  # pure constant subexpression
         assert c._op == "leaf"
-        tape = trace((x * c).sum())
+        tape = trace(reduce_sum(mul(x, c)))
         assert [node.op for node in tape.nodes] == ["mul", "sum"]
 
     def test_shared_subexpression_recorded_once(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        y = x * x
-        loss = (y + y).sum()
+        y = mul(x, x)
+        loss = reduce_sum(add(y, y))
         tape = trace(loss)
         assert [node.op for node in tape.nodes].count("mul") == 1
 
@@ -216,7 +214,7 @@ class TestErrors:
     def test_backward_rejects_nonscalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError):
-            backward(x * x)
+            backward(mul(x, x))
 
     def test_item_rejects_nonscalar(self):
         with pytest.raises(ShapeError):
@@ -224,7 +222,7 @@ class TestErrors:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            Tensor([1.0, 2.0]) + Tensor([1.0, 2.0, 3.0])
+            add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
 
     def test_matmul_shape_checks(self):
         with pytest.raises(ShapeError):
@@ -242,25 +240,25 @@ class TestErrors:
         """Only a [B, 1] or [1, C] operand broadcasts against [B, C], and only within rank 2."""
         for a, b in [((4, 2), (4, 3)), ((1, 3), (4, 1)), ((3,), (4, 3)), ((4, 1), (4,)), ((2, 1), (4, 3))]:
             for x, y in [(a, b), (b, a)]:
-                for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v, lambda u, v: u / v):
+                for op in (add, sub, mul, div):
                     with pytest.raises(ShapeError):
                         op(Tensor(np.ones(x)), Tensor(np.ones(y)))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            Tensor([0.0]).sqrt()
+            sqrt(Tensor([0.0]))
         with pytest.raises(DomainError):
             acos(Tensor([1.5]))
         with pytest.raises(DomainError):
-            Tensor([1.0]) / Tensor([0.0])
+            div(Tensor([1.0]), Tensor([0.0]))
         with pytest.raises(DomainError):
             clamp(Tensor([1.0]), 2.0, 1.0)
 
     def test_axis_out_of_range(self):
         with pytest.raises(ShapeError):
-            Tensor([[1.0]]).sum(axis=2)
+            reduce_sum(Tensor([[1.0]]), axis=2)
         with pytest.raises(ShapeError):
-            Tensor([[1.0]]).sum(axis=-3)
+            reduce_sum(Tensor([[1.0]]), axis=-3)
 
 
 class TestFiniteDifferenceInvariant:
@@ -281,80 +279,80 @@ class TestFiniteDifferenceInvariant:
         rng = np.random.default_rng(42)
         for _ in range(self.TRIALS):
             a, b = self._draw(rng), self._draw(rng)
-            check_gradients(lambda x, y: (x + y).sum(), [a, b])
-            check_gradients(lambda x, y: (x - y).sum(), [a, b])
-            check_gradients(lambda x, y: (x * y).sum(), [a, b])
+            check_gradients(lambda x, y: reduce_sum(add(x, y)), [a, b])
+            check_gradients(lambda x, y: reduce_sum(sub(x, y)), [a, b])
+            check_gradients(lambda x, y: reduce_sum(mul(x, y)), [a, b])
 
     def test_div(self):
         rng = np.random.default_rng(43)
         for _ in range(self.TRIALS):
             a = self._draw(rng)
             b = rng.uniform(0.5, 2.0, size=self.SHAPE) * rng.choice([-1.0, 1.0], size=self.SHAPE)
-            check_gradients(lambda x, y: (x / y).sum(), [a, b])
+            check_gradients(lambda x, y: reduce_sum(div(x, y)), [a, b])
 
     def test_exp(self):
         rng = np.random.default_rng(44)
         for _ in range(self.TRIALS):
             a = self._draw(rng)
-            check_gradients(lambda x: exp(x).sum(), [a])
+            check_gradients(lambda x: reduce_sum(exp(x)), [a])
 
     def test_log_sqrt(self):
         rng = np.random.default_rng(45)
         for _ in range(self.TRIALS):
             a = rng.uniform(0.1, 2.0, size=self.SHAPE)
-            check_gradients(lambda x: log(x).sum(), [a])
-            check_gradients(lambda x: x.sqrt().sum(), [a])
+            check_gradients(lambda x: reduce_sum(log(x)), [a])
+            check_gradients(lambda x: reduce_sum(sqrt(x)), [a])
 
     def test_trig(self):
         rng = np.random.default_rng(46)
         for _ in range(self.TRIALS):
             a = self._draw(rng)
-            check_gradients(lambda x: cos(x).sum(), [a])
+            check_gradients(lambda x: reduce_sum(cos(x)), [a])
 
     def test_acos_interior(self):
         rng = np.random.default_rng(47)
         for _ in range(self.TRIALS):
             a = rng.uniform(-0.9, 0.9, size=self.SHAPE)
-            check_gradients(lambda x: acos(x).sum(), [a])
+            check_gradients(lambda x: reduce_sum(acos(x)), [a])
 
     def test_relu_away_from_kink(self):
         rng = np.random.default_rng(48)
         for _ in range(self.TRIALS):
             a = self._draw(rng, avoid_zero=1e-3)
-            check_gradients(lambda x: relu(x).sum(), [a])
+            check_gradients(lambda x: reduce_sum(relu(x)), [a])
 
     def test_clamp_away_from_bounds(self):
         rng = np.random.default_rng(49)
         for _ in range(self.TRIALS):
             a = self._draw(rng, lo=-3.0, hi=3.0)
             a = np.where(np.abs(np.abs(a) - 1.0) < 1e-3, a * 1.5, a)
-            check_gradients(lambda x: clamp(x, -1.0, 1.0).sum(), [a])
+            check_gradients(lambda x: reduce_sum(clamp(x, -1.0, 1.0)), [a])
 
     def test_matmul_transpose(self):
         rng = np.random.default_rng(50)
         for _ in range(self.TRIALS):
             a = rng.normal(size=(3, 4))
             b = rng.normal(size=(4, 2))
-            check_gradients(lambda x, y: matmul(x, y).sum(), [a, b])
-            check_gradients(lambda x: matmul(transpose(x), x).sum(), [a])
+            check_gradients(lambda x, y: reduce_sum(matmul(x, y)), [a, b])
+            check_gradients(lambda x: reduce_sum(matmul(transpose(x), x)), [a])
 
     def test_reductions_and_shapes(self):
         rng = np.random.default_rng(51)
         for _ in range(self.TRIALS):
             a = self._draw(rng)
-            check_gradients(lambda x: (x.sum(axis=1) * x.sum(axis=1)).sum(), [a])
-            check_gradients(lambda x: (x.sum(axis=0, keepdims=True) * 2.0).sum(), [a])
-            check_gradients(lambda x: (x * x.sum(axis=-1, keepdims=True)).sum(), [a])
+            check_gradients(lambda x: reduce_sum(mul(reduce_sum(x, axis=1), reduce_sum(x, axis=1))), [a])
+            check_gradients(lambda x: reduce_sum(mul(reduce_sum(x, axis=0, keepdims=True), 2.0)), [a])
+            check_gradients(lambda x: reduce_sum(mul(x, reduce_sum(x, axis=-1, keepdims=True))), [a])
 
     def test_concat_expand(self):
         rng = np.random.default_rng(53)
         for _ in range(self.TRIALS):
             a = rng.normal(size=(2, 3))
             b = rng.normal(size=(2, 3))
-            check_gradients(lambda x, y: (concat([x, y], axis=1).sum(axis=1) * 0.25).sum(), [a, b])
-            check_gradients(lambda x, y: (concat([x, y], axis=0) * concat([y, x], axis=0)).sum(), [a, b])
+            check_gradients(lambda x, y: reduce_sum(mul(reduce_sum(concat([x, y], axis=1), axis=1), 0.25)), [a, b])
+            check_gradients(lambda x, y: reduce_sum(mul(concat([x, y], axis=0), concat([y, x], axis=0))), [a, b])
             col = rng.normal(size=(3, 1))
-            check_gradients(lambda c: (c * Tensor(np.full((3, 4), 0.5))).sum(), [col])
+            check_gradients(lambda c: reduce_sum(mul(c, Tensor(np.full((3, 4), 0.5)))), [col])
 
     def test_composite_expression(self):
         rng = np.random.default_rng(54)
@@ -362,15 +360,14 @@ class TestFiniteDifferenceInvariant:
             x = rng.normal(size=(3, 4))
             w = rng.normal(size=(4, 2))
             check_gradients(
-                lambda a, b: (relu(matmul(a, b)) + 0.1).sqrt().sum(),
+                lambda a, b: reduce_sum(sqrt(add(relu(matmul(a, b)), 0.1))),
                 [x, w],
             )
 
 
 
 # each binary op on tensors and its numpy counterpart
-BINARY_OPS = {"add": (operator.add, np.add), "sub": (operator.sub, np.subtract),
-              "mul": (operator.mul, np.multiply), "div": (operator.truediv, np.divide)}
+BINARY_OPS = {"add": (add, np.add), "sub": (sub, np.subtract), "mul": (mul, np.multiply), "div": (div, np.divide)}
 
 
 @pytest.mark.parametrize("name", list(BINARY_OPS))
@@ -397,4 +394,4 @@ class TestBroadcast:
         op, _ = BINARY_OPS[name]
         R = Tensor(rng.normal(size=(3, 4)))
         for _ in range(5):
-            check_gradients(lambda u, v: (op(u, v) * R).sum(), list(self.operands(rng, small, small_first)))
+            check_gradients(lambda u, v: reduce_sum(mul(op(u, v), R)), list(self.operands(rng, small, small_first)))

@@ -29,6 +29,8 @@ from spherehead.train import (
     sgd_step,
 )
 
+from .oracles import reduce_sum
+
 
 def margin_for(family, **kw):
     return MarginConfig.for_family(family, **kw)
@@ -205,7 +207,7 @@ class TestForwardFeatures:
         cfg = ModelConfig(feature_dim=3, margin=margin_for("cosface"), encoder_layers=(4,))
         model = build_model(cfg, 2, 2, seed=3)
         X = np.random.default_rng(2).normal(size=(5, 2))
-        loss = model.forward_features(Tensor(X)).sum()
+        loss = reduce_sum(model.forward_features(Tensor(X)))
         from spherehead.ndcore import backward
 
         backward(loss)
