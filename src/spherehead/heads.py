@@ -24,12 +24,15 @@ the lift as one ``project_batch`` node, a training step records 3 tape
 nodes (2 without the lift) in every family.
 
 The queue keeps detached embeddings only; gradient from queue terms
-reaches the weight matrix and nothing else. It is a ring of three
-arrays (embeddings [Q, d], labels [Q], snapshots [Q, d]) written one
-row per push; ``stacked()`` returns fresh copies of the rows,
-oldest first. A row that is not a 1-D embedding with a snapshot of
-the same shape, or whose length is not the queue's d, raises
-``StateError`` at ``push``, before anything is written. ``sphereface_loss``,
+reaches the weight matrix and nothing else. It is a ring of arrays
+(embeddings [Q, d], labels [Q], snapshots [Q, d], and each row's
+|embedding| and |snapshot| [Q], taken once when the row is pushed).
+``head_forward`` writes a whole batch with one ``push_batch``, at most
+two slice writes per array; ``push`` is its one-row case.
+``stacked()`` and ``stacked_norms()`` return fresh copies, oldest
+first. A batch whose embeddings are not [B, d] with snapshots of the
+same shape, whose label count is not B, or whose d is not the queue's,
+raises ``StateError`` before anything is written. ``sphereface_loss``,
 ``cosface_loss``, ``arcface_loss`` and ``broadface_step`` are
 :func:`head_forward` behind a check of the config's family. All losses
 are scalar tensors on the gradient tape.
@@ -145,9 +148,12 @@ class HeadWeights:
 class EmbeddingQueue:
     """FIFO store of past (embedding, label, weight-snapshot) rows.
 
-    A ring of three arrays, embeddings [Q, d], labels [Q] and snapshots
-    [Q, d], allocated by the first push, which fixes d. Each push writes
-    one row of each, over the oldest once the queue is full.
+    A ring of five arrays: embeddings [Q, d], labels [Q], snapshots
+    [Q, d], and the norms |embedding| and |snapshot| [Q] of each row,
+    taken when it is pushed. The first non-empty push allocates the
+    [Q, d] arrays, which fixes d. A push writes a whole batch, over the
+    oldest rows once the queue is full, with at most two slice writes
+    per array.
     """
 
     def __init__(self, capacity: int):
@@ -156,6 +162,7 @@ class EmbeddingQueue:
         self.capacity = int(capacity)
         self._emb = self._snaps = np.empty((self.capacity, 0))
         self._labels = np.empty(self.capacity, dtype=np.int64)
+        self._emb_norms, self._snap_norms = np.empty(self.capacity), np.empty(self.capacity)
         self._next = 0  # the row the next push writes
         self._count = 0
 
@@ -163,29 +170,55 @@ class EmbeddingQueue:
         return self._count
 
     def push(self, embedding: np.ndarray, label: int, snapshot_weight: np.ndarray) -> None:
-        """Copy one row in; a bad row raises :class:`StateError` before anything is written."""
-        if embedding.ndim != 1 or snapshot_weight.shape != embedding.shape:
-            raise StateError(f"a queue row needs a 1-D embedding and a snapshot of its shape, "
-                             f"got {embedding.shape} and {snapshot_weight.shape}")
-        if self._count and embedding.shape[0] != self._emb.shape[1]:
-            raise StateError(f"embedding dim {embedding.shape} does not match queued ({self._emb.shape[1]},)")
-        if self.capacity == 0:
+        """Copy one row in: the one-row case of :meth:`push_batch`."""
+        self.push_batch(embedding[None], [label], snapshot_weight[None])
+
+    def push_batch(self, embeddings: np.ndarray, labels, snapshots: np.ndarray) -> None:
+        """Copy B rows in, oldest first: embeddings [B, d], labels [B], snapshots [B, d].
+
+        As B single pushes: past capacity only the last Q rows stay. A bad
+        batch raises :class:`StateError` before anything is written.
+        """
+        labels = np.asarray(labels)
+        if embeddings.ndim != 2 or snapshots.shape != embeddings.shape:
+            raise StateError(f"a queue batch needs [B, d] embeddings and snapshots of their shape, "
+                             f"got {embeddings.shape} and {snapshots.shape}")
+        if labels.shape != embeddings.shape[:1]:
+            raise StateError(f"{embeddings.shape[0]} queue rows but labels of shape {labels.shape}")
+        if self._count and embeddings.shape[1] != self._emb.shape[1]:
+            raise StateError(f"embedding dim {embeddings.shape[1]} does not match queued {self._emb.shape[1]}")
+        B, Q = embeddings.shape[0], self.capacity
+        if Q == 0 or B == 0:
             return
         if not self._count:  # the first row fixes d
-            d = embedding.shape[0]
-            self._emb, self._snaps = np.empty((self.capacity, d)), np.empty((self.capacity, d))
-        i = self._next
-        self._emb[i] = embedding
-        self._labels[i] = label
-        self._snaps[i] = snapshot_weight
-        self._next = i + 1 if i + 1 < self.capacity else 0
-        if self._count < self.capacity:
-            self._count += 1
+            d = embeddings.shape[1]
+            self._emb, self._snaps = np.empty((Q, d)), np.empty((Q, d))
+        skip = max(B - Q, 0)  # rows a later row of the batch would evict
+        emb = np.ascontiguousarray(embeddings[skip:], dtype=np.float64)
+        snaps = np.ascontiguousarray(snapshots[skip:], dtype=np.float64)
+        # norms of the contiguous rows have the bits of the norms of the stacked
+        # queue; a row near 1e200 overflows to inf here, as it would there
+        with np.errstate(over="ignore"):
+            batch = (emb, labels[skip:], snaps, np.linalg.norm(emb, axis=1), np.linalg.norm(snaps, axis=1))
+        start, n = (self._next + skip) % Q, B - skip
+        first = min(n, Q - start)  # rows written before the ring wraps
+        for ring, new in zip((self._emb, self._labels, self._snaps, self._emb_norms, self._snap_norms), batch):
+            ring[start:start + first] = new[:first]
+            ring[:n - first] = new[first:]
+        self._next = (start + n) % Q
+        self._count = min(self._count + n, Q)
+
+    def _oldest_first(self, *arrays) -> tuple:
+        n, c = self._next, self._count  # unwrapped, n == c; full, the oldest row is n
+        return tuple(np.concatenate((a[n:c], a[:n])) for a in arrays)
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows oldest-first as fresh arrays: embeddings [Q, d], labels [Q], snapshots [Q, d]."""
-        n, c = self._next, self._count  # unwrapped, n == c; full, the oldest row is n
-        return tuple(np.concatenate((a[n:c], a[:n])) for a in (self._emb, self._labels, self._snaps))
+        return self._oldest_first(self._emb, self._labels, self._snaps)
+
+    def stacked_norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows' norms oldest-first as fresh arrays: |embedding| [Q] and |snapshot| [Q]."""
+        return self._oldest_first(self._emb_norms, self._snap_norms)
 
 
 def _one_hot(labels, class_count: int) -> np.ndarray:
@@ -376,7 +409,8 @@ def _compensated_block(queue: EmbeddingQueue, W: np.ndarray):
     """All queue embeddings, drift-corrected: [Q, d], their one-hot labels and ``back``.
 
     Row j is ``emb_j - r_j * snap_j + r_j * W[:, y_j]``, r_j = |emb_j| /
-    |snap_j|. Embeddings and snapshots are constants, so ``back(g)``
+    |snap_j|, from the norms the queue stored at push. Embeddings and
+    snapshots are constants, so ``back(g)``
     gives one term, into W alone. W's columns are gathered as the
     product ``onehot @ W.T``, whose signed zeros and ``0 * inf`` differ
     from fancy indexing; the term has the floats of the add, mul, matmul
@@ -385,10 +419,10 @@ def _compensated_block(queue: EmbeddingQueue, W: np.ndarray):
     emb, labels, snaps = queue.stacked()
     if emb.shape[1] != W.shape[0]:
         raise StateError(f"queued embedding dim {emb.shape[1]} does not match weight dim {W.shape[0]}")
-    snap_norms = np.linalg.norm(snaps, axis=1)
+    emb_norms, snap_norms = queue.stacked_norms()
     if np.any(snap_norms == 0.0):
         raise DegenerateInputError("zero-norm snapshot weight column cannot anchor compensation")
-    ratios = (np.linalg.norm(emb, axis=1) / snap_norms)[:, None]  # [Q, 1]
+    ratios = (emb_norms / snap_norms)[:, None]  # [Q, 1]
     onehot = _one_hot(labels, W.shape[1])
     out = (emb - ratios * snaps) + ratios * (onehot @ W.T)
     return out, onehot, lambda g: [(onehot.T @ ((g + 0.0) * ratios + 0.0) + 0.0).T]
@@ -449,8 +483,7 @@ def head_forward(features: Tensor, weights: HeadWeights, cfg: MarginConfig,
     loss = _record("head", (features, W), total / float(count), backward_fn)
     if queue is not None:
         labels = np.asarray(labels, dtype=np.int64)
-        for i in range(features.shape[0]):
-            queue.push(features.data[i], int(labels[i]), weights.W.data[:, labels[i]])
+        queue.push_batch(features.data, labels, W.data[:, labels].T)
     return loss
 
 

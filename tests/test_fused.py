@@ -26,6 +26,7 @@ from spherehead.ndcore import Tensor, backward, mlp, trace
 from spherehead.stereo import project_batch
 from spherehead.train import ModelConfig, build_model
 
+from . import oracles
 from .helpers import check_gradients
 from .oracles import (acos, add, clamp, compensated_block, concat, cos, cosine_logits, div, exp, log, matmul, mul,
                       nll_sum, reduce_sum, relu, row_sqnorms, sqrt, sub, swap_target, transpose, where)
@@ -688,6 +689,47 @@ def test_compensated_block_rejects_bad_queues():
     zero_snapshot.push(np.ones(3), 1, np.zeros(3))
     with pytest.raises(DegenerateInputError):
         compensated_block(zero_snapshot, W)
+
+
+def test_signed_zero_gradients_are_stored_as_the_chain_stores_them(monkeypatch):
+    """A gradient of -0.0 reaching a chain node is stored as 0.0, and the fused pieces agree.
+
+    ``_gathered`` must store terms whose first one holds -0.0 as
+    ``_accumulate`` does. The compensated block's term must be the term
+    the chain's transpose node adds into W, here for a gradient with -0.0
+    entries, a zero embedding (ratio 0) under a negative gradient and a
+    class that no queued row has.
+    """
+    rng = np.random.default_rng(89)
+    terms = [rng.normal(size=(4, 3)) for _ in range(3)]
+    for term in terms:
+        term[rng.random(term.shape) < 0.5] = -0.0
+    stored = Tensor(np.zeros((4, 3)))
+    for term in terms:
+        ndcore._accumulate(stored, term)
+    assert np.any(np.signbit(terms[0]) & (terms[0] == 0.0))
+    assert_array_equal(bits(heads._gathered(terms)), bits(stored.grad))
+
+    W = rng.normal(size=(3, 3))
+    queue = EmbeddingQueue(4)
+    queue.push_batch(np.vstack([np.zeros(3), rng.normal(size=(3, 3))]), [0, 1, 0, 1], rng.normal(size=(4, 3)))
+    g = -np.abs(rng.normal(size=(4, 3)))
+    g[1:, 0] = -0.0
+    into_W = []
+    real_accumulate = oracles._accumulate
+
+    def recording(t, term):
+        if t is w:
+            into_W.append(term)
+        real_accumulate(t, term)
+
+    monkeypatch.setattr(oracles, "_accumulate", recording)
+    w = Tensor(W, requires_grad=True)
+    block, _ = chain_compensated_block(queue, HeadWeights(w))
+    backward(reduce_sum(mul(block, Tensor(g))))
+    [term] = heads._compensated_block(queue, W)[2](g)
+    assert len(into_W) == 1
+    assert_array_equal(bits(term), bits(into_W[0]))
 
 
 # -- op inventory -----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from spherehead import train
+from spherehead.data import Dataset
 from spherehead.errors import (
     ConfigError,
     DegenerateInputError,
     LabelError,
     ShapeError,
     StateError,
+    TrainingDiverged,
 )
 from spherehead.heads import (
     EmbeddingQueue,
@@ -66,6 +70,28 @@ def queue_pushes(draw):
     special = rng.random((2, n, d)) < 0.2
     values[special] = rng.choice(SPECIAL_FLOATS, size=int(special.sum()))
     return capacity, values[0], rng.integers(0, 20, size=n), values[1]
+
+
+@st.composite
+def queue_batches(draw):
+    """(capacity, prefill, embeddings [n, d], labels [n], snapshots [n, d]) for one batch after a prefill.
+
+    The first ``prefill`` rows (0 to 2Q) leave the ring short of full or
+    full at any write offset; the batch is the other 1 to Q + 3 rows.
+    d is 1 to 64 and entries are normals scaled by 10**k for k in
+    [-5, 5], a tenth of them -0.0.
+    """
+    capacity = draw(st.integers(0, 9))
+    prefill, batch, d = draw(st.integers(0, 2 * capacity)), draw(st.integers(1, capacity + 3)), draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = prefill + batch
+    values = rng.normal(size=(2, n, d)) * 10.0 ** rng.uniform(-5.0, 5.0, size=(2, n, d))
+    values[rng.random((2, n, d)) < 0.1] = -0.0
+    return capacity, prefill, values[0], rng.integers(0, 20, size=n), values[1]
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
 
 
 def random_instance(rng, batch=3, dim=4, classes=3):
@@ -514,6 +540,131 @@ class TestEmbeddingQueue:
                     assert_array_equal(ours.view(np.int64), ref.view(np.int64))
             else:
                 assert [a.shape[0] for a in got] == [0, 0, 0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=queue_batches())
+    @example(case=(0, 0, np.ones((3, 2)), np.arange(3), np.ones((3, 2))))
+    @example(case=(3, 2, np.arange(18.0).reshape(9, 2), np.arange(9), np.ones((9, 2))))
+    def test_push_batch_is_single_pushes_and_stores_their_norms(self, case):
+        """One ``push_batch`` holds the bits of B ``push`` calls and of the deque oracle.
+
+        The stored norms are the bits of ``np.linalg.norm`` over the
+        stacked rows. The batch's snapshots come as a transposed view, as
+        ``head_forward`` passes W's columns.
+        """
+        capacity, prefill, embeddings, labels, snapshots = case
+        batched, single, oracle = EmbeddingQueue(capacity), EmbeddingQueue(capacity), DequeQueue(capacity)
+        batched.push_batch(embeddings[:prefill], labels[:prefill], snapshots[:prefill])
+        batched.push_batch(embeddings[prefill:], labels[prefill:], np.asfortranarray(snapshots[prefill:]))
+        for row in zip(embeddings, labels, snapshots):
+            single.push(*row)
+            oracle.push(*row)
+        assert len(batched) == len(single) == len(oracle) == min(capacity, len(labels))
+        got = batched.stacked()
+        if not len(oracle):
+            assert [a.shape[0] for a in got + batched.stacked_norms()] == [0] * 5
+            return
+        for ours, one_by_one, ref in zip(got, single.stacked(), oracle.stacked()):
+            assert ours.dtype == ref.dtype and ours.shape == ref.shape
+            assert_array_equal(bits(ours), bits(ref))
+            assert_array_equal(bits(one_by_one), bits(ref))
+        for stored, one_by_one, rows in zip(batched.stacked_norms(), single.stacked_norms(), (got[0], got[2])):
+            assert_array_equal(bits(stored), bits(np.linalg.norm(rows, axis=1)))
+            assert_array_equal(bits(one_by_one), bits(stored))
+
+    @pytest.mark.parametrize("embeddings, labels, snapshots", [
+        (np.ones(2), [0], np.ones(2)),  # not 2-D
+        (np.ones((1, 1, 2)), [0], np.ones((1, 1, 2))),
+        (np.ones((2, 2)), [0, 1], np.ones((2, 1))),  # snapshots of another shape
+        (np.ones((2, 2)), [0, 1], np.ones((3, 2))),
+        (np.ones((2, 2)), [0], np.ones((2, 2))),  # a label count that is not B
+        (np.ones((2, 2)), [[0, 1]], np.ones((2, 2))),
+        (np.ones((2, 3)), [0, 1], np.ones((2, 3))),  # not the queue's d
+    ])
+    def test_bad_batch_rejected_before_any_write(self, embeddings, labels, snapshots):
+        q = EmbeddingQueue(capacity=3)
+        q.push_batch(np.arange(8.0).reshape(4, 2), [0, 1, 2, 3], np.ones((4, 2)))  # wrapped
+        before = q.stacked() + q.stacked_norms()
+        with pytest.raises(StateError):
+            q.push_batch(embeddings, labels, snapshots)
+        assert len(q) == 3
+        for held, now in zip(before, q.stacked() + q.stacked_norms()):
+            assert_array_equal(held, now)
+
+    def test_a_row_whose_norm_overflows_is_pushed_without_a_warning(self):
+        """|x| near 1e200 squares past float64: the stored norm is inf, as the stacked rows' norm is.
+
+        The block that reads the row has the inf ratio and the floats of
+        norms taken over the stacked rows.
+        """
+        emb, snap = np.array([1e200, -3e199, 2.0]), np.array([0.5, 1.0, -2.0])
+        q = EmbeddingQueue(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q.push(emb, 1, snap)
+            q.push_batch(np.vstack([emb * 1e-200, emb]), [0, 1], np.vstack([snap, snap]))
+        rows, labels, snaps = q.stacked()
+        with np.errstate(over="ignore", invalid="ignore"):
+            emb_norms = np.linalg.norm(rows, axis=1)
+            assert_array_equal(q.stacked_norms()[0], emb_norms)
+            assert emb_norms.tolist()[::2] == [np.inf, np.inf]
+            W = np.random.default_rng(59).normal(size=(3, 2))
+            ratios = (emb_norms / np.linalg.norm(snaps, axis=1))[:, None]
+            onehot = np.eye(2)[labels]
+            expected = (rows - ratios * snaps) + ratios * (onehot @ W.T)
+            block, _ = compensated_block(q, HeadWeights(Tensor(W)))
+        assert_array_equal(bits(block.data), bits(expected))
+        assert not np.all(np.isfinite(block.data[0]))
+
+    def test_fit_diverges_at_the_step_that_reads_an_overflowing_row(self):
+        """A finite feature row near 1e200 trains one step; the next step, which reads it from the queue, diverges."""
+        rng = np.random.default_rng(60)
+        X = rng.normal(size=(12, 3))
+        X[5] = 1e200
+        ds = Dataset(X, np.arange(12) % 2, 2, "overflow")
+        cfg = train.ModelConfig(feature_dim=3, margin=MarginConfig.for_family("broadface", queue_capacity=16),
+                                encoder_layers=(4,), projection_enabled=False)
+        model = train.build_model(cfg, 3, 2, seed=3)
+        pushed = []
+        real_push_batch = EmbeddingQueue.push_batch
+
+        def recording(queue, embeddings, labels, snapshots):
+            pushed.append(bool(np.all(np.isfinite(np.linalg.norm(embeddings, axis=1)))))
+            real_push_batch(queue, embeddings, labels, snapshots)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(EmbeddingQueue, "push_batch", recording)
+            # the initial-loss pass squares the row outside the steps' errstate
+            with pytest.raises(TrainingDiverged) as excinfo, np.errstate(over="ignore"):
+                train.fit(model, ds, train.OptimConfig(learning_rate=1e-3, epochs=3, batch_size=4))
+        trajectory = excinfo.value.loss_trajectory
+        assert pushed.index(False) == len(pushed) - 2  # the row went in at the step before
+        assert np.all(np.isfinite(trajectory[:-1])) and not np.isfinite(trajectory[-1])
+
+    def test_head_forward_pushes_once_per_batch(self):
+        """Every batch is one ``push_batch``, never a ``push`` per row, B past Q included."""
+
+        class SpyQueue(EmbeddingQueue):
+            def __init__(self, capacity):
+                super().__init__(capacity)
+                self.calls = []
+
+            def push(self, *row):
+                self.calls.append("push")
+                super().push(*row)
+
+            def push_batch(self, *batch):
+                self.calls.append("push_batch")
+                super().push_batch(*batch)
+
+        rng = np.random.default_rng(61)
+        cfg = MarginConfig(family="broadface", m=0.5, s=8.0, queue_capacity=6)
+        queue = SpyQueue(6)
+        for batch in (3, 5, 9):
+            X, W, labels = random_instance(rng, batch=batch)
+            head_forward(Tensor(X), HeadWeights(Tensor(W)), cfg, labels, queue)
+            broadface_step(Tensor(X), HeadWeights(Tensor(W)), cfg, labels, queue)
+        assert queue.calls == ["push_batch"] * 6
 
     def test_stacked_arrays_survive_later_pushes(self):
         rng = np.random.default_rng(57)
