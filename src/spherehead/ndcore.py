@@ -8,7 +8,9 @@ returns that order as an explicit :class:`Tape`.
 
 Deliberate restrictions, chosen to remove whole classes of silent bugs:
 
-* float64 only; row-major contiguous storage; no views or strides;
+* float64 only; row-major contiguous storage, never strided; a
+  parameter's ``data`` and ``grad`` may be contiguous views of the one
+  flat arena that ``train.fit`` packs its parameters into;
 * no general ops: a node hands each input a gradient of the input's own
   shape, and nothing here broadcasts;
 * a fixed subgradient convention: relu'(0) = 0 (inside :func:`mlp`).

@@ -221,6 +221,8 @@ def build_model(config: ModelConfig, input_dim: int, class_count: int, seed: int
 def sgd_step(params: list, grads: list, velocities: list | None, opt: OptimConfig) -> list:
     """One heavy-ball update in place: v <- mu v + g, p <- p - lr v.
 
+    Elementwise, so any grouping of parameters gives the same bits:
+    :func:`fit` passes its whole arena as one parameter and one gradient.
     Returns the updated velocity buffers (created on first call).
     """
     if len(params) != len(grads):
@@ -255,9 +257,28 @@ def _dataset_loss(model: Model, ds: Dataset, batch_size: int) -> float:
     n = len(ds)
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
-        loss = _batch_loss(model, ds.features.data[start:stop], ds.labels[start:stop], None)
+        # as in fit's steps: a blow-up shows as a non-finite loss
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = _batch_loss(model, ds.features.data[start:stop], ds.labels[start:stop], None)
         total += loss.item() * (stop - start)
     return total / n
+
+
+def _pack_parameters(params: list) -> tuple[np.ndarray, np.ndarray]:
+    """Copy ``params`` into one flat arena; returns its values and a zeroed gradient.
+
+    Each parameter keeps its Tensor, but its ``data`` and ``grad`` become
+    C-contiguous views of its slice of the two arrays.
+    """
+    theta = np.concatenate([p.data.reshape(-1) for p in params])
+    grad = np.zeros_like(theta)
+    start = 0
+    for p in params:
+        stop = start + p.size
+        p.data = theta[start:stop].reshape(p.shape)
+        p.grad = grad[start:stop].reshape(p.shape)
+        start = stop
+    return theta, grad
 
 
 def fit(model: Model, train_ds: Dataset, opt: OptimConfig) -> tuple[Model, dict]:
@@ -267,6 +288,12 @@ def fit(model: Model, train_ds: Dataset, opt: OptimConfig) -> tuple[Model, dict]
     so histories are bitwise reproducible. Training stops early once the
     loss plateaus, and raises TrainingDiverged the moment a batch loss
     goes non-finite.
+
+    The parameters are first packed into one flat arena, so a step
+    clears every gradient with one fill and updates every parameter
+    with one :func:`sgd_step`; ``backward`` adds into the views, and
+    ``0.0 + g`` has the bits of the ``g + 0.0`` it stores on a fresh
+    gradient. The model keeps its Tensor objects, now views of the arena.
     """
     if len(train_ds) == 0:
         raise ConfigError("cannot fit on an empty dataset")
@@ -275,7 +302,8 @@ def fit(model: Model, train_ds: Dataset, opt: OptimConfig) -> tuple[Model, dict]
             f"model has {model.class_count} classes but dataset has {train_ds.class_count}"
         )
     cfg = model.config.margin
-    params = model.parameters()
+    theta, grad = _pack_parameters(model.parameters())
+    flat_params, flat_grads = [Tensor(theta)], [grad]
     velocities: list | None = None
     queue = EmbeddingQueue(cfg.queue_capacity) if cfg.family == "broadface" else None
     n = len(train_ds)
@@ -305,11 +333,9 @@ def fit(model: Model, train_ds: Dataset, opt: OptimConfig) -> tuple[Model, dict]
             trajectory.append(value)
             if not np.isfinite(value):
                 raise TrainingDiverged(epoch, batch_index, trajectory)
-            for p in params:
-                p.zero_grad()
+            grad.fill(0.0)
             backward(loss)
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-            velocities = sgd_step(params, grads, velocities, opt)
+            velocities = sgd_step(flat_params, flat_grads, velocities, opt)
             epoch_total += value * idx.shape[0]
         epoch_loss = epoch_total / n
         history["epoch_loss"].append(epoch_loss)

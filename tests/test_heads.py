@@ -634,8 +634,7 @@ class TestEmbeddingQueue:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(EmbeddingQueue, "push_batch", recording)
-            # the initial-loss pass squares the row outside the steps' errstate
-            with pytest.raises(TrainingDiverged) as excinfo, np.errstate(over="ignore"):
+            with pytest.raises(TrainingDiverged) as excinfo:
                 train.fit(model, ds, train.OptimConfig(learning_rate=1e-3, epochs=3, batch_size=4))
         trajectory = excinfo.value.loss_trajectory
         assert pushed.index(False) == len(pushed) - 2  # the row went in at the step before

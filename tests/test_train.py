@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -363,6 +364,63 @@ class TestFit:
         ds = small_blobs()
         _, hist = quick_fit("broadface", ds, epochs=4, queue_capacity=16)
         assert all(np.isfinite(v) for v in hist["epoch_loss"])
+
+    def test_one_update_per_step_over_every_parameter(self, monkeypatch):
+        """Each step is one ``sgd_step`` on one flat parameter and one flat gradient."""
+        ds = small_blobs()
+        cfg = ModelConfig(feature_dim=4, margin=margin_for("cosface"), encoder_layers=(8,))
+        model = build_model(cfg, ds.dim, ds.class_count, 0)
+        total = sum(p.size for p in model.parameters())
+        calls = []
+        real_sgd_step = train.sgd_step
+
+        def spy(params, grads, velocities, opt):
+            calls.append(([p.size for p in params], [g.size for g in grads]))
+            return real_sgd_step(params, grads, velocities, opt)
+
+        monkeypatch.setattr(train, "sgd_step", spy)
+        fit(model, ds, OptimConfig(learning_rate=3e-3, epochs=2, batch_size=32))
+        assert calls == [([total], [total])] * (2 * math.ceil(len(ds) / 32))
+
+
+ARENA_CASES = [(family, proj) for family in ("cce", "sphereface", "broadface") for proj in (True, False)]
+
+# Digests of two fits in a row on one model, pinned while each parameter
+# still owned its arrays: the second fit packs parameters that are views
+# of the first fit's arena, and the digest takes in the test accuracy
+# that evaluate reads from the trained values.
+TWO_FIT_DIGESTS = {
+    ("cce", True): "5736bd42ca21bd6b93c02c9f1479abc70b1dd5f859627be536957607d2f60168",
+    ("cce", False): "7276e152273f1c7f65e71c5a24f38aced5ff2177789f253e3e3be882f97e59ef",
+    ("sphereface", True): "64c658277c4f01274437742a92f1ed2c8a09271c533fbce2cccfeacc1312f90d",
+    ("sphereface", False): "038334ce7a9f5f17c6196db18179f61cda11a9f0b03d7b1035891ef5611786ec",
+    ("broadface", True): "0962d53a8bd494aa79456513db38da1e56ef637b0be4faa5ae7bb6246eeff4d0",
+    ("broadface", False): "b721f3062a82fb587211766ec39b95626a0b50871ad7c5dc46829f03ff168921",
+}
+
+
+@pytest.mark.parametrize("family, projection", ARENA_CASES)
+def test_fit_keeps_parameter_tensors_and_their_trained_values(family, projection):
+    train_ds, test_ds = small_blobs(seed=2), small_blobs(seed=5)
+    margin = margin_for(family, queue_capacity=16 if family == "broadface" else None)
+    cfg = ModelConfig(feature_dim=4, margin=margin, encoder_layers=(8,), projection_enabled=projection)
+    model = build_model(cfg, train_ds.dim, train_ds.class_count, 0)
+    params = model.parameters()
+    shapes = [p.shape for p in params]
+    digest = hashlib.sha256()
+    for seed in (0, 1):
+        opt = OptimConfig(learning_rate=3e-2 if family == "cce" else 3e-3, epochs=3, batch_size=16, seed=seed)
+        fitted, hist = fit(model, train_ds, opt)
+        assert fitted is model
+        assert all(a is b for a, b in zip(model.parameters(), params, strict=True))
+        for p, shape in zip(params, shapes):
+            assert p.data.shape == p.grad.shape == shape
+            assert p.data.flags.c_contiguous and p.grad.flags.c_contiguous
+        values = [hist["initial_loss"], *hist["epoch_loss"], *hist["epoch_accuracy"], evaluate(model, test_ds)]
+        digest.update(" ".join(float(v).hex() for v in values).encode())
+    for p in params:
+        digest.update(p.data.tobytes())
+    assert digest.hexdigest() == TWO_FIT_DIGESTS[family, projection]
 
 
 class TestEvaluate:
