@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .data import _BLOCK_ROWS, read_delimited
-from .errors import DomainError, SphereheadError
+from .errors import DomainError, ParseError, SphereheadError
 from .heads import FAMILIES, MarginConfig
 from .ndcore import Tensor
 from .results import default_results_dir, list_runs, load_run
@@ -32,14 +32,13 @@ from .train import (
     ModelConfig,
     OptimConfig,
     RunReport,
-    build_datasets,
-    build_model,
+    configs_from_echo,
     default_learning_rate,
     emit_table,
     evaluate,
     fit,
-    init_seed,
     run_experiment,
+    seeded_run,
 )
 
 __all__ = ["main", "build_parser"]
@@ -99,54 +98,36 @@ def _margin_from_flags(args, parser: argparse.ArgumentParser) -> MarginConfig:
         parser.error(str(err))
 
 
-def _configs_from_record(record: dict) -> tuple[ModelConfig, DataConfig, OptimConfig]:
-    cfg = record["config"]
-    m = cfg["model"]["margin"]
-    margin = MarginConfig(family=m["family"], m=m["m"], s=m["s"],
-                          use_monotone_psi=m["use_monotone_psi"],
-                          queue_capacity=m["queue_capacity"])
-    model_cfg = ModelConfig(
-        feature_dim=cfg["model"]["feature_dim"],
-        margin=margin,
-        encoder_layers=tuple(cfg["model"]["encoder_layers"]),
-        projection_enabled=cfg["model"]["projection_enabled"],
-    )
-    data_cfg = DataConfig(cfg["data"]["kind"], dict(cfg["data"]["params"]),
-                          train_fraction=cfg["data"]["train_fraction"])
-    o = cfg["optim"]
-    opt = OptimConfig(learning_rate=o["learning_rate"], epochs=o["epochs"],
-                      momentum=o["momentum"], batch_size=o["batch_size"],
-                      seed=record["seed"])
-    return model_cfg, data_cfg, opt
+def _retrain_stored_run(args, parser: argparse.ArgumentParser):
+    """Retrain the stored run ``args.run`` names: (record, model, history, the ``args.split`` set).
 
-
-def _retrain_from_record(record: dict):
-    """Rebuild the datasets and the trained model a record describes."""
-    model_cfg, data_cfg, opt = _configs_from_record(record)
-    train_ds, test_ds = build_datasets(data_cfg, record["seed"])
-    model = build_model(model_cfg, train_ds.dim, train_ds.class_count, init_seed(record["seed"]))
-    model, _ = fit(model, train_ds, opt)
-    return model, train_ds, test_ds
-
-
-def _resolve_run_path(path_arg: str, parser: argparse.ArgumentParser) -> str:
-    if os.path.isfile(path_arg):
-        return path_arg
-    if os.path.isdir(path_arg):
+    ``args.run`` is a record file, or a directory that holds exactly one.
+    """
+    path = args.run
+    if os.path.isdir(path):
         records = sorted(
-            os.path.join(path_arg, name)
-            for name in os.listdir(path_arg)
+            os.path.join(path, name)
+            for name in os.listdir(path)
             if name.endswith(".txt")
         )
-        if len(records) == 1:
-            return records[0]
         if not records:
-            parser.error(f"--run directory {path_arg!r} holds no run records")
-        parser.error(
-            f"--run directory {path_arg!r} holds {len(records)} records; "
-            "point at one seed file"
-        )
-    raise FileNotFoundError(f"no run record at {path_arg!r}")
+            parser.error(f"--run directory {path!r} holds no run records")
+        if len(records) > 1:
+            parser.error(
+                f"--run directory {path!r} holds {len(records)} records; "
+                "point at one seed file"
+            )
+        path = records[0]
+    elif not os.path.isfile(path):
+        raise FileNotFoundError(f"no run record at {path!r}")
+    record = load_run(path)
+    try:
+        configs = configs_from_echo(record["config"])
+    except SphereheadError as err:
+        raise ParseError(f"{path}: {err}") from err
+    model, opt, train_ds, test_ds = seeded_run(*configs, record["seed"])
+    model, history = fit(model, train_ds, opt)
+    return record, model, history, (train_ds if args.split == "train" else test_ds)
 
 
 def _write_rows(fh, rows: np.ndarray, first: str = "%.17g") -> None:
@@ -192,10 +173,7 @@ def cmd_train(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
-    path = _resolve_run_path(args.run, parser)
-    record = load_run(path)
-    model, train_ds, test_ds = _retrain_from_record(record)
-    ds = train_ds if args.split == "train" else test_ds
+    record, model, _, ds = _retrain_stored_run(args, parser)
     acc = evaluate(model, ds)
     print(f"{record['experiment']} seed {record['seed']} {args.split} accuracy {acc:.4f}")
     recorded = record["final_test_accuracy"]
@@ -226,10 +204,7 @@ def cmd_project(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_export_embeddings(args, parser: argparse.ArgumentParser) -> int:
-    path = _resolve_run_path(args.run, parser)
-    record = load_run(path)
-    model, train_ds, test_ds = _retrain_from_record(record)
-    ds = train_ds if args.split == "train" else test_ds
+    record, model, _, ds = _retrain_stored_run(args, parser)
     feats = model.forward_features(Tensor(ds.features.data))
     labeled = np.column_stack([np.asarray(ds.labels, dtype=np.float64), feats.data])
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -250,7 +225,6 @@ def cmd_report(args, parser: argparse.ArgumentParser) -> int:
             config=records[0]["config"],
             seeds=tuple(sorted(accuracies)),
             accuracies=accuracies,
-            failed_seeds=(),
             record_digests={},
             wall_time_s=sum(r["wall_time_s"] for r in records),
         ))

@@ -311,8 +311,9 @@ def _swap_target(cosines: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
     ``back(g)`` gives the two cosine terms of the chain it replaces
     (target column, clamp, acos, angle, cos, fold or fallback select,
     sub, tile, mul, add, scale): each intermediate's first gradient is
-    ``g + 0.0``, the target column gets the chain's terms in its
-    reverse-tape order, and the tile sums back as a ones product.
+    ``g + 0.0``, written only where it can change a bit, the target
+    column gets the chain's terms in its reverse-tape order, and the
+    tile sums back as a ones product.
     """
     arc = cfg.family != "sphereface"
     m = cfg.m if arc else int(cfg.m)
@@ -341,22 +342,22 @@ def _swap_target(cosines: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
     def back(g):
         if arc:
             g = g * cfg.s + 0.0
-        g_delta = ((g + 0.0) * onehot + 0.0) @ np.ones((1, columns)).T + 0.0
+        g_delta = (g * onehot + 0.0) @ np.ones((1, columns)).T + 0.0
         if not curve:  # the chain's t - t: +g_delta first
             g_t = g_delta + 0.0
             g_t += -g_delta
         else:
             g_t = -g_delta + 0.0
-            g_psi = g_delta + 0.0
+            g_psi = g_delta
             if fold:
-                g_psi = (g_psi + 0.0) * sign + 0.0
+                g_psi = g_psi * sign + 0.0
             g_angle = -g_psi * np.sin(angle) + 0.0
-            g_theta = g_angle + 0.0 if arc else g_angle * float(m) + 0.0
+            g_theta = g_angle if arc else g_angle * float(m) + 0.0
             g_curve = (-g_theta / np.sqrt(1.0 - clamped * clamped) + 0.0) * inside
             # a fallback row takes g_psi; the chain's other term there is +0.0,
             # which changes no bit of g_t, as g_t is never -0.0
             g_t += np.where(fall, g_psi, g_curve) if arc else g_curve
-        return [g, (g_t + 0.0) * onehot]
+        return [g, g_t * onehot]
 
     return out, back
 
@@ -425,7 +426,7 @@ def _compensated_block(queue: EmbeddingQueue, W: np.ndarray):
     ratios = (emb_norms / snap_norms)[:, None]  # [Q, 1]
     onehot = _one_hot(labels, W.shape[1])
     out = (emb - ratios * snaps) + ratios * (onehot @ W.T)
-    return out, onehot, lambda g: [(onehot.T @ ((g + 0.0) * ratios + 0.0) + 0.0).T]
+    return out, onehot, lambda g: [(onehot.T @ (g * ratios + 0.0) + 0.0).T]
 
 
 def head_forward(features: Tensor, weights: HeadWeights, cfg: MarginConfig,

@@ -94,21 +94,23 @@ def load_run(path: str) -> dict:
     record: dict = {}
     idx = 1
 
-    def take(key: str) -> str:
+    def take(key: str, parse=str):
         nonlocal idx
         if idx >= len(lines) or not lines[idx].startswith(key + ": "):
             raise ParseError(f"{path}: expected '{key}:' on line {idx + 1}")
-        value = lines[idx][len(key) + 2 :]
+        text = lines[idx][len(key) + 2 :]
         idx += 1
-        return value
+        try:
+            return parse(text)
+        except ValueError as err:  # json's JSONDecodeError is a ValueError
+            raise ParseError(f"{path}:{idx}: bad {key}: {err}") from err
 
     record["experiment"] = take("experiment")
-    record["seed"] = int(take("seed"))
-    record["config"] = json.loads(take("config"))
+    record["seed"] = take("seed", int)
+    record["config"] = take("config", json.loads)
     for key in _FLOAT_FIELDS:
-        record[key] = float(take(key))
-    stopped = take("stopped_early_at")
-    record["stopped_early_at"] = None if stopped == "none" else int(stopped)
+        record[key] = take(key, float)
+    record["stopped_early_at"] = take("stopped_early_at", lambda text: None if text == "none" else int(text))
     if idx >= len(lines) or lines[idx] != "history: epoch loss accuracy":
         raise ParseError(f"{path}: expected history header on line {idx + 1}")
     idx += 1
@@ -119,10 +121,14 @@ def load_run(path: str) -> dict:
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(f"{path}:{lineno}: history rows are 'epoch loss accuracy'")
-        if int(parts[0]) != len(losses) + 1:
+        try:
+            epoch, loss, acc = int(parts[0]), float(parts[1]), float(parts[2])
+        except ValueError as err:
+            raise ParseError(f"{path}:{lineno}: bad history row: {err}") from err
+        if epoch != len(losses) + 1:
             raise ParseError(f"{path}:{lineno}: history epochs must count up from 1")
-        losses.append(float(parts[1]))
-        accs.append(float(parts[2]))
+        losses.append(loss)
+        accs.append(acc)
     record["epoch_loss"] = losses
     record["epoch_accuracy"] = accs
     return record

@@ -10,6 +10,7 @@ reproduced exactly from its config echo and seed alone.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import results as results_store
 from .data import Dataset, SplitSpec, gen_gaussian_blobs, gen_two_spirals, load_cifar_binary, load_delimited, split
-from .errors import (ConfigError, DegenerateInputError, LayoutError, ShapeError, SphereheadError, StateError,
-                     TrainingDiverged)
+from .errors import (ConfigError, DegenerateInputError, LayoutError, ParseError, ShapeError, SphereheadError,
+                     StateError, TrainingDiverged)
 from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, head_forward
 from .ndcore import Tensor, backward, mlp
 from .stereo import project_batch
@@ -29,12 +30,14 @@ __all__ = [
     "ModelConfig",
     "OptimConfig",
     "DataConfig",
+    "configs_from_echo",
     "Model",
     "RunReport",
     "default_learning_rate",
     "init_seed",
     "build_model",
     "build_datasets",
+    "seeded_run",
     "sgd_step",
     "fit",
     "evaluate",
@@ -88,18 +91,7 @@ class ModelConfig:
         return self.feature_dim + 1 if self.projection_enabled else self.feature_dim
 
     def to_dict(self) -> dict:
-        return {
-            "feature_dim": self.feature_dim,
-            "encoder_layers": list(self.encoder_layers),
-            "projection_enabled": self.projection_enabled,
-            "margin": {
-                "family": self.margin.family,
-                "m": self.margin.m,
-                "s": self.margin.s,
-                "use_monotone_psi": self.margin.use_monotone_psi,
-                "queue_capacity": self.margin.queue_capacity,
-            },
-        }
+        return dict(dataclasses.asdict(self), encoder_layers=list(self.encoder_layers))
 
 
 @dataclass(frozen=True)
@@ -123,13 +115,7 @@ class OptimConfig:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "momentum": self.momentum,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -152,6 +138,32 @@ class DataConfig:
             "params": dict(sorted(self.params.items())),
             "train_fraction": self.train_fraction,
         }
+
+
+def _from_echo(cls, echo, where: str, **nested):
+    """``cls`` from ``echo``, a dict of exactly its fields, else a ParseError; ``nested`` types fields."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    if not isinstance(echo, dict) or echo.keys() != names:
+        got = sorted(echo) if isinstance(echo, dict) else echo
+        raise ParseError(f"config echo {where} must have exactly the keys {sorted(names)}, not {got!r}")
+    fields = {k: _from_echo(nested[k], v, f"{where}.{k}") if k in nested else v for k, v in echo.items()}
+    try:
+        return cls(**fields)
+    except TypeError as err:
+        raise ParseError(f"config echo {where}: {err}") from err
+
+
+def configs_from_echo(echo: dict) -> tuple[ModelConfig, DataConfig, OptimConfig]:
+    """The inverse of the ``to_dict``s: the configs a run's config echo was made from.
+
+    The ``opt.seed`` returned is the echo's base seed; :func:`seeded_run`
+    sets each run's own. A missing or unknown key, or a value of the
+    wrong type, is a ParseError; a value out of range, a ConfigError.
+    """
+    if not isinstance(echo, dict) or echo.keys() != {"model", "data", "optim"}:
+        raise ParseError("config echo must have exactly the keys ['data', 'model', 'optim']")
+    return (_from_echo(ModelConfig, echo["model"], "model", margin=MarginConfig),
+            _from_echo(DataConfig, echo["data"], "data"), _from_echo(OptimConfig, echo["optim"], "optim"))
 
 
 class Model:
@@ -425,6 +437,20 @@ def build_datasets(cfg: DataConfig, seed: int) -> tuple[Dataset, Dataset]:
     return split(ds, SplitSpec(cfg.train_fraction, split_seed))
 
 
+def seeded_run(model_cfg: ModelConfig, data_cfg: DataConfig, opt: OptimConfig,
+               seed: int) -> tuple[Model, OptimConfig, Dataset, Dataset]:
+    """Everything a run seed pins: (untrained model, its OptimConfig, train set, test set).
+
+    The dataset draw, split and weight init derive from ``seed``, and
+    ``opt.seed`` is set to it, so the epoch shuffles do too. The model
+    comes back untrained, so a caller can tell data errors from failed
+    training.
+    """
+    train_ds, test_ds = build_datasets(data_cfg, seed)
+    model = build_model(model_cfg, train_ds.dim, train_ds.class_count, init_seed(seed))
+    return model, dataclasses.replace(opt, seed=seed), train_ds, test_ds
+
+
 def experiment_name(model_cfg: ModelConfig, data_cfg: DataConfig) -> str:
     proj = "proj" if model_cfg.projection_enabled else "noproj"
     return f"{data_cfg.kind}-{model_cfg.margin.family}-{proj}"
@@ -435,20 +461,23 @@ class RunReport:
     """Aggregate of one experiment over its seeds.
 
     Accuracies and digests are keyed by seed and cover only the seeds
-    that finished; seeds that diverged or raised another library error
-    are listed in failed_seeds, and ``failures`` says how each one
-    failed ("diverged" or "failed: <error>"). Wall time and failure
-    texts are bookkeeping, not identity: fingerprint() ignores them.
+    that finished; ``failures`` maps each seed that diverged or raised
+    another library error to how it failed ("diverged" or "failed:
+    <error>"), in seed order. Wall time and failure texts are
+    bookkeeping, not identity: fingerprint() ignores them.
     """
 
     experiment: str
     config: dict
     seeds: tuple
     accuracies: dict
-    failed_seeds: tuple
     record_digests: dict
     wall_time_s: float
     failures: dict = field(default_factory=dict)
+
+    @property
+    def failed_seeds(self) -> tuple:
+        return tuple(self.failures)
 
     @property
     def mean_accuracy(self) -> float:
@@ -482,11 +511,11 @@ def run_experiment(model_cfg: ModelConfig, data_cfg: DataConfig, opt: OptimConfi
                    experiment: str | None = None) -> RunReport:
     """Train once per seed, persist each run record, aggregate.
 
-    Per seed, the dataset draw, split, parameter init, and shuffles all
-    derive from that seed, and opt.seed is overridden to match so one
-    integer pins the whole run. A seed whose training or evaluation
-    raises a library error (a divergence, a degenerate input, a domain
-    error) is reported as failed rather than aborting the batch.
+    Per seed, :func:`seeded_run` derives the dataset draw, split,
+    parameter init and shuffles from that seed, so one integer pins the
+    whole run. A seed whose training or evaluation raises a library
+    error (a divergence, a degenerate input, a domain error) is reported
+    as failed rather than aborting the batch.
     """
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
@@ -495,26 +524,14 @@ def run_experiment(model_cfg: ModelConfig, data_cfg: DataConfig, opt: OptimConfi
         raise ConfigError(f"duplicate seeds in {seeds}")
     name = experiment if experiment is not None else experiment_name(model_cfg, data_cfg)
     out_dir = results_dir if results_dir is not None else results_store.default_results_dir()
-    config_echo = {
-        "model": model_cfg.to_dict(),
-        "data": data_cfg.to_dict(),
-        "optim": opt.to_dict(),
-    }
+    config_echo = {"model": model_cfg.to_dict(), "data": data_cfg.to_dict(), "optim": opt.to_dict()}
     accuracies: dict[int, float] = {}
     digests: dict[int, str] = {}
     failures: dict[int, str] = {}
     total_wall = 0.0
     for seed in seeds:
         started = time.perf_counter()
-        train_ds, test_ds = build_datasets(data_cfg, seed)
-        model = build_model(model_cfg, train_ds.dim, train_ds.class_count, init_seed(seed))
-        seed_opt = OptimConfig(
-            learning_rate=opt.learning_rate,
-            epochs=opt.epochs,
-            momentum=opt.momentum,
-            batch_size=opt.batch_size,
-            seed=seed,
-        )
+        model, seed_opt, train_ds, test_ds = seeded_run(model_cfg, data_cfg, opt, seed)
         try:
             model, history = fit(model, train_ds, seed_opt)
             test_acc = evaluate(model, test_ds)
@@ -544,7 +561,6 @@ def run_experiment(model_cfg: ModelConfig, data_cfg: DataConfig, opt: OptimConfi
         config=config_echo,
         seeds=seeds,
         accuracies=accuracies,
-        failed_seeds=tuple(failures),
         record_digests=digests,
         wall_time_s=total_wall,
         failures=failures,

@@ -1,7 +1,11 @@
+import argparse
 import io
+import json
 import os
 import re
+import shutil
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +13,8 @@ import pytest
 from spherehead import cli, train
 from spherehead.cli import main
 from spherehead.errors import DomainError, ParseError
+from spherehead.heads import FAMILIES, MarginConfig
 from spherehead.ndcore import Tensor
-from spherehead.results import load_run
 
 from .oracles import oracle_lift_row, oracle_render_rows
 
@@ -293,6 +297,80 @@ class TestEvalVerb:
         assert code == 2
         assert "seed file" in err
 
+    @pytest.mark.parametrize("project", [True, False], ids=["proj", "noproj"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_retraining_reproduces_the_stored_run(self, family, project, tmp_path):
+        margin = MarginConfig.for_family(family, queue_capacity=16 if family == "broadface" else None)
+        report = train.run_experiment(
+            train.ModelConfig(feature_dim=4, margin=margin, encoder_layers=(8,), projection_enabled=project),
+            train.DataConfig("two_spirals", {"n_per_class": 20}),
+            train.OptimConfig(learning_rate=3e-3, epochs=3, batch_size=8),
+            [7], results_dir=str(tmp_path),
+        )
+        assert report.failed_seeds == ()
+        run_file = str(tmp_path / report.experiment / "7.txt")
+        record, model, history, test_ds = cli._retrain_stored_run(
+            argparse.Namespace(run=run_file, split="test"), cli.build_parser())
+
+        def bits(values):
+            return np.asarray(values, dtype=np.float64).tobytes()
+
+        for key in ("initial_loss", "epoch_loss", "epoch_accuracy"):
+            assert bits(history[key]) == bits(record[key]), key
+        assert train.evaluate(model, test_ds) == record["final_test_accuracy"]
+
+
+def _broken_copy(run_file, tmp_path, prefix, rewrite):
+    """A copy of ``run_file`` under ``tmp_path/blobs-cosface-proj`` with its ``prefix`` line rewritten."""
+    lines = Path(run_file).read_text(encoding="utf-8").splitlines()
+    (index,) = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+    lines[index] = rewrite(lines[index])
+    path = tmp_path / "blobs-cosface-proj" / os.path.basename(run_file)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _edit_echo(edit):
+    def rewrite(line):
+        echo = json.loads(line[len("config: "):])
+        edit(echo)
+        return "config: " + json.dumps(echo)
+    return rewrite
+
+
+class TestMalformedRecord:
+    CASES = {
+        "seed": ("seed: ", lambda line: "seed: x"),
+        "config-json": ("config: ", lambda line: line[:-1]),
+        "float": ("initial_loss: ", lambda line: "initial_loss: 0.5.5"),
+        "stopped": ("stopped_early_at: ", lambda line: "stopped_early_at: never"),
+        "history": ("2 ", lambda line: "2 0.5 most"),
+        "missing-key": ("config: ", _edit_echo(lambda echo: echo["model"].pop("feature_dim"))),
+        "missing-margin-key": ("config: ", _edit_echo(lambda echo: echo["model"]["margin"].pop("s"))),
+        "unknown-key": ("config: ", _edit_echo(lambda echo: echo["optim"].update(nesterov=True))),
+        "wrong-type": ("config: ", _edit_echo(lambda echo: echo["model"].update(feature_dim="4"))),
+        "not-an-object": ("config: ", _edit_echo(lambda echo: echo.update(data=[]))),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("verb", ["eval", "export-embeddings"])
+    def test_is_an_error_naming_the_file(self, trained_store, tmp_path, verb, case):
+        prefix, rewrite = self.CASES[case]
+        path = _broken_copy(os.path.join(trained_store, "blobs-cosface-proj", "1.txt"), tmp_path, prefix, rewrite)
+        argv = [verb, "--run", path] + (["--out", str(tmp_path / "emb.csv")] if verb != "eval" else [])
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}:") and err.count("\n") == 1
+
+    def test_report_names_the_file(self, trained_store, tmp_path):
+        for name in ("blobs-cosface-proj", "blobs-cosface-noproj"):
+            shutil.copytree(os.path.join(trained_store, name), tmp_path / name, dirs_exist_ok=True)
+        path = _broken_copy(str(tmp_path / "blobs-cosface-proj" / "2.txt"), tmp_path, "seed: ", lambda line: "seed: x")
+        code, out, err = run_cli(["report", "--results", str(tmp_path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}:3: bad seed:")
+
 
 class TestExportVerb:
     def test_shape_matches_split_and_projection(self, trained_store, tmp_path):
@@ -327,7 +405,8 @@ class TestExportVerb:
         run_file = os.path.join(trained_store, "blobs-cosface-proj", "1.txt")
         out_file = tmp_path / "emb.csv"
         assert run_cli(["export-embeddings", "--run", run_file, "--out", str(out_file)])[0] == 0
-        model, _, test_ds = cli._retrain_from_record(load_run(run_file))
+        _, model, _, test_ds = cli._retrain_stored_run(argparse.Namespace(run=run_file, split="test"),
+                                                       cli.build_parser())
         feats = model.forward_features(Tensor(test_ds.features.data)).data
         assert out_file.read_text() == oracle_render_rows(feats, labels=test_ds.labels)
 

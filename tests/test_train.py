@@ -539,7 +539,6 @@ def make_report(family="cosface", kind="blobs", proj=True, accuracies=None, expe
         config=config,
         seeds=tuple(sorted(accuracies)),
         accuracies=dict(accuracies),
-        failed_seeds=(),
         record_digests={s: "0" * 64 for s in accuracies},
         wall_time_s=1.0,
     )
@@ -576,13 +575,34 @@ class TestRunExperiment:
             streams = np.random.SeedSequence(seed).generate_state(3)
             assert init_seed(seed) == int(streams[2])
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_configs_from_echo_inverts_to_dict(self, family):
+        mc = ModelConfig(feature_dim=4, margin=margin_for(family), encoder_layers=(8, 4), projection_enabled=False)
+        dc = DataConfig("blobs", {"classes": 3, "n_per_class": 20}, train_fraction=0.6)
+        opt = OptimConfig(learning_rate=3e-3, epochs=2, momentum=0.5, batch_size=16, seed=9)
+        echo = {"model": mc.to_dict(), "data": dc.to_dict(), "optim": opt.to_dict()}
+        assert train.configs_from_echo(echo) == (mc, dc, opt)
+
+    def test_seeded_run_derives_data_init_and_shuffles_from_the_seed(self):
+        mc = ModelConfig(feature_dim=4, margin=margin_for("cosface"), encoder_layers=(8,))
+        dc = DataConfig("blobs", {"classes": 3, "n_per_class": 20})
+        opt = OptimConfig(learning_rate=3e-3, epochs=2, batch_size=16, seed=0)
+        model, seed_opt, train_ds, test_ds = train.seeded_run(mc, dc, opt, 5)
+        assert seed_opt == OptimConfig(learning_rate=3e-3, epochs=2, batch_size=16, seed=5)
+        want_train, want_test = build_datasets(dc, 5)
+        assert_array_equal(train_ds.features.data, want_train.features.data)
+        assert_array_equal(test_ds.labels, want_test.labels)
+        want = build_model(mc, train_ds.dim, train_ds.class_count, init_seed(5))
+        for got, ref in zip(model.parameters(), want.parameters(), strict=True):
+            assert_array_equal(got.data, ref.data)
+
     def test_fingerprint_ignores_wall_time_only(self):
         a = make_report()
         b = RunReport(experiment=a.experiment, config=a.config, seeds=a.seeds,
-                      accuracies=a.accuracies, failed_seeds=a.failed_seeds,
+                      accuracies=a.accuracies,
                       record_digests=a.record_digests, wall_time_s=a.wall_time_s + 100.0)
         c = RunReport(experiment=a.experiment, config=a.config, seeds=a.seeds,
-                      accuracies={**a.accuracies, 2: 0.5}, failed_seeds=a.failed_seeds,
+                      accuracies={**a.accuracies, 2: 0.5},
                       record_digests=a.record_digests, wall_time_s=a.wall_time_s)
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
