@@ -98,6 +98,15 @@ def _margin_from_flags(args, parser: argparse.ArgumentParser) -> MarginConfig:
         parser.error(str(err))
 
 
+def _load_record(path: str) -> tuple[dict, tuple]:
+    """``load_run(path)`` and the configs its echo was made from; a bad echo is a ParseError naming ``path``."""
+    record = load_run(path)
+    try:
+        return record, configs_from_echo(record["config"])
+    except SphereheadError as err:
+        raise ParseError(f"{path}: {err}") from err
+
+
 def _retrain_stored_run(args, parser: argparse.ArgumentParser):
     """Retrain the stored run ``args.run`` names: (record, model, history, the ``args.split`` set).
 
@@ -120,11 +129,7 @@ def _retrain_stored_run(args, parser: argparse.ArgumentParser):
         path = records[0]
     elif not os.path.isfile(path):
         raise FileNotFoundError(f"no run record at {path!r}")
-    record = load_run(path)
-    try:
-        configs = configs_from_echo(record["config"])
-    except SphereheadError as err:
-        raise ParseError(f"{path}: {err}") from err
+    record, configs = _load_record(path)
     model, opt, train_ds, test_ds = seeded_run(*configs, record["seed"])
     model, history = fit(model, train_ds, opt)
     return record, model, history, (train_ds if args.split == "train" else test_ds)
@@ -218,7 +223,7 @@ def cmd_report(args, parser: argparse.ArgumentParser) -> int:
     runs = list_runs(results_dir)
     reports = []
     for experiment, paths in runs.items():
-        records = [load_run(p) for p in paths]
+        records = [_load_record(p)[0] for p in paths]
         accuracies = {r["seed"]: r["final_test_accuracy"] for r in records}
         reports.append(RunReport(
             experiment=experiment,

@@ -153,6 +153,17 @@ def gen_gaussian_blobs(C: int, n_per_class: int, spread: float, radius: float, s
     return Dataset(features, labels, C, "blobs")
 
 
+def _read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file; a byte that is not UTF-8 is a ParseError naming its line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read().splitlines()
+        except UnicodeDecodeError as err:
+            # read() decodes the whole file in one call, so err.object holds all of its bytes
+            lineno = len((err.object[:err.start].decode("utf-8") + "x").splitlines())
+            raise ParseError(f"{path}:{lineno}: not UTF-8 text: {err.reason}") from err
+
+
 # rows per numpy parse call and per formatted write; whole-file blocks
 # would hold a Python string per cell of the file at once
 _BLOCK_ROWS = 2048
@@ -168,13 +179,13 @@ def read_delimited(path: str, delimiter: str = ",", header: bool = False):
     accepts and rounds each cell exactly as ``float()`` does. If a block
     fails, the rows are parsed again one line at a time, which raises
     :class:`ParseError` at ``path:lineno`` for a ragged row or a cell
-    that is not a number. An empty delimiter is a :class:`ConfigError`.
+    that is not a number, as does a byte that is not UTF-8. An empty
+    delimiter is a :class:`ConfigError`.
     """
     if not delimiter:
         raise ConfigError(f"{path}: the delimiter must be a non-empty string, got {delimiter!r}")
     first = 2 if header else 1  # line number of the first line read
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()[first - 1:]
+    lines = _read_lines(path)[first - 1:]
     rows = list(filter(str.strip, lines))
     if len(rows) == len(lines):
         linenos = range(first, first + len(rows))
@@ -281,13 +292,9 @@ def load_cifar_binary(dir: str, which: str, subset_per_class: int | None = None,
     labels = labels.astype(np.int64)
     if labels.max() >= class_count:
         raise FormatError(f"label byte {labels.max()} out of range for {which}")
-    pixels = records[:, -_CIFAR_PIXELS:].astype(np.float64) / 255.0
-    planes = pixels.reshape(-1, 3, _CIFAR_SIDE, _CIFAR_SIDE)
-    if downsample_to is not None:
-        if downsample_to < 1 or _CIFAR_SIDE % downsample_to != 0:
-            raise ConfigError(f"downsample_to must divide {_CIFAR_SIDE}, got {downsample_to}")
-        planes = _mean_pool(planes, downsample_to)
-    features = planes.reshape(planes.shape[0], -1)
+    if downsample_to is not None and (downsample_to < 1 or _CIFAR_SIDE % downsample_to != 0):
+        raise ConfigError(f"downsample_to must divide {_CIFAR_SIDE}, got {downsample_to}")
+    # the subset is chosen from the label bytes, so only its rows become floats
     if subset_per_class is not None:
         if subset_per_class < 1:
             raise ConfigError(f"subset_per_class must be at least 1, got {subset_per_class}")
@@ -301,8 +308,13 @@ def load_cifar_binary(dir: str, which: str, subset_per_class: int | None = None,
                 )
             keep.append(rng.choice(pool, size=subset_per_class, replace=False))
         order = np.sort(np.concatenate(keep))
-        features = features[order]
+        records = records[order]
         labels = labels[order]
+    pixels = records[:, -_CIFAR_PIXELS:].astype(np.float64) / 255.0
+    planes = pixels.reshape(-1, 3, _CIFAR_SIDE, _CIFAR_SIDE)
+    if downsample_to is not None:
+        planes = _mean_pool(planes, downsample_to)
+    features = planes.reshape(planes.shape[0], -1)
     return Dataset(features, labels, class_count, which)
 
 

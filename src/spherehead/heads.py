@@ -40,6 +40,7 @@ are scalar tensors on the gradient tape.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,13 @@ _DEFAULT_SCALE = 8.0
 _DEFAULT_QUEUE_CAPACITY = 256
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as an int if it is an integer, Python or numpy but not bool; else a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class MarginConfig:
     """Hyperparameters of one head family.
@@ -89,6 +97,7 @@ class MarginConfig:
     use_monotone_psi: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "queue_capacity", _as_int("queue_capacity", self.queue_capacity))
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if not 0.0 < self.s < np.inf:
@@ -117,7 +126,7 @@ class MarginConfig:
         if queue_capacity is None:
             queue_capacity = _DEFAULT_QUEUE_CAPACITY if family == "broadface" else 0
         return cls(family=family, m=float(m), s=float(s),
-                   queue_capacity=int(queue_capacity), use_monotone_psi=use_monotone_psi)
+                   queue_capacity=queue_capacity, use_monotone_psi=use_monotone_psi)
 
 
 class HeadWeights:

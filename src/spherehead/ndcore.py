@@ -3,8 +3,8 @@
 Small enough to read in one sitting: a :class:`Tensor` wraps a contiguous
 row-major numpy float64 array, every differentiable operation attaches a
 closure that pushes gradients back to its inputs, and :func:`backward`
-replays those closures in reverse topological order. :func:`trace`
-returns that order as an explicit :class:`Tape`.
+replays those closures in reverse topological order. A recorded op is
+its output tensor, and :func:`trace` lists those tensors in that order.
 
 Deliberate restrictions, chosen to remove whole classes of silent bugs:
 
@@ -48,7 +48,6 @@ float operations changes run records and accuracies, not only speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -58,7 +57,6 @@ from .errors import ShapeError
 __all__ = [
     "Tensor",
     "Tape",
-    "TapeNode",
     "backward",
     "trace",
     "mlp",
@@ -74,16 +72,16 @@ def _as_array(data) -> np.ndarray:
 
 
 class Tensor:
-    """A dense float64 array that can participate in the gradient tape."""
+    """A dense float64 array; a recorded op's output also holds its ``op`` and ``inputs``."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_op", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "op", "inputs", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._op = "leaf"
-        self._parents: tuple[Tensor, ...] = ()
+        self.op = "leaf"
+        self.inputs: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
     # -- introspection -------------------------------------------------
@@ -106,7 +104,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}, op={self._op!r})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}, op={self.op!r})"
 
     # -- gradient bookkeeping -------------------------------------------
 
@@ -114,26 +112,14 @@ class Tensor:
         self.grad = None
 
 
-@dataclass(frozen=True)
-class TapeNode:
-    """One recorded primitive: op id, input tensors, output tensor.
-
-    Saved values for the backward rule live in the output's closure.
-    """
-
-    op: str
-    inputs: tuple[Tensor, ...]
-    output: Tensor
-
-
 class Tape:
-    """Topologically ordered record of the ops reachable from one tensor.
+    """Topologically ordered op tensors reachable from one tensor.
 
     Every node's inputs are produced by earlier nodes or are leaves, so
     replaying ``nodes`` backwards visits consumers before producers.
     """
 
-    def __init__(self, nodes: list[TapeNode]):
+    def __init__(self, nodes: list[Tensor]):
         self.nodes = nodes
 
     def __len__(self) -> int:
@@ -148,7 +134,7 @@ def _post_order(root: Tensor) -> list[Tensor]:
     """
     order: list[Tensor] = []
     seen: set[Tensor] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)] if root._parents else []
+    stack: list[tuple[Tensor, bool]] = [(root, False)] if root.inputs else []
     while stack:
         t, expanded = stack.pop()
         if expanded:
@@ -156,15 +142,15 @@ def _post_order(root: Tensor) -> list[Tensor]:
         elif t not in seen:
             seen.add(t)
             stack.append((t, True))
-            for p in reversed(t._parents):
-                if p._parents:
+            for p in reversed(t.inputs):
+                if p.inputs:
                     stack.append((p, False))
     return order
 
 
 def trace(root: Tensor) -> Tape:
     """Collect the gradient-relevant ancestry of ``root`` in topological order."""
-    return Tape([TapeNode(t._op, t._parents, t) for t in _post_order(root)])
+    return Tape(_post_order(root))
 
 
 def backward(loss: Tensor) -> None:
@@ -172,7 +158,7 @@ def backward(loss: Tensor) -> None:
 
     ``loss`` must be a scalar. Gradients accumulate additively across calls;
     callers zero them between steps. The walk is :func:`trace`'s order,
-    reversed, with no :class:`TapeNode` built.
+    reversed.
     """
     if loss.ndim != 0:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -190,25 +176,14 @@ def backward(loss: Tensor) -> None:
 
 def _record(
     op: str,
-    parents: tuple[Tensor, ...],
+    inputs: tuple[Tensor, ...],
     data: np.ndarray,
     backward_fn: Callable[[np.ndarray], None],
 ) -> Tensor:
-    out = Tensor.__new__(Tensor)
-    out.data = _as_array(data)
-    out.grad = None
-    for p in parents:
-        if p.requires_grad:
-            out.requires_grad = True
-            out._op = op
-            out._parents = parents
-            out._backward = backward_fn
-            return out
+    out = Tensor(data)
     # constants fold out of the tape entirely
-    out.requires_grad = False
-    out._op = "leaf"
-    out._parents = ()
-    out._backward = None
+    if any(t.requires_grad for t in inputs):
+        out.requires_grad, out.op, out.inputs, out._backward = True, op, inputs, backward_fn
     return out
 
 

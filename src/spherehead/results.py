@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 
+from .data import _read_lines
 from .errors import ParseError
 
 __all__ = [
@@ -87,8 +88,7 @@ def save_run(results_dir: str, record: dict) -> str:
 
 def load_run(path: str) -> dict:
     """Parse a record file back into the dict shape save_run consumed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != _MAGIC:
         raise ParseError(f"{path}: not a run record (missing '{_MAGIC}' header)")
     record: dict = {}

@@ -47,11 +47,6 @@ POLE_EPS = 1e-9
 UNIT_TOL = 1e-12
 
 
-def _sqnorm(arr: np.ndarray) -> float:
-    with np.errstate(over="ignore"):
-        return float(arr @ arr)
-
-
 def _vector(coords, name: str) -> np.ndarray:
     arr = np.asarray(coords, dtype=np.float64).reshape(-1)
     if arr.size == 0:
@@ -91,13 +86,7 @@ class SpherePoint:
 
     def __init__(self, coords, allow_pole: bool = False):
         arr = _vector(coords, "SpherePoint")
-        if arr.size < 2:
-            raise ShapeError("SpherePoint needs at least two coordinates")
-        sq = _sqnorm(arr)
-        if abs(sq - 1.0) > UNIT_TOL:
-            raise DomainError(f"not on the unit sphere: |coords|^2 = {sq!r}")
-        if not allow_pole and arr[-1] == 1.0 and not np.any(arr[:-1]):
-            raise PoleSingularityError("the north pole is excluded from the sphere image")
+        _check_sphere(arr[None, :], UNIT_TOL, allow_pole)
         self.coords = arr
 
     @property
@@ -121,15 +110,32 @@ def project(x) -> SpherePoint:
     ``spherehead project``, a point lifted here and a row of
     :func:`project_batch` agree bit for bit.
     """
-    coords = _euclidean_coords(x)
-    # project_rows made SpherePoint's checks; skip repeating them
-    point = SpherePoint.__new__(SpherePoint)
-    point.coords = project_rows(coords[None, :])[0]
-    return point
+    return SpherePoint(_lift(_euclidean_coords(x)[None, :])[0][0])
 
 
 def _where(bad: np.ndarray) -> str:
     return "" if bad.size == 1 else f" (first in row {int(np.argmax(bad))})"
+
+
+def _check_sphere(P: np.ndarray, tol: float, allow_pole: bool = False) -> None:
+    """Raise unless every row of a 2-D P is a sphere point; the one check of points and rows.
+
+    Rows need two coordinates or more (:class:`ShapeError`), a squared
+    norm within ``tol`` of 1 (:class:`DomainError`) and, unless
+    ``allow_pole``, not to be the north pole (:class:`PoleSingularityError`).
+    """
+    if P.shape[1] < 2:
+        raise ShapeError("SpherePoint needs at least two coordinates")
+    with np.errstate(over="ignore"):
+        sq = np.vecdot(P, P)
+    off = np.abs(sq - 1.0) > tol
+    if off.any():
+        raise DomainError(f"not on the unit sphere: |coords|^2 = {float(sq[off][0])!r}" + _where(off))
+    top = P[:, -1] == 1.0
+    if not allow_pole and top.any():
+        pole = top & ~P[:, :-1].any(axis=1)
+        if pole.any():
+            raise PoleSingularityError("the north pole is excluded from the sphere image" + _where(pole))
 
 
 def _lift(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,16 +170,7 @@ def project_rows(X) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] == 0:
         raise ShapeError(f"project_rows needs an [N, n] array with n >= 1, got shape {X.shape}")
     out, _ = _lift(X)
-    n = X.shape[1]
-    out_sq = np.vecdot(out, out)
-    off = np.abs(out_sq - 1.0) > UNIT_TOL
-    if off.any():
-        raise DomainError(f"not on the unit sphere: |coords|^2 = {float(out_sq[off][0])!r}" + _where(off))
-    pole = out[:, n] == 1.0
-    if pole.any():
-        pole &= ~out[:, :n].any(axis=1)
-        if pole.any():
-            raise PoleSingularityError("the north pole is excluded from the sphere image" + _where(pole))
+    _check_sphere(out, UNIT_TOL)
     return out
 
 
@@ -224,11 +221,7 @@ def inverse_project(p) -> EuclideanPoint:
         coords = p.coords
     else:
         coords = _vector(p, "SpherePoint")
-        if coords.size < 2:
-            raise ShapeError("SpherePoint needs at least two coordinates")
-        sq = _sqnorm(coords)
-        if abs(sq - 1.0) > 1e-9:
-            raise DomainError(f"not on the unit sphere: |coords|^2 = {sq!r}")
+        _check_sphere(coords[None, :], 1e-9, allow_pole=True)
     last = coords[-1]
     if last >= 1.0 - POLE_EPS:
         raise PoleSingularityError(f"cannot invert within {POLE_EPS:g} of the north pole (last = {last!r})")
@@ -246,7 +239,8 @@ def hemisphere_map(v, sign: str) -> SpherePoint:
     if sign not in ("+", "-"):
         raise DomainError(f'hemisphere sign must be "+" or "-", got {sign!r}')
     coords = _euclidean_coords(v)
-    sq = _sqnorm(coords)
+    with np.errstate(over="ignore"):
+        sq = float(np.vecdot(coords, coords))
     if sq > 1.0 + 1e-12:
         raise DomainError(f"hemisphere_map needs |v| <= 1, got |v|^2 = {sq!r}")
     height = np.sqrt(max(0.0, 1.0 - sq))
@@ -255,7 +249,7 @@ def hemisphere_map(v, sign: str) -> SpherePoint:
     out = np.concatenate([coords, [height]])
     # a shell point with |v|^2 = 1 + 8e-13 passes the tolerance gate but
     # misses the sphere; renormalize the sliver so the result is valid
-    sq_out = _sqnorm(out)
+    sq_out = np.vecdot(out, out)
     if abs(sq_out - 1.0) > UNIT_TOL:
         out = out / np.sqrt(sq_out)
     # the upper hemisphere legitimately contains the pole (v = 0, sign +)

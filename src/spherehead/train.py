@@ -22,7 +22,7 @@ from . import results as results_store
 from .data import Dataset, SplitSpec, gen_gaussian_blobs, gen_two_spirals, load_cifar_binary, load_delimited, split
 from .errors import (ConfigError, DegenerateInputError, LayoutError, ParseError, ShapeError, SphereheadError,
                      StateError, TrainingDiverged)
-from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, head_forward
+from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, _as_int, head_forward
 from .ndcore import Tensor, backward, mlp
 from .stereo import project_batch
 
@@ -76,7 +76,11 @@ class ModelConfig:
     projection_enabled: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "encoder_layers", tuple(int(w) for w in self.encoder_layers))
+        layers = self.encoder_layers
+        if isinstance(layers, (str, bytes)) or not hasattr(layers, "__iter__"):
+            raise ConfigError(f"encoder_layers must be a sequence of integers, got {layers!r}")
+        object.__setattr__(self, "encoder_layers", tuple(_as_int("encoder width", w) for w in layers))
+        object.__setattr__(self, "feature_dim", _as_int("feature_dim", self.feature_dim))
         if self.feature_dim < 1:
             raise ConfigError(f"feature_dim must be at least 1, got {self.feature_dim}")
         for w in self.encoder_layers:
@@ -105,6 +109,8 @@ class OptimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0.0:
             raise ConfigError(f"learning rate must be finite and non-negative, got {self.learning_rate!r}")
         if not 0.0 <= self.momentum < 1.0:
@@ -129,6 +135,8 @@ class DataConfig:
     def __post_init__(self):
         if self.kind not in DATA_KINDS:
             raise ConfigError(f"kind must be one of {DATA_KINDS}, got {self.kind!r}")
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"params must be a dict, got {self.params!r}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train fraction must be in (0, 1), got {self.train_fraction!r}")
 
@@ -157,8 +165,10 @@ def configs_from_echo(echo: dict) -> tuple[ModelConfig, DataConfig, OptimConfig]
     """The inverse of the ``to_dict``s: the configs a run's config echo was made from.
 
     The ``opt.seed`` returned is the echo's base seed; :func:`seeded_run`
-    sets each run's own. A missing or unknown key, or a value of the
-    wrong type, is a ParseError; a value out of range, a ConfigError.
+    sets each run's own. A missing or unknown key is a ParseError, as is a
+    value a config cannot compare (a string margin, say). An integer field,
+    ``encoder_layers`` or ``params`` of the wrong type, or a value out of
+    range, is a ConfigError.
     """
     if not isinstance(echo, dict) or echo.keys() != {"model", "data", "optim"}:
         raise ParseError("config echo must have exactly the keys ['data', 'model', 'optim']")

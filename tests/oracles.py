@@ -1,6 +1,7 @@
 """Independent reference implementations of the classification losses,
 the one-row projection, the CLI's text rendering, the per-cell
-delimited-text loader and the BroadFace queue as a deque of row copies,
+delimited-text loader, the convert-then-subset CIFAR loader and the
+BroadFace queue as a deque of row copies,
 plus a sampled probe of the unit ball's convexity.
 
 Written against the definitions directly, sample by sample, with no
@@ -574,3 +575,30 @@ def oracle_load_delimited(path, delimiter=",", label_column=0, header=False):
     remap = {v: i for i, v in enumerate(distinct)}
     labels = np.array([remap[v] for v in raw_labels], dtype=np.int64)
     return np.array(feature_rows), labels, len(distinct)
+
+
+def oracle_load_cifar_binary(dir, which, subset_per_class=None, downsample_to=None, subset_seed=0):
+    """(features, labels) of a CIFAR directory, every record converted before the subset is taken.
+
+    The loader as it was before it chose the subset from the label
+    bytes: all records become float64 pixels in [0, 1], are mean-pooled
+    to k x k per plane, and only then are the subset's rows kept.
+    """
+    names = {"cifar10": ["data_batch_1.bin", "data_batch_2.bin", "data_batch_3.bin",
+                         "data_batch_4.bin", "data_batch_5.bin", "test_batch.bin"],
+             "cifar100": ["train.bin", "test.bin"]}[which]
+    record = 3073 if which == "cifar10" else 3074
+    records = np.concatenate([np.fromfile(f"{dir}/{name}", dtype=np.uint8).reshape(-1, record) for name in names])
+    labels = records[:, record - 3073].astype(np.int64)
+    planes = (records[:, -3072:].astype(np.float64) / 255.0).reshape(-1, 3, 32, 32)
+    if downsample_to is not None:
+        f = 32 // downsample_to
+        planes = planes.reshape(-1, 3, downsample_to, f, downsample_to, f).mean(axis=(3, 5))
+    features = planes.reshape(planes.shape[0], -1)
+    if subset_per_class is not None:
+        rng = np.random.default_rng(subset_seed)
+        classes = 10 if which == "cifar10" else 100
+        keep = [rng.choice(np.flatnonzero(labels == c), size=subset_per_class, replace=False) for c in range(classes)]
+        order = np.sort(np.concatenate(keep))
+        features, labels = features[order], labels[order]
+    return features, labels

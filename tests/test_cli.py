@@ -351,7 +351,12 @@ class TestMalformedRecord:
         "unknown-key": ("config: ", _edit_echo(lambda echo: echo["optim"].update(nesterov=True))),
         "wrong-type": ("config: ", _edit_echo(lambda echo: echo["model"].update(feature_dim="4"))),
         "not-an-object": ("config: ", _edit_echo(lambda echo: echo.update(data=[]))),
+        "float-batch-size": ("config: ", _edit_echo(lambda echo: echo["optim"].update(batch_size=128.0))),
+        "float-epochs": ("config: ", _edit_echo(lambda echo: echo["optim"].update(epochs=2.5))),
+        "string-encoder": ("config: ", _edit_echo(lambda echo: echo["model"].update(encoder_layers="8,"))),
+        "list-params": ("config: ", _edit_echo(lambda echo: echo["data"].update(params=[]))),
     }
+    ECHO_CASES = [case for case, (prefix, _) in CASES.items() if prefix == "config: "]
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("verb", ["eval", "export-embeddings"])
@@ -370,6 +375,43 @@ class TestMalformedRecord:
         code, out, err = run_cli(["report", "--results", str(tmp_path)])
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}:3: bad seed:")
+
+    @pytest.mark.parametrize("case", ECHO_CASES)
+    def test_report_names_the_file_of_a_bad_echo(self, trained_store, tmp_path, case):
+        for name in ("blobs-cosface-proj", "blobs-cosface-noproj"):
+            shutil.copytree(os.path.join(trained_store, name), tmp_path / name, dirs_exist_ok=True)
+        prefix, rewrite = self.CASES[case]
+        path = _broken_copy(str(tmp_path / "blobs-cosface-proj" / "2.txt"), tmp_path, prefix, rewrite)
+        code, out, err = run_cli(["report", "--results", str(tmp_path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}:") and err.count("\n") == 1
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is an error naming the file and its line, never a traceback."""
+
+    @pytest.mark.parametrize("verb", ["eval", "report"])
+    def test_stored_record(self, trained_store, tmp_path, verb):
+        for name in ("blobs-cosface-proj", "blobs-cosface-noproj"):
+            shutil.copytree(os.path.join(trained_store, name), tmp_path / name, dirs_exist_ok=True)
+        path = tmp_path / "blobs-cosface-proj" / "1.txt"
+        path.write_bytes(path.read_bytes().replace(b"experiment: ", b"experiment: \xff", 1))
+        argv = ["eval", "--run", str(path)] if verb == "eval" else ["report", "--results", str(tmp_path)]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}:2: not UTF-8 text:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("verb", ["project", "train"])
+    def test_delimited_input(self, tmp_path, verb):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"0,1.0,2.0\r\n1,3.0,4.0\n\n0,5.0,\xff\n")
+        if verb == "project":
+            argv = ["project", "--in", str(path)]
+        else:
+            argv = ["train", "--dataset", f"csv:{path}", "--loss", "cce", "--out", str(tmp_path / "runs")] + TINY
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}:4: not UTF-8 text:") and err.count("\n") == 1
 
 
 class TestExportVerb:

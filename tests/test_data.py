@@ -1,6 +1,7 @@
 """Dataset generators, text and CIFAR loaders, deterministic splits."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from spherehead.data import (
 )
 from spherehead.errors import ConfigError, DomainError, FormatError, LabelError, ParseError, ShapeError
 
-from .oracles import oracle_load_delimited
+from .oracles import oracle_load_cifar_binary, oracle_load_delimited
 
 
 class TestDataset:
@@ -476,6 +477,27 @@ class TestLoadCifarBinary:
         assert ds.class_count == 100
         # fine labels were written as i % 100 per file
         assert_array_equal(ds.labels[:30], np.arange(30))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_the_convert_then_subset_loader(self, tmp_path, seed):
+        write_cifar10_dir(tmp_path, records_per_file=40)
+        for subset in (None, 1, 3, 10):
+            for down in (None, 1, 4, 8, 32):
+                ds = load_cifar_binary(str(tmp_path), "cifar10", subset, down, subset_seed=seed)
+                features, labels = oracle_load_cifar_binary(str(tmp_path), "cifar10", subset, down, seed)
+                assert_array_equal(ds.features.data, features)
+                assert_array_equal(ds.labels, labels)
+
+    def test_subset_converts_only_its_rows(self, tmp_path):
+        write_cifar10_dir(tmp_path, records_per_file=200)  # 1200 records, 120 per class
+        tracemalloc.start()
+        try:
+            ds = load_cifar_binary(str(tmp_path), "cifar10", subset_per_class=2, downsample_to=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 20
+        assert peak < 1200 * 3072 * 8  # the float64 size of every record
 
     def test_cifar100_record_size(self, tmp_path):
         write_cifar100_dir(tmp_path, records_per_file=10)

@@ -489,7 +489,7 @@ def test_reverse_creation_order_walk_gives_the_same_bits(family, projection, mon
 
     def recording(op, parents, data, backward_fn):
         out = real_record(op, parents, data, backward_fn)
-        if out._parents:
+        if out.inputs:
             created.append(out)
         return out
 

@@ -141,6 +141,10 @@ class TestMarginConfig:
             MarginConfig(family="arcface", m=0.5, queue_capacity=16)
         with pytest.raises(ConfigError):
             MarginConfig(family="broadface", m=0.5, queue_capacity=-1)
+        with pytest.raises(ConfigError, match="queue_capacity must be an integer"):
+            MarginConfig(family="broadface", m=0.5, queue_capacity=1.5)
+        with pytest.raises(ConfigError, match="queue_capacity must be an integer"):
+            MarginConfig.for_family("broadface", queue_capacity=1.5)
 
     def test_for_family_defaults(self):
         assert MarginConfig.for_family("sphereface").m == 2.0

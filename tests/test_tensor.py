@@ -190,15 +190,15 @@ class TestTape:
         produced = set()
         for node in tape.nodes:
             for parent in node.inputs:
-                if parent._op != "leaf":
+                if parent.op != "leaf":
                     assert id(parent) in produced, "parent recorded after its consumer"
-            produced.add(id(node.output))
-        assert tape.nodes[-1].output is loss
+            produced.add(id(node))
+        assert tape.nodes[-1] is loss
 
     def test_constants_fold_out_of_tape(self):
         x = Tensor([1.0], requires_grad=True)
         c = mul(Tensor([2.0]), Tensor([3.0]))  # pure constant subexpression
-        assert c._op == "leaf"
+        assert c.op == "leaf"
         tape = trace(reduce_sum(mul(x, c)))
         assert [node.op for node in tape.nodes] == ["mul", "sum"]
 

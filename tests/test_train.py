@@ -65,6 +65,17 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(feature_dim=4, margin="cosface")
 
+    @pytest.mark.parametrize("fields", [{"feature_dim": 4.0}, {"feature_dim": True}, {"encoder_layers": "8,"},
+                                        {"encoder_layers": 8}, {"encoder_layers": (8, 2.0)}])
+    def test_field_types_checked_at_construction(self, fields):
+        with pytest.raises(ConfigError, match="integer"):
+            ModelConfig(**dict({"feature_dim": 4, "margin": margin_for("cce")}, **fields))
+
+    def test_numpy_integers_stored_as_ints(self):
+        cfg = ModelConfig(feature_dim=np.int64(4), margin=margin_for("cce"), encoder_layers=np.array([8, 4]))
+        assert type(cfg.feature_dim) is int and all(type(w) is int for w in cfg.encoder_layers)
+        assert cfg == ModelConfig(feature_dim=4, margin=margin_for("cce"), encoder_layers=(8, 4))
+
     def test_to_dict_echoes_margin(self):
         cfg = ModelConfig(feature_dim=4, margin=margin_for("cosface", m=0.2, s=10.0))
         d = cfg.to_dict()
@@ -98,6 +109,15 @@ class TestOptimConfig:
         with pytest.raises(ConfigError):
             OptimConfig(learning_rate=1e-3, epochs=1, batch_size=0)
 
+    @pytest.mark.parametrize("fields", [{"epochs": 2.5}, {"batch_size": 128.0}, {"seed": "1"}, {"seed": False}])
+    def test_integer_fields_checked_at_construction(self, fields):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            OptimConfig(**dict({"learning_rate": 1e-3, "epochs": 1}, **fields))
+
+    def test_numpy_integers_stored_as_ints(self):
+        opt = OptimConfig(learning_rate=1e-3, epochs=np.int32(3), batch_size=np.int64(16), seed=np.uint8(7))
+        assert [type(v) for v in (opt.epochs, opt.batch_size, opt.seed)] == [int, int, int]
+
 
 class TestDataConfig:
     def test_known_kinds_accepted(self):
@@ -107,6 +127,10 @@ class TestDataConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             DataConfig("mnist")
+
+    def test_params_must_be_a_dict(self):
+        with pytest.raises(ConfigError, match="params must be a dict"):
+            DataConfig("blobs", [])
 
     def test_fraction_bounds(self):
         with pytest.raises(ConfigError):
