@@ -32,6 +32,7 @@ from .train import (
     ModelConfig,
     OptimConfig,
     RunReport,
+    _checked_seeds,
     configs_from_echo,
     default_learning_rate,
     emit_table,
@@ -69,14 +70,13 @@ def _parse_dataset(text: str, parser: argparse.ArgumentParser) -> DataConfig:
 
 def _parse_seeds(text: str, parser: argparse.ArgumentParser) -> tuple:
     try:
-        seeds = tuple(int(piece) for piece in text.split(","))
+        seeds = [int(piece) for piece in text.split(",")]
     except ValueError:
         parser.error(f"--seeds wants comma-separated integers, got {text!r}")
-    if not seeds:
-        parser.error("--seeds needs at least one seed")
-    if len(set(seeds)) != len(seeds):
-        parser.error(f"--seeds has duplicates: {text!r}")
-    return seeds
+    try:
+        return _checked_seeds(seeds)
+    except SphereheadError as err:
+        parser.error(f"--seeds: {err}")
 
 
 def _parse_widths(text: str, parser: argparse.ArgumentParser) -> tuple:

@@ -17,11 +17,12 @@ A loss is one tape node, ``head``, with the features and W as its
 inputs. Its pieces are plain numpy functions that return a value and a
 ``back`` function: the cosines, the softmax-NLL, the target swap of
 sphereface, arcface and broadface, and broadface's drift-corrected queue
-block. ``back(g)`` gives the gradient terms that the tape of the
-primitive chain would add, in the order it would add them, so the node
-has the floats of that chain. With the encoder as one ``mlp`` node and
-the lift as one ``project_batch`` node, a training step records 3 tape
-nodes (2 without the lift) in every family.
+block. ``back(g)`` gives one gradient per input, each in closed form:
+``(G - (G.u) u) / |x|`` through a normalisation, ``g (softmax -
+onehot)`` through the softmax-NLL and one ``psi'(t)`` per row through
+the target swap. With the encoder as one ``mlp`` node and the lift as
+one ``project_batch`` node, a training step records 3 tape nodes (2
+without the lift) in every family.
 
 The queue keeps detached embeddings only; gradient from queue terms
 reaches the weight matrix and nothing else. It is a ring of arrays
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _checked_labels
-from .errors import ConfigError, DegenerateInputError, ShapeError, StateError
+from .errors import ConfigError, DegenerateInputError, DomainError, ShapeError, StateError
 from .ndcore import Tensor, _accumulate, _record
 
 __all__ = [
@@ -237,32 +238,20 @@ def _one_hot(labels, class_count: int) -> np.ndarray:
     return out
 
 
-def _gathered(terms: list) -> np.ndarray:
-    """An intermediate's gradient from its terms, as :func:`_accumulate` stores it.
+def _norms(t: np.ndarray, axis: int, what: str) -> np.ndarray:
+    """The L2 norms of ``t``'s rows (axis 1) or columns (axis 0), kept as a [B, 1] or [1, C] array.
 
-    The first term plus 0.0, then the others added in turn. A ``+ 0.0``
-    on a gradient that already had one changes no bit, so where a chain
-    node would only pass its gradient on, no second one is added.
+    A non-finite entry or a squared norm past float64 raises
+    :class:`DomainError`, and a zero norm :class:`DegenerateInputError`.
     """
-    g = np.add(terms[0], 0.0, order="C")
-    for term in terms[1:]:
-        g += term
-    return g
-
-
-def _unit_terms(t: np.ndarray, g_unit: np.ndarray, norms: np.ndarray, axis: int) -> list:
-    """Gradient terms into ``t`` of t / norms, norms = sqrt(sum(t * t, axis)).
-
-    Term by term, as the tape of div, tile, sqrt, sum and mul adds them;
-    the tiled norms sum back as a ones product.
-    """
-    g_tiled = -g_unit * t / (norms * norms)
-    if axis == 1:
-        g_norms = g_tiled @ np.ones((1, t.shape[1])).T
-    else:
-        g_norms = np.ones((t.shape[0], 1)).T @ g_tiled
-    g_sq = g_norms / (2.0 * norms) * t
-    return [g_unit / norms, g_sq, g_sq]  # t * t contributes once per operand
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.sum(t * t, axis=axis, keepdims=True)
+    if not np.isfinite(sq).all():
+        problem = "non-finite entries" if not np.isfinite(t).all() else "squared norm overflows float64"
+        raise DomainError(f"{what}: {problem}")
+    if np.any(sq == 0.0):
+        raise DegenerateInputError(f"zero-norm {what} cannot be normalized")
+    return np.sqrt(sq)
 
 
 def _cosine_logits(f: np.ndarray, W: np.ndarray):
@@ -270,22 +259,19 @@ def _cosine_logits(f: np.ndarray, W: np.ndarray):
 
     Unit rows times unit columns, clamped to [-1, 1]. Returns the
     cosines, the row norms |x| and ``back``: ``back(g)`` gives the
-    gradient terms of ``f`` and of ``W``.
+    gradients of ``f`` and of ``W``, each ``(G - (G.u) u) / |x|`` for
+    the gradient G of its unit vectors u.
     """
-    sq = np.sum(f * f, axis=1, keepdims=True)
-    if np.any(sq == 0.0):
-        raise DegenerateInputError("zero-norm feature row cannot be normalized")
-    col_sq = np.sum(W * W, axis=0, keepdims=True)
-    if np.any(col_sq == 0.0):
-        raise DegenerateInputError("zero-norm weight column cannot be normalized")
-    norms, col_norms = np.sqrt(sq), np.sqrt(col_sq)
+    norms, col_norms = _norms(f, 1, "feature row"), _norms(W, 0, "weight column")
     unit_features, unit_weights = f / norms, W / col_norms
     raw = unit_features @ unit_weights
     inside = (raw > -1.0) & (raw < 1.0)  # the clamp passes no gradient at its bounds
 
     def back(g):
         g = g * inside
-        return _unit_terms(f, g @ unit_weights.T, norms, 1), _unit_terms(W, unit_features.T @ g, col_norms, 0)
+        g_rows, g_cols = g @ unit_weights.T, unit_features.T @ g
+        return ((g_rows - (g_rows * unit_features).sum(axis=1, keepdims=True) * unit_features) / norms,
+                (g_cols - (g_cols * unit_weights).sum(axis=0, keepdims=True) * unit_weights) / col_norms)
 
     return np.clip(raw, -1.0, 1.0), norms, back
 
@@ -294,20 +280,20 @@ def _nll_sum(logits: np.ndarray, onehot: np.ndarray):
     """Summed -log softmax(logits)[target], max-shifted against overflow, and ``back``.
 
     The row maxima are constants: subtracting any constant from a row
-    leaves softmax and its gradient unchanged. ``back(g)`` gives the one
-    logits term g * (softmax - onehot), formed as the composed tape forms it.
+    leaves softmax and its gradient unchanged. ``back(g)`` gives the
+    logits' gradient g * (softmax - onehot).
     """
     shifted = logits - np.max(logits, axis=1, keepdims=True)
     e = np.exp(shifted)
     sum_e = np.sum(e, axis=1, keepdims=True)
     target = np.sum(shifted * onehot, axis=1, keepdims=True)
-    return np.sum(np.log(sum_e) - target), lambda g: [-g * onehot + g / sum_e * e]
+    return np.sum(np.log(sum_e) - target), lambda g: g * (e / sum_e - onehot)
 
 
 def _swap_target(cosines: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
     """Each row's target cosine t swapped for psi(t), and ``back``.
 
-    Returns ``cosines + tile(psi(t) - t) * onehot``, times s for arcface
+    Returns ``cosines + (psi(t) - t) * onehot``, times s for arcface
     and broadface. psi is arcface's cos(theta + m), or sphereface's
     psi(m * theta): monotone, (-1)^k cos(m * theta) - 2k on theta in
     [k pi/m, (k+1) pi/m] (the strictly decreasing extension, k a
@@ -317,66 +303,47 @@ def _swap_target(cosines: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
     theta = pi - m, arcface falls back to t - m sin m (gradient 1 into
     t), which steps down by cos m + m sin m - 1 > 0 and keeps falling.
 
-    ``back(g)`` gives the two cosine terms of the chain it replaces
-    (target column, clamp, acos, angle, cos, fold or fallback select,
-    sub, tile, mul, add, scale): each intermediate's first gradient is
-    ``g + 0.0``, written only where it can change a bit, the target
-    column gets the chain's terms in its reverse-tape order, and the
-    tile sums back as a ones product.
+    ``back(g)`` passes g on (times s for arcface and broadface), each
+    target entry times psi'(t). On a curve cos(angle), with angle =
+    theta + m or m * theta, that is (dangle/dtheta) sin(angle) /
+    sin(theta), signed by the fold; for arcface it is Deng et al.'s
+    d cos(theta + m) / d cos theta. On a fallback row it is 1.
     """
     arc = cfg.family != "sphereface"
     m = cfg.m if arc else int(cfg.m)
-    columns = cosines.shape[1]
     t = np.sum(cosines * onehot, axis=1, keepdims=True)
-    curve = arc or m > 1  # sphereface's psi at m = 1 is t itself
-    fold = not arc and cfg.use_monotone_psi
-    psi = t
-    if curve:
+    psi, slope = t, 1.0  # sphereface's psi at m = 1 is t itself
+    if arc or m > 1:
         inside = (t > -COS_CLAMP) & (t < COS_CLAMP)
         clamped = np.clip(t, -COS_CLAMP, COS_CLAMP)
         theta = np.arccos(clamped)
         angle = theta + m if arc else theta * float(m)
         psi = np.cos(angle)
+        slope = (1.0 if arc else float(m)) * np.sin(angle) / np.sqrt(1.0 - clamped * clamped) * inside
         if arc:
             fall = theta > np.pi - m
-            psi = np.where(fall, t - m * np.sin(m), psi)
-        elif fold:
+            psi, slope = np.where(fall, t - m * np.sin(m), psi), np.where(fall, 1.0, slope)
+        elif cfg.use_monotone_psi:
             k = np.floor(m * theta / np.pi)
             sign = np.where(k % 2 == 0, 1.0, -1.0)
-            psi = psi * sign - 2.0 * k
+            psi, slope = psi * sign - 2.0 * k, slope * sign
     out = cosines + (psi - t) * onehot
-    if arc:
-        out = out * cfg.s
+    scale = cfg.s if arc else 1.0
+    target = onehot == 1.0
 
     def back(g):
-        if arc:
-            g = g * cfg.s + 0.0
-        g_delta = (g * onehot + 0.0) @ np.ones((1, columns)).T + 0.0
-        if not curve:  # the chain's t - t: +g_delta first
-            g_t = g_delta + 0.0
-            g_t += -g_delta
-        else:
-            g_t = -g_delta + 0.0
-            g_psi = g_delta
-            if fold:
-                g_psi = g_psi * sign + 0.0
-            g_angle = -g_psi * np.sin(angle) + 0.0
-            g_theta = g_angle if arc else g_angle * float(m) + 0.0
-            g_curve = (-g_theta / np.sqrt(1.0 - clamped * clamped) + 0.0) * inside
-            # a fallback row takes g_psi; the chain's other term there is +0.0,
-            # which changes no bit of g_t, as g_t is never -0.0
-            g_t += np.where(fall, g_psi, g_curve) if arc else g_curve
-        return [g, g_t * onehot]
+        g = g * scale
+        return np.where(target, g * slope, g)
 
-    return out, back
+    return out * scale, back
 
 
 # Each family's logits: (features, W, cfg, onehot) -> (logits [B, C], back),
-# where back(g) gives the gradient terms of the features and of W.
+# where back(g) gives the gradients of the features and of W.
 
 
 def _linear_logits(f: np.ndarray, W: np.ndarray, cfg: MarginConfig, onehot: np.ndarray):
-    return f @ W, lambda g: ([g @ W.T], [f.T @ g])
+    return f @ W, lambda g: (g @ W.T, f.T @ g)
 
 
 def _sphereface_logits(f: np.ndarray, W: np.ndarray, cfg: MarginConfig, onehot: np.ndarray):
@@ -384,26 +351,24 @@ def _sphereface_logits(f: np.ndarray, W: np.ndarray, cfg: MarginConfig, onehot: 
     swapped, back_swap = _swap_target(cosines, onehot, cfg)
 
     def back(g):
-        f_terms, w_terms = back_cosines(_gathered(back_swap(g * norms + 0.0)))
-        # |x| = sqrt(sum(x * x)): the tiled column sums back as a ones product,
-        # then x * x gives the features one term per operand
-        g_sq = (g * swapped) @ np.ones((1, swapped.shape[1])).T / (2.0 * norms) + 0.0
-        return f_terms + [g_sq * f, g_sq * f], w_terms
+        g_f, g_w = back_cosines(back_swap(g * norms))
+        # d|x|/dx = x / |x|: one outer term of the rows' sums
+        return g_f + (g * swapped).sum(axis=1, keepdims=True) / norms * f, g_w
 
     return norms * swapped, back
 
 
 def _cosface_logits(f: np.ndarray, W: np.ndarray, cfg: MarginConfig, onehot: np.ndarray):
     cosines, _, back_cosines = _cosine_logits(f, W)
-    return (cosines - onehot * cfg.m) * cfg.s, lambda g: back_cosines(g * cfg.s + 0.0)
+    return (cosines - onehot * cfg.m) * cfg.s, lambda g: back_cosines(g * cfg.s)
 
 
 def _arcface_logits(f: np.ndarray, W: np.ndarray, cfg: MarginConfig, onehot: np.ndarray):
     cosines, _, back_cosines = _cosine_logits(f, W)
     if cfg.m == 0.0:
-        return cosines * cfg.s, lambda g: back_cosines(g * cfg.s + 0.0)
+        return cosines * cfg.s, lambda g: back_cosines(g * cfg.s)
     swapped, back_swap = _swap_target(cosines, onehot, cfg)
-    return swapped, lambda g: back_cosines(_gathered(back_swap(g)))
+    return swapped, lambda g: back_cosines(back_swap(g))
 
 
 _LOGITS = {
@@ -419,12 +384,10 @@ def _compensated_block(queue: EmbeddingQueue, W: np.ndarray):
     """All queue embeddings, drift-corrected: [Q, d], their one-hot labels and ``back``.
 
     Row j is ``emb_j - r_j * snap_j + r_j * W[:, y_j]``, r_j = |emb_j| /
-    |snap_j|, from the norms the queue stored at push. Embeddings and
-    snapshots are constants, so ``back(g)``
-    gives one term, into W alone. W's columns are gathered as the
-    product ``onehot @ W.T``, whose signed zeros and ``0 * inf`` differ
-    from fancy indexing; the term has the floats of the add, mul, matmul
-    and transpose chain it replaces.
+    |snap_j|, from the norms the queue stored at push. W's columns are
+    gathered as the product ``onehot @ W.T``. Embeddings and snapshots
+    are constants, so ``back(g)`` gives W's gradient alone,
+    ``(onehot.T @ (g * r)).T``.
     """
     emb, labels, snaps = queue.stacked()
     if emb.shape[1] != W.shape[0]:
@@ -435,7 +398,7 @@ def _compensated_block(queue: EmbeddingQueue, W: np.ndarray):
     ratios = (emb_norms / snap_norms)[:, None]  # [Q, 1]
     onehot = _one_hot(labels, W.shape[1])
     out = (emb - ratios * snaps) + ratios * (onehot @ W.T)
-    return out, onehot, lambda g: [(onehot.T @ (g * ratios + 0.0) + 0.0).T]
+    return out, onehot, lambda g: (onehot.T @ (g * ratios)).T
 
 
 def head_forward(features: Tensor, weights: HeadWeights, cfg: MarginConfig,
@@ -449,9 +412,8 @@ def head_forward(features: Tensor, weights: HeadWeights, cfg: MarginConfig,
     empty-queue case, and keeps no state.
 
     The node's inputs are the features and W. Its backward takes g /
-    count, then the queue block, then the batch, so W gets the block's
-    cosine terms, the compensation term, then the batch's terms: the
-    order in which the depth-first walk of the chain's tape added them.
+    count through the batch's pieces and, when W needs a gradient, the
+    queue block's, and accumulates one gradient into each input.
     """
     if queue is not None and cfg.family != "broadface":
         raise ConfigError(f"a queue is a broadface knob, not valid for {cfg.family!r}")
@@ -477,18 +439,15 @@ def head_forward(features: Tensor, weights: HeadWeights, cfg: MarginConfig,
         count += len(queue)
 
     def backward_fn(g: np.ndarray) -> None:
-        g = g / float(count) + 0.0
-        w_terms = []
-        if queued and W.requires_grad:
-            block_terms, w_terms = back_block_logits(_gathered(back_block_nll(g)))
-            w_terms += back_block(_gathered(block_terms))
-        f_terms, batch_w_terms = back_logits(_gathered(back_nll(g)))
+        g = g / float(count)
+        g_f, g_w = back_logits(back_nll(g))
         if features.requires_grad:
-            for term in f_terms:
-                _accumulate(features, term)
+            _accumulate(features, g_f)
         if W.requires_grad:
-            for term in w_terms + batch_w_terms:
-                _accumulate(W, term)
+            if queued:
+                g_block, g_block_w = back_block_logits(back_block_nll(g))
+                g_w = g_w + g_block_w + back_block(g_block)
+            _accumulate(W, g_w)
 
     loss = _record("head", (features, W), total / float(count), backward_fn)
     if queue is not None:

@@ -21,29 +21,18 @@ separate threads share no mutable state.
 Fused nodes. A training step records three nodes: the encoder
 :func:`mlp` (every ``h @ W + b`` and ReLU), ``stereo.project_batch`` when
 the model lifts its features, and ``heads.head_forward``'s ``head`` (the
-logits, softmax-NLL, margin and BroadFace queue block of one loss). The
-primitive chains they stand for live in the tests, on
-``tests/oracles.py``'s reference ops, which record through
-:func:`_record` and :func:`_accumulate`.
-Each fused node makes the same numpy float operations, in the same
-order, as the tape of the primitive chain it replaces, so losses,
-gradients and run records are bit for bit those of the chain:
+logits, softmax-NLL, margin and BroadFace queue block of one loss). Each
+node's backward is its own closed form, and it accumulates one gradient
+into each input. The primitive chains the nodes stand for live in the
+tests, on ``tests/oracles.py``'s reference ops, which record through
+:func:`_record` and :func:`_accumulate`; they are tolerance references,
+not bit-for-bit ones.
 
-* a tiling in the forward pass is numpy broadcasting, which is exact;
-* a backward sum over a tiled axis stays the BLAS product with a ones
-  vector that the tiling matmul's backward would make, because
-  ``np.sum`` adds in another order;
-* an input the chain uses more than once (``X * X`` uses it twice) gets
-  each contribution by its own :func:`_accumulate` call, in the order the
-  reverse tape of the chain would add them;
-* an intermediate the node keeps to itself gets its first gradient as
-  ``g + 0.0``, the way :func:`_accumulate` stores it (-0.0 becomes 0.0).
-
-Why bit for bit: training is chaotic in the last bit. Summing the bias
-gradient of an encoder layer with ``np.sum`` instead of the ones product moves
-a step's gradients by 7e-17 relative, and criterion 7's cce mean accuracy
-from 0.978 to 0.927 (seed 3: 1.00 to 0.85). Any change to the order of
-float operations changes run records and accuracies, not only speed.
+Training is chaotic in the last bit: a rounding-level change to a
+node's float operations moves run records, digests and single-seed
+accuracies, not only speed. The float order of each node is therefore
+part of the determinism contract, and changing it means re-pinning
+every golden digest on purpose.
 """
 
 from __future__ import annotations
@@ -208,13 +197,11 @@ def _check_2d(op: str, t: Tensor) -> None:
 def mlp(x: Tensor, layers) -> Tensor:
     """The encoder ``h <- relu(h @ W + b)`` over ``layers``, the last one affine only, as one tape node.
 
-    ``layers`` is a sequence of (W [n, k], b [1, k]) pairs. The floats
-    are those of the chain of ``linear`` nodes (``h @ W`` plus the bias
-    row as a ones product) and ReLU nodes (``z * (z > 0)``) it replaces:
-    walking the layers backwards, a hidden layer's gradient is first
-    masked and stored as ``g * mask + 0.0``; then the bias gets the
-    ones-row product, the layer's input ``g @ W.T + 0.0`` and W
-    ``h_in.T @ g``. Only the masks and each layer's input are kept.
+    ``layers`` is a sequence of (W [n, k], b [1, k]) pairs. Walking the
+    layers backwards, a hidden layer's gradient is first masked by its
+    ReLU (``z * (z > 0)``); then the bias gets the column sums of the
+    gradient, the layer's input ``g @ W.T`` and W ``h_in.T @ g``. Only
+    the masks and each layer's input are kept.
     """
     if not isinstance(x, Tensor):
         x = Tensor(x)
@@ -236,18 +223,17 @@ def mlp(x: Tensor, layers) -> Tensor:
             mask = h > 0.0  # subgradient 0 at exactly 0
             masks.append(mask)
             h = h * mask
-    rows = x.shape[0]
 
     def backward_fn(g: np.ndarray) -> None:
         for i in range(len(layers) - 1, -1, -1):
             W, b = layers[i]
             if i < len(masks):
-                g = np.add(g * masks[i], 0.0, order="C")
+                g = g * masks[i]
             if b.requires_grad:
-                _accumulate(b, np.ones((rows, 1)).T @ g)
+                _accumulate(b, g.sum(axis=0, keepdims=True))
             g_in = None
             if i > 0:
-                g_in = g @ W.data.T + 0.0
+                g_in = g @ W.data.T
             elif x.requires_grad:
                 _accumulate(x, g @ W.data.T)
             if W.requires_grad:

@@ -178,14 +178,9 @@ def project_batch(X: Tensor) -> Tensor:
     """Row-wise projection on the gradient tape: [B, n] -> [B, n+1], one node.
 
     The forward pass is ``_lift``, as in :func:`project_rows`. The
-    backward pass makes the float operations of the tape of
-
-    norm  = sum(X * X, axis=1)            squared norms, one per row
-    a     = 2 X / (norm + 1)              scaled copies of the rows
-    b     = (norm - 1) / (norm + 1)       the new last coordinate
-    out   = concat(a, b) along columns
-
-    in its order (see :mod:`spherehead.ndcore`).
+    backward pass applies the lift's Jacobian in one pass: with D =
+    |x|^2 + 1 and the gradient (ga, gb) of (a, b) = (2x / D, (|x|^2 - 1) / D),
+    x gets ``(2 ga + 4 x (gb - ga.x) / D) / D``.
     """
     if not isinstance(X, Tensor):
         X = Tensor(X)
@@ -198,13 +193,7 @@ def project_batch(X: Tensor) -> Tensor:
     def backward_fn(g: np.ndarray) -> None:
         ga, gb = g[:, :n], g[:, n:]
         denom = norm + 1.0
-        denom_sq = denom * denom
-        # denom feeds b, then a through a tiled column; norm feeds b and denom
-        g_denom = -gb * (norm - 1.0) / denom_sq + (-ga * (x * 2.0) / denom_sq) @ np.ones((1, n)).T
-        g_sq = (gb / denom + g_denom) * x
-        _accumulate(X, g_sq)  # X * X contributes once per operand
-        _accumulate(X, g_sq)
-        _accumulate(X, ga / denom * 2.0)
+        _accumulate(X, (2.0 * ga + 4.0 * x * (gb - np.vecdot(ga, x)[:, None]) / denom) / denom)
 
     return _record("project_batch", (X,), out, backward_fn)
 

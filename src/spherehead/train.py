@@ -119,6 +119,8 @@ class OptimConfig:
             raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -516,6 +518,18 @@ class RunReport:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _checked_seeds(seeds) -> tuple:
+    """``seeds`` as a tuple of ints, else a ConfigError: none, a duplicate or a negative one."""
+    seeds = tuple(int(s) for s in seeds)
+    if not seeds:
+        raise ConfigError("need at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"duplicate seeds in {seeds}")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be non-negative, got {min(seeds)}")
+    return seeds
+
+
 def run_experiment(model_cfg: ModelConfig, data_cfg: DataConfig, opt: OptimConfig,
                    seeds, results_dir: str | None = None,
                    experiment: str | None = None) -> RunReport:
@@ -527,11 +541,7 @@ def run_experiment(model_cfg: ModelConfig, data_cfg: DataConfig, opt: OptimConfi
     error (a divergence, a degenerate input, a domain error) is reported
     as failed rather than aborting the batch.
     """
-    seeds = tuple(int(s) for s in seeds)
-    if not seeds:
-        raise ConfigError("run_experiment needs at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"duplicate seeds in {seeds}")
+    seeds = _checked_seeds(seeds)
     name = experiment if experiment is not None else experiment_name(model_cfg, data_cfg)
     out_dir = results_dir if results_dir is not None else results_store.default_results_dir()
     config_echo = {"model": model_cfg.to_dict(), "data": data_cfg.to_dict(), "optim": opt.to_dict()}

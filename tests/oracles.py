@@ -18,8 +18,8 @@ Two exceptions sit on ``ndcore``'s own recording and accumulation:
   :func:`clamp`, :func:`acos`, :func:`cos`, :func:`relu`,
   :func:`transpose`, :func:`row_sqnorms` and :func:`where`. The package
   records none of them; the primitive chains in ``tests/test_fused.py``
-  do, to rebuild the tape that each fused node stands for, and they make
-  the floats the fused nodes are compared against.
+  do, to rebuild the tape that each fused node stands for, and they are
+  the tolerance references the fused nodes are compared against.
 * The head pieces on the tape: :func:`cosine_logits`, :func:`nll_sum`,
   :func:`swap_target`, :func:`compensated_block` and :func:`cce_loss`
   record one of ``heads``' numpy pieces as a node of its own, so that a
@@ -289,12 +289,11 @@ def where(mask, a: Tensor, b: Tensor) -> Tensor:
 
 
 def _piece_node(op: str, value, back, inputs: tuple) -> Tensor:
-    """A numpy piece as one node: ``back(g)`` gives a list of terms per input, added in order."""
+    """A numpy piece as one node: ``back(g)`` gives one gradient per input."""
     def backward_fn(g):
-        for t, terms in zip(inputs, back(g)):
+        for t, grad in zip(inputs, back(g)):
             if t.requires_grad:
-                for term in terms:
-                    _accumulate(t, term)
+                _accumulate(t, grad)
 
     return _record(op, inputs, value, backward_fn)
 

@@ -202,6 +202,12 @@ class TestUsageErrors:
                                 "--seeds", "1,1"])
         assert code == 2
 
+    def test_negative_seed(self):
+        """A usage error, as --batch 0 is, not numpy's traceback from the data draw."""
+        code, out, err = run_cli(["train", "--dataset", "blobs", "--loss", "cce", "--seeds", "1,-1"])
+        assert (code, out) == (2, "")
+        assert "spherehead: error: --seeds: seeds must be non-negative, got -1" in err
+
     def test_non_integer_seeds(self):
         assert run_cli(["train", "--dataset", "blobs", "--loss", "cce",
                         "--seeds", "1,x"])[0] == 2

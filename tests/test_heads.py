@@ -15,10 +15,10 @@ from spherehead.data import Dataset
 from spherehead.errors import (
     ConfigError,
     DegenerateInputError,
+    DomainError,
     LabelError,
     ShapeError,
     StateError,
-    TrainingDiverged,
 )
 from spherehead.heads import (
     EmbeddingQueue,
@@ -620,8 +620,8 @@ class TestEmbeddingQueue:
         assert_array_equal(bits(block.data), bits(expected))
         assert not np.all(np.isfinite(block.data[0]))
 
-    def test_fit_diverges_at_the_step_that_reads_an_overflowing_row(self):
-        """A finite feature row near 1e200 trains one step; the next step, which reads it from the queue, diverges."""
+    def test_fit_raises_before_an_overflowing_row_is_pushed(self):
+        """A feature row near 1e200 ends fit with DomainError in the initial loss pass: no batch is pushed."""
         rng = np.random.default_rng(60)
         X = rng.normal(size=(12, 3))
         X[5] = 1e200
@@ -633,16 +633,14 @@ class TestEmbeddingQueue:
         real_push_batch = EmbeddingQueue.push_batch
 
         def recording(queue, embeddings, labels, snapshots):
-            pushed.append(bool(np.all(np.isfinite(np.linalg.norm(embeddings, axis=1)))))
+            pushed.append(len(labels))
             real_push_batch(queue, embeddings, labels, snapshots)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(EmbeddingQueue, "push_batch", recording)
-            with pytest.raises(TrainingDiverged) as excinfo:
+            with pytest.raises(DomainError, match="feature row: squared norm overflows"):
                 train.fit(model, ds, train.OptimConfig(learning_rate=1e-3, epochs=3, batch_size=4))
-        trajectory = excinfo.value.loss_trajectory
-        assert pushed.index(False) == len(pushed) - 2  # the row went in at the step before
-        assert np.all(np.isfinite(trajectory[:-1])) and not np.isfinite(trajectory[-1])
+        assert pushed == []
 
     def test_head_forward_pushes_once_per_batch(self):
         """Every batch is one ``push_batch``, never a ``push`` per row, B past Q included."""
@@ -827,7 +825,7 @@ class TestHeadForward:
         assert pushes == []
 
     def test_broadface_with_queue_keeps_its_bits(self):
-        """Loss and gradient bits of a second BroadFace step, frozen from the per-family code."""
+        """Loss and gradient bits of a second BroadFace step: the loss as the per-family code gave it, the gradients of the closed-form head."""
         rng = np.random.default_rng(2024)
         W = rng.normal(size=(5, 4))
         X1, X2 = rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
@@ -842,8 +840,8 @@ class TestHeadForward:
             backward(loss)
             assert len(queue) == 8
             assert loss.item().hex() == "0x1.a41eae44cf168p+2"
-            assert hashlib.sha256(w.grad.tobytes()).hexdigest()[:16] == "34ce425b3a03b327"
-            assert hashlib.sha256(f.grad.tobytes()).hexdigest()[:16] == "994ea7930ecc6235"
+            assert hashlib.sha256(w.grad.tobytes()).hexdigest()[:16] == "31d45db6cffc72e8"
+            assert hashlib.sha256(f.grad.tobytes()).hexdigest()[:16] == "7f9694a8cb78ce72"
             outcomes.append(queue.stacked())
         for a, b in zip(*outcomes):
             assert_array_equal(a, b)
@@ -874,6 +872,23 @@ class TestHeadForward:
         X[1] = 0.0
         with pytest.raises(DegenerateInputError, match="zero-norm feature row"):
             head_forward(Tensor(X), HeadWeights(Tensor(W)), MarginConfig.for_family(family), labels)
+
+    @pytest.mark.parametrize("family", ["sphereface", "cosface", "arcface", "broadface"])
+    @pytest.mark.parametrize("where", ["feature row", "weight column"])
+    def test_overflowing_norm_rejected_under_fit_errstate(self, family, where):
+        """A row or column whose squared norm overflows is a DomainError, not cosines of 0, with warnings off as in fit."""
+        rng = np.random.default_rng(74)
+        X, W, labels = random_instance(rng)
+        if where == "feature row":
+            X[1] = 1e160
+        else:
+            W[:, 1] = -1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match=f"{where}: squared norm overflows"):
+                head_forward(Tensor(X), HeadWeights(Tensor(W)), MarginConfig.for_family(family), labels)
+            X[1], W[:, 1] = np.nan, 1.0
+            with pytest.raises(DomainError, match="feature row: non-finite entries"):
+                head_forward(Tensor(X), HeadWeights(Tensor(W)), MarginConfig.for_family(family), labels)
 
     def test_empty_batch_rejected(self):
         """An empty batch is a ShapeError, not a 0 / 0 loss."""

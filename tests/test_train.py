@@ -108,6 +108,8 @@ class TestOptimConfig:
             OptimConfig(learning_rate=1e-3, epochs=1, momentum=-0.1)
         with pytest.raises(ConfigError):
             OptimConfig(learning_rate=1e-3, epochs=1, batch_size=0)
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            OptimConfig(learning_rate=1e-3, epochs=1, seed=-3)
 
     @pytest.mark.parametrize("fields", [{"epochs": 2.5}, {"batch_size": 128.0}, {"seed": "1"}, {"seed": False}])
     def test_integer_fields_checked_at_construction(self, fields):
@@ -409,17 +411,17 @@ class TestFit:
 
 ARENA_CASES = [(family, proj) for family in ("cce", "sphereface", "broadface") for proj in (True, False)]
 
-# Digests of two fits in a row on one model, pinned while each parameter
-# still owned its arrays: the second fit packs parameters that are views
+# Digests of two fits in a row on one model, pinned from the closed-form
+# backward of every node: the second fit packs parameters that are views
 # of the first fit's arena, and the digest takes in the test accuracy
 # that evaluate reads from the trained values.
 TWO_FIT_DIGESTS = {
-    ("cce", True): "5736bd42ca21bd6b93c02c9f1479abc70b1dd5f859627be536957607d2f60168",
-    ("cce", False): "7276e152273f1c7f65e71c5a24f38aced5ff2177789f253e3e3be882f97e59ef",
-    ("sphereface", True): "64c658277c4f01274437742a92f1ed2c8a09271c533fbce2cccfeacc1312f90d",
-    ("sphereface", False): "038334ce7a9f5f17c6196db18179f61cda11a9f0b03d7b1035891ef5611786ec",
-    ("broadface", True): "0962d53a8bd494aa79456513db38da1e56ef637b0be4faa5ae7bb6246eeff4d0",
-    ("broadface", False): "b721f3062a82fb587211766ec39b95626a0b50871ad7c5dc46829f03ff168921",
+    ("cce", True): "d3b8c0c79a66623c8f194f408964de934193f13593ffa82ad1324fe0775da8a0",
+    ("cce", False): "4aa5a0861fa574decca183277b9390145c3e55301d70137bfd5bd8e2f409a097",
+    ("sphereface", True): "2e2fd8310a4396c01d910d062798acf374118ab21fcf8dd13437d81fa7dc2677",
+    ("sphereface", False): "2f3ec7f81c3f1a3ac43bb74aacc73d0b69e49787cafe97ed6b62da43be841c3a",
+    ("broadface", True): "46eb7e63e65e9a6a5308019c3310edd19ea7da40c92d05830a863cf1823e484f",
+    ("broadface", False): "2f474acb3a4ebd04c35aa249d6bb17908656e26d00533c9d98116454337e120a",
 }
 
 
@@ -593,6 +595,14 @@ class TestRunExperiment:
         b = run_experiment(mc, dc, opt, [1, 2], results_dir=str(tmp_path / "b"))
         assert a.fingerprint() == b.fingerprint()
 
+    @pytest.mark.parametrize("seeds, message", [((), "at least one"), ((1, 1), "duplicate"), ((2, -1), "non-negative")])
+    def test_bad_seeds_rejected_before_any_run(self, seeds, message, tmp_path):
+        mc = ModelConfig(feature_dim=4, margin=margin_for("cce"), encoder_layers=(8,))
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(mc, DataConfig("blobs"), OptimConfig(learning_rate=3e-3, epochs=1), seeds,
+                           results_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
     def test_init_seed_is_the_third_seed_stream(self):
         # records store only the run seed, so this derivation must never drift
         for seed in (0, 1, 12345):
@@ -742,16 +752,16 @@ class TestEmitTable:
 # any layer (encoder, lift, head, queue, optimizer) moves them. Update them
 # only for a change that means to move every record digest.
 GOLDEN_FINGERPRINTS = {
-    ("cce", True): "421a25b2d2ead96725f5ca77e601d1fc40de143a56808f6a7916e5da7885a36f",
-    ("cce", False): "e6c2cb8cb6d4c1f4860f7d878171b2ca6e0aba2229f6d36424a904e7ff967df1",
-    ("sphereface", True): "75b844f4b37de59527727123d8b4335d7d262cc33b7b30929ebd5b7e757ad75f",
-    ("sphereface", False): "250c7e1573e672d0615f33edd78d561543ddf0fd885492f0acff5ddee305ece5",
-    ("cosface", True): "016fb9d6a3a914ddf15a45cb291290ca24fc720704a75286f2907f833386481e",
-    ("cosface", False): "b773edc7311bb9fe24ac357c7e4d4c71f3e70c9def33ab72537ee322bb4bbf39",
-    ("arcface", True): "f8913aa7fb5b82b46aef398ebb1ac56ab54ed66e9fb7114ee50ebaa077f21147",
-    ("arcface", False): "c39a339dc7f108d55c5be8d98dcc2224a28a4e2ddc39fe17bb974846fe63a19c",
-    ("broadface", True): "42e04a31e9eda5cf744ba4285b01f2d58e302c45c7302909e127d5757126182e",
-    ("broadface", False): "c9c41ef79991d0f5c2b1d4888e81a74ac19a3a108576dc86f358922ae18738c4",
+    ("cce", True): "34d488ba906778984ef574bac27c4f792a7f64e557954109f8c0bfe37b1a682f",
+    ("cce", False): "9cb6d03ff9ec9c77cae10170591e7cb04fb75172f613954bb64d9db01b7dc672",
+    ("sphereface", True): "4f87cf66ca4d0e1a18f1fdab0dd75829dcbcefb5b7edc0c4c3e9789d90b4abbb",
+    ("sphereface", False): "68da2ee8540ca7a0d6c874d69e277299b5e05bb63ccc3cb3a5fba8eae69863fa",
+    ("cosface", True): "24ec163a70233601924ba5691eec8a0d22adc49ee059bc3db5db232a27112e3c",
+    ("cosface", False): "840c50183af679fc1d760cdf736dc4c31c30154243b908b49a0283b55d524a58",
+    ("arcface", True): "dd9eee87fa171da7a7777096b574d5cd421959df1092ac0d2759b9ca92b84ea5",
+    ("arcface", False): "d5f2fd9f67e94cb4d408b103c05b24c09e292787753ee51b8e66a6a2bebc79bf",
+    ("broadface", True): "49803660b89abfe97f017fd1645f2661c81349a5a26de3095054197dc7b1b353",
+    ("broadface", False): "72d336abf53948aebc1fadd9abb14f167eef440a8e8f018f12be7278e81311ab",
 }
 
 
