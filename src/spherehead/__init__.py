@@ -26,11 +26,8 @@ from .heads import (
     EmbeddingQueue,
     HeadWeights,
     MarginConfig,
-    arcface_loss,
     broadface_step,
-    cosface_loss,
     head_forward,
-    sphereface_loss,
 )
 from .ndcore import Tape, Tensor, backward, trace
 from .results import default_results_dir, list_runs, load_run, record_digest, save_run

@@ -26,7 +26,7 @@ from .errors import DomainError, ParseError, SphereheadError
 from .heads import FAMILIES, MarginConfig
 from .ndcore import Tensor
 from .results import default_results_dir, list_runs, load_run
-from .stereo import project, project_rows
+from .stereo import project_rows
 from .train import (
     DataConfig,
     ModelConfig,
@@ -191,14 +191,8 @@ def cmd_project(args, parser: argparse.ArgumentParser) -> int:
     X, linenos = read_delimited(args.infile)
     try:
         lifted = project_rows(X) if X.size else X
-    except DomainError:
-        # lift row by row only to name the line of the first bad row
-        for lineno, row in zip(linenos, X):
-            try:
-                project(row)
-            except DomainError as err:
-                raise type(err)(f"{args.infile}:{lineno}: {err}") from err
-        raise
+    except DomainError as err:
+        raise type(err)(f"{args.infile}:{linenos[err.row]}: {err.what}") from err
     del X  # free the input before the output text is built
     if args.out is None:
         _write_rows(sys.stdout, lifted)

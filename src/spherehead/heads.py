@@ -24,19 +24,11 @@ the target swap. With the encoder as one ``mlp`` node and the lift as
 one ``project_batch`` node, a training step records 3 tape nodes (2
 without the lift) in every family.
 
-The queue keeps detached embeddings only; gradient from queue terms
-reaches the weight matrix and nothing else. It is a ring of arrays
-(embeddings [Q, d], labels [Q], snapshots [Q, d], and each row's
-|embedding| and |snapshot| [Q], taken once when the row is pushed).
-``head_forward`` writes a whole batch with one ``push_batch``, at most
-two slice writes per array; ``push`` is its one-row case.
-``stacked()`` and ``stacked_norms()`` return fresh copies, oldest
-first. A batch whose embeddings are not [B, d] with snapshots of the
-same shape, whose label count is not B, or whose d is not the queue's,
-raises ``StateError`` before anything is written. ``sphereface_loss``,
-``cosface_loss``, ``arcface_loss`` and ``broadface_step`` are
-:func:`head_forward` behind a check of the config's family. All losses
-are scalar tensors on the gradient tape.
+BroadFace's queue keeps detached embeddings only, so gradient from its
+terms reaches W and nothing else. It is a window, not a ring: five
+read-only arrays of the live rows, oldest first, which each
+``push_batch`` replaces with the rows that stay followed by the batch.
+``head_forward`` pushes each batch once, after its loss is built.
 """
 
 from __future__ import annotations
@@ -55,9 +47,6 @@ __all__ = [
     "MarginConfig",
     "HeadWeights",
     "EmbeddingQueue",
-    "sphereface_loss",
-    "cosface_loss",
-    "arcface_loss",
     "broadface_step",
     "head_forward",
 ]
@@ -155,29 +144,33 @@ class HeadWeights:
         return self.W.shape[1]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class EmbeddingQueue:
     """FIFO store of past (embedding, label, weight-snapshot) rows.
 
-    A ring of five arrays: embeddings [Q, d], labels [Q], snapshots
-    [Q, d], and the norms |embedding| and |snapshot| [Q] of each row,
-    taken when it is pushed. The first non-empty push allocates the
-    [Q, d] arrays, which fixes d. A push writes a whole batch, over the
-    oldest rows once the queue is full, with at most two slice writes
-    per array.
+    Five read-only arrays hold the live rows, oldest first: embeddings
+    [n, d], labels [n], snapshots [n, d], and the norms |embedding| and
+    |snapshot| [n] of each row, taken when it is pushed. The first
+    non-empty push fixes d. A push builds five new arrays and never
+    writes into the old ones, so ``stacked()`` and ``stacked_norms()``
+    return the arrays themselves and an array returned earlier keeps its
+    rows.
     """
 
     def __init__(self, capacity: int):
         if capacity < 0:
             raise ConfigError(f"queue capacity must be non-negative, got {capacity!r}")
         self.capacity = int(capacity)
-        self._emb = self._snaps = np.empty((self.capacity, 0))
-        self._labels = np.empty(self.capacity, dtype=np.int64)
-        self._emb_norms, self._snap_norms = np.empty(self.capacity), np.empty(self.capacity)
-        self._next = 0  # the row the next push writes
-        self._count = 0
+        self._emb = self._snaps = _read_only(np.empty((0, 0)))
+        self._labels = _read_only(np.empty(0, dtype=np.int64))
+        self._emb_norms = self._snap_norms = _read_only(np.empty(0))
 
     def __len__(self) -> int:
-        return self._count
+        return self._labels.shape[0]
 
     def push(self, embedding: np.ndarray, label: int, snapshot_weight: np.ndarray) -> None:
         """Copy one row in: the one-row case of :meth:`push_batch`."""
@@ -195,40 +188,33 @@ class EmbeddingQueue:
                              f"got {embeddings.shape} and {snapshots.shape}")
         if labels.shape != embeddings.shape[:1]:
             raise StateError(f"{embeddings.shape[0]} queue rows but labels of shape {labels.shape}")
-        if self._count and embeddings.shape[1] != self._emb.shape[1]:
+        if len(self) and embeddings.shape[1] != self._emb.shape[1]:
             raise StateError(f"embedding dim {embeddings.shape[1]} does not match queued {self._emb.shape[1]}")
         B, Q = embeddings.shape[0], self.capacity
         if Q == 0 or B == 0:
             return
-        if not self._count:  # the first row fixes d
-            d = embeddings.shape[1]
-            self._emb, self._snaps = np.empty((Q, d)), np.empty((Q, d))
+        if not len(self):  # the first row fixes d
+            self._emb = self._snaps = np.empty((0, embeddings.shape[1]))
         skip = max(B - Q, 0)  # rows a later row of the batch would evict
         emb = np.ascontiguousarray(embeddings[skip:], dtype=np.float64)
         snaps = np.ascontiguousarray(snapshots[skip:], dtype=np.float64)
         # norms of the contiguous rows have the bits of the norms of the stacked
         # queue; a row near 1e200 overflows to inf here, as it would there
         with np.errstate(over="ignore"):
-            batch = (emb, labels[skip:], snaps, np.linalg.norm(emb, axis=1), np.linalg.norm(snaps, axis=1))
-        start, n = (self._next + skip) % Q, B - skip
-        first = min(n, Q - start)  # rows written before the ring wraps
-        for ring, new in zip((self._emb, self._labels, self._snaps, self._emb_norms, self._snap_norms), batch):
-            ring[start:start + first] = new[:first]
-            ring[:n - first] = new[first:]
-        self._next = (start + n) % Q
-        self._count = min(self._count + n, Q)
-
-    def _oldest_first(self, *arrays) -> tuple:
-        n, c = self._next, self._count  # unwrapped, n == c; full, the oldest row is n
-        return tuple(np.concatenate((a[n:c], a[:n])) for a in arrays)
+            batch = (emb, labels[skip:].astype(np.int64), snaps,
+                     np.linalg.norm(emb, axis=1), np.linalg.norm(snaps, axis=1))
+        drop = max(len(self) + B - skip - Q, 0)  # the oldest rows the batch evicts
+        old = (self._emb, self._labels, self._snaps, self._emb_norms, self._snap_norms)
+        self._emb, self._labels, self._snaps, self._emb_norms, self._snap_norms = (
+            _read_only(np.concatenate((rows[drop:], new))) for rows, new in zip(old, batch))
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows oldest-first as fresh arrays: embeddings [Q, d], labels [Q], snapshots [Q, d]."""
-        return self._oldest_first(self._emb, self._labels, self._snaps)
+        """The rows oldest-first, read-only: embeddings [n, d], labels [n], snapshots [n, d]."""
+        return self._emb, self._labels, self._snaps
 
     def stacked_norms(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows' norms oldest-first as fresh arrays: |embedding| [Q] and |snapshot| [Q]."""
-        return self._oldest_first(self._emb_norms, self._snap_norms)
+        """The rows' norms oldest-first, read-only: |embedding| [n] and |snapshot| [n]."""
+        return self._emb_norms, self._snap_norms
 
 
 def _one_hot(labels, class_count: int) -> np.ndarray:
@@ -245,7 +231,7 @@ def _norms(t: np.ndarray, axis: int, what: str) -> np.ndarray:
     :class:`DomainError`, and a zero norm :class:`DegenerateInputError`.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.sum(t * t, axis=axis, keepdims=True)
+        sq = (t * t).sum(axis=axis, keepdims=True)
     if not np.isfinite(sq).all():
         problem = "non-finite entries" if not np.isfinite(t).all() else "squared norm overflows float64"
         raise DomainError(f"{what}: {problem}")
@@ -283,11 +269,11 @@ def _nll_sum(logits: np.ndarray, onehot: np.ndarray):
     leaves softmax and its gradient unchanged. ``back(g)`` gives the
     logits' gradient g * (softmax - onehot).
     """
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    sum_e = np.sum(e, axis=1, keepdims=True)
-    target = np.sum(shifted * onehot, axis=1, keepdims=True)
-    return np.sum(np.log(sum_e) - target), lambda g: g * (e / sum_e - onehot)
+    sum_e = e.sum(axis=1, keepdims=True)
+    target = (shifted * onehot).sum(axis=1, keepdims=True)
+    return (np.log(sum_e) - target).sum(), lambda g: g * (e / sum_e - onehot)
 
 
 def _swap_target(cosines: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
@@ -311,7 +297,7 @@ def _swap_target(cosines: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
     """
     arc = cfg.family != "sphereface"
     m = cfg.m if arc else int(cfg.m)
-    t = np.sum(cosines * onehot, axis=1, keepdims=True)
+    t = (cosines * onehot).sum(axis=1, keepdims=True)
     psi, slope = t, 1.0  # sphereface's psi at m = 1 is t itself
     if arc or m > 1:
         inside = (t > -COS_CLAMP) & (t < COS_CLAMP)
@@ -456,31 +442,13 @@ def head_forward(features: Tensor, weights: HeadWeights, cfg: MarginConfig,
     return loss
 
 
-def _require_family(cfg: MarginConfig, family: str, name: str) -> None:
-    if cfg.family != family:
-        raise ConfigError(f"{name} needs a {family} config, got {cfg.family!r}")
-
-
-def sphereface_loss(features: Tensor, weights: HeadWeights, cfg: MarginConfig, labels) -> Tensor:
-    """Multiplicative angular margin: target exponent |x| * psi(m * theta)."""
-    _require_family(cfg, "sphereface", "sphereface_loss")
-    return head_forward(features, weights, cfg, labels)
-
-
-def cosface_loss(features: Tensor, weights: HeadWeights, cfg: MarginConfig, labels) -> Tensor:
-    """Additive cosine margin: target logit s * (cos theta - m)."""
-    _require_family(cfg, "cosface", "cosface_loss")
-    return head_forward(features, weights, cfg, labels)
-
-
-def arcface_loss(features: Tensor, weights: HeadWeights, cfg: MarginConfig, labels) -> Tensor:
-    """Additive angular margin: target logit s * cos(theta + m)."""
-    _require_family(cfg, "arcface", "arcface_loss")
-    return head_forward(features, weights, cfg, labels)
-
-
 def broadface_step(batch_features: Tensor, weights: HeadWeights, cfg: MarginConfig,
                    labels, queue: EmbeddingQueue) -> tuple[Tensor, EmbeddingQueue]:
-    """One mixed-batch loss evaluation plus queue bookkeeping; see :func:`head_forward`."""
-    _require_family(cfg, "broadface", "broadface_step")
+    """:func:`head_forward` with a queue, behind a broadface check, and the queue back.
+
+    Nothing in the package calls it: it stays for the benchmark's
+    replay of the training step, which imports it.
+    """
+    if cfg.family != "broadface":
+        raise ConfigError(f"broadface_step needs a broadface config, got {cfg.family!r}")
     return head_forward(batch_features, weights, cfg, labels, queue), queue

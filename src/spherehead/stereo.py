@@ -113,8 +113,16 @@ def project(x) -> SpherePoint:
     return SpherePoint(_lift(_euclidean_coords(x)[None, :])[0][0])
 
 
-def _where(bad: np.ndarray) -> str:
-    return "" if bad.size == 1 else f" (first in row {int(np.argmax(bad))})"
+def _row_error(cls, what: str, bad: np.ndarray) -> DomainError:
+    """``cls`` for the rows ``bad`` marks, naming the first when there are more rows than one.
+
+    It keeps ``what`` and that row's index as ``row``, so a caller can
+    name the row its own way, as ``spherehead project`` names the line.
+    """
+    row = int(np.argmax(bad))
+    err = cls(what if bad.size == 1 else f"{what} (first in row {row})")
+    err.what, err.row = what, row
+    return err
 
 
 def _check_sphere(P: np.ndarray, tol: float, allow_pole: bool = False) -> None:
@@ -130,12 +138,12 @@ def _check_sphere(P: np.ndarray, tol: float, allow_pole: bool = False) -> None:
         sq = np.vecdot(P, P)
     off = np.abs(sq - 1.0) > tol
     if off.any():
-        raise DomainError(f"not on the unit sphere: |coords|^2 = {float(sq[off][0])!r}" + _where(off))
+        raise _row_error(DomainError, f"not on the unit sphere: |coords|^2 = {float(sq[off][0])!r}", off)
     top = P[:, -1] == 1.0
     if not allow_pole and top.any():
         pole = top & ~P[:, :-1].any(axis=1)
         if pole.any():
-            raise PoleSingularityError("the north pole is excluded from the sphere image" + _where(pole))
+            raise _row_error(PoleSingularityError, "the north pole is excluded from the sphere image", pole)
 
 
 def _lift(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,8 +156,8 @@ def _lift(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(sq).all():
         finite = np.isfinite(X).all(axis=1)
         if not finite.all():
-            raise DomainError("non-finite entries" + _where(~finite))
-        raise DomainError("squared norm overflows float64" + _where(np.isinf(sq[:, 0])))
+            raise _row_error(DomainError, "non-finite entries", ~finite)
+        raise _row_error(DomainError, "squared norm overflows float64", np.isinf(sq[:, 0]))
     n = X.shape[1]
     out = np.empty((X.shape[0], n + 1))
     denom = sq + 1.0
@@ -164,7 +172,8 @@ def project_rows(X) -> np.ndarray:
     ``_lift``, then the :class:`SpherePoint` checks: a row off the unit
     sphere by more than ``UNIT_TOL`` raises :class:`DomainError`, and the
     north pole :class:`PoleSingularityError`. With more than one row,
-    every error names the first offending row.
+    every error names the first offending row. Each error keeps that
+    row's index as ``row``.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] == 0:

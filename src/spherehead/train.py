@@ -20,9 +20,9 @@ import numpy as np
 
 from . import results as results_store
 from .data import Dataset, SplitSpec, gen_gaussian_blobs, gen_two_spirals, load_cifar_binary, load_delimited, split
-from .errors import (ConfigError, DegenerateInputError, LayoutError, ParseError, ShapeError, SphereheadError,
-                     StateError, TrainingDiverged)
-from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, _as_int, head_forward
+from .errors import (ConfigError, DomainError, LayoutError, ParseError, ShapeError, SphereheadError, StateError,
+                     TrainingDiverged)
+from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, _as_int, _norms, head_forward
 from .ndcore import Tensor, backward, mlp
 from .stereo import project_batch
 
@@ -51,7 +51,15 @@ __all__ = [
 PLATEAU_REL = 1e-4
 PLATEAU_WINDOW = 10
 
-DATA_KINDS = ("two_spirals", "blobs", "delimited", "cifar10", "cifar100")
+# the params each data kind reads (build_datasets)
+_DATA_PARAMS = {
+    "two_spirals": ("n_per_class", "noise_sd"),
+    "blobs": ("classes", "n_per_class", "spread", "radius"),
+    "delimited": ("path", "delimiter", "label_column", "header"),
+    "cifar10": ("dir", "subset_per_class", "downsample_to"),
+    "cifar100": ("dir", "subset_per_class", "downsample_to"),
+}
+DATA_KINDS = tuple(_DATA_PARAMS)
 
 
 def default_learning_rate(family: str) -> float:
@@ -128,7 +136,11 @@ class OptimConfig:
 
 @dataclass(frozen=True)
 class DataConfig:
-    """Which dataset to build and how to carve out the test side."""
+    """Which dataset to build and how to carve out the test side.
+
+    ``params`` may hold only the keys its kind reads; another key, a
+    misspelt one say, is a ConfigError rather than silently ignored.
+    """
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -139,6 +151,10 @@ class DataConfig:
             raise ConfigError(f"kind must be one of {DATA_KINDS}, got {self.kind!r}")
         if not isinstance(self.params, dict):
             raise ConfigError(f"params must be a dict, got {self.params!r}")
+        reads = _DATA_PARAMS[self.kind]
+        for key in self.params:
+            if key not in reads:
+                raise ConfigError(f"unknown {self.kind} param {key!r}; it reads {', '.join(reads)}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train fraction must be in (0, 1), got {self.train_fraction!r}")
 
@@ -383,23 +399,23 @@ def evaluate(model: Model, ds: Dataset) -> float:
 
     Margin families classify by angle, so scores use unit weight
     columns; any train-time scale or margin shift cancels at argmax. The
-    raw-logit baseline keeps its weights as trained.
+    raw-logit baseline keeps its weights as trained. A row whose
+    features come out non-finite, from finite weights too large, say,
+    raises DomainError rather than being scored.
     """
     if len(ds) == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
     W = model.head.W.data
-    if model.config.margin.family == "cce":
-        columns = W
-    else:
-        col_norms = np.linalg.norm(W, axis=0, keepdims=True)
-        if np.any(col_norms == 0.0):
-            raise DegenerateInputError("zero-norm weight column cannot be normalized")
-        columns = W / col_norms
+    columns = W if model.config.margin.family == "cce" else W / _norms(W, 0, "weight column")
     hits = 0
     for start in range(0, len(ds), _EVAL_CHUNK):
         stop = min(start + _EVAL_CHUNK, len(ds))
-        feats = model.forward_features(Tensor(ds.features.data[start:stop]))
-        pred = np.argmax(feats.data @ columns, axis=1)
+        # an overflow surfaces as a non-finite feature below
+        with np.errstate(over="ignore", invalid="ignore"):
+            feats = model.forward_features(Tensor(ds.features.data[start:stop])).data
+        if not np.isfinite(feats).all():
+            raise DomainError("evaluation features: non-finite entries")
+        pred = np.argmax(feats @ columns, axis=1)
         hits += int(np.sum(pred == ds.labels[start:stop]))
     return hits / len(ds)
 

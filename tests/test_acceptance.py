@@ -13,15 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spherehead.heads import (
-    EmbeddingQueue,
-    HeadWeights,
-    MarginConfig,
-    arcface_loss,
-    broadface_step,
-    cosface_loss,
-    sphereface_loss,
-)
+from spherehead.heads import EmbeddingQueue, HeadWeights, MarginConfig, head_forward
 from spherehead.ndcore import Tensor
 from spherehead.stereo import (
     hemisphere_map,
@@ -155,7 +147,7 @@ def test_criterion_04_reduction_identities():
         f, weights = Tensor(X), HeadWeights(Tensor(W))
 
         # sphereface at m=1 is plain cce on norm-scaled cosines
-        sphere = sphereface_loss(f, weights, MarginConfig(family="sphereface", m=1), labels).item()
+        sphere = head_forward(f, weights, MarginConfig(family="sphereface", m=1), labels).item()
         cosines = cosine_logits(f, weights)
         norms = sqrt(reduce_sum(mul(f, f), axis=1, keepdims=True))
         scaled = mul(cosines, norms)
@@ -163,21 +155,22 @@ def test_criterion_04_reduction_identities():
 
         # zero-margin cosface and arcface are cce on s-scaled cosines
         s = 7.5
-        cos0 = cosface_loss(f, weights, MarginConfig(family="cosface", m=0.0, s=s), labels).item()
-        arc0 = arcface_loss(f, weights, MarginConfig(family="arcface", m=0.0, s=s), labels).item()
+        cos0 = head_forward(f, weights, MarginConfig(family="cosface", m=0.0, s=s), labels).item()
+        arc0 = head_forward(f, weights, MarginConfig(family="arcface", m=0.0, s=s), labels).item()
         plain = cce_loss(mul(cosines, s), labels).item()
         worst = max(worst, abs(cos0 - plain), abs(arc0 - plain))
 
         # broadface with nothing queued is arcface
         cfg = MarginConfig(family="broadface", m=0.4, s=s, queue_capacity=16)
-        empty_loss, queue = broadface_step(f, weights, cfg, labels, EmbeddingQueue(16))
-        arc = arcface_loss(f, weights, MarginConfig(family="arcface", m=0.4, s=s), labels).item()
+        queue = EmbeddingQueue(16)
+        empty_loss = head_forward(f, weights, cfg, labels, queue)
+        arc = head_forward(f, weights, MarginConfig(family="arcface", m=0.4, s=s), labels).item()
         worst = max(worst, abs(empty_loss.item() - arc))
 
         # with frozen weights, step two equals arcface over both batches pooled
         X2, _, labels2 = _random_instance(rng, d=X.shape[1], C=W.shape[1])
-        step2, _ = broadface_step(Tensor(X2), weights, cfg, labels2, queue)
-        pooled = arcface_loss(
+        step2 = head_forward(Tensor(X2), weights, cfg, labels2, queue)
+        pooled = head_forward(
             Tensor(np.vstack([X2, X])), weights,
             MarginConfig(family="arcface", m=0.4, s=s),
             np.concatenate([labels2, labels]),
@@ -199,9 +192,9 @@ def test_criterion_05_finite_difference_gradients():
     for i in range(trials):
         X, W, labels = _random_instance(rng)
         fd(lambda f, w: cce_loss(matmul(f, w), labels), [X, W])
-        fd(lambda f, w: cosface_loss(f, HeadWeights(w),
+        fd(lambda f, w: head_forward(f, HeadWeights(w),
                                      MarginConfig(family="cosface", m=0.35, s=8.0), labels), [X, W])
-        fd(lambda f, w: arcface_loss(f, HeadWeights(w),
+        fd(lambda f, w: head_forward(f, HeadWeights(w),
                                      MarginConfig(family="arcface", m=0.5, s=8.0), labels), [X, W])
 
         # resample away from the psi fold at 2 theta = pi, where the
@@ -212,7 +205,7 @@ def test_criterion_05_finite_difference_gradients():
             if np.all(np.abs(2.0 * theta - np.pi) >= 0.05):
                 break
             X, W, labels = _random_instance(rng)
-        fd(lambda f, w: sphereface_loss(f, HeadWeights(w), sphere_cfg, labels), [X, W])
+        fd(lambda f, w: head_forward(f, HeadWeights(w), sphere_cfg, labels), [X, W])
 
         # queue snapshots are constants of the step, so they are built
         # once from past weights and frozen outside the probed function
@@ -220,12 +213,11 @@ def test_criterion_05_finite_difference_gradients():
         X_past, _, labels_past = _random_instance(rng, d=X.shape[1], C=W.shape[1])
         W_past = rng.normal(size=W.shape) + 0.1
         seed_queue = EmbeddingQueue(8)
-        broadface_step(Tensor(X_past), HeadWeights(Tensor(W_past)), bf_cfg, labels_past, seed_queue)
+        head_forward(Tensor(X_past), HeadWeights(Tensor(W_past)), bf_cfg, labels_past, seed_queue)
 
         def broadface_fn(f, w):
             queue = copy.deepcopy(seed_queue)
-            loss, _ = broadface_step(f, HeadWeights(w), bf_cfg, labels, queue)
-            return loss
+            return head_forward(f, HeadWeights(w), bf_cfg, labels, queue)
 
         fd(broadface_fn, [X, W])
 

@@ -116,6 +116,11 @@ class TestProjectVerb:
             cli.cmd_project(args, None)
         assert not dst.exists()
 
+    def test_error_is_the_lift_s_own_words_at_the_line(self, tmp_path):
+        src = tmp_path / "pts.csv"
+        src.write_text("1,2\n3,4\n\nnan,0\n5,6\n")
+        assert run_cli(["project", "--in", str(src)]) == (1, "", f"error: {src}:4: non-finite entries\n")
+
     @pytest.mark.parametrize("text", ["", "\n\n  \n\t\n"])
     def test_no_rows_give_empty_output(self, tmp_path, text):
         src, dst = tmp_path / "pts.csv", tmp_path / "out.csv"
@@ -361,6 +366,7 @@ class TestMalformedRecord:
         "float-epochs": ("config: ", _edit_echo(lambda echo: echo["optim"].update(epochs=2.5))),
         "string-encoder": ("config: ", _edit_echo(lambda echo: echo["model"].update(encoder_layers="8,"))),
         "list-params": ("config: ", _edit_echo(lambda echo: echo["data"].update(params=[]))),
+        "unknown-data-param": ("config: ", _edit_echo(lambda echo: echo["data"]["params"].update(n_per_clas=20))),
     }
     ECHO_CASES = [case for case, (prefix, _) in CASES.items() if prefix == "config: "]
 

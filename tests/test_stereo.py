@@ -199,6 +199,17 @@ class TestProjectRows:
         with pytest.raises(DomainError, match=r"overflows.*row 2"):
             project_rows(X)
 
+    def test_errors_keep_the_first_bad_row_and_their_words(self):
+        X = np.ones((5, 2))
+        X[3, 1] = np.nan
+        X[4, 0] = np.inf
+        with pytest.raises(DomainError) as info:
+            project_rows(X)
+        assert (info.value.row, info.value.what) == (3, "non-finite entries")
+        with pytest.raises(DomainError) as info:
+            project_rows([[0.0, 1e200]])
+        assert (info.value.row, info.value.what, str(info.value)) == (0, *["squared norm overflows float64"] * 2)
+
     def test_unit_norm_gate_still_runs(self, monkeypatch):
         # no finite row misses the sphere by 1e-12; a negative tolerance
         # shows the gate is applied to the lifted rows

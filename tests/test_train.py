@@ -134,6 +134,27 @@ class TestDataConfig:
         with pytest.raises(ConfigError, match="params must be a dict"):
             DataConfig("blobs", [])
 
+    @pytest.mark.parametrize("kind, params", [
+        ("two_spirals", {"n_per_class": 20, "noise_sd": 0.1}),
+        ("blobs", {"classes": 3, "n_per_class": 20, "spread": 1.0, "radius": 4.0}),
+        ("delimited", {"path": "rows.csv", "delimiter": ";", "label_column": 1, "header": True}),
+        ("cifar10", {"dir": "cifar", "subset_per_class": 10, "downsample_to": 8}),
+        ("cifar100", {"dir": "cifar", "subset_per_class": 10, "downsample_to": 8}),
+    ])
+    def test_every_param_a_kind_reads_is_accepted(self, kind, params):
+        assert DataConfig(kind, params).params == params
+
+    @pytest.mark.parametrize("kind, params, reads", [
+        ("two_spirals", {"n_per_clas": 20}, "n_per_class, noise_sd"),
+        ("blobs", {"n_per_class": 20, "noise_sd": 0.1}, "classes, n_per_class, spread, radius"),
+        ("delimited", {"path": "rows.csv", "dir": "rows"}, "path, delimiter, label_column, header"),
+        ("cifar100", {"dir": "cifar", "path": "cifar"}, "dir, subset_per_class, downsample_to"),
+    ])
+    def test_unknown_param_rejected_naming_what_the_kind_reads(self, kind, params, reads):
+        unknown = next(k for k in params if k not in reads.split(", "))
+        with pytest.raises(ConfigError, match=f"unknown {kind} param {unknown!r}; it reads {reads}$"):
+            DataConfig(kind, params)
+
     def test_fraction_bounds(self):
         with pytest.raises(ConfigError):
             DataConfig("blobs", train_fraction=0.0)
@@ -482,6 +503,15 @@ class TestEvaluate:
         with pytest.raises(DegenerateInputError):
             evaluate(model, ds)
 
+    @pytest.mark.parametrize("family", ["cce", "cosface"])
+    def test_non_finite_features_rejected(self, family):
+        """Finite encoder weights whose features overflow: a DomainError, not a score."""
+        ds = small_blobs()
+        model, _ = quick_fit(family, ds, epochs=1, proj=False)
+        model.layers[0][0].data[:, 0] = 1e308
+        with pytest.raises(DomainError, match="^evaluation features: non-finite entries$"):
+            evaluate(model, ds)
+
 
 class TestBuildDatasets:
     def test_spirals_default_sizes(self):
@@ -650,6 +680,17 @@ class TestRunExperiment:
         assert set(report.failed_seeds) == {1, 2}
         assert report.accuracies == {}
         assert np.isnan(report.mean_accuracy)
+
+    @pytest.mark.parametrize("family", ["cce", "cosface"])
+    def test_seed_whose_features_overflow_is_a_failure(self, tmp_path, family):
+        """A step of 1e200 leaves the weights finite and the features not: no seed is scored."""
+        mc = ModelConfig(feature_dim=4, margin=margin_for(family), encoder_layers=(8,), projection_enabled=False)
+        dc = DataConfig("blobs", {"n_per_class": 20})
+        opt = OptimConfig(learning_rate=1e200, epochs=1, batch_size=200)
+        report = run_experiment(mc, dc, opt, [1, 2, 3], results_dir=str(tmp_path))
+        assert report.accuracies == {}
+        assert report.failed_seeds == (1, 2, 3)
+        assert all(failure.startswith("failed: ") for failure in report.failures.values())
 
     def test_failed_seed_does_not_abort_the_rest(self, tmp_path, monkeypatch):
         real_fit = train.fit
