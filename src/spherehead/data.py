@@ -40,16 +40,26 @@ _CIFAR_PIXELS = 3072  # 3 planes of 32 x 32
 _CIFAR_SIDE = 32
 
 
-def _checked_labels(labels, class_count: int) -> np.ndarray:
-    """Labels as a new flat int64 array, checked to be integers in [0, class_count)."""
+def _checked_labels(labels, class_count: int | None) -> np.ndarray:
+    """Labels as a new flat int64 array, checked to be integers in [0, class_count).
+
+    Integer and boolean dtypes pass, and floats that are finite integers;
+    NaN, inf, fractions and any other dtype are a :class:`LabelError`.
+    ``class_count=None`` checks only that no label is negative.
+    """
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ShapeError(f"labels must be a flat sequence, got shape {labels.shape}")
-    if not np.issubdtype(labels.dtype, np.integer) and not np.all(labels == labels.astype(np.int64)):
+    integral = labels.dtype.kind in "biu"
+    if labels.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):  # NaN, inf and |x| >= 2**63 cast to integers they do not equal
+            integral = bool(np.all(labels == labels.astype(np.int64)))
+    if not integral:
         raise LabelError("labels must be integers")
     labels = labels.astype(np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= class_count):
-        raise LabelError(f"labels must lie in [0, {class_count}), got range [{labels.min()}, {labels.max()}]")
+    high = np.inf if class_count is None else class_count
+    if labels.size and (labels.min() < 0 or labels.max() >= high):
+        raise LabelError(f"labels must lie in [0, {high}), got range [{labels.min()}, {labels.max()}]")
     return labels
 
 

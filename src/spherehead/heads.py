@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _checked_labels
-from .errors import ConfigError, DegenerateInputError, DomainError, ShapeError, StateError
+from .errors import ConfigError, DegenerateInputError, DomainError, LabelError, ShapeError, StateError
 from .ndcore import Tensor, _accumulate, _record
 
 __all__ = [
@@ -179,8 +179,9 @@ class EmbeddingQueue:
     def push_batch(self, embeddings: np.ndarray, labels, snapshots: np.ndarray) -> None:
         """Copy B rows in, oldest first: embeddings [B, d], labels [B], snapshots [B, d].
 
-        As B single pushes: past capacity only the last Q rows stay. A bad
-        batch raises :class:`StateError` before anything is written.
+        As B single pushes: past capacity only the last Q rows stay. Labels
+        pass ``data._checked_labels`` with no class bound. A bad batch
+        raises :class:`StateError` before anything is written.
         """
         labels = np.asarray(labels)
         if embeddings.ndim != 2 or snapshots.shape != embeddings.shape:
@@ -188,6 +189,10 @@ class EmbeddingQueue:
                              f"got {embeddings.shape} and {snapshots.shape}")
         if labels.shape != embeddings.shape[:1]:
             raise StateError(f"{embeddings.shape[0]} queue rows but labels of shape {labels.shape}")
+        try:
+            as_int = _checked_labels(labels, None)
+        except LabelError as err:
+            raise StateError(f"queue {err}") from err
         if len(self) and embeddings.shape[1] != self._emb.shape[1]:
             raise StateError(f"embedding dim {embeddings.shape[1]} does not match queued {self._emb.shape[1]}")
         B, Q = embeddings.shape[0], self.capacity
@@ -201,7 +206,7 @@ class EmbeddingQueue:
         # norms of the contiguous rows have the bits of the norms of the stacked
         # queue; a row near 1e200 overflows to inf here, as it would there
         with np.errstate(over="ignore"):
-            batch = (emb, labels[skip:].astype(np.int64), snaps,
+            batch = (emb, as_int[skip:], snaps,
                      np.linalg.norm(emb, axis=1), np.linalg.norm(snaps, axis=1))
         drop = max(len(self) + B - skip - Q, 0)  # the oldest rows the batch evicts
         old = (self._emb, self._labels, self._snaps, self._emb_norms, self._snap_norms)
@@ -232,6 +237,8 @@ def _norms(t: np.ndarray, axis: int, what: str) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sq = (t * t).sum(axis=axis, keepdims=True)
+    if sq.size and sq.min() > 0.0 and sq.max() < np.inf:  # a NaN fails both comparisons
+        return np.sqrt(sq)
     if not np.isfinite(sq).all():
         problem = "non-finite entries" if not np.isfinite(t).all() else "squared norm overflows float64"
         raise DomainError(f"{what}: {problem}")
@@ -259,7 +266,7 @@ def _cosine_logits(f: np.ndarray, W: np.ndarray):
         return ((g_rows - (g_rows * unit_features).sum(axis=1, keepdims=True) * unit_features) / norms,
                 (g_cols - (g_cols * unit_weights).sum(axis=0, keepdims=True) * unit_weights) / col_norms)
 
-    return np.clip(raw, -1.0, 1.0), norms, back
+    return np.minimum(np.maximum(raw, -1.0), 1.0), norms, back
 
 
 def _nll_sum(logits: np.ndarray, onehot: np.ndarray):
@@ -301,7 +308,7 @@ def _swap_target(cosines: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
     psi, slope = t, 1.0  # sphereface's psi at m = 1 is t itself
     if arc or m > 1:
         inside = (t > -COS_CLAMP) & (t < COS_CLAMP)
-        clamped = np.clip(t, -COS_CLAMP, COS_CLAMP)
+        clamped = np.minimum(np.maximum(t, -COS_CLAMP), COS_CLAMP)
         theta = np.arccos(clamped)
         angle = theta + m if arc else theta * float(m)
         psi = np.cos(angle)

@@ -23,7 +23,10 @@ Fused nodes. A training step records three nodes: the encoder
 the model lifts its features, and ``heads.head_forward``'s ``head`` (the
 logits, softmax-NLL, margin and BroadFace queue block of one loss). Each
 node's backward is its own closed form, and it accumulates one gradient
-into each input. The primitive chains the nodes stand for live in the
+into each input. :func:`mlp` writes in place only into arrays it has
+just made (each layer's ``h @ W`` and each lower layer's ``g @ W.T``),
+never into its inputs' data, its incoming gradient or a layer input it
+keeps for backward. The primitive chains the nodes stand for live in the
 tests, on ``tests/oracles.py``'s reference ops, which record through
 :func:`_record` and :func:`_accumulate`; they are tolerance references,
 not bit-for-bit ones.
@@ -202,6 +205,11 @@ def mlp(x: Tensor, layers) -> Tensor:
     ReLU (``z * (z > 0)``); then the bias gets the column sums of the
     gradient, the layer's input ``g @ W.T`` and W ``h_in.T @ g``. Only
     the masks and each layer's input are kept.
+
+    Each layer's bias add and ReLU mask write in place into the fresh
+    array of its ``h @ W``, and backward masks the fresh ``g @ W.T`` of
+    the layer above in place. ``x.data``, the parameters, the stored layer
+    inputs and the node's incoming gradient are never written.
     """
     if not isinstance(x, Tensor):
         x = Tensor(x)
@@ -218,17 +226,18 @@ def mlp(x: Tensor, layers) -> Tensor:
         if b.shape != (1, W.shape[1]):
             raise ShapeError(f"mlp layer {i}: bias must be [1, {W.shape[1]}], got {b.shape}")
         inputs.append(h)
-        h = h @ W.data + b.data
+        h = h @ W.data  # a fresh array: the adds and masks below write into it
+        h += b.data
         if i < len(layers) - 1:
             mask = h > 0.0  # subgradient 0 at exactly 0
             masks.append(mask)
-            h = h * mask
+            h *= mask
 
     def backward_fn(g: np.ndarray) -> None:
         for i in range(len(layers) - 1, -1, -1):
             W, b = layers[i]
             if i < len(masks):
-                g = g * masks[i]
+                g *= masks[i]  # g is the fresh g @ W.T of the layer above
             if b.requires_grad:
                 _accumulate(b, g.sum(axis=0, keepdims=True))
             g_in = None

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -371,7 +372,7 @@ def fit(model: Model, train_ds: Dataset, opt: OptimConfig) -> tuple[Model, dict]
                 loss = _batch_loss(model, X_all[idx], y_all[idx], queue)
             value = loss.item()
             trajectory.append(value)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise TrainingDiverged(epoch, batch_index, trajectory)
             grad.fill(0.0)
             backward(loss)

@@ -49,6 +49,17 @@ class TestDataset:
         with pytest.raises(LabelError):
             Dataset(np.zeros((1, 2)), [0.5], 2, "bad")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("labels", [[np.nan, 1.0], [np.inf, 1.0], [1e20, 1.0], ["a", "b"], [0.5 + 0j, 1]])
+    def test_labels_that_do_not_cast_to_integers_are_a_label_error(self, labels):
+        """NaN, inf, floats past int64, strings and complex numbers: no cast warning or bare ValueError first."""
+        with pytest.raises(LabelError, match="^labels must be integers$"):
+            Dataset(np.zeros((2, 2)), labels, 2, "bad")
+
+    def test_integral_floats_and_booleans_are_labels(self):
+        assert Dataset(np.zeros((2, 2)), [1.0, 0.0], 2, "toy").labels.tolist() == [1, 0]
+        assert Dataset(np.zeros((2, 2)), [True, False], 2, "toy").labels.tolist() == [1, 0]
+
     def test_take_preserves_metadata(self):
         ds = Dataset(np.arange(8.0).reshape(4, 2), [0, 1, 1, 0], 2, "toy")
         sub = ds.take([2, 0])

@@ -14,6 +14,7 @@ with the tiling written as a ``matmul`` with a ones tensor.
 
 import ast
 import copy
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -789,3 +790,71 @@ def test_every_recorded_op_is_run_by_training():
             for loss, _ in two_training_steps(family, projection):
                 seen |= {node.op for node in trace(loss).nodes}
     assert seen == recorded_op_names()
+
+
+# -- what the encoder writes ---------------------------------------------------
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def closure_of(fn):
+    return dict(zip(fn.__code__.co_freevars, (cell.cell_contents for cell in fn.__closure__)))
+
+
+@pytest.mark.parametrize("hidden", [1, 3])
+def test_mlp_writes_only_arrays_it_made(hidden):
+    """Forward and backward leave x, the parameters, the kept layer inputs and the incoming gradient as they were.
+
+    The kept inputs and the output have the bits of ``h @ W + b`` then
+    ``h * (h > 0)`` per layer; the first pre-activations include -0.0 and 0.0.
+    """
+    rng = np.random.default_rng(93 + hidden)
+    x_data, params = mlp_instance(rng, depth=hidden + 1)
+    x = Tensor(x_data, requires_grad=True)
+    layers = [(Tensor(W, requires_grad=True), Tensor(b, requires_grad=True)) for W, b in pairs(params)]
+    leaves = [x] + [p for layer in layers for p in layer]
+    before = [t.data.copy() for t in leaves]
+    out = mlp(x, layers)
+    kept = closure_of(out._backward)["inputs"]
+    h, chain = x.data, []
+    for i, (W, b) in enumerate(layers):
+        chain.append(h)
+        h = h @ W.data + b.data
+        if i < hidden:
+            h = h * (h > 0.0)
+    assert len(kept) == hidden + 1 and kept[0] is x.data
+    assert all(same_bits(a, c) for a, c in zip(kept, chain)) and same_bits(out.data, h)
+    kept_before, out_before = [a.copy() for a in kept], out.data.copy()
+    g = rng.normal(size=out.shape)
+    g[0, 0] = -0.0
+    g_before = g.copy()
+    out._backward(g)
+    assert same_bits(g, g_before) and same_bits(out.data, out_before)
+    assert all(same_bits(a, c) for a, c in zip(kept, kept_before))
+    assert all(same_bits(t.data, c) for t, c in zip(leaves, before))
+    assert all(t.grad is not None for t in leaves)
+
+
+def test_mlp_forward_makes_no_layer_sized_temporaries():
+    """Beyond what it keeps, forward on [4096, 2] through widths [64, 32, 16] peaks under one [4096, 8] array.
+
+    numpy reports its data buffers to tracemalloc. An ``h @ W + b`` or an
+    ``h * mask`` that allocates instead of writing in place shows up as a
+    transient of at least one [4096, 16] output (512 KiB); the transient
+    is the traced peak minus the bytes still held after ``mlp`` returns.
+    """
+    rng = np.random.default_rng(97)
+    widths = [2, 64, 32, 16]
+    layers = [(Tensor(rng.normal(size=(n, k)), requires_grad=True), Tensor(rng.normal(size=(1, k)), requires_grad=True))
+              for n, k in zip(widths[:-1], widths[1:])]
+    x = Tensor(rng.normal(size=(4096, 2)))
+    tracemalloc.start()
+    try:
+        out = mlp(x, layers)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (4096, 16)
+    assert peak - held < 4096 * 8 * 8

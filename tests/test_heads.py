@@ -24,6 +24,7 @@ from spherehead.heads import (
     EmbeddingQueue,
     HeadWeights,
     MarginConfig,
+    _norms,
     broadface_step,
     head_forward,
 )
@@ -194,6 +195,23 @@ class TestCosineLogits:
         bad_w = HeadWeights(Tensor(np.array([[1.0, 0.0], [0.0, 0.0]])))
         with pytest.raises(DegenerateInputError):
             cosine_logits(Tensor([[1.0, 1.0]]), bad_w)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("rows, error, message", [
+        ([[np.nan, 1.0], [0.0, 0.0]], DomainError, "^thing: non-finite entries$"),
+        ([[1e200, 1.0], [0.0, 0.0]], DomainError, "^thing: squared norm overflows float64$"),
+        ([[0.0, 0.0]], DegenerateInputError, "^zero-norm thing cannot be normalized$"),
+    ])
+    def test_norm_errors_come_in_order(self, axis, rows, error, message):
+        """A non-finite entry, then an overflowing norm, then a zero norm, with no warning on the way."""
+        t = np.array(rows) if axis == 1 else np.array(rows).T
+        with pytest.raises(error, match=message):
+            _norms(t, axis, "thing")
+
+    @pytest.mark.filterwarnings("error")
+    def test_norms_of_no_columns_are_empty(self):
+        assert _norms(np.empty((3, 0)), 0, "weight column").shape == (1, 0)
 
     def test_dim_mismatch(self):
         """Checked by ``head_forward``, the cosines' one caller, for every family."""
@@ -576,6 +594,9 @@ class TestEmbeddingQueue:
         (np.ones((2, 2)), [0], np.ones((2, 2))),  # a label count that is not B
         (np.ones((2, 2)), [[0, 1]], np.ones((2, 2))),
         (np.ones((2, 3)), [0, 1], np.ones((2, 3))),  # not the queue's d
+        (np.ones((2, 2)), [1.7, -2.2], np.ones((2, 2))),  # labels that are not non-negative integers
+        (np.ones((2, 2)), [1, -2], np.ones((2, 2))),
+        (np.ones((2, 2)), [np.nan, 1.0], np.ones((2, 2))),
     ])
     def test_bad_batch_rejected_before_any_write(self, embeddings, labels, snapshots):
         q = EmbeddingQueue(capacity=3)
@@ -586,6 +607,17 @@ class TestEmbeddingQueue:
         assert len(q) == 3
         for held, now in zip(before, q.stacked() + q.stacked_norms()):
             assert_array_equal(held, now)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("labels", [[1.7, -2.2], [1.7, 2.0], [np.inf, 1.0], ["1", "2"]])
+    def test_labels_that_are_not_non_negative_integers_leave_the_queue_empty(self, labels):
+        """1.7 is not class 1 and -2 is no class: the first push is refused, so d stays open."""
+        q = EmbeddingQueue(capacity=4)
+        with pytest.raises(StateError, match="^queue labels must (be integers|lie in \\[0, inf\\))"):
+            q.push_batch(np.ones((2, 3)), labels, np.ones((2, 3)))
+        assert len(q) == 0 and all(a.size == 0 for a in q.stacked() + q.stacked_norms())
+        q.push_batch(np.ones((2, 2)), [1.0, 2.0], np.ones((2, 2)))
+        assert q.stacked()[1].tolist() == [1, 2] and q.stacked()[1].dtype == np.int64
 
     def test_a_row_whose_norm_overflows_is_pushed_without_a_warning(self):
         """|x| near 1e200 squares past float64: the stored norm is inf, as the stacked rows' norm is.
