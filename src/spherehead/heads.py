@@ -10,8 +10,9 @@ in their logits, one entry each in ``_LOGITS``:
     cosface     s * (cos theta - m * onehot)
     arcface     s * cos theta, the target replaced by s * cos(theta_y + m),
                 or s * (cos theta_y - m sin m) past theta_y = pi - m
-    broadface   arcface over the batch, plus arcface over a FIFO queue of
-                past embeddings, each compensated for weight drift
+    broadface   arcface over the batch rows and a FIFO queue of past
+                embeddings, each compensated for weight drift, stacked
+                into one pass with one BLAS product per part
 
 A loss is one tape node, ``head``, with the features and W as its
 inputs. Its pieces are plain numpy functions that return a value and a
@@ -162,9 +163,10 @@ class EmbeddingQueue:
     """
 
     def __init__(self, capacity: int):
+        capacity = _as_int("queue capacity", capacity)
         if capacity < 0:
             raise ConfigError(f"queue capacity must be non-negative, got {capacity!r}")
-        self.capacity = int(capacity)
+        self.capacity = capacity
         self._emb = self._snaps = _read_only(np.empty((0, 0)))
         self._labels = _read_only(np.empty(0, dtype=np.int64))
         self._emb_norms = self._snap_norms = _read_only(np.empty(0))
@@ -172,17 +174,23 @@ class EmbeddingQueue:
     def __len__(self) -> int:
         return self._labels.shape[0]
 
-    def push(self, embedding: np.ndarray, label: int, snapshot_weight: np.ndarray) -> None:
+    def push(self, embedding, label: int, snapshot_weight) -> None:
         """Copy one row in: the one-row case of :meth:`push_batch`."""
-        self.push_batch(embedding[None], [label], snapshot_weight[None])
+        self.push_batch([embedding], [label], [snapshot_weight])
 
-    def push_batch(self, embeddings: np.ndarray, labels, snapshots: np.ndarray) -> None:
+    def push_batch(self, embeddings, labels, snapshots) -> None:
         """Copy B rows in, oldest first: embeddings [B, d], labels [B], snapshots [B, d].
 
-        As B single pushes: past capacity only the last Q rows stay. Labels
+        As B single pushes: past capacity only the last Q rows stay.
+        Embeddings and snapshots may be any array-likes of floats. Labels
         pass ``data._checked_labels`` with no class bound. A bad batch
         raises :class:`StateError` before anything is written.
         """
+        try:
+            embeddings = np.asarray(embeddings, dtype=np.float64)
+            snapshots = np.asarray(snapshots, dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise StateError(f"queue embeddings and snapshots must be arrays of floats: {err}") from err
         labels = np.asarray(labels)
         if embeddings.ndim != 2 or snapshots.shape != embeddings.shape:
             raise StateError(f"a queue batch needs [B, d] embeddings and snapshots of their shape, "
@@ -201,13 +209,14 @@ class EmbeddingQueue:
         if not len(self):  # the first row fixes d
             self._emb = self._snaps = np.empty((0, embeddings.shape[1]))
         skip = max(B - Q, 0)  # rows a later row of the batch would evict
-        emb = np.ascontiguousarray(embeddings[skip:], dtype=np.float64)
-        snaps = np.ascontiguousarray(snapshots[skip:], dtype=np.float64)
-        # norms of the contiguous rows have the bits of the norms of the stacked
-        # queue; a row near 1e200 overflows to inf here, as it would there
+        emb = np.ascontiguousarray(embeddings[skip:])
+        snaps = np.ascontiguousarray(snapshots[skip:])
+        # np.linalg.norm's formula for real rows, without its wrapper; norms of
+        # the contiguous rows have the bits of the norms of the stacked queue,
+        # and a row near 1e200 overflows to inf here, as it would there
         with np.errstate(over="ignore"):
             batch = (emb, as_int[skip:], snaps,
-                     np.linalg.norm(emb, axis=1), np.linalg.norm(snaps, axis=1))
+                     np.sqrt((emb * emb).sum(axis=1)), np.sqrt((snaps * snaps).sum(axis=1)))
         drop = max(len(self) + B - skip - Q, 0)  # the oldest rows the batch evicts
         old = (self._emb, self._labels, self._snaps, self._emb_norms, self._snap_norms)
         self._emb, self._labels, self._snaps, self._emb_norms, self._snap_norms = (
@@ -247,40 +256,70 @@ def _norms(t: np.ndarray, axis: int, what: str) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _cosine_logits(f: np.ndarray, W: np.ndarray):
-    """cos theta between each feature row and each weight column, in [-1, 1].
+def _row_products(a: np.ndarray, b: np.ndarray, parts: tuple) -> np.ndarray:
+    """``a @ b`` as one BLAS product per part of ``a``'s rows, written into one array.
 
-    Unit rows times unit columns, clamped to [-1, 1]. Returns the
-    cosines, the row norms |x| and ``back``: ``back(g)`` gives the
-    gradients of ``f`` and of ``W``, each ``(G - (G.u) u) / |x|`` for
-    the gradient G of its unit vectors u.
+    OpenBLAS tiles rows by a product's height, so a row may round
+    differently inside a taller product: rows stacked from parts keep
+    each part's bits only if no product spans two parts.
     """
-    norms, col_norms = _norms(f, 1, "feature row"), _norms(W, 0, "weight column")
+    if len(parts) == 1:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]))
+    for part in parts:
+        np.matmul(a[part], b, out=out[part])
+    return out
+
+
+def _unit_cosines(f: np.ndarray, norms: np.ndarray, W: np.ndarray, col_norms: np.ndarray, parts: tuple):
+    """cos theta between ``f``'s rows and W's columns, given their norms, clamped to [-1, 1].
+
+    ``parts`` are slices of the rows, and each part gets its own BLAS
+    products (see :func:`_row_products`). Returns the cosines and
+    ``back``: ``back(g)`` gives the rows' gradient, then W's gradient from
+    each part, each ``(G - (G.u) u) / |x|`` for the gradient G of its
+    unit vectors u.
+    """
     unit_features, unit_weights = f / norms, W / col_norms
-    raw = unit_features @ unit_weights
+    raw = _row_products(unit_features, unit_weights, parts)
     inside = (raw > -1.0) & (raw < 1.0)  # the clamp passes no gradient at its bounds
 
     def back(g):
         g = g * inside
-        g_rows, g_cols = g @ unit_weights.T, unit_features.T @ g
+        g_rows = _row_products(g, unit_weights.T, parts)
+        g_cols = [unit_features[part].T @ g[part] for part in parts]
         return ((g_rows - (g_rows * unit_features).sum(axis=1, keepdims=True) * unit_features) / norms,
-                (g_cols - (g_cols * unit_weights).sum(axis=0, keepdims=True) * unit_weights) / col_norms)
+                *((c - (c * unit_weights).sum(axis=0, keepdims=True) * unit_weights) / col_norms for c in g_cols))
 
-    return np.minimum(np.maximum(raw, -1.0), 1.0), norms, back
+    return np.minimum(np.maximum(raw, -1.0), 1.0), back
 
 
-def _nll_sum(logits: np.ndarray, onehot: np.ndarray):
+def _cosine_logits(f: np.ndarray, W: np.ndarray):
+    """cos theta between each feature row and each weight column, in [-1, 1].
+
+    Returns the cosines, the row norms |x| and ``back``: ``back(g)``
+    gives the gradients of ``f`` and of ``W`` (see :func:`_unit_cosines`).
+    """
+    norms = _norms(f, 1, "feature row")
+    cosines, back = _unit_cosines(f, norms, W, _norms(W, 0, "weight column"), (slice(None),))
+    return cosines, norms, back
+
+
+def _nll_sum(logits: np.ndarray, onehot: np.ndarray, parts: tuple = (slice(None),)):
     """Summed -log softmax(logits)[target], max-shifted against overflow, and ``back``.
 
-    The row maxima are constants: subtracting any constant from a row
-    leaves softmax and its gradient unchanged. ``back(g)`` gives the
-    logits' gradient g * (softmax - onehot).
+    The rows of each of ``parts`` are summed on their own, and the part
+    sums added in order. The row maxima are constants: subtracting any
+    constant from a row leaves softmax and its gradient unchanged.
+    ``back(g)`` gives the logits' gradient g * (softmax - onehot).
     """
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     sum_e = e.sum(axis=1, keepdims=True)
     target = (shifted * onehot).sum(axis=1, keepdims=True)
-    return (np.log(sum_e) - target).sum(), lambda g: g * (e / sum_e - onehot)
+    losses = np.log(sum_e) - target
+    total = sum((losses[part].sum() for part in parts[1:]), losses[parts[0]].sum())
+    return total, lambda g: g * (e / sum_e - onehot)
 
 
 def _swap_target(cosines: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
@@ -356,12 +395,17 @@ def _cosface_logits(f: np.ndarray, W: np.ndarray, cfg: MarginConfig, onehot: np.
     return (cosines - onehot * cfg.m) * cfg.s, lambda g: back_cosines(g * cfg.s)
 
 
+def _arc_margin(cosines: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
+    """ArcFace's logits from its cosines, and ``back`` onto the cosines: s cos theta at m = 0, else the swap."""
+    if cfg.m == 0.0:
+        return cosines * cfg.s, lambda g: g * cfg.s
+    return _swap_target(cosines, onehot, cfg)
+
+
 def _arcface_logits(f: np.ndarray, W: np.ndarray, cfg: MarginConfig, onehot: np.ndarray):
     cosines, _, back_cosines = _cosine_logits(f, W)
-    if cfg.m == 0.0:
-        return cosines * cfg.s, lambda g: back_cosines(g * cfg.s)
-    swapped, back_swap = _swap_target(cosines, onehot, cfg)
-    return swapped, lambda g: back_cosines(back_swap(g))
+    logits, back_margin = _arc_margin(cosines, onehot, cfg)
+    return logits, lambda g: back_cosines(back_margin(g))
 
 
 _LOGITS = {
@@ -394,19 +438,48 @@ def _compensated_block(queue: EmbeddingQueue, W: np.ndarray):
     return out, onehot, lambda g: (onehot.T @ (g * ratios)).T
 
 
+def _broadface_logits(f: np.ndarray, W: np.ndarray, cfg: MarginConfig, onehot: np.ndarray,
+                      queue: EmbeddingQueue, parts: tuple):
+    """ArcFace logits of the batch rows and the queue's compensated block, stacked [B + Q, C].
+
+    One pass: W's norms and unit columns once, and every elementwise op
+    and row reduction once over all rows; ``parts`` splits the BLAS
+    products (see :func:`_unit_cosines`). The batch rows and W's columns
+    are checked before the block is built, so a bad W is a weight column
+    error, not a block row error. Returns the logits, the stacked one-hots
+    and ``back``: ``back(g)`` gives the gradients of ``f`` and of W, whose
+    batch and block parts add before the block's compensation.
+    """
+    batch, block_rows = parts
+    norms, col_norms = _norms(f, 1, "feature row"), _norms(W, 0, "weight column")
+    block, block_onehot, back_block = _compensated_block(queue, W)
+    norms = np.concatenate((norms, _norms(block, 1, "feature row")))
+    cosines, back_cosines = _unit_cosines(np.concatenate((f, block)), norms, W, col_norms, parts)
+    onehot = np.concatenate((onehot, block_onehot))
+    logits, back_margin = _arc_margin(cosines, onehot, cfg)
+
+    def back(g):
+        g_rows, g_w, g_block_w = back_cosines(back_margin(g))
+        return g_rows[batch], (g_w + g_block_w) + back_block(g_rows[block_rows])
+
+    return logits, onehot, back
+
+
 def head_forward(features: Tensor, weights: HeadWeights, cfg: MarginConfig,
                  labels, queue: EmbeddingQueue | None = None) -> Tensor:
     """The configured family's mean loss over the batch (and broadface queue), one ``head`` node.
 
-    With a queue, broadface averages the margin loss over the live batch
-    and the drift-corrected queue entries together, then pushes the
-    batch's embeddings (detached) and current target weight columns,
-    evicting oldest-first past capacity. Without one it is arcface, the
-    empty-queue case, and keeps no state.
+    With a non-empty queue, broadface stacks the batch rows and the
+    drift-corrected queue entries and averages ArcFace's loss over all of
+    them in one pass (:func:`_broadface_logits`), with one BLAS product
+    and one loss sum per part. It then pushes the batch's embeddings
+    (detached) and current target weight columns, evicting oldest-first
+    past capacity. Without one it is arcface, the empty-queue case, and
+    keeps no state.
 
     The node's inputs are the features and W. Its backward takes g /
-    count through the batch's pieces and, when W needs a gradient, the
-    queue block's, and accumulates one gradient into each input.
+    count back through the pieces once and accumulates one gradient into
+    each input.
     """
     if queue is not None and cfg.family != "broadface":
         raise ConfigError(f"a queue is a broadface knob, not valid for {cfg.family!r}")
@@ -417,29 +490,24 @@ def head_forward(features: Tensor, weights: HeadWeights, cfg: MarginConfig,
     if features.shape[1] != weights.dim:
         raise ShapeError(f"feature dim {features.shape[1]} does not match weight dim {weights.dim}")
     onehot = _one_hot(labels, weights.class_count)
-    if onehot.shape[0] != features.shape[0]:
-        raise ShapeError(f"{features.shape[0]} feature rows but {onehot.shape[0]} labels")
+    B = onehot.shape[0]
+    if B != features.shape[0]:
+        raise ShapeError(f"{features.shape[0]} feature rows but {B} labels")
     W = weights.W
-    logits, back_logits = _LOGITS[cfg.family](features.data, W.data, cfg, onehot)
-    total, back_nll = _nll_sum(logits, onehot)
+    if queue is not None and len(queue) > 0:
+        parts = (slice(0, B), slice(B, None))
+        logits, onehot, back_logits = _broadface_logits(features.data, W.data, cfg, onehot, queue, parts)
+    else:
+        parts = (slice(None),)
+        logits, back_logits = _LOGITS[cfg.family](features.data, W.data, cfg, onehot)
+    total, back_nll = _nll_sum(logits, onehot, parts)
     count = onehot.shape[0]
-    queued = queue is not None and len(queue) > 0
-    if queued:
-        block, block_onehot, back_block = _compensated_block(queue, W.data)
-        block_logits, back_block_logits = _arcface_logits(block, W.data, cfg, block_onehot)
-        block_total, back_block_nll = _nll_sum(block_logits, block_onehot)
-        total = total + block_total
-        count += len(queue)
 
     def backward_fn(g: np.ndarray) -> None:
-        g = g / float(count)
-        g_f, g_w = back_logits(back_nll(g))
+        g_f, g_w = back_logits(back_nll(g / float(count)))
         if features.requires_grad:
             _accumulate(features, g_f)
         if W.requires_grad:
-            if queued:
-                g_block, g_block_w = back_block_logits(back_block_nll(g))
-                g_w = g_w + g_block_w + back_block(g_block)
             _accumulate(W, g_w)
 
     loss = _record("head", (features, W), total / float(count), backward_fn)

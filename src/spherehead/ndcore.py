@@ -35,7 +35,11 @@ Training is chaotic in the last bit: a rounding-level change to a
 node's float operations moves run records, digests and single-seed
 accuracies, not only speed. The float order of each node is therefore
 part of the determinism contract, and changing it means re-pinning
-every golden digest on purpose.
+every golden digest on purpose. Stacking rows into one array keeps the
+bits of elementwise ufuncs and row reductions, but not of a BLAS
+product: OpenBLAS tiles rows by the product's height, and a row can round
+differently in a taller product (``(A @ M)[:B]`` against ``A[:B] @ M``),
+so stacked parts each keep their own products.
 """
 
 from __future__ import annotations

@@ -24,6 +24,12 @@ Two exceptions sit on ``ndcore``'s own recording and accumulation:
   :func:`swap_target`, :func:`compensated_block` and :func:`cce_loss`
   record one of ``heads``' numpy pieces as a node of its own, so that a
   piece can be checked alone against its chain and central differences.
+
+A third is a bit reference rather than a formula: :func:`two_pass_broadface_step`
+is the queued BroadFace step as two ArcFace passes, one over the batch
+and one over the queue block, each with its own products and sums, on
+``heads``' unchanged pieces (``_norms``, ``_one_hot``, ``_swap_target``).
+The one-pass head must give its bits exactly.
 """
 
 from collections import deque
@@ -477,6 +483,63 @@ def oracle_broadface(X, W, s, m, labels, queue_entries):
         cos_row = oracle_cosine_logits(b_star[None, :], W)[0]
         total += arcface_persample(cos_row, y, s, m)
     return total / (len(labels) + len(queue_entries))
+
+
+def _two_pass_cosines(f, W):
+    """Clamped cosines of f's rows and W's columns, one BLAS product over all rows, and ``back``."""
+    norms, col_norms = heads._norms(f, 1, "feature row"), heads._norms(W, 0, "weight column")
+    unit_features, unit_weights = f / norms, W / col_norms
+    raw = unit_features @ unit_weights
+    inside = (raw > -1.0) & (raw < 1.0)
+
+    def back(g):
+        g = g * inside
+        g_rows, g_cols = g @ unit_weights.T, unit_features.T @ g
+        return ((g_rows - (g_rows * unit_features).sum(axis=1, keepdims=True) * unit_features) / norms,
+                (g_cols - (g_cols * unit_weights).sum(axis=0, keepdims=True) * unit_weights) / col_norms)
+
+    return np.minimum(np.maximum(raw, -1.0), 1.0), back
+
+
+def _two_pass_arcface(f, W, cfg, onehot):
+    """ArcFace's summed loss over f's rows, and ``back(g)`` -> (gradient of f, of W)."""
+    cosines, back_cosines = _two_pass_cosines(f, W)
+    if cfg.m == 0.0:
+        logits, back_margin = cosines * cfg.s, lambda g: g * cfg.s
+    else:
+        logits, back_margin = heads._swap_target(cosines, onehot, cfg)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    sum_e = e.sum(axis=1, keepdims=True)
+    total = (np.log(sum_e) - (shifted * onehot).sum(axis=1, keepdims=True)).sum()
+    return total, lambda g: back_cosines(back_margin(g * (e / sum_e - onehot)))
+
+
+def two_pass_broadface_step(X, W, cfg, labels, queue):
+    """One BroadFace step on a non-empty queue as two ArcFace passes, batch then block.
+
+    The queue is read, not pushed. Returns the mean loss, the gradients
+    of X and W for a unit upstream gradient, and the five arrays a push
+    of the batch leaves: the last Q embeddings, labels and snapshots, and
+    their norms by ``np.linalg.norm``.
+    """
+    onehot = heads._one_hot(labels, W.shape[1])
+    total, back = _two_pass_arcface(X, W, cfg, onehot)
+    emb, queued_labels, snaps = queue.stacked()
+    ratios = (np.linalg.norm(emb, axis=1) / np.linalg.norm(snaps, axis=1))[:, None]
+    block_onehot = heads._one_hot(queued_labels, W.shape[1])
+    block = (emb - ratios * snaps) + ratios * (block_onehot @ W.T)
+    block_total, back_block = _two_pass_arcface(block, W, cfg, block_onehot)
+    count = float(len(labels) + len(queue))
+    g = np.float64(1.0) / count
+    g_x, g_w = back(g)
+    g_block, g_block_w = back_block(g)
+    g_w = g_w + g_block_w + (block_onehot.T @ (g_block * ratios)).T
+    kept = [np.concatenate((old, new))[-queue.capacity:]
+            for old, new in ((emb, X), (queued_labels, labels), (snaps, W[:, labels].T))]
+    with np.errstate(over="ignore"):
+        norms = [np.linalg.norm(kept[0], axis=1), np.linalg.norm(kept[2], axis=1)]
+    return (total + block_total) / count, g_x, g_w, kept + norms
 
 
 def oracle_lift_row(x):

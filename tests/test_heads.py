@@ -47,7 +47,9 @@ from .oracles import (
     oracle_cosine_logits,
     oracle_sphereface,
     swap_target,
+    two_pass_broadface_step,
 )
+from spherehead import heads
 
 
 # signed zeros, subnormals, the float64 extremes and non-finite values
@@ -483,6 +485,50 @@ class TestEmbeddingQueue:
         assert emb[:, 0].tolist() == [2.0, 3.0, 4.0]
         assert labels.tolist() == [0, 1, 0]
 
+    @pytest.mark.parametrize("capacity", [2.5, 2.0, True, "4", None])
+    def test_capacity_that_is_not_an_integer_is_a_config_error(self, capacity):
+        with pytest.raises(ConfigError, match="queue capacity must be an integer"):
+            EmbeddingQueue(capacity)
+
+    def test_numpy_integer_capacity(self):
+        assert EmbeddingQueue(np.int64(3)).capacity == 3 and type(EmbeddingQueue(np.int64(3)).capacity) is int
+
+    @pytest.mark.filterwarnings("error")
+    def test_array_likes_are_pushed_as_arrays(self):
+        lists, arrays = EmbeddingQueue(3), EmbeddingQueue(3)
+        lists.push_batch([[1.0, 2.0], [3, 4]], [0, 1], [[1.0, 1.0], [2.0, 0.5]])
+        lists.push([5.0, 6.0], 2, (1.0, 3.0))
+        arrays.push_batch(np.array([[1.0, 2.0], [3.0, 4.0]]), [0, 1], np.array([[1.0, 1.0], [2.0, 0.5]]))
+        arrays.push(np.array([5.0, 6.0]), 2, np.array([1.0, 3.0]))
+        for ours, ref in zip(lists.stacked() + lists.stacked_norms(), arrays.stacked() + arrays.stacked_norms()):
+            assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("embeddings, snapshots", [
+        ([[1.0, 2.0], [3.0]], [[1.0, 1.0], [1.0, 1.0]]),  # ragged
+        ([["a", "b"], ["c", "d"]], [[1.0, 1.0], [1.0, 1.0]]),
+        ([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0]),  # snapshots not [B, d]
+        ([1.0, 2.0], [[1.0, 1.0]]),
+    ])
+    def test_bad_array_likes_are_a_state_error(self, embeddings, snapshots):
+        q = EmbeddingQueue(3)
+        with pytest.raises(StateError):
+            q.push_batch(embeddings, [0, 1], snapshots)
+        assert len(q) == 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("embedding, snapshot", [
+        ([1.0, [2.0]], [1.0, 1.0]),  # ragged
+        (["a", "b"], [1.0, 1.0]),
+        ([1.0, 2.0], [1.0]),  # not of the embedding's shape
+        (1.0, 1.0),  # not a row
+    ])
+    def test_a_bad_array_like_row_is_a_state_error(self, embedding, snapshot):
+        q = EmbeddingQueue(3)
+        with pytest.raises(StateError):
+            q.push(embedding, 0, snapshot)
+        assert len(q) == 0
+
     def test_capacity_zero_stays_empty(self):
         q = EmbeddingQueue(capacity=0)
         q.push(np.array([1.0]), 0, np.array([1.0]))
@@ -809,6 +855,119 @@ class TestBroadfaceStep:
         X5 = np.random.default_rng(1).normal(size=(2, 5))
         with pytest.raises(StateError):
             head_forward(Tensor(X5), HeadWeights(Tensor(W5)), cfg, [0, 1], queue)
+
+
+def filled_queue(rng, capacity, fill, dim, classes):
+    """A queue of ``capacity`` holding ``fill`` rows pushed in batches of up to 5, snapshots of a drifting W."""
+    queue = EmbeddingQueue(capacity)
+    while fill > 0:
+        n = min(fill, 5)
+        queue.push_batch(rng.normal(size=(n, dim)) * rng.uniform(0.5, 3.0), rng.integers(0, classes, size=n),
+                         rng.normal(size=(n, dim)))
+        fill -= n
+    return queue
+
+
+def queued_step(X, W, cfg, labels, queue):
+    """One head_forward with a queue and its backward: loss, gradients of X and W."""
+    f, w = Tensor(X, requires_grad=True), Tensor(W, requires_grad=True)
+    loss = head_forward(f, HeadWeights(w), cfg, labels, queue)
+    backward(loss)
+    return loss.item(), f.grad, w.grad
+
+
+class TestOnePassBroadface:
+    """A queued step stacks the batch and the block into one ArcFace pass and keeps every bit."""
+
+    # (capacity, rows queued before the step): part full, full, and smaller than most batches
+    QUEUES = [(48, 30), (48, 48), (4, 4)]
+
+    @pytest.mark.parametrize("classes", [2, 9])
+    @pytest.mark.parametrize("m", [0.0, 0.5])
+    @pytest.mark.parametrize("batch", [1, 7, 23, 33])
+    def test_matches_the_two_pass_head_bit_for_bit(self, batch, m, classes):
+        """Loss, both gradients and the queue after the push, at sizes the goldens do not reach.
+
+        One BLAS product over the stacked rows moves some rows' last bits;
+        one sum over all rows moves the loss's.
+        """
+        cfg = MarginConfig(family="broadface", m=m, s=12.0, queue_capacity=48)
+        for seed, (capacity, fill) in enumerate(self.QUEUES):
+            for dim in (5, 17):
+                rng = np.random.default_rng([batch, classes, int(m * 10), seed, dim])
+                queue = filled_queue(rng, capacity, fill, dim, classes)
+                X = rng.normal(size=(batch, dim)) * rng.uniform(0.5, 3.0)
+                W = rng.normal(size=(dim, classes))
+                labels = rng.integers(0, classes, size=batch)
+                ref_loss, ref_gx, ref_gw, ref_queue = two_pass_broadface_step(X, W, cfg, labels, queue)
+                loss, g_x, g_w = queued_step(X, W, cfg, labels, queue)
+                assert loss.hex() == float(ref_loss).hex()
+                assert g_x.tobytes() == ref_gx.tobytes() and g_w.tobytes() == ref_gw.tobytes()
+                for ours, ref in zip(queue.stacked() + queue.stacked_norms(), ref_queue):
+                    assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+
+    @staticmethod
+    def _queued(rng, dim=4, classes=3):
+        queue = filled_queue(rng, 8, 8, dim, classes)
+        return queue, rng.normal(size=(5, dim)), rng.normal(size=(dim, classes)), rng.integers(0, classes, size=5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, 1e200, np.inf])
+    def test_a_bad_weight_column_is_a_weight_column_error(self, bad):
+        """W feeds the block too, but its columns are checked before the block is built."""
+        queue, X, W, labels = self._queued(np.random.default_rng(81))
+        W[1, queue.stacked()[1][-1]] = bad  # a column the block gathers
+        with pytest.raises(DomainError, match="^weight column: "):
+            head_forward(Tensor(X), HeadWeights(Tensor(W)), MarginConfig.for_family("broadface"), labels, queue)
+        assert len(queue) == 8
+
+    @pytest.mark.filterwarnings("error")
+    def test_batch_rows_are_checked_first(self):
+        queue, X, W, labels = self._queued(np.random.default_rng(82))
+        X[3] = 0.0
+        W[0, 0] = np.nan
+        with pytest.raises(DegenerateInputError, match="zero-norm feature row"):
+            head_forward(Tensor(X), HeadWeights(Tensor(W)), MarginConfig.for_family("broadface"), labels, queue)
+        X[3] = np.nan
+        with pytest.raises(DomainError, match="^feature row: non-finite entries"):
+            head_forward(Tensor(X), HeadWeights(Tensor(W)), MarginConfig.for_family("broadface"), labels, queue)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_zero_snapshot_still_raises_from_the_block(self):
+        queue, X, W, labels = self._queued(np.random.default_rng(83))
+        queue.push(np.ones(4), 1, np.zeros(4))
+        with pytest.raises(DegenerateInputError, match="zero-norm snapshot"):
+            head_forward(Tensor(X), HeadWeights(Tensor(W)), MarginConfig.for_family("broadface"), labels, queue)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_zero_block_row_is_a_feature_row_error(self):
+        """A zero embedding has ratio 0, so its compensated row is zero and cannot be normalized."""
+        queue, X, W, labels = self._queued(np.random.default_rng(84))
+        queue.push(np.zeros(4), 0, np.ones(4))
+        with pytest.raises(DegenerateInputError, match="zero-norm feature row"):
+            head_forward(Tensor(X), HeadWeights(Tensor(W)), MarginConfig.for_family("broadface"), labels, queue)
+
+    def test_one_pass_of_each_piece(self, monkeypatch):
+        """A queued step swaps targets, takes the softmax-NLL and W's column norms once, not once per part."""
+        calls = {"swap": 0, "nll": 0, "columns": 0}
+        real_swap, real_nll, real_norms = heads._swap_target, heads._nll_sum, heads._norms
+
+        def count(key, real):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        def norms(t, axis, what):
+            calls["columns"] += axis == 0
+            return real_norms(t, axis, what)
+
+        monkeypatch.setattr(heads, "_swap_target", count("swap", real_swap))
+        monkeypatch.setattr(heads, "_nll_sum", count("nll", real_nll))
+        monkeypatch.setattr(heads, "_norms", norms)
+        queue, X, W, labels = self._queued(np.random.default_rng(85))
+        queued_step(X, W, MarginConfig.for_family("broadface"), labels, queue)
+        assert calls == {"swap": 1, "nll": 1, "columns": 1}
 
 
 class TestHeadForward:
