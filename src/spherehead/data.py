@@ -17,7 +17,7 @@ from itertools import compress, count
 import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError, LabelError, ParseError, ShapeError
-from .ndcore import Tensor
+from .ndcore import Tensor, _float64
 
 __all__ = [
     "Dataset",
@@ -64,14 +64,18 @@ def _checked_labels(labels, class_count: int | None) -> np.ndarray:
 
 
 class Dataset:
-    """Immutable bundle of features [N, n], labels [N], and class count."""
+    """Immutable bundle of features [N, n], labels [N], and class count.
+
+    Features that are not finite real numbers (complex, string or object
+    ones included) or not [N, n] are a :class:`ShapeError`.
+    """
 
     __slots__ = ("features", "labels", "class_count", "name")
 
     def __init__(self, features, labels, class_count: int, name: str):
         if isinstance(features, Tensor):
             features = features.data
-        features = np.asarray(features, dtype=np.float64)
+        features = _float64(features, ShapeError, "features")
         if features.ndim != 2:
             raise ShapeError(f"features must be [N, n], got shape {features.shape}")
         if not np.all(np.isfinite(features)):
@@ -271,40 +275,40 @@ def _mean_pool(planes: np.ndarray, side_out: int) -> np.ndarray:
     return pooled.mean(axis=(3, 5))
 
 
-def load_cifar_binary(dir: str, which: str, subset_per_class: int | None = None,
-                      downsample_to: int | None = None, subset_seed: int = 0) -> Dataset:
-    """Ingest the standard CIFAR binary batches from a directory.
+def _read_cifar(dir: str, which: str, subset_per_class: int | None, downsample_to: int | None,
+                subset_seed: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The checked bytes of a CIFAR directory: (uint8 pixel rows [N, 3072], int64 labels, class count).
 
-    cifar10 records are 3073 bytes (label + planar RGB pixels); cifar100
-    records are 3074 (coarse label, fine label, pixels) and the fine
-    label is used. All standard files for the flavor are required and
-    concatenated. Pixels scale to [0, 1]; ``downsample_to`` mean-pools
-    each plane to k x k; ``subset_per_class`` keeps that many rows per
-    class, chosen by ``subset_seed``.
+    The files are read into one array sized from their lengths. The
+    subset is chosen from the label bytes, so a caller converts only the
+    rows it keeps. ``downsample_to`` is checked here, not applied.
     """
     if which not in _CIFAR_FILES:
         raise ConfigError(f'which must be "cifar10" or "cifar100", got {which!r}')
     class_count = _CIFAR_CLASSES[which]
     record = 1 + _CIFAR_PIXELS if which == "cifar10" else 2 + _CIFAR_PIXELS
-    blobs = []
-    for filename in _CIFAR_FILES[which]:
-        path = os.path.join(dir, filename)
+    paths = [os.path.join(dir, filename) for filename in _CIFAR_FILES[which]]
+    sizes = []
+    for path in paths:
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing CIFAR batch file: {path}")
-        raw = np.fromfile(path, dtype=np.uint8)
-        if raw.size == 0 or raw.size % record != 0:
-            raise FormatError(
-                f"{path}: length {raw.size} is not a positive multiple of the {record}-byte record"
-            )
-        blobs.append(raw.reshape(-1, record))
-    records = np.concatenate(blobs, axis=0)
-    labels = records[:, 0] if which == "cifar10" else records[:, 1]
-    labels = labels.astype(np.int64)
+        size = os.path.getsize(path)
+        if size == 0 or size % record != 0:
+            raise FormatError(f"{path}: length {size} is not a positive multiple of the {record}-byte record")
+        sizes.append(size)
+    records = np.empty((sum(sizes) // record, record), dtype=np.uint8)
+    flat, start = records.reshape(-1), 0
+    for path, size in zip(paths, sizes):
+        with open(path, "rb") as fh:
+            if fh.readinto(flat[start:start + size]) != size:
+                raise FormatError(f"{path}: shorter than its {size} bytes when read")
+        start += size
+    labels = (records[:, 0] if which == "cifar10" else records[:, 1]).astype(np.int64)
     if labels.max() >= class_count:
         raise FormatError(f"label byte {labels.max()} out of range for {which}")
     if downsample_to is not None and (downsample_to < 1 or _CIFAR_SIDE % downsample_to != 0):
         raise ConfigError(f"downsample_to must divide {_CIFAR_SIDE}, got {downsample_to}")
-    # the subset is chosen from the label bytes, so only its rows become floats
+    pixels = records[:, -_CIFAR_PIXELS:]
     if subset_per_class is not None:
         if subset_per_class < 1:
             raise ConfigError(f"subset_per_class must be at least 1, got {subset_per_class}")
@@ -318,14 +322,48 @@ def load_cifar_binary(dir: str, which: str, subset_per_class: int | None = None,
                 )
             keep.append(rng.choice(pool, size=subset_per_class, replace=False))
         order = np.sort(np.concatenate(keep))
-        records = records[order]
-        labels = labels[order]
-    pixels = records[:, -_CIFAR_PIXELS:].astype(np.float64) / 255.0
-    planes = pixels.reshape(-1, 3, _CIFAR_SIDE, _CIFAR_SIDE)
+        pixels, labels = pixels[order], labels[order]
+    return pixels, labels, class_count
+
+
+def _cifar_features(pixels: np.ndarray, downsample_to: int | None) -> np.ndarray:
+    """uint8 pixel rows [N, 3072] as float64 features in [0, 1], each plane mean-pooled to k x k if asked.
+
+    One float array is made per call (and the pooled one, when pooling),
+    and a row's bits do not depend on which other rows come with it.
+    """
+    features = pixels.astype(np.float64)
+    features /= 255.0
     if downsample_to is not None:
-        planes = _mean_pool(planes, downsample_to)
-    features = planes.reshape(planes.shape[0], -1)
-    return Dataset(features, labels, class_count, which)
+        planes = _mean_pool(features.reshape(-1, 3, _CIFAR_SIDE, _CIFAR_SIDE), downsample_to)
+        features = planes.reshape(planes.shape[0], -1)
+    return features
+
+
+def load_cifar_binary(dir: str, which: str, subset_per_class: int | None = None,
+                      downsample_to: int | None = None, subset_seed: int = 0) -> Dataset:
+    """Ingest the standard CIFAR binary batches from a directory.
+
+    cifar10 records are 3073 bytes (label + planar RGB pixels); cifar100
+    records are 3074 (coarse label, fine label, pixels) and the fine
+    label is used. All standard files for the flavor are required and
+    concatenated. Pixels scale to [0, 1]; ``downsample_to`` mean-pools
+    each plane to k x k; ``subset_per_class`` keeps that many rows per
+    class, chosen by ``subset_seed``.
+    """
+    pixels, labels, class_count = _read_cifar(dir, which, subset_per_class, downsample_to, subset_seed)
+    return Dataset(_cifar_features(pixels, downsample_to), labels, class_count, which)
+
+
+def _split_rows(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The (train, test) row indices of n rows under ``spec``; an empty side is a ConfigError."""
+    n_train = int(round(spec.train_fraction * n))
+    if n_train < 1 or n_train >= n:
+        raise ConfigError(
+            f"fraction {spec.train_fraction} of {n} rows leaves an empty side ({n_train} train)"
+        )
+    perm = np.random.default_rng(spec.shuffle_seed).permutation(n)
+    return perm[:n_train], perm[n_train:]
 
 
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -334,11 +372,5 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     Train gets round(fraction * N) rows; the two sides are disjoint and
     cover the dataset. Class count metadata carries to both sides.
     """
-    n = len(ds)
-    n_train = int(round(spec.train_fraction * n))
-    if n_train < 1 or n_train >= n:
-        raise ConfigError(
-            f"fraction {spec.train_fraction} of {n} rows leaves an empty side ({n_train} train)"
-        )
-    perm = np.random.default_rng(spec.shuffle_seed).permutation(n)
-    return ds.take(perm[:n_train]), ds.take(perm[n_train:])
+    train, test = _split_rows(len(ds), spec)
+    return ds.take(train), ds.take(test)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .data import _checked_labels
 from .errors import ConfigError, DegenerateInputError, DomainError, LabelError, ShapeError, StateError
-from .ndcore import Tensor, _accumulate, _record
+from .ndcore import Tensor, _accumulate, _float64, _record
 
 __all__ = [
     "FAMILIES",
@@ -182,14 +182,15 @@ class EmbeddingQueue:
         """Copy B rows in, oldest first: embeddings [B, d], labels [B], snapshots [B, d].
 
         As B single pushes: past capacity only the last Q rows stay.
-        Embeddings and snapshots may be any array-likes of floats. Labels
-        pass ``data._checked_labels`` with no class bound. A bad batch
-        raises :class:`StateError` before anything is written.
+        Embeddings and snapshots may be any array-likes of real numbers;
+        complex, string and object ones are refused. Labels pass
+        ``data._checked_labels`` with no class bound. A bad batch raises
+        :class:`StateError` before anything is written.
         """
         try:
-            embeddings = np.asarray(embeddings, dtype=np.float64)
-            snapshots = np.asarray(snapshots, dtype=np.float64)
-        except (TypeError, ValueError) as err:
+            embeddings = _float64(embeddings, StateError, "queue embeddings")
+            snapshots = _float64(snapshots, StateError, "queue snapshots")
+        except (TypeError, ValueError) as err:  # ragged rows
             raise StateError(f"queue embeddings and snapshots must be arrays of floats: {err}") from err
         labels = np.asarray(labels)
         if embeddings.ndim != 2 or snapshots.shape != embeddings.shape:

@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -59,8 +59,27 @@ __all__ = [
 ]
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _float64(data, error: type[Exception], what: str) -> np.ndarray:
+    """``data`` as a float64 array: the one gate of real input at every entry point.
+
+    A float64 ndarray comes back as itself, checked by its dtype first.
+    Boolean, integer and real float input converts. Complex, string,
+    bytes and object input is ``error`` naming ``what``, never a real
+    part or a parsed number.
+    """
+    if type(data) is np.ndarray and data.dtype is _FLOAT64:
+        return data
+    arr = np.asarray(data)
+    if arr.dtype.kind not in "biuf":
+        raise error(f"{what} must be real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
 def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
+    arr = _float64(data, DomainError, "tensor data")
     if arr.ndim > 0 and not arr.flags["C_CONTIGUOUS"]:
         # ascontiguousarray would promote 0-d to 1-d, so guard the rank
         arr = np.ascontiguousarray(arr)
@@ -68,7 +87,10 @@ def _as_array(data) -> np.ndarray:
 
 
 class Tensor:
-    """A dense float64 array; a recorded op's output also holds its ``op`` and ``inputs``."""
+    """A dense float64 array; a recorded op's output also holds its ``op`` and ``inputs``.
+
+    Complex, string and object data is a :class:`DomainError`.
+    """
 
     __slots__ = ("data", "requires_grad", "grad", "op", "inputs", "_backward")
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, PoleSingularityError, ShapeError
-from .ndcore import Tensor, _accumulate, _record
+from .ndcore import Tensor, _accumulate, _float64, _record
 
 __all__ = [
     "EuclideanPoint",
@@ -48,7 +48,11 @@ UNIT_TOL = 1e-12
 
 
 def _vector(coords, name: str) -> np.ndarray:
-    arr = np.asarray(coords, dtype=np.float64).reshape(-1)
+    """Coordinates as a flat float64 array.
+
+    No coordinates is a ShapeError; complex, text or non-finite ones are a DomainError.
+    """
+    arr = _float64(coords, DomainError, name).reshape(-1)
     if arr.size == 0:
         raise ShapeError(f"{name} needs at least one coordinate")
     if not np.all(np.isfinite(arr)):
@@ -173,9 +177,10 @@ def project_rows(X) -> np.ndarray:
     sphere by more than ``UNIT_TOL`` raises :class:`DomainError`, and the
     north pole :class:`PoleSingularityError`. With more than one row,
     every error names the first offending row. Each error keeps that
-    row's index as ``row``.
+    row's index as ``row``. Complex, string or object input is a
+    :class:`DomainError` and a shape other than [N, n] a :class:`ShapeError`.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _float64(X, DomainError, "project_rows input")
     if X.ndim != 2 or X.shape[1] == 0:
         raise ShapeError(f"project_rows needs an [N, n] array with n >= 1, got shape {X.shape}")
     out, _ = _lift(X)

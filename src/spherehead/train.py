@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import results as results_store
-from .data import Dataset, SplitSpec, gen_gaussian_blobs, gen_two_spirals, load_cifar_binary, load_delimited, split
+from .data import (Dataset, SplitSpec, _cifar_features, _read_cifar, _split_rows, gen_gaussian_blobs, gen_two_spirals,
+                   load_delimited, split)
 from .errors import (ConfigError, DomainError, LayoutError, ParseError, ShapeError, SphereheadError, StateError,
                      TrainingDiverged)
 from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, _as_int, _norms, head_forward
@@ -426,9 +427,12 @@ def build_datasets(cfg: DataConfig, seed: int) -> tuple[Dataset, Dataset]:
 
     The generation draw and the split shuffle use independent streams
     spawned from the one seed, so neither leaks randomness into the
-    other.
+    other. CIFAR is split as bytes and each side becomes floats once, so
+    the build holds about one float copy of the data; the sides have the
+    bits of ``split(load_cifar_binary(...))``.
     """
     gen_seed, split_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
+    spec = SplitSpec(cfg.train_fraction, split_seed)
     p = cfg.params
     if cfg.kind == "two_spirals":
         ds = gen_two_spirals(int(p.get("n_per_class", 500)), float(p.get("noise_sd", 0.1)), gen_seed)
@@ -452,18 +456,17 @@ def build_datasets(cfg: DataConfig, seed: int) -> tuple[Dataset, Dataset]:
     elif cfg.kind in ("cifar10", "cifar100"):
         if "dir" not in p:
             raise ConfigError(f"{cfg.kind} data needs a 'dir' parameter")
-        subset = p.get("subset_per_class")
-        down = p.get("downsample_to")
-        ds = load_cifar_binary(
-            p["dir"],
-            cfg.kind,
-            subset_per_class=None if subset is None else int(subset),
-            downsample_to=None if down is None else int(down),
-            subset_seed=gen_seed,
-        )
+        subset, down = p.get("subset_per_class"), p.get("downsample_to")
+        subset = None if subset is None else int(subset)
+        down = None if down is None else int(down)
+        pixels, labels, class_count = _read_cifar(p["dir"], cfg.kind, subset, down, gen_seed)
+        sides = [(pixels[rows], labels[rows]) for rows in _split_rows(len(labels), spec)]
+        del pixels  # free the records before any float array exists; alive, they raised fit's later RSS peaks
+        return tuple(Dataset(_cifar_features(side, down), side_labels, class_count, cfg.kind)
+                     for side, side_labels in sides)
     else:
         raise ConfigError(f"unknown dataset kind {cfg.kind!r}")
-    return split(ds, SplitSpec(cfg.train_fraction, split_seed))
+    return split(ds, spec)
 
 
 def seeded_run(model_cfg: ModelConfig, data_cfg: DataConfig, opt: OptimConfig,

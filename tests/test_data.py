@@ -20,6 +20,7 @@ from spherehead.data import (
     split,
 )
 from spherehead.errors import ConfigError, DomainError, FormatError, LabelError, ParseError, ShapeError
+from spherehead.train import DataConfig, build_datasets
 
 from .oracles import oracle_load_cifar_binary, oracle_load_delimited
 
@@ -518,6 +519,50 @@ class TestLoadCifarBinary:
         blob_file.write_bytes(blob + b"\x00")
         with pytest.raises(FormatError):
             load_cifar_binary(str(tmp_path), "cifar100")
+
+
+class TestBuildCifar:
+    """build_datasets splits CIFAR as bytes and converts each side once."""
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("which", ["cifar10", "cifar100"])
+    def test_sides_have_the_bits_of_split_after_load(self, tmp_path, which, seed):
+        if which == "cifar10":
+            write_cifar10_dir(tmp_path, records_per_file=40)  # 24 rows per class
+        else:
+            write_cifar100_dir(tmp_path, records_per_file=100)  # 2 rows per class
+        gen_seed, split_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
+        for subset in (None, 2):
+            for down in (None, 8):
+                params = {"dir": str(tmp_path), "subset_per_class": subset, "downsample_to": down}
+                sides = build_datasets(DataConfig(which, params, train_fraction=0.6), seed)
+                ref = split(load_cifar_binary(str(tmp_path), which, subset, down, gen_seed), SplitSpec(0.6, split_seed))
+                for ours, theirs in zip(sides, ref, strict=True):
+                    assert ours.features.data.shape == theirs.features.data.shape
+                    assert ours.features.data.tobytes() == theirs.features.data.tobytes()
+                    assert ours.labels.tobytes() == theirs.labels.tobytes()
+                    assert (ours.class_count, ours.name) == (theirs.class_count, theirs.name)
+
+    @pytest.mark.parametrize("fraction", [0.001, 0.999])
+    def test_an_empty_side_is_the_config_error_of_split(self, tmp_path, fraction):
+        write_cifar10_dir(tmp_path, records_per_file=10)
+        with pytest.raises(ConfigError) as ours:
+            build_datasets(DataConfig("cifar10", {"dir": str(tmp_path)}, train_fraction=fraction), 0)
+        with pytest.raises(ConfigError) as theirs:
+            split(load_cifar_binary(str(tmp_path), "cifar10"), SplitSpec(fraction, 0))
+        assert str(ours.value) == str(theirs.value)
+
+    def test_build_holds_about_one_float_copy(self, tmp_path):
+        write_cifar10_dir(tmp_path, records_per_file=100)  # 600 records
+        tracemalloc.start()
+        try:
+            train, test = build_datasets(DataConfig("cifar10", {"dir": str(tmp_path)}), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = train.features.data.nbytes + test.features.data.nbytes
+        # converting the whole set, then taking both sides, peaks near 2x
+        assert peak < 1.5 * kept
 
 
 class TestSplit:

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from spherehead.errors import DomainError, ShapeError
+from spherehead.data import Dataset
+from spherehead.errors import DomainError, ShapeError, StateError
+from spherehead.heads import EmbeddingQueue
 from spherehead.ndcore import Tensor, backward, trace
+from spherehead.stereo import EuclideanPoint, SpherePoint, project, project_rows
 from .helpers import check_gradients
 from .oracles import acos, add, clamp, concat, cos, div, exp, log, matmul, mul, reduce_sum, relu, sqrt, sub, transpose
 
@@ -259,6 +262,58 @@ class TestErrors:
             reduce_sum(Tensor([[1.0]]), axis=2)
         with pytest.raises(ShapeError):
             reduce_sum(Tensor([[1.0]]), axis=-3)
+
+
+# the five entry points of outside floats, each with the error it raises for a bad [2, 2] value
+_ENTRY_POINTS = {
+    "Tensor": (Tensor, DomainError),
+    "EuclideanPoint": (EuclideanPoint, DomainError),
+    "project": (project, DomainError),
+    "SpherePoint": (SpherePoint, DomainError),
+    "project_rows": (project_rows, DomainError),
+    "push_batch embeddings": (lambda X: EmbeddingQueue(4).push_batch(X, [0, 1], np.ones((2, 2))), StateError),
+    "push_batch snapshots": (lambda X: EmbeddingQueue(4).push_batch(np.ones((2, 2)), [0, 1], X), StateError),
+    "Dataset": (lambda X: Dataset(X, [0, 1], 2, "toy"), ShapeError),
+}
+_NOT_REAL = {
+    "complex array": np.array([[1.0 + 1e-3j, 2.0], [3.0, 4.0]]),
+    "complex list": [[1.0 + 1e-3j, 2.0], [3.0, 4.0]],
+    "imaginary-free complex": np.ones((2, 2), dtype=np.complex128),
+    "object array": np.array([[1.0, 2.0], [3.0, 4.0]], dtype=object),
+    "string array": np.array([["1", "2"], ["3", "4"]]),
+    "string list": [["1", "2"], ["3", "4"]],
+    "bytes array": np.array([[b"1", b"2"], [b"3", b"4"]]),
+}
+
+
+class TestFloat64Gate:
+    """One float64 gate: real input converts, anything else is the entry point's typed error."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", _NOT_REAL.values(), ids=_NOT_REAL.keys())
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS, ids=_ENTRY_POINTS.keys())
+    def test_non_real_input_is_the_typed_error(self, entry, bad):
+        call, error = _ENTRY_POINTS[entry]
+        with pytest.raises(error, match="real numbers"):
+            call(bad)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("real", [np.array([[0.0, 1.0], [0.5, 0.25]]), [[0, 1], [2, 3]],
+                                      np.array([[0, 1], [2, 3]], dtype=np.uint8), np.eye(2, dtype=bool)],
+                             ids=["float64", "int list", "uint8", "bool"])
+    def test_real_input_is_its_float64_value(self, real):
+        want = np.asarray(real).astype(np.float64)
+        assert Tensor(real).data.tobytes() == want.tobytes()
+        assert Dataset(real, [0, 1], 2, "toy").features.data.tobytes() == want.tobytes()
+        assert project_rows(real).tobytes() == project_rows(want).tobytes()
+        queue = EmbeddingQueue(4)
+        queue.push_batch(real, [0, 1], real)
+        assert all(part.tobytes() == want.tobytes() for part in (queue.stacked()[0], queue.stacked()[2]))
+
+    def test_a_float64_array_passes_uncopied(self):
+        X = np.array([[0.0, 1.0], [0.5, 0.25]])
+        assert Tensor(X).data is X
+        assert Dataset(X, [0, 1], 2, "toy").features.data is X
 
 
 class TestFiniteDifferenceInvariant:
