@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .data import _BLOCK_ROWS, read_delimited
-from .errors import DomainError, ParseError, SphereheadError
+from .errors import DomainError, LayoutError, ParseError, SphereheadError
 from .heads import FAMILIES, MarginConfig
 from .ndcore import Tensor
 from .results import default_results_dir, list_runs, load_run
@@ -218,6 +218,10 @@ def cmd_report(args, parser: argparse.ArgumentParser) -> int:
     reports = []
     for experiment, paths in runs.items():
         records = [_load_record(p)[0] for p in paths]
+        for path, record in zip(paths[1:], records[1:]):
+            if record["config"] != records[0]["config"]:
+                raise LayoutError(f"experiment {experiment!r}: {path} was trained with another config "
+                                  f"than {paths[0]}; one experiment's seeds must share one config")
         accuracies = {r["seed"]: r["final_test_accuracy"] for r in records}
         reports.append(RunReport(
             experiment=experiment,

@@ -17,7 +17,7 @@ from itertools import compress, count
 import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError, LabelError, ParseError, ShapeError
-from .ndcore import Tensor, _float64
+from .ndcore import Tensor, _as_int, _float64
 
 __all__ = [
     "Dataset",
@@ -67,7 +67,8 @@ class Dataset:
     """Immutable bundle of features [N, n], labels [N], and class count.
 
     Features that are not finite real numbers (complex, string or object
-    ones included) or not [N, n] are a :class:`ShapeError`.
+    ones included) or not [N, n] are a :class:`ShapeError`, and a class
+    count that is not a positive integer a :class:`ConfigError`.
     """
 
     __slots__ = ("features", "labels", "class_count", "name")
@@ -85,11 +86,12 @@ class Dataset:
             raise ShapeError(
                 f"{features.shape[0]} feature rows need {features.shape[0]} labels, got shape {labels.shape}"
             )
+        class_count = _as_int("class count", class_count)
         if class_count < 1:
             raise ConfigError(f"class count must be positive, got {class_count}")
         self.features = Tensor(features)
         self.labels = _checked_labels(labels, class_count)
-        self.class_count = int(class_count)
+        self.class_count = class_count
         self.name = str(name)
 
     def __len__(self) -> int:

@@ -1,25 +1,28 @@
 """Classification heads: cosine logits and the margin-based objectives.
 
 Five objectives share one skeleton, :func:`head_forward`: build the
-one-hot targets, turn features into logits the family's way, then take
-softmax cross-entropy averaged over the rows. The families differ only
-in their logits, one entry each in ``_LOGITS``:
+one-hot targets, turn features into logits, then take softmax
+cross-entropy averaged over the rows. cce's logits are the raw linear
+``features @ W``, with no normalization and no margin. The four angular
+families run one pipeline, :func:`_angular_logits`: row and column
+norms, the clamped cosines, then the family's margin, one entry each in
+``_MARGINS``:
 
-    cce         raw linear logits features @ W, no normalization, no margin
     sphereface  |x| * cos theta, the target replaced by |x| * psi(m * theta)
     cosface     s * (cos theta - m * onehot)
     arcface     s * cos theta, the target replaced by s * cos(theta_y + m),
                 or s * (cos theta_y - m sin m) past theta_y = pi - m
-    broadface   arcface over the batch rows and a FIFO queue of past
-                embeddings, each compensated for weight drift, stacked
-                into one pass with one BLAS product per part
+    broadface   arcface; with a non-empty FIFO queue of past embeddings,
+                the queue's rows, each compensated for weight drift, are
+                appended to the batch's as a second part, with one BLAS
+                product per part
 
 A loss is one tape node, ``head``, with the features and W as its
 inputs. Its pieces are plain numpy functions that return a value and a
-``back`` function: the cosines, the softmax-NLL, the target swap of
-sphereface, arcface and broadface, and broadface's drift-corrected queue
-block. ``back(g)`` gives one gradient per input, each in closed form:
-``(G - (G.u) u) / |x|`` through a normalisation, ``g (softmax -
+``back`` function: the cosines, the margin, the softmax-NLL, the target
+swap of sphereface, arcface and broadface, and broadface's drift-corrected
+queue block. ``back(g)`` gives one gradient per input, each in closed
+form: ``(G - (G.u) u) / |x|`` through a normalisation, ``g (softmax -
 onehot)`` through the softmax-NLL and one ``psi'(t)`` per row through
 the target swap. With the encoder as one ``mlp`` node and the lift as
 one ``project_batch`` node, a training step records 3 tape nodes (2
@@ -34,14 +37,13 @@ read-only arrays of the live rows, oldest first, which each
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import _checked_labels
 from .errors import ConfigError, DegenerateInputError, DomainError, LabelError, ShapeError, StateError
-from .ndcore import Tensor, _accumulate, _float64, _record
+from .ndcore import Tensor, _accumulate, _as_int, _float64, _record
 
 __all__ = [
     "FAMILIES",
@@ -61,13 +63,6 @@ COS_CLAMP = 1.0 - 1e-12
 _DEFAULT_MARGIN = {"cce": 0.0, "sphereface": 2.0, "cosface": 0.35, "arcface": 0.5, "broadface": 0.5}
 _DEFAULT_SCALE = 8.0
 _DEFAULT_QUEUE_CAPACITY = 256
-
-
-def _as_int(name: str, value) -> int:
-    """``value`` as an int if it is an integer, Python or numpy but not bool; else a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -295,17 +290,6 @@ def _unit_cosines(f: np.ndarray, norms: np.ndarray, W: np.ndarray, col_norms: np
     return np.minimum(np.maximum(raw, -1.0), 1.0), back
 
 
-def _cosine_logits(f: np.ndarray, W: np.ndarray):
-    """cos theta between each feature row and each weight column, in [-1, 1].
-
-    Returns the cosines, the row norms |x| and ``back``: ``back(g)``
-    gives the gradients of ``f`` and of ``W`` (see :func:`_unit_cosines`).
-    """
-    norms = _norms(f, 1, "feature row")
-    cosines, back = _unit_cosines(f, norms, W, _norms(W, 0, "weight column"), (slice(None),))
-    return cosines, norms, back
-
-
 def _nll_sum(logits: np.ndarray, onehot: np.ndarray, parts: tuple = (slice(None),)):
     """Summed -log softmax(logits)[target], max-shifted against overflow, and ``back``.
 
@@ -371,51 +355,27 @@ def _swap_target(cosines: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
     return out * scale, back
 
 
-# Each family's logits: (features, W, cfg, onehot) -> (logits [B, C], back),
-# where back(g) gives the gradients of the features and of W.
+# Each angular family's margin: (cosines, row norms |x|, onehot, cfg) -> (logits,
+# back), where back(g) gives the gradients of the cosines and of the norms, None
+# when the logits do not read the norms.
 
 
-def _linear_logits(f: np.ndarray, W: np.ndarray, cfg: MarginConfig, onehot: np.ndarray):
-    return f @ W, lambda g: (g @ W.T, f.T @ g)
-
-
-def _sphereface_logits(f: np.ndarray, W: np.ndarray, cfg: MarginConfig, onehot: np.ndarray):
-    cosines, norms, back_cosines = _cosine_logits(f, W)
+def _sphere_margin(cosines: np.ndarray, norms: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
     swapped, back_swap = _swap_target(cosines, onehot, cfg)
-
-    def back(g):
-        g_f, g_w = back_cosines(back_swap(g * norms))
-        # d|x|/dx = x / |x|: one outer term of the rows' sums
-        return g_f + (g * swapped).sum(axis=1, keepdims=True) / norms * f, g_w
-
-    return norms * swapped, back
+    return norms * swapped, lambda g: (back_swap(g * norms), (g * swapped).sum(axis=1, keepdims=True))
 
 
-def _cosface_logits(f: np.ndarray, W: np.ndarray, cfg: MarginConfig, onehot: np.ndarray):
-    cosines, _, back_cosines = _cosine_logits(f, W)
-    return (cosines - onehot * cfg.m) * cfg.s, lambda g: back_cosines(g * cfg.s)
+def _cos_margin(cosines: np.ndarray, norms: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
+    return (cosines - onehot * cfg.m) * cfg.s, lambda g: (g * cfg.s, None)
 
 
-def _arc_margin(cosines: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
-    """ArcFace's logits from its cosines, and ``back`` onto the cosines: s cos theta at m = 0, else the swap."""
-    if cfg.m == 0.0:
-        return cosines * cfg.s, lambda g: g * cfg.s
-    return _swap_target(cosines, onehot, cfg)
+def _arc_margin(cosines: np.ndarray, norms: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
+    """s cos theta at m = 0, else the target swap."""
+    logits, back = (cosines * cfg.s, lambda g: g * cfg.s) if cfg.m == 0.0 else _swap_target(cosines, onehot, cfg)
+    return logits, lambda g: (back(g), None)
 
 
-def _arcface_logits(f: np.ndarray, W: np.ndarray, cfg: MarginConfig, onehot: np.ndarray):
-    cosines, _, back_cosines = _cosine_logits(f, W)
-    logits, back_margin = _arc_margin(cosines, onehot, cfg)
-    return logits, lambda g: back_cosines(back_margin(g))
-
-
-_LOGITS = {
-    "cce": _linear_logits,
-    "sphereface": _sphereface_logits,
-    "cosface": _cosface_logits,
-    "arcface": _arcface_logits,
-    "broadface": _arcface_logits,
-}
+_MARGINS = {"sphereface": _sphere_margin, "cosface": _cos_margin, "arcface": _arc_margin, "broadface": _arc_margin}
 
 
 def _compensated_block(queue: EmbeddingQueue, W: np.ndarray):
@@ -439,44 +399,52 @@ def _compensated_block(queue: EmbeddingQueue, W: np.ndarray):
     return out, onehot, lambda g: (onehot.T @ (g * ratios)).T
 
 
-def _broadface_logits(f: np.ndarray, W: np.ndarray, cfg: MarginConfig, onehot: np.ndarray,
-                      queue: EmbeddingQueue, parts: tuple):
-    """ArcFace logits of the batch rows and the queue's compensated block, stacked [B + Q, C].
+def _angular_logits(f: np.ndarray, W: np.ndarray, cfg: MarginConfig, onehot: np.ndarray,
+                    queue: EmbeddingQueue | None):
+    """An angular family's logits: cosines of the rows and W's columns, then the family's margin.
 
-    One pass: W's norms and unit columns once, and every elementwise op
-    and row reduction once over all rows; ``parts`` splits the BLAS
-    products (see :func:`_unit_cosines`). The batch rows and W's columns
-    are checked before the block is built, so a bad W is a weight column
-    error, not a block row error. Returns the logits, the stacked one-hots
-    and ``back``: ``back(g)`` gives the gradients of ``f`` and of W, whose
-    batch and block parts add before the block's compensation.
+    The rows are the batch, then, when the queue has rows, its
+    compensated block: one part each, with its own BLAS products and loss
+    sum (see :func:`_unit_cosines`), and every elementwise op and row
+    reduction once over all rows. The batch rows and W's columns are
+    checked before the block is built, so a bad W is a weight column
+    error, not a block row error. Returns the logits [rows, C], their
+    one-hots, the parts and ``back``: ``back(g)`` gives the gradients of
+    ``f`` and of W, whose batch and block parts add before the block's
+    compensation.
     """
-    batch, block_rows = parts
     norms, col_norms = _norms(f, 1, "feature row"), _norms(W, 0, "weight column")
-    block, block_onehot, back_block = _compensated_block(queue, W)
-    norms = np.concatenate((norms, _norms(block, 1, "feature row")))
-    cosines, back_cosines = _unit_cosines(np.concatenate((f, block)), norms, W, col_norms, parts)
-    onehot = np.concatenate((onehot, block_onehot))
-    logits, back_margin = _arc_margin(cosines, onehot, cfg)
+    rows, parts, B = f, (slice(None),), f.shape[0]
+    if queue is not None and len(queue) > 0:
+        block, block_onehot, back_block = _compensated_block(queue, W)
+        rows, parts = np.concatenate((f, block)), (slice(0, B), slice(B, None))
+        norms = np.concatenate((norms, _norms(block, 1, "feature row")))
+        onehot = np.concatenate((onehot, block_onehot))
+    cosines, back_cosines = _unit_cosines(rows, norms, W, col_norms, parts)
+    logits, back_margin = _MARGINS[cfg.family](cosines, norms, onehot, cfg)
 
     def back(g):
-        g_rows, g_w, g_block_w = back_cosines(back_margin(g))
-        return g_rows[batch], (g_w + g_block_w) + back_block(g_rows[block_rows])
+        g_cosines, g_norms = back_margin(g)
+        g_rows, g_w, *g_block_w = back_cosines(g_cosines)
+        if g_norms is not None:  # d|x|/dx = x / |x|: one outer term of the rows' sums
+            g_rows = g_rows + g_norms / norms * rows
+        if not g_block_w:
+            return g_rows, g_w
+        return g_rows[:B], (g_w + g_block_w[0]) + back_block(g_rows[B:])
 
-    return logits, onehot, back
+    return logits, onehot, parts, back
 
 
 def head_forward(features: Tensor, weights: HeadWeights, cfg: MarginConfig,
                  labels, queue: EmbeddingQueue | None = None) -> Tensor:
     """The configured family's mean loss over the batch (and broadface queue), one ``head`` node.
 
-    With a non-empty queue, broadface stacks the batch rows and the
-    drift-corrected queue entries and averages ArcFace's loss over all of
-    them in one pass (:func:`_broadface_logits`), with one BLAS product
-    and one loss sum per part. It then pushes the batch's embeddings
-    (detached) and current target weight columns, evicting oldest-first
-    past capacity. Without one it is arcface, the empty-queue case, and
-    keeps no state.
+    cce takes ``features @ W`` as its logits; every other family runs
+    :func:`_angular_logits`. With a non-empty queue, broadface's rows are
+    the batch and the drift-corrected queue entries, and the loss averages
+    over all of them. It then pushes the batch's embeddings (detached) and
+    current target weight columns, evicting oldest-first past capacity.
+    Without one it is arcface, the empty-queue case, and keeps no state.
 
     The node's inputs are the features and W. Its backward takes g /
     count back through the pieces once and accumulates one gradient into
@@ -491,16 +459,13 @@ def head_forward(features: Tensor, weights: HeadWeights, cfg: MarginConfig,
     if features.shape[1] != weights.dim:
         raise ShapeError(f"feature dim {features.shape[1]} does not match weight dim {weights.dim}")
     onehot = _one_hot(labels, weights.class_count)
-    B = onehot.shape[0]
-    if B != features.shape[0]:
-        raise ShapeError(f"{features.shape[0]} feature rows but {B} labels")
-    W = weights.W
-    if queue is not None and len(queue) > 0:
-        parts = (slice(0, B), slice(B, None))
-        logits, onehot, back_logits = _broadface_logits(features.data, W.data, cfg, onehot, queue, parts)
+    if onehot.shape[0] != features.shape[0]:
+        raise ShapeError(f"{features.shape[0]} feature rows but {onehot.shape[0]} labels")
+    W, f, w = weights.W, features.data, weights.W.data
+    if cfg.family == "cce":
+        logits, parts, back_logits = f @ w, (slice(None),), lambda g: (g @ w.T, f.T @ g)
     else:
-        parts = (slice(None),)
-        logits, back_logits = _LOGITS[cfg.family](features.data, W.data, cfg, onehot)
+        logits, onehot, parts, back_logits = _angular_logits(f, w, cfg, onehot, queue)
     total, back_nll = _nll_sum(logits, onehot, parts)
     count = onehot.shape[0]
 
@@ -514,7 +479,7 @@ def head_forward(features: Tensor, weights: HeadWeights, cfg: MarginConfig,
     loss = _record("head", (features, W), total / float(count), backward_fn)
     if queue is not None:
         labels = np.asarray(labels, dtype=np.int64)
-        queue.push_batch(features.data, labels, W.data[:, labels].T)
+        queue.push_batch(f, labels, w[:, labels].T)
     return loss
 
 

@@ -44,11 +44,12 @@ so stacked parts each keep their own products.
 
 from __future__ import annotations
 
+import numbers
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -76,6 +77,13 @@ def _float64(data, error: type[Exception], what: str) -> np.ndarray:
     if arr.dtype.kind not in "biuf":
         raise error(f"{what} must be real numbers, got dtype {arr.dtype}")
     return arr.astype(np.float64, copy=False)
+
+
+def _as_int(name: str, value) -> int:
+    """``value`` as an int if it is an integer, Python or numpy but not bool; else a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_array(data) -> np.ndarray:

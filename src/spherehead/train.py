@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -24,8 +25,8 @@ from .data import (Dataset, SplitSpec, _cifar_features, _read_cifar, _split_rows
                    load_delimited, split)
 from .errors import (ConfigError, DomainError, LayoutError, ParseError, ShapeError, SphereheadError, StateError,
                      TrainingDiverged)
-from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, _as_int, _norms, head_forward
-from .ndcore import Tensor, backward, mlp
+from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, _norms, head_forward
+from .ndcore import Tensor, _as_int, backward, mlp
 from .stereo import project_batch
 
 __all__ = [
@@ -323,6 +324,14 @@ def _pack_parameters(params: list) -> tuple[np.ndarray, np.ndarray]:
     return theta, grad
 
 
+def _check_dataset(model: Model, ds: Dataset, verb: str) -> None:
+    """A ConfigError unless ``ds`` has rows and the model's class count."""
+    if len(ds) == 0:
+        raise ConfigError(f"cannot {verb} on an empty dataset")
+    if ds.class_count != model.class_count:
+        raise ConfigError(f"model has {model.class_count} classes but dataset has {ds.class_count}")
+
+
 def fit(model: Model, train_ds: Dataset, opt: OptimConfig) -> tuple[Model, dict]:
     """Train in place; returns the model and its epoch history.
 
@@ -337,12 +346,7 @@ def fit(model: Model, train_ds: Dataset, opt: OptimConfig) -> tuple[Model, dict]
     ``0.0 + g`` has the bits of the ``g + 0.0`` it stores on a fresh
     gradient. The model keeps its Tensor objects, now views of the arena.
     """
-    if len(train_ds) == 0:
-        raise ConfigError("cannot fit on an empty dataset")
-    if train_ds.class_count != model.class_count:
-        raise ConfigError(
-            f"model has {model.class_count} classes but dataset has {train_ds.class_count}"
-        )
+    _check_dataset(model, train_ds, "fit")
     cfg = model.config.margin
     theta, grad = _pack_parameters(model.parameters())
     flat_params, flat_grads = [Tensor(theta)], [grad]
@@ -405,8 +409,7 @@ def evaluate(model: Model, ds: Dataset) -> float:
     features come out non-finite, from finite weights too large, say,
     raises DomainError rather than being scored.
     """
-    if len(ds) == 0:
-        raise ConfigError("cannot evaluate on an empty dataset")
+    _check_dataset(model, ds, "evaluate")
     W = model.head.W.data
     columns = W if model.config.margin.family == "cce" else W / _norms(W, 0, "weight column")
     hits = 0
@@ -422,6 +425,28 @@ def evaluate(model: Model, ds: Dataset) -> float:
     return hits / len(ds)
 
 
+def _int_param(p: dict, key: str, default):
+    """Data param ``key`` (``default`` if absent) as an int, or None; else a ConfigError naming it."""
+    value = p.get(key, default)
+    return value if value is None else _as_int(f"data param {key!r}", value)
+
+
+def _real_param(p: dict, key: str, default: float) -> float:
+    """Data param ``key`` (``default`` if absent) as a float from a real number, not a bool; else a ConfigError."""
+    value = p.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"data param {key!r} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _bool_param(p: dict, key: str, default: bool) -> bool:
+    """Data param ``key`` (``default`` if absent), which must be a bool; else a ConfigError naming it."""
+    value = p.get(key, default)
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"data param {key!r} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def build_datasets(cfg: DataConfig, seed: int) -> tuple[Dataset, Dataset]:
     """Materialize the configured dataset and its train/test partition.
 
@@ -435,13 +460,13 @@ def build_datasets(cfg: DataConfig, seed: int) -> tuple[Dataset, Dataset]:
     spec = SplitSpec(cfg.train_fraction, split_seed)
     p = cfg.params
     if cfg.kind == "two_spirals":
-        ds = gen_two_spirals(int(p.get("n_per_class", 500)), float(p.get("noise_sd", 0.1)), gen_seed)
+        ds = gen_two_spirals(_int_param(p, "n_per_class", 500), _real_param(p, "noise_sd", 0.1), gen_seed)
     elif cfg.kind == "blobs":
         ds = gen_gaussian_blobs(
-            int(p.get("classes", 4)),
-            int(p.get("n_per_class", 250)),
-            float(p.get("spread", 1.0)),
-            float(p.get("radius", 4.0)),
+            _int_param(p, "classes", 4),
+            _int_param(p, "n_per_class", 250),
+            _real_param(p, "spread", 1.0),
+            _real_param(p, "radius", 4.0),
             gen_seed,
         )
     elif cfg.kind == "delimited":
@@ -450,15 +475,13 @@ def build_datasets(cfg: DataConfig, seed: int) -> tuple[Dataset, Dataset]:
         ds = load_delimited(
             p["path"],
             delimiter=p.get("delimiter", ","),
-            label_column=int(p.get("label_column", 0)),
-            header=bool(p.get("header", False)),
+            label_column=_int_param(p, "label_column", 0),
+            header=_bool_param(p, "header", False),
         )
     elif cfg.kind in ("cifar10", "cifar100"):
         if "dir" not in p:
             raise ConfigError(f"{cfg.kind} data needs a 'dir' parameter")
-        subset, down = p.get("subset_per_class"), p.get("downsample_to")
-        subset = None if subset is None else int(subset)
-        down = None if down is None else int(down)
+        subset, down = _int_param(p, "subset_per_class", None), _int_param(p, "downsample_to", None)
         pixels, labels, class_count = _read_cifar(p["dir"], cfg.kind, subset, down, gen_seed)
         sides = [(pixels[rows], labels[rows]) for rows in _split_rows(len(labels), spec)]
         del pixels  # free the records before any float array exists; alive, they raised fit's later RSS peaks
@@ -539,8 +562,8 @@ class RunReport:
 
 
 def _checked_seeds(seeds) -> tuple:
-    """``seeds`` as a tuple of ints, else a ConfigError: none, a duplicate or a negative one."""
-    seeds = tuple(int(s) for s in seeds)
+    """``seeds`` as a tuple of ints, else a ConfigError: none, a non-integer, a duplicate or a negative one."""
+    seeds = tuple(_as_int("seed", s) for s in seeds)
     if not seeds:
         raise ConfigError("need at least one seed")
     if len(set(seeds)) != len(seeds):

@@ -304,8 +304,14 @@ def _piece_node(op: str, value, back, inputs: tuple) -> Tensor:
     return _record(op, inputs, value, backward_fn)
 
 
+def head_cosines(f: np.ndarray, W: np.ndarray):
+    """The head's clamped cosines between ``f``'s rows and W's columns, and ``back`` onto both."""
+    return heads._unit_cosines(f, heads._norms(f, 1, "feature row"), W, heads._norms(W, 0, "weight column"),
+                               (slice(None),))
+
+
 def cosine_logits(features: Tensor, weights) -> Tensor:
-    value, _, back = heads._cosine_logits(features.data, weights.W.data)
+    value, back = head_cosines(features.data, weights.W.data)
     return _piece_node("cosine_logits", value, back, (features, weights.W))
 
 

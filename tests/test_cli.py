@@ -491,6 +491,19 @@ class TestReportVerb:
         assert code == 1
         assert "projection=off" in err
 
+    def test_records_with_different_configs_are_not_averaged(self, tmp_path):
+        """Two margins trained into one experiment were once printed as one mean+-std cell."""
+        for m, seed in (("0.1", "1"), ("0.9", "2")):
+            code, _, _ = run_cli(["train", "--dataset", "blobs", "--loss", "cosface", "--m", m,
+                                  "--out", str(tmp_path), "--seeds", seed, "--epochs", "1", "--encoder", "8",
+                                  "--feature-dim", "4", "--batch", "16"])
+            assert code == 0
+        [experiment] = os.listdir(tmp_path)
+        code, out, err = run_cli(["report", "--results", str(tmp_path)])
+        assert (code, out) == (1, "")
+        assert f"experiment {experiment!r}" in err and os.path.join(experiment, "2.txt") in err
+        assert "+-" not in err
+
     def test_empty_dir_is_layout_error(self, tmp_path):
         code, _, err = run_cli(["report", "--results", str(tmp_path)])
         assert code == 1

@@ -61,6 +61,16 @@ class TestDataset:
         assert Dataset(np.zeros((2, 2)), [1.0, 0.0], 2, "toy").labels.tolist() == [1, 0]
         assert Dataset(np.zeros((2, 2)), [True, False], 2, "toy").labels.tolist() == [1, 0]
 
+    @pytest.mark.parametrize("class_count", [2.5, 3.0, "3", True])
+    def test_non_integer_class_count_rejected(self, class_count):
+        """2.5 once stored 2 and kept label 2; any non-integer count is a ConfigError."""
+        with pytest.raises(ConfigError, match="class count must be an integer"):
+            Dataset(np.zeros((3, 2)), [0, 1, 2], class_count, "x")
+
+    def test_numpy_integer_class_count_stored_as_int(self):
+        ds = Dataset(np.zeros((2, 2)), [0, 1], np.int64(2), "toy")
+        assert type(ds.class_count) is int and ds.class_count == 2
+
     def test_take_preserves_metadata(self):
         ds = Dataset(np.arange(8.0).reshape(4, 2), [0, 1, 1, 0], 2, "toy")
         sub = ds.take([2, 0])

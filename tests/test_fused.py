@@ -30,8 +30,8 @@ from spherehead.stereo import project_batch
 from spherehead.train import ModelConfig, build_model
 
 from .helpers import check_gradients, norm_rel_error
-from .oracles import (acos, add, clamp, compensated_block, concat, cos, cosine_logits, div, exp, log, matmul, mul,
-                      nll_sum, reduce_sum, relu, row_sqnorms, sqrt, sub, swap_target, transpose, where)
+from .oracles import (acos, add, clamp, compensated_block, concat, cos, cosine_logits, div, exp, head_cosines, log,
+                      matmul, mul, nll_sum, reduce_sum, relu, row_sqnorms, sqrt, sub, swap_target, transpose, where)
 
 TRIALS = 25
 
@@ -468,7 +468,7 @@ class TestSameBitsAsChain:
             assert_agrees(
                 lambda f, w: head_forward(f, HeadWeights(w), cfg, labels, copy.deepcopy(queue)),
                 lambda f, w: chain_head_forward(f, HeadWeights(w), cfg, labels, copy.deepcopy(queue)), [X, W])
-            target = heads._cosine_logits(X, W)[0][np.arange(B), labels]
+            target = head_cosines(X, W)[0][np.arange(B), labels]
             targets |= set(target.tolist())
             angles |= set(np.sign(np.arccos(target) - (np.pi - cfg.m)).tolist())
         assert {1.0, -1.0, COS_CLAMP, -COS_CLAMP} <= targets
@@ -660,7 +660,7 @@ def near_a_kink(model, X, y, queue, margin=0.02):
         rows.append((heads._compensated_block(queue, W)[0], queue.stacked()[1]))
     kinks = np.arange(1, cfg.m) * np.pi / cfg.m if cfg.family == "sphereface" else np.array([np.pi - cfg.m])
     for features, labels in rows:
-        cosines = heads._cosine_logits(features, W)[0]
+        cosines = head_cosines(features, W)[0]
         theta = np.arccos(cosines[np.arange(len(labels)), labels])
         if np.max(np.abs(cosines)) > 1.0 - 1e-3 or (kinks.size and np.min(np.abs(theta[:, None] - kinks)) < margin):
             return True
@@ -706,14 +706,14 @@ def test_nan_cosine_ends_fit_as_training_diverged(family, swap, monkeypatch):
     through ``chain_head_forward`` and poisons its chain cosines.
     """
     if swap == "fused":
-        real_cosine_logits = heads._cosine_logits
+        real_unit_cosines = heads._unit_cosines
 
-        def poisoned(f, W):
-            cosines, norms, back = real_cosine_logits(f, W)
+        def poisoned(*args):
+            cosines, back = real_unit_cosines(*args)
             cosines[0] = np.nan
-            return cosines, norms, back
+            return cosines, back
 
-        monkeypatch.setattr(heads, "_cosine_logits", poisoned)
+        monkeypatch.setattr(heads, "_unit_cosines", poisoned)
     else:
         real_chain = chain_cosine_logits
 

@@ -987,6 +987,31 @@ class TestHeadForward:
         ref = head_forward(Tensor(X), w, MarginConfig(family="arcface", m=0.5, s=8.0), labels).item()
         assert ours == pytest.approx(ref, abs=1e-12)
 
+    @pytest.mark.parametrize("family", ["sphereface", "cosface", "arcface", "broadface"])
+    def test_one_pass_of_each_piece(self, family, monkeypatch):
+        """Every angular family runs one pipeline: the cosines, the softmax-NLL and W's column norms once each."""
+        calls = {"cosines": 0, "nll": 0, "columns": 0}
+        real_cosines, real_nll, real_norms = heads._unit_cosines, heads._nll_sum, heads._norms
+
+        def count(key, real):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        def norms(t, axis, what):
+            calls["columns"] += axis == 0
+            return real_norms(t, axis, what)
+
+        monkeypatch.setattr(heads, "_unit_cosines", count("cosines", real_cosines))
+        monkeypatch.setattr(heads, "_nll_sum", count("nll", real_nll))
+        monkeypatch.setattr(heads, "_norms", norms)
+        rng = np.random.default_rng(86)
+        X, W, labels = random_instance(rng, batch=5)
+        queue = filled_queue(rng, 8, 8, 4, 3) if family == "broadface" else None
+        queued_step(X, W, MarginConfig.for_family(family), labels, queue)
+        assert calls == {"cosines": 1, "nll": 1, "columns": 1}
+
     def test_all_families_on_one_instance_match_oracles(self):
         rng = np.random.default_rng(66)
         X, W, labels = random_instance(rng, batch=4, dim=5, classes=4)

@@ -496,6 +496,12 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate(model, ds.take([]))
 
+    def test_class_count_mismatch_rejected(self):
+        """A 2-class model on a 5-class set is fit's ConfigError, not a score."""
+        model, _ = quick_fit("cosface", gen_gaussian_blobs(2, 20, 1.0, 4.0, 3), epochs=1)
+        with pytest.raises(ConfigError, match="model has 2 classes but dataset has 5"):
+            evaluate(model, gen_gaussian_blobs(5, 10, 1.0, 4.0, 4))
+
     def test_zero_weight_column_rejected(self):
         ds = small_blobs()
         model, _ = quick_fit("cosface", ds, epochs=1)
@@ -559,6 +565,37 @@ class TestBuildDatasets:
     def test_cifar_requires_dir(self):
         with pytest.raises(ConfigError):
             build_datasets(DataConfig("cifar10"), 0)
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("two_spirals", "n_per_class", 20.9),
+        ("two_spirals", "n_per_class", "20"),
+        ("two_spirals", "n_per_class", True),
+        ("two_spirals", "noise_sd", "0.1"),
+        ("two_spirals", "noise_sd", True),
+        ("blobs", "classes", 3.0),
+        ("blobs", "spread", None),
+        ("blobs", "radius", [4.0]),
+        ("delimited", "label_column", 0.9),
+        ("delimited", "header", "false"),
+        ("delimited", "header", 0),
+        ("cifar10", "subset_per_class", 2.5),
+        ("cifar10", "downsample_to", "16"),
+    ])
+    def test_mistyped_params_rejected_not_coerced(self, kind, key, value, tmp_path):
+        path = tmp_path / "toy.csv"
+        path.write_text("0,1.0\n1,2.0\n")
+        where = {"delimited": {"path": str(path)}, "cifar10": {"dir": str(tmp_path)}}.get(kind, {})
+        with pytest.raises(ConfigError, match=f"data param '{key}'"):
+            build_datasets(DataConfig(kind, {**where, key: value}), 0)
+
+    def test_numpy_and_int_params_pass(self, tmp_path):
+        cfg = DataConfig("blobs", {"classes": np.int64(3), "n_per_class": 10, "spread": 1, "radius": np.float32(4.0)})
+        train_ds, test_ds = build_datasets(cfg, 0)
+        assert len(train_ds) + len(test_ds) == 30 and train_ds.class_count == 3
+        path = tmp_path / "toy.csv"
+        path.write_text("label,x\n0,1.0\n1,2.0\n0,3.0\n1,4.0\n0,5.0\n1,6.0\n")
+        sides = build_datasets(DataConfig("delimited", {"path": str(path), "header": np.True_}), 0)
+        assert sum(len(side) for side in sides) == 6
 
 
 class TestPopulationStd:
@@ -625,13 +662,20 @@ class TestRunExperiment:
         b = run_experiment(mc, dc, opt, [1, 2], results_dir=str(tmp_path / "b"))
         assert a.fingerprint() == b.fingerprint()
 
-    @pytest.mark.parametrize("seeds, message", [((), "at least one"), ((1, 1), "duplicate"), ((2, -1), "non-negative")])
+    @pytest.mark.parametrize("seeds, message", [((), "at least one"), ((1, 1), "duplicate"), ((2, -1), "non-negative"),
+                                                ("12", "integer"), ([1.5, 2.7], "integer"), ([True], "integer"),
+                                                ([1, "2"], "integer")])
     def test_bad_seeds_rejected_before_any_run(self, seeds, message, tmp_path):
         mc = ModelConfig(feature_dim=4, margin=margin_for("cce"), encoder_layers=(8,))
         with pytest.raises(ConfigError, match=message):
             run_experiment(mc, DataConfig("blobs"), OptimConfig(learning_rate=3e-3, epochs=1), seeds,
                            results_dir=str(tmp_path))
         assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_integer_seeds_pass(self):
+        """Non-integer seeds, once truncated ("12" ran seeds 1 and 2), are refused; numpy integers are not."""
+        assert train._checked_seeds(np.array([3, 1], dtype=np.int32)) == (3, 1)
+        assert all(type(s) is int for s in train._checked_seeds([np.int64(4), 2]))
 
     def test_init_seed_is_the_third_seed_stream(self):
         # records store only the run seed, so this derivation must never drift
