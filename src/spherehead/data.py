@@ -6,22 +6,28 @@ finiteness once so downstream code can trust them. :func:`read_delimited`
 is the one delimited-text parser, shared by :func:`load_delimited` and
 ``spherehead project``. All generators and
 loaders are deterministic functions of their arguments, seeds included.
+
+A :class:`DataConfig` is checked against one table of each kind's params
+(check and default) when it is made; :func:`build_datasets` turns it and
+a run seed into a train and a test set.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, count
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError, LabelError, ParseError, ShapeError
-from .ndcore import Tensor, _as_int, _float64
+from .ndcore import Tensor, _as_bool, _as_int, _as_real, _float64
 
 __all__ = [
     "Dataset",
     "SplitSpec",
+    "DataConfig",
+    "build_datasets",
     "gen_two_spirals",
     "gen_gaussian_blobs",
     "load_delimited",
@@ -376,3 +382,107 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """
     train, test = _split_rows(len(ds), spec)
     return ds.take(train), ds.take(test)
+
+
+def _as_str(name: str, value) -> str:
+    """``value`` if it is a str; else a ConfigError."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _as_optional_int(name: str, value) -> int | None:
+    return value if value is None else _as_int(name, value)
+
+
+_REQUIRED = object()  # the default of a param its kind cannot do without
+_CIFAR_PARAMS = {"dir": (_as_str, _REQUIRED), "subset_per_class": (_as_optional_int, None),
+                 "downsample_to": (_as_optional_int, None)}
+# each data kind's params, in the order its errors list them: name -> (check, default)
+_DATA_PARAMS = {
+    "two_spirals": {"n_per_class": (_as_int, 500), "noise_sd": (_as_real, 0.1)},
+    "blobs": {"classes": (_as_int, 4), "n_per_class": (_as_int, 250), "spread": (_as_real, 1.0),
+              "radius": (_as_real, 4.0)},
+    "delimited": {"path": (_as_str, _REQUIRED), "delimiter": (_as_str, ","), "label_column": (_as_int, 0),
+                  "header": (_as_bool, False)},
+    "cifar10": _CIFAR_PARAMS,
+    "cifar100": _CIFAR_PARAMS,
+}
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    """Which dataset to build and how to carve out the test side.
+
+    ``params`` may hold only the keys its kind reads, each of the type
+    the kind's table checks; another key (a misspelt one, say), a wrong
+    type or a missing ``path`` or ``dir`` is a ConfigError here. The
+    checked values are stored, a numpy scalar as its Python value.
+    """
+
+    kind: str
+    params: dict = field(default_factory=dict)
+    train_fraction: float = 0.7
+
+    def __post_init__(self):
+        if self.kind not in _DATA_PARAMS:
+            raise ConfigError(f"kind must be one of {tuple(_DATA_PARAMS)}, got {self.kind!r}")
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"params must be a dict, got {self.params!r}")
+        table = _DATA_PARAMS[self.kind]
+        for key in self.params:
+            if key not in table:
+                raise ConfigError(f"unknown {self.kind} param {key!r}; it reads {', '.join(table)}")
+        checked = {}
+        for key, (check, default) in table.items():
+            if key in self.params:
+                checked[key] = check(f"data param {key!r}", self.params[key])
+            elif default is _REQUIRED:
+                raise ConfigError(f"{self.kind} data needs a {key!r} parameter")
+        object.__setattr__(self, "params", checked)
+        object.__setattr__(self, "train_fraction", _as_real("train fraction", self.train_fraction))
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigError(f"train fraction must be in (0, 1), got {self.train_fraction!r}")
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "params": dict(sorted(self.params.items())),
+            "train_fraction": self.train_fraction,
+        }
+
+
+def _seed_streams(seed: int) -> tuple[int, int, int]:
+    """The (draw, split, init) seeds of a run seed: the three streams of its SeedSequence.
+
+    Records store only the run seed, so this derivation must never drift.
+    """
+    return tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(3))
+
+
+def build_datasets(cfg: DataConfig, seed: int) -> tuple[Dataset, Dataset]:
+    """Materialize the configured dataset and its train/test partition.
+
+    The generation draw and the split shuffle use independent streams
+    spawned from the one seed, so neither leaks randomness into the
+    other. CIFAR is split as bytes and each side becomes floats once, so
+    the build holds about one float copy of the data; the sides have the
+    bits of ``split(load_cifar_binary(...))``.
+    """
+    gen_seed, split_seed, _ = _seed_streams(seed)
+    spec = SplitSpec(cfg.train_fraction, split_seed)
+    p = {key: default for key, (_, default) in _DATA_PARAMS[cfg.kind].items()} | cfg.params
+    if cfg.kind == "two_spirals":
+        ds = gen_two_spirals(p["n_per_class"], p["noise_sd"], gen_seed)
+    elif cfg.kind == "blobs":
+        ds = gen_gaussian_blobs(p["classes"], p["n_per_class"], p["spread"], p["radius"], gen_seed)
+    elif cfg.kind == "delimited":
+        ds = load_delimited(p["path"], p["delimiter"], p["label_column"], p["header"])
+    else:
+        down = p["downsample_to"]
+        pixels, labels, class_count = _read_cifar(p["dir"], cfg.kind, p["subset_per_class"], down, gen_seed)
+        sides = [(pixels[rows], labels[rows]) for rows in _split_rows(len(labels), spec)]
+        del pixels  # free the records before any float array exists; alive, they raised fit's later RSS peaks
+        return tuple(Dataset(_cifar_features(side, down), side_labels, class_count, cfg.kind)
+                     for side, side_labels in sides)
+    return split(ds, spec)

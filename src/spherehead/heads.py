@@ -43,7 +43,7 @@ import numpy as np
 
 from .data import _checked_labels
 from .errors import ConfigError, DegenerateInputError, DomainError, LabelError, ShapeError, StateError
-from .ndcore import Tensor, _accumulate, _as_int, _float64, _record
+from .ndcore import Tensor, _accumulate, _as_bool, _as_int, _as_real, _float64, _record
 
 __all__ = [
     "FAMILIES",
@@ -84,6 +84,9 @@ class MarginConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "queue_capacity", _as_int("queue_capacity", self.queue_capacity))
+        for name in ("m", "s"):
+            object.__setattr__(self, name, _as_real(name, getattr(self, name)))
+        object.__setattr__(self, "use_monotone_psi", _as_bool("use_monotone_psi", self.use_monotone_psi))
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if not 0.0 < self.s < np.inf:

@@ -86,6 +86,20 @@ def _as_int(name: str, value) -> int:
     return int(value)
 
 
+def _as_real(name: str, value):
+    """``value`` if it is a real number but not a bool, a numpy scalar as its Python value; else a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _as_bool(name: str, value) -> bool:
+    """``value`` as a bool if it is one, Python or numpy; else a ConfigError."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def _as_array(data) -> np.ndarray:
     arr = _float64(data, DomainError, "tensor data")
     if arr.ndim > 0 and not arr.flags["C_CONTIGUOUS"]:

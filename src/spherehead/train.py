@@ -5,7 +5,10 @@ its output features, and a classification head consumed by one of the
 loss families in :mod:`spherehead.heads`. Everything downstream of a
 seed is deterministic: dataset draw, split, parameter init, and the
 per-epoch shuffles are all keyed off explicit integers, so a run can be
-reproduced exactly from its config echo and seed alone.
+reproduced exactly from its config echo and seed alone. The data side,
+:class:`~spherehead.data.DataConfig` and
+:func:`~spherehead.data.build_datasets`, lives in :mod:`spherehead.data`
+and is re-exported here.
 """
 
 from __future__ import annotations
@@ -14,19 +17,17 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import results as results_store
-from .data import (Dataset, SplitSpec, _cifar_features, _read_cifar, _split_rows, gen_gaussian_blobs, gen_two_spirals,
-                   load_delimited, split)
+from .data import DataConfig, Dataset, _seed_streams, build_datasets
 from .errors import (ConfigError, DomainError, LayoutError, ParseError, ShapeError, SphereheadError, StateError,
                      TrainingDiverged)
 from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, _norms, head_forward
-from .ndcore import Tensor, _as_int, backward, mlp
+from .ndcore import Tensor, _as_bool, _as_int, _as_real, backward, mlp
 from .stereo import project_batch
 
 __all__ = [
@@ -54,15 +55,12 @@ __all__ = [
 PLATEAU_REL = 1e-4
 PLATEAU_WINDOW = 10
 
-# the params each data kind reads (build_datasets)
-_DATA_PARAMS = {
-    "two_spirals": ("n_per_class", "noise_sd"),
-    "blobs": ("classes", "n_per_class", "spread", "radius"),
-    "delimited": ("path", "delimiter", "label_column", "header"),
-    "cifar10": ("dir", "subset_per_class", "downsample_to"),
-    "cifar100": ("dir", "subset_per_class", "downsample_to"),
-}
-DATA_KINDS = tuple(_DATA_PARAMS)
+
+def _as_ints(name: str, values, item: str) -> tuple:
+    """``values``, a sequence of integers, as a tuple of ints; else a ConfigError naming ``name`` or ``item``."""
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+        raise ConfigError(f"{name} must be a sequence of integers, got {values!r}")
+    return tuple(_as_int(item, v) for v in values)
 
 
 def default_learning_rate(family: str) -> float:
@@ -87,11 +85,9 @@ class ModelConfig:
     projection_enabled: bool = True
 
     def __post_init__(self):
-        layers = self.encoder_layers
-        if isinstance(layers, (str, bytes)) or not hasattr(layers, "__iter__"):
-            raise ConfigError(f"encoder_layers must be a sequence of integers, got {layers!r}")
-        object.__setattr__(self, "encoder_layers", tuple(_as_int("encoder width", w) for w in layers))
+        object.__setattr__(self, "encoder_layers", _as_ints("encoder_layers", self.encoder_layers, "encoder width"))
         object.__setattr__(self, "feature_dim", _as_int("feature_dim", self.feature_dim))
+        object.__setattr__(self, "projection_enabled", _as_bool("projection_enabled", self.projection_enabled))
         if self.feature_dim < 1:
             raise ConfigError(f"feature_dim must be at least 1, got {self.feature_dim}")
         for w in self.encoder_layers:
@@ -122,6 +118,8 @@ class OptimConfig:
     def __post_init__(self):
         for name in ("epochs", "batch_size", "seed"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        for name in ("learning_rate", "momentum"):
+            object.__setattr__(self, name, _as_real(name, getattr(self, name)))
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0.0:
             raise ConfigError(f"learning rate must be finite and non-negative, got {self.learning_rate!r}")
         if not 0.0 <= self.momentum < 1.0:
@@ -135,38 +133,6 @@ class OptimConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    """Which dataset to build and how to carve out the test side.
-
-    ``params`` may hold only the keys its kind reads; another key, a
-    misspelt one say, is a ConfigError rather than silently ignored.
-    """
-
-    kind: str
-    params: dict = field(default_factory=dict)
-    train_fraction: float = 0.7
-
-    def __post_init__(self):
-        if self.kind not in DATA_KINDS:
-            raise ConfigError(f"kind must be one of {DATA_KINDS}, got {self.kind!r}")
-        if not isinstance(self.params, dict):
-            raise ConfigError(f"params must be a dict, got {self.params!r}")
-        reads = _DATA_PARAMS[self.kind]
-        for key in self.params:
-            if key not in reads:
-                raise ConfigError(f"unknown {self.kind} param {key!r}; it reads {', '.join(reads)}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError(f"train fraction must be in (0, 1), got {self.train_fraction!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": dict(sorted(self.params.items())),
-            "train_fraction": self.train_fraction,
-        }
 
 
 def _from_echo(cls, echo, where: str, **nested):
@@ -187,9 +153,9 @@ def configs_from_echo(echo: dict) -> tuple[ModelConfig, DataConfig, OptimConfig]
 
     The ``opt.seed`` returned is the echo's base seed; :func:`seeded_run`
     sets each run's own. A missing or unknown key is a ParseError, as is a
-    value a config cannot compare (a string margin, say). An integer field,
-    ``encoder_layers`` or ``params`` of the wrong type, or a value out of
-    range, is a ConfigError.
+    ``kind`` a config cannot look up (a list, say). A field or data param
+    of the wrong type (a string margin, say), an unknown or missing data
+    param, or a value out of range, is a ConfigError.
     """
     if not isinstance(echo, dict) or echo.keys() != {"model", "data", "optim"}:
         raise ParseError("config echo must have exactly the keys ['data', 'model', 'optim']")
@@ -239,7 +205,7 @@ def init_seed(seed: int) -> int:
 
     The first two streams draw and split the data (:func:`build_datasets`).
     """
-    return int(np.random.SeedSequence(seed).generate_state(3)[2])
+    return _seed_streams(seed)[2]
 
 
 def build_model(config: ModelConfig, input_dim: int, class_count: int, seed: int) -> Model:
@@ -425,73 +391,6 @@ def evaluate(model: Model, ds: Dataset) -> float:
     return hits / len(ds)
 
 
-def _int_param(p: dict, key: str, default):
-    """Data param ``key`` (``default`` if absent) as an int, or None; else a ConfigError naming it."""
-    value = p.get(key, default)
-    return value if value is None else _as_int(f"data param {key!r}", value)
-
-
-def _real_param(p: dict, key: str, default: float) -> float:
-    """Data param ``key`` (``default`` if absent) as a float from a real number, not a bool; else a ConfigError."""
-    value = p.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"data param {key!r} must be a real number, got {value!r}")
-    return float(value)
-
-
-def _bool_param(p: dict, key: str, default: bool) -> bool:
-    """Data param ``key`` (``default`` if absent), which must be a bool; else a ConfigError naming it."""
-    value = p.get(key, default)
-    if not isinstance(value, (bool, np.bool_)):
-        raise ConfigError(f"data param {key!r} must be a bool, got {value!r}")
-    return bool(value)
-
-
-def build_datasets(cfg: DataConfig, seed: int) -> tuple[Dataset, Dataset]:
-    """Materialize the configured dataset and its train/test partition.
-
-    The generation draw and the split shuffle use independent streams
-    spawned from the one seed, so neither leaks randomness into the
-    other. CIFAR is split as bytes and each side becomes floats once, so
-    the build holds about one float copy of the data; the sides have the
-    bits of ``split(load_cifar_binary(...))``.
-    """
-    gen_seed, split_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
-    spec = SplitSpec(cfg.train_fraction, split_seed)
-    p = cfg.params
-    if cfg.kind == "two_spirals":
-        ds = gen_two_spirals(_int_param(p, "n_per_class", 500), _real_param(p, "noise_sd", 0.1), gen_seed)
-    elif cfg.kind == "blobs":
-        ds = gen_gaussian_blobs(
-            _int_param(p, "classes", 4),
-            _int_param(p, "n_per_class", 250),
-            _real_param(p, "spread", 1.0),
-            _real_param(p, "radius", 4.0),
-            gen_seed,
-        )
-    elif cfg.kind == "delimited":
-        if "path" not in p:
-            raise ConfigError("delimited data needs a 'path' parameter")
-        ds = load_delimited(
-            p["path"],
-            delimiter=p.get("delimiter", ","),
-            label_column=_int_param(p, "label_column", 0),
-            header=_bool_param(p, "header", False),
-        )
-    elif cfg.kind in ("cifar10", "cifar100"):
-        if "dir" not in p:
-            raise ConfigError(f"{cfg.kind} data needs a 'dir' parameter")
-        subset, down = _int_param(p, "subset_per_class", None), _int_param(p, "downsample_to", None)
-        pixels, labels, class_count = _read_cifar(p["dir"], cfg.kind, subset, down, gen_seed)
-        sides = [(pixels[rows], labels[rows]) for rows in _split_rows(len(labels), spec)]
-        del pixels  # free the records before any float array exists; alive, they raised fit's later RSS peaks
-        return tuple(Dataset(_cifar_features(side, down), side_labels, class_count, cfg.kind)
-                     for side, side_labels in sides)
-    else:
-        raise ConfigError(f"unknown dataset kind {cfg.kind!r}")
-    return split(ds, spec)
-
-
 def seeded_run(model_cfg: ModelConfig, data_cfg: DataConfig, opt: OptimConfig,
                seed: int) -> tuple[Model, OptimConfig, Dataset, Dataset]:
     """Everything a run seed pins: (untrained model, its OptimConfig, train set, test set).
@@ -562,8 +461,8 @@ class RunReport:
 
 
 def _checked_seeds(seeds) -> tuple:
-    """``seeds`` as a tuple of ints, else a ConfigError: none, a non-integer, a duplicate or a negative one."""
-    seeds = tuple(_as_int("seed", s) for s in seeds)
+    """``seeds`` as a tuple of ints; a non-sequence, none, a non-integer, a duplicate or a negative is a ConfigError."""
+    seeds = _as_ints("seeds", seeds, "seed")
     if not seeds:
         raise ConfigError("need at least one seed")
     if len(set(seeds)) != len(seeds):

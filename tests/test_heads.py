@@ -146,6 +146,23 @@ class TestMarginConfig:
         with pytest.raises(ConfigError, match="queue_capacity must be an integer"):
             MarginConfig.for_family("broadface", queue_capacity=1.5)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("m", "0.35", "m must be a real number"),
+        ("m", None, "m must be a real number"),
+        ("s", True, "s must be a real number"),
+        ("use_monotone_psi", "no", "use_monotone_psi must be a bool"),
+        ("use_monotone_psi", 0, "use_monotone_psi must be a bool"),
+    ])
+    def test_field_types_checked_at_construction(self, field, value, message):
+        """A string psi flag once selected the monotone psi; a string margin was a bare TypeError."""
+        with pytest.raises(ConfigError, match=message):
+            MarginConfig(**dict({"family": "sphereface", "m": 2.0}, **{field: value}))
+
+    def test_numpy_scalars_stored_as_python_values(self):
+        cfg = MarginConfig("sphereface", m=np.int64(3), s=np.float32(8.0), use_monotone_psi=np.False_)
+        assert [type(v) for v in (cfg.m, cfg.s, cfg.use_monotone_psi)] == [int, float, bool]
+        assert cfg == MarginConfig("sphereface", m=3, s=8.0, use_monotone_psi=False)
+
     def test_for_family_defaults(self):
         assert MarginConfig.for_family("sphereface").m == 2.0
         assert MarginConfig.for_family("cosface").m == 0.35

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from spherehead import train
+from spherehead import data, train
 from spherehead.data import Dataset, gen_gaussian_blobs
-from spherehead.errors import ConfigError, DegenerateInputError, DomainError, LayoutError, StateError, TrainingDiverged
+from spherehead.errors import (ConfigError, DegenerateInputError, DomainError, LayoutError, ParseError, StateError,
+                               TrainingDiverged)
 from spherehead.heads import FAMILIES, MarginConfig
 from spherehead.ndcore import Tensor
 from spherehead.results import load_run
@@ -76,6 +77,16 @@ class TestModelConfig:
         assert type(cfg.feature_dim) is int and all(type(w) is int for w in cfg.encoder_layers)
         assert cfg == ModelConfig(feature_dim=4, margin=margin_for("cce"), encoder_layers=(8, 4))
 
+    @pytest.mark.parametrize("flag", ["off", 0, 1, None])
+    def test_projection_flag_must_be_a_bool(self, flag):
+        """A truthy string once turned the lift on while the echo kept the string."""
+        with pytest.raises(ConfigError, match="projection_enabled must be a bool"):
+            ModelConfig(feature_dim=4, margin=margin_for("cce"), projection_enabled=flag)
+
+    def test_numpy_bool_stored_as_bool(self):
+        cfg = ModelConfig(feature_dim=4, margin=margin_for("cce"), projection_enabled=np.False_)
+        assert cfg.projection_enabled is False
+
     def test_to_dict_echoes_margin(self):
         cfg = ModelConfig(feature_dim=4, margin=margin_for("cosface", m=0.2, s=10.0))
         d = cfg.to_dict()
@@ -120,6 +131,18 @@ class TestOptimConfig:
         opt = OptimConfig(learning_rate=1e-3, epochs=np.int32(3), batch_size=np.int64(16), seed=np.uint8(7))
         assert [type(v) for v in (opt.epochs, opt.batch_size, opt.seed)] == [int, int, int]
 
+    @pytest.mark.parametrize("fields", [{"learning_rate": True}, {"learning_rate": "1e-3"}, {"momentum": "0.9"},
+                                        {"momentum": None}])
+    def test_real_fields_checked_at_construction(self, fields):
+        with pytest.raises(ConfigError, match="must be a real number"):
+            OptimConfig(**dict({"learning_rate": 1e-3, "epochs": 1}, **fields))
+
+    def test_numpy_reals_stored_as_python_values(self):
+        opt = OptimConfig(learning_rate=np.float64(1e-3), epochs=1, momentum=np.float32(0.5))
+        assert (type(opt.learning_rate), type(opt.momentum)) == (float, float)
+        assert opt == OptimConfig(learning_rate=1e-3, epochs=1, momentum=0.5)
+        assert type(OptimConfig(learning_rate=1, epochs=1).learning_rate) is int  # a Python value is kept as given
+
 
 class TestDataConfig:
     def test_known_kinds_accepted(self):
@@ -160,6 +183,44 @@ class TestDataConfig:
             DataConfig("blobs", train_fraction=0.0)
         with pytest.raises(ConfigError):
             DataConfig("blobs", train_fraction=1.0)
+
+    @pytest.mark.parametrize("fraction", ["0.7", True, None])
+    def test_fraction_must_be_a_real_number(self, fraction):
+        with pytest.raises(ConfigError, match="train fraction must be a real number"):
+            DataConfig("blobs", train_fraction=fraction)
+
+    @pytest.mark.parametrize("kind, params, key", [
+        ("delimited", {}, "path"),
+        ("delimited", {"delimiter": ";"}, "path"),
+        ("cifar10", {}, "dir"),
+        ("cifar100", {"subset_per_class": 2}, "dir"),
+    ])
+    def test_missing_path_or_dir_rejected_at_construction(self, kind, params, key):
+        with pytest.raises(ConfigError, match=f"{kind} data needs a '{key}' parameter"):
+            DataConfig(kind, params)
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("two_spirals", "noise_sd", "0.1"),
+        ("blobs", "classes", 3.0),
+        ("delimited", "path", 0),
+        ("cifar100", "downsample_to", "8"),
+    ])
+    def test_mistyped_param_rejected_at_construction(self, kind, key, value):
+        where = {"delimited": {"path": "rows.csv"}, "cifar100": {"dir": "cifar"}}.get(kind, {})
+        with pytest.raises(ConfigError, match=f"data param '{key}'"):
+            DataConfig(kind, {**where, key: value})
+
+    def test_checked_params_stored_as_python_values(self):
+        given = {"classes": np.int64(3), "n_per_class": 10, "spread": 1, "radius": np.float32(4.5)}
+        cfg = DataConfig("blobs", given, train_fraction=np.float64(0.5))
+        assert cfg.params == {"classes": 3, "n_per_class": 10, "spread": 1, "radius": 4.5}
+        assert [type(v) for v in cfg.params.values()] == [int, int, int, float]
+        assert type(cfg.train_fraction) is float
+        given["classes"] = 99
+        assert cfg.params["classes"] == 3  # the config keeps its own copy
+
+    def test_train_re_exports_the_data_names(self):
+        assert train.DataConfig is data.DataConfig and train.build_datasets is data.build_datasets
 
 
 class TestDefaultLearningRate:
@@ -580,6 +641,9 @@ class TestBuildDatasets:
         ("delimited", "header", 0),
         ("cifar10", "subset_per_class", 2.5),
         ("cifar10", "downsample_to", "16"),
+        ("delimited", "path", 0),
+        ("delimited", "delimiter", 1),
+        ("cifar10", "dir", 3),
     ])
     def test_mistyped_params_rejected_not_coerced(self, kind, key, value, tmp_path):
         path = tmp_path / "toy.csv"
@@ -664,7 +728,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("seeds, message", [((), "at least one"), ((1, 1), "duplicate"), ((2, -1), "non-negative"),
                                                 ("12", "integer"), ([1.5, 2.7], "integer"), ([True], "integer"),
-                                                ([1, "2"], "integer")])
+                                                ([1, "2"], "integer"), (5, "sequence"), (None, "sequence")])
     def test_bad_seeds_rejected_before_any_run(self, seeds, message, tmp_path):
         mc = ModelConfig(feature_dim=4, margin=margin_for("cce"), encoder_layers=(8,))
         with pytest.raises(ConfigError, match=message):
@@ -690,6 +754,32 @@ class TestRunExperiment:
         opt = OptimConfig(learning_rate=3e-3, epochs=2, momentum=0.5, batch_size=16, seed=9)
         echo = {"model": mc.to_dict(), "data": dc.to_dict(), "optim": opt.to_dict()}
         assert train.configs_from_echo(echo) == (mc, dc, opt)
+
+    def test_numpy_typed_configs_record_as_python_typed(self, tmp_path):
+        """A numpy scalar in any config field once trained a seed and then failed to save its record."""
+        def configs(real, flag, count):
+            margin = MarginConfig("cosface", m=real(0.25), s=real(8.0), use_monotone_psi=flag(True))
+            mc = ModelConfig(feature_dim=4, margin=margin, encoder_layers=(8,), projection_enabled=flag(True))
+            dc = DataConfig("blobs", {"classes": count(3), "n_per_class": 20, "radius": real(4.0)},
+                            train_fraction=real(0.75))
+            return mc, dc, OptimConfig(learning_rate=real(0.0625), epochs=2, momentum=real(0.5), batch_size=16)
+
+        python = run_experiment(*configs(float, bool, int), [1, 2], results_dir=str(tmp_path / "python"))
+        numpy = run_experiment(*configs(np.float32, np.bool_, np.int64), [1, 2], results_dir=str(tmp_path / "numpy"))
+        assert numpy.failed_seeds == () and numpy.record_digests == python.record_digests
+        assert numpy.fingerprint() == python.fingerprint()
+
+    def test_configs_from_echo_type_errors(self):
+        mc = ModelConfig(feature_dim=4, margin=margin_for("cosface"), encoder_layers=(8,))
+        echo = {"model": mc.to_dict(), "data": DataConfig("blobs").to_dict(),
+                "optim": OptimConfig(learning_rate=1e-3, epochs=1).to_dict()}
+        echo["model"]["margin"]["m"] = "0.35"
+        with pytest.raises(ConfigError, match="m must be a real number"):
+            train.configs_from_echo(echo)
+        echo["model"] = mc.to_dict()
+        echo["data"]["kind"] = []
+        with pytest.raises(ParseError, match="config echo data"):
+            train.configs_from_echo(echo)
 
     def test_seeded_run_derives_data_init_and_shuffles_from_the_seed(self):
         mc = ModelConfig(feature_dim=4, margin=margin_for("cosface"), encoder_layers=(8,))
