@@ -8,8 +8,9 @@ is the one delimited-text parser, shared by :func:`load_delimited` and
 loaders are deterministic functions of their arguments, seeds included.
 
 A :class:`DataConfig` is checked against one table of each kind's params
-(check and default) when it is made; :func:`build_datasets` turns it and
-a run seed into a train and a test set.
+(check and default) and one map of their ranges, which the generators
+and the CIFAR reader share, when it is made; :func:`build_datasets`
+turns it and a run seed into a train and a test set.
 """
 
 from __future__ import annotations
@@ -67,6 +68,25 @@ def _checked_labels(labels, class_count: int | None) -> np.ndarray:
     if labels.size and (labels.min() < 0 or labels.max() >= high):
         raise LabelError(f"labels must lie in [0, {high}), got range [{labels.min()}, {labels.max()}]")
     return labels
+
+
+# the range of each bounded data param, checked by DataConfig and by the
+# generators and the CIFAR reader: name -> (test a value must pass, what the error says it must do)
+_BOUNDS = {
+    "n_per_class": (lambda n: n >= 1, "be at least 1"),
+    "subset_per_class": (lambda n: n >= 1, "be at least 1"),
+    "classes": (lambda c: c >= 2, "be at least 2"),
+    "noise_sd": (lambda x: x >= 0.0, "be non-negative"),
+    "spread": (lambda x: x >= 0.0, "be non-negative"),
+    "downsample_to": (lambda k: k >= 1 and _CIFAR_SIDE % k == 0, f"divide {_CIFAR_SIDE}"),
+}
+
+
+def _check_bound(name: str, value) -> None:
+    """A ConfigError unless ``value`` is in the range ``_BOUNDS`` gives ``name``."""
+    test, must = _BOUNDS[name]
+    if not test(value):
+        raise ConfigError(f"{name} must {must}, got {value}")
 
 
 class Dataset:
@@ -136,10 +156,8 @@ def gen_two_spirals(n_per_class: int, noise_sd: float, seed: int) -> Dataset:
     zero noise the exact negation symmetry cancels and the centering is
     an exact no-op.
     """
-    if n_per_class < 1:
-        raise ConfigError(f"n_per_class must be at least 1, got {n_per_class}")
-    if noise_sd < 0.0:
-        raise ConfigError(f"noise_sd must be non-negative, got {noise_sd}")
+    _check_bound("n_per_class", n_per_class)
+    _check_bound("noise_sd", noise_sd)
     rng = np.random.default_rng(seed)
     t = rng.uniform(np.pi / 2.0, 4.0 * np.pi, size=n_per_class)
     base = t[:, None] * np.stack([np.cos(t), np.sin(t)], axis=1)
@@ -159,12 +177,9 @@ def gen_gaussian_blobs(C: int, n_per_class: int, spread: float, radius: float, s
     Mean of class c sits at radius * (cos(2 pi c / C), sin(2 pi c / C));
     features are centered on their empirical mean afterwards.
     """
-    if C < 2:
-        raise ConfigError(f"need at least 2 classes, got {C}")
-    if n_per_class < 1:
-        raise ConfigError(f"n_per_class must be at least 1, got {n_per_class}")
-    if spread < 0.0:
-        raise ConfigError(f"spread must be non-negative, got {spread}")
+    _check_bound("classes", C)
+    _check_bound("n_per_class", n_per_class)
+    _check_bound("spread", spread)
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(C) / C
     means = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -314,12 +329,11 @@ def _read_cifar(dir: str, which: str, subset_per_class: int | None, downsample_t
     labels = (records[:, 0] if which == "cifar10" else records[:, 1]).astype(np.int64)
     if labels.max() >= class_count:
         raise FormatError(f"label byte {labels.max()} out of range for {which}")
-    if downsample_to is not None and (downsample_to < 1 or _CIFAR_SIDE % downsample_to != 0):
-        raise ConfigError(f"downsample_to must divide {_CIFAR_SIDE}, got {downsample_to}")
+    if downsample_to is not None:
+        _check_bound("downsample_to", downsample_to)
     pixels = records[:, -_CIFAR_PIXELS:]
     if subset_per_class is not None:
-        if subset_per_class < 1:
-            raise ConfigError(f"subset_per_class must be at least 1, got {subset_per_class}")
+        _check_bound("subset_per_class", subset_per_class)
         rng = np.random.default_rng(subset_seed)
         keep = []
         for c in range(class_count):
@@ -415,9 +429,10 @@ class DataConfig:
     """Which dataset to build and how to carve out the test side.
 
     ``params`` may hold only the keys its kind reads, each of the type
-    the kind's table checks; another key (a misspelt one, say), a wrong
-    type or a missing ``path`` or ``dir`` is a ConfigError here. The
-    checked values are stored, a numpy scalar as its Python value.
+    the kind's table checks and in the range ``_BOUNDS`` gives it;
+    another key (a misspelt one, say), a wrong type, a value out of range
+    or a missing ``path`` or ``dir`` is a ConfigError here. The checked
+    values are stored, a numpy scalar as its Python value.
     """
 
     kind: str
@@ -436,7 +451,9 @@ class DataConfig:
         checked = {}
         for key, (check, default) in table.items():
             if key in self.params:
-                checked[key] = check(f"data param {key!r}", self.params[key])
+                value = checked[key] = check(f"data param {key!r}", self.params[key])
+                if value is not None and key in _BOUNDS:
+                    _check_bound(key, value)
             elif default is _REQUIRED:
                 raise ConfigError(f"{self.kind} data needs a {key!r} parameter")
         object.__setattr__(self, "params", checked)

@@ -10,7 +10,8 @@ Deliberate restrictions, chosen to remove whole classes of silent bugs:
 
 * float64 only; row-major contiguous storage, never strided; a
   parameter's ``data`` and ``grad`` may be contiguous views of the one
-  flat arena that ``train.fit`` packs its parameters into;
+  flat arena that ``train.fit`` packs its parameters into, and its
+  ``_grad_slot`` the view where its first gradient of a step is written;
 * no general ops: a node hands each input a gradient of the input's own
   shape, and nothing here broadcasts;
 * a fixed subgradient convention: relu'(0) = 0 (inside :func:`mlp`).
@@ -30,6 +31,13 @@ keeps for backward. The primitive chains the nodes stand for live in the
 tests, on ``tests/oracles.py``'s reference ops, which record through
 :func:`_record` and :func:`_accumulate`; they are tolerance references,
 not bit-for-bit ones.
+
+Gradient slots. A tensor whose ``grad`` is None has no gradient yet.
+Its first contribution is written as ``0.0 + g``: into a fresh array,
+or into ``_grad_slot`` when the tensor has one, so a training step
+makes no array the size of a parameter to hold a gradient it then
+copies. :func:`mlp` computes each weight gradient straight into its
+slot. Later contributions add, wherever the first one landed.
 
 Training is chaotic in the last bit: a rounding-level change to a
 node's float operations moves run records, digests and single-seed
@@ -87,9 +95,18 @@ def _as_int(name: str, value) -> int:
 
 
 def _as_real(name: str, value):
-    """``value`` if it is a real number but not a bool, a numpy scalar as its Python value; else a ConfigError."""
+    """``value`` if it is a real number that fits a float64 but not a bool, a numpy scalar as its Python value.
+
+    Anything else is a ConfigError; an int kept as given is one that
+    converts to a float64 without overflow.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        # no repr: a Python int past 4300 digits cannot be printed
+        raise ConfigError(f"{name} must fit a float64, got a number too large for one") from None
     return value.item() if isinstance(value, np.generic) else value
 
 
@@ -114,12 +131,13 @@ class Tensor:
     Complex, string and object data is a :class:`DomainError`.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "inputs", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_grad_slot", "op", "inputs", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self._grad_slot: np.ndarray | None = None
         self.op = "leaf"
         self.inputs: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -230,14 +248,31 @@ def _record(
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add ``g``, of ``t``'s shape, into ``t.grad``; callers skip inputs that need no gradient.
 
-    The first contribution is stored as a C-ordered ``g + 0.0``, which is
-    bitwise equal to adding it to zeros, the sign of zero included.
+    The first contribution is stored as ``g + 0.0``, which is bitwise
+    equal to adding it to zeros, the sign of zero included: written into
+    ``t._grad_slot`` when ``t`` has one, else into a new C-ordered array.
     """
-    if t.grad is None:
+    if t.grad is not None:
+        t.grad += g
+    elif t._grad_slot is not None:
+        t.grad = t._grad_slot
+        np.add(g, 0.0, out=t.grad)
+    else:
         # asarray: a 0-d sum comes back from numpy as a scalar
         t.grad = np.asarray(np.add(g, 0.0, order="C"))
+
+
+def _accumulate_matmul(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
+    """``_accumulate(t, a @ b)``, with a first contribution computed straight into ``t._grad_slot``.
+
+    ``matmul(out=)`` has the bytes of ``a @ b``, and the ``+= 0.0`` that
+    follows gives the bits of ``0.0 + a @ b``, -0.0 included.
+    """
+    if t.grad is None and t._grad_slot is not None:
+        t.grad = np.matmul(a, b, out=t._grad_slot)
+        t.grad += 0.0
     else:
-        t.grad += g
+        _accumulate(t, a @ b)
 
 
 def _check_2d(op: str, t: Tensor) -> None:
@@ -251,7 +286,8 @@ def mlp(x: Tensor, layers) -> Tensor:
     ``layers`` is a sequence of (W [n, k], b [1, k]) pairs. Walking the
     layers backwards, a hidden layer's gradient is first masked by its
     ReLU (``z * (z > 0)``); then the bias gets the column sums of the
-    gradient, the layer's input ``g @ W.T`` and W ``h_in.T @ g``. Only
+    gradient, the layer's input ``g @ W.T`` and W ``h_in.T @ g``, which
+    a first contribution computes straight into W's gradient slot. Only
     the masks and each layer's input are kept.
 
     Each layer's bias add and ReLU mask write in place into the fresh
@@ -294,7 +330,7 @@ def mlp(x: Tensor, layers) -> Tensor:
             elif x.requires_grad:
                 _accumulate(x, g @ W.data.T)
             if W.requires_grad:
-                _accumulate(W, inputs[i].T @ g)
+                _accumulate_matmul(W, inputs[i].T, g)
             g = g_in
 
     return _record("mlp", (x,) + tuple(p for layer in layers for p in layer), h, backward_fn)

@@ -27,7 +27,7 @@ from .data import DataConfig, Dataset, _seed_streams, build_datasets
 from .errors import (ConfigError, DomainError, LayoutError, ParseError, ShapeError, SphereheadError, StateError,
                      TrainingDiverged)
 from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, _norms, head_forward
-from .ndcore import Tensor, _as_bool, _as_int, _as_real, backward, mlp
+from .ndcore import Tensor, _as_bool, _as_int, _as_real, _float64, backward, mlp
 from .stereo import project_batch
 
 __all__ = [
@@ -227,12 +227,29 @@ def build_model(config: ModelConfig, input_dim: int, class_count: int, seed: int
     return Model(config, layers, head, class_count)
 
 
+# elements per block of sgd_step: a 256 KiB scratch, and a block of each
+# operand stays in cache across the update's three passes
+_UPDATE_BLOCK = 32768
+
+
+def _heavy_ball(p: np.ndarray, g: np.ndarray, v: np.ndarray, opt: OptimConfig, scratch: np.ndarray | None) -> None:
+    """v <- mu v + g, p <- p - lr v, in place; ``lr v`` is written into ``scratch`` (a new array when None)."""
+    v *= opt.momentum
+    v += g
+    p -= np.multiply(v, opt.learning_rate, out=scratch)
+
+
 def sgd_step(params: list, grads: list, velocities: list | None, opt: OptimConfig) -> list:
     """One heavy-ball update in place: v <- mu v + g, p <- p - lr v.
 
     Elementwise, so any grouping of parameters gives the same bits:
     :func:`fit` passes its whole arena as one parameter and one gradient.
-    Returns the updated velocity buffers (created on first call).
+    A parameter of more than ``_UPDATE_BLOCK`` elements is updated one
+    block at a time through one block-sized scratch for ``lr v``, so the
+    update allocates nothing the size of the arena; the bits are the
+    unblocked formula's. A gradient that is not real numbers is a
+    StateError. Returns the updated velocity buffers (created on first
+    call).
     """
     if len(params) != len(grads):
         raise StateError(f"{len(params)} parameters but {len(grads)} gradients")
@@ -241,14 +258,21 @@ def sgd_step(params: list, grads: list, velocities: list | None, opt: OptimConfi
     if len(velocities) != len(params):
         raise StateError(f"{len(params)} parameters but {len(velocities)} velocity buffers")
     for p, g, v in zip(params, grads, velocities):
-        g = np.asarray(g, dtype=np.float64)
+        g = _float64(g, StateError, "gradient")
         if g.shape != p.data.shape or v.shape != p.data.shape:
             raise StateError(
                 f"shape mismatch in update: param {p.data.shape}, grad {g.shape}, velocity {v.shape}"
             )
-        v *= opt.momentum
-        v += g
-        p.data -= opt.learning_rate * v
+        if v.size <= _UPDATE_BLOCK or not (p.data.flags.c_contiguous and v.flags.c_contiguous):
+            # one block; reshape(-1) would copy what is not contiguous, and the update would be lost
+            _heavy_ball(p.data, g, v, opt, None)
+            continue
+        p_flat, g_flat, v_flat = p.data.reshape(-1), g.reshape(-1), v.reshape(-1)
+        scratch = np.empty(_UPDATE_BLOCK)
+        for start in range(0, v.size, _UPDATE_BLOCK):
+            block = slice(start, start + _UPDATE_BLOCK)
+            v_block = v_flat[block]
+            _heavy_ball(p_flat[block], g_flat[block], v_block, opt, scratch[:v_block.size])
     return velocities
 
 
@@ -274,18 +298,21 @@ def _dataset_loss(model: Model, ds: Dataset, batch_size: int) -> float:
 
 
 def _pack_parameters(params: list) -> tuple[np.ndarray, np.ndarray]:
-    """Copy ``params`` into one flat arena; returns its values and a zeroed gradient.
+    """Copy ``params`` into one flat arena; returns its values and its gradient.
 
-    Each parameter keeps its Tensor, but its ``data`` and ``grad`` become
-    C-contiguous views of its slice of the two arrays.
+    Each parameter keeps its Tensor, but its ``data`` and ``_grad_slot``
+    become C-contiguous views of its slice of the two arrays, and its
+    ``grad`` is unset. The gradient arena starts uninitialized: a step
+    writes every slot before the update reads it.
     """
     theta = np.concatenate([p.data.reshape(-1) for p in params])
-    grad = np.zeros_like(theta)
+    grad = np.empty_like(theta)
     start = 0
     for p in params:
         stop = start + p.size
         p.data = theta[start:stop].reshape(p.shape)
-        p.grad = grad[start:stop].reshape(p.shape)
+        p._grad_slot = grad[start:stop].reshape(p.shape)
+        p.grad = None
         start = stop
     return theta, grad
 
@@ -307,14 +334,18 @@ def fit(model: Model, train_ds: Dataset, opt: OptimConfig) -> tuple[Model, dict]
     goes non-finite.
 
     The parameters are first packed into one flat arena, so a step
-    clears every gradient with one fill and updates every parameter
-    with one :func:`sgd_step`; ``backward`` adds into the views, and
-    ``0.0 + g`` has the bits of the ``g + 0.0`` it stores on a fresh
-    gradient. The model keeps its Tensor objects, now views of the arena.
+    updates every parameter with one :func:`sgd_step`. Each step unsets
+    the gradients, and ``backward`` writes each parameter's first
+    contribution straight into its slot of the gradient arena, with the
+    bits of adding it to zeros; a slot no contribution reached is
+    zero-filled before the update. The step drops its loss, and with it
+    the tape, before the update. The model keeps its Tensor objects, now
+    views of the arena.
     """
     _check_dataset(model, train_ds, "fit")
     cfg = model.config.margin
-    theta, grad = _pack_parameters(model.parameters())
+    params = model.parameters()
+    theta, grad = _pack_parameters(params)
     flat_params, flat_grads = [Tensor(theta)], [grad]
     velocities: list | None = None
     queue = EmbeddingQueue(cfg.queue_capacity) if cfg.family == "broadface" else None
@@ -345,8 +376,14 @@ def fit(model: Model, train_ds: Dataset, opt: OptimConfig) -> tuple[Model, dict]
             trajectory.append(value)
             if not math.isfinite(value):
                 raise TrainingDiverged(epoch, batch_index, trajectory)
-            grad.fill(0.0)
+            for p in params:
+                p.grad = None
             backward(loss)
+            del loss  # frees the tape, the batch gather included, before the update
+            for p in params:
+                if p.grad is None:  # no contribution reached it
+                    p._grad_slot.fill(0.0)
+                    p.grad = p._grad_slot
             velocities = sgd_step(flat_params, flat_grads, velocities, opt)
             epoch_total += value * idx.shape[0]
         epoch_loss = epoch_total / n

@@ -1,4 +1,6 @@
-"""Shared test utilities: central-difference gradients and error metrics."""
+"""Shared test utilities: central-difference gradients, error metrics and traced memory."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -52,3 +54,18 @@ def check_gradients(fn, arrays, tol=1e-5, h=1e-6):
         worst = max(worst, err)
         assert err <= tol, f"gradient mismatch {err:.3e} > {tol:.1e}\nanalytic={analytic}\nnumeric={num}"
     return worst
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the peak bytes that tracemalloc traced while it ran.
+
+    Only allocations made during the call count, numpy data buffers
+    included; memory that existed before it is not part of the peak.
+    """
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

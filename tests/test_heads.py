@@ -158,6 +158,13 @@ class TestMarginConfig:
         with pytest.raises(ConfigError, match=message):
             MarginConfig(**dict({"family": "sphereface", "m": 2.0}, **{field: value}))
 
+    @pytest.mark.parametrize("field", ["m", "s"])
+    @pytest.mark.parametrize("value", [10**400, -10**400, 10**5000], ids=["1e400", "-1e400", "1e5000"])
+    def test_integer_too_large_for_a_float_rejected(self, field, value):
+        """m was a bare TypeError; s constructed, then head_forward raised a bare OverflowError."""
+        with pytest.raises(ConfigError, match=f"{field} must fit a float64"):
+            MarginConfig(**{"family": "cosface", field: value})
+
     def test_numpy_scalars_stored_as_python_values(self):
         cfg = MarginConfig("sphereface", m=np.int64(3), s=np.float32(8.0), use_monotone_psi=np.False_)
         assert [type(v) for v in (cfg.m, cfg.s, cfg.use_monotone_psi)] == [int, float, bool]

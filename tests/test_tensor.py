@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from spherehead.data import Dataset
 from spherehead.errors import DomainError, ShapeError, StateError
 from spherehead.heads import EmbeddingQueue
-from spherehead.ndcore import Tensor, backward, trace
+from spherehead import ndcore
+from spherehead.ndcore import Tensor, backward, mlp, trace
 from spherehead.stereo import EuclideanPoint, SpherePoint, project, project_rows
 from .helpers import check_gradients
 from .oracles import acos, add, clamp, concat, cos, div, exp, log, matmul, mul, reduce_sum, relu, sqrt, sub, transpose
@@ -182,6 +183,66 @@ class TestGradientAccounting:
         gx2, gw2 = run()
         assert_array_equal(gx1, gx2)
         assert_array_equal(gw1, gw2)
+
+
+class TestGradientSlots:
+    """A first contribution lands in ``_grad_slot`` with the bits of adding it to zeros."""
+
+    def test_first_contribution_has_the_bits_of_zero_plus_g(self):
+        g = np.array([[-0.0, 0.0, -1.5], [5e-324, -5e-324, np.pi]])
+        arena = np.full(7, np.nan)
+        t = Tensor(np.ones((2, 3)), requires_grad=True)
+        t._grad_slot = arena[1:].reshape(2, 3)
+        ndcore._accumulate(t, g)
+        assert t.grad is t._grad_slot
+        assert t.grad.tobytes() == (0.0 + g).tobytes()
+        assert not np.signbit(t.grad[0, 0])  # -0.0 became +0.0, as 0.0 + -0.0 does
+        assert np.isnan(arena[0])  # nothing outside the slot was written
+
+    def test_matmul_into_a_slot_has_the_bytes_of_the_product(self):
+        rng = np.random.default_rng(8)
+        a, b = rng.normal(size=(96, 64)), rng.normal(size=(96, 40))
+        arena = np.empty(1 + 64 * 40)  # the slot sits one float in, as a packed parameter's can
+        slot = arena[1:].reshape(64, 40)
+        np.matmul(a.T, b, out=slot)
+        assert slot.tobytes() == (a.T @ b).tobytes()
+        w = Tensor(np.zeros((64, 40)), requires_grad=True)
+        w._grad_slot = slot
+        ndcore._accumulate_matmul(w, a.T, b)
+        assert w.grad is slot and slot.tobytes() == (0.0 + a.T @ b).tobytes()
+
+    def test_later_contributions_add_into_the_slot(self):
+        g1, g2 = np.array([1.0, -0.0, 2.0]), np.array([0.5, -0.0, -2.0])
+        slotted, plain = Tensor(np.zeros(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+        slotted._grad_slot = np.full(3, np.nan)
+        for t in (slotted, plain):
+            ndcore._accumulate(t, g1)
+            ndcore._accumulate(t, g2)
+        assert slotted.grad is slotted._grad_slot
+        assert slotted.grad.tobytes() == plain.grad.tobytes() == ((0.0 + g1) + g2).tobytes()
+
+    def test_two_backward_calls_through_mlp_accumulate_into_the_slots(self):
+        """A packed model's gradients after two backward calls have the bits of an unpacked model's."""
+        rng = np.random.default_rng(3)
+        shapes = [(5, 7), (1, 7), (7, 3), (1, 3)]
+        values = [rng.normal(size=shape) for shape in shapes]
+        xs = [Tensor(rng.normal(size=(6, 5))) for _ in range(2)]
+        runs = []
+        for packed in (False, True):
+            params = [Tensor(v.copy(), requires_grad=True) for v in values]
+            if packed:
+                arena = np.full(sum(v.size for v in values), np.nan)
+                start = 0
+                for p in params:
+                    p._grad_slot = arena[start:start + p.size].reshape(p.shape)
+                    start += p.size
+            layers = [(params[0], params[1]), (params[2], params[3])]
+            for x in xs:
+                backward(reduce_sum(mul(mlp(x, layers), mlp(x, layers))))
+            if packed:
+                assert all(p.grad is p._grad_slot for p in params)
+            runs.append([p.grad.tobytes() for p in params])
+        assert runs[0] == runs[1]
 
 
 class TestTape:

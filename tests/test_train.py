@@ -31,7 +31,10 @@ from spherehead.train import (
     sgd_step,
 )
 
+from .helpers import traced_peak
 from .oracles import reduce_sum
+
+BLOCK = train._UPDATE_BLOCK
 
 
 def margin_for(family, **kw):
@@ -137,6 +140,13 @@ class TestOptimConfig:
         with pytest.raises(ConfigError, match="must be a real number"):
             OptimConfig(**dict({"learning_rate": 1e-3, "epochs": 1}, **fields))
 
+    @pytest.mark.parametrize("field", ["learning_rate", "momentum"])
+    @pytest.mark.parametrize("value", [10**400, -10**400, 10**5000], ids=["1e400", "-1e400", "1e5000"])
+    def test_integer_too_large_for_a_float_rejected(self, field, value):
+        """It was a bare TypeError from the range checks; 10**5000 cannot even be printed."""
+        with pytest.raises(ConfigError, match=f"{field} must fit a float64"):
+            OptimConfig(**dict({"learning_rate": 1e-3, "epochs": 1}, **{field: value}))
+
     def test_numpy_reals_stored_as_python_values(self):
         opt = OptimConfig(learning_rate=np.float64(1e-3), epochs=1, momentum=np.float32(0.5))
         assert (type(opt.learning_rate), type(opt.momentum)) == (float, float)
@@ -218,6 +228,35 @@ class TestDataConfig:
         assert type(cfg.train_fraction) is float
         given["classes"] = 99
         assert cfg.params["classes"] == 3  # the config keeps its own copy
+
+    @pytest.mark.parametrize("kind, key, value, message", [
+        ("two_spirals", "n_per_class", 0, "n_per_class must be at least 1, got 0"),
+        ("two_spirals", "n_per_class", -3, "n_per_class must be at least 1, got -3"),
+        ("two_spirals", "noise_sd", -1.0, "noise_sd must be non-negative, got -1.0"),
+        ("two_spirals", "noise_sd", float("nan"), "noise_sd must be non-negative, got nan"),
+        ("blobs", "classes", 1, "classes must be at least 2, got 1"),
+        ("blobs", "n_per_class", 0, "n_per_class must be at least 1, got 0"),
+        ("blobs", "spread", -0.5, "spread must be non-negative, got -0.5"),
+        ("cifar10", "downsample_to", 7, "downsample_to must divide 32, got 7"),
+        ("cifar10", "downsample_to", 0, "downsample_to must divide 32, got 0"),
+        ("cifar100", "downsample_to", 64, "downsample_to must divide 32, got 64"),
+        ("cifar10", "subset_per_class", 0, "subset_per_class must be at least 1, got 0"),
+    ])
+    def test_param_out_of_range_rejected_at_construction(self, kind, key, value, message):
+        """The message is the one the generators and the CIFAR reader raise, once reached only in ``build_datasets``."""
+        where = {"cifar10": {"dir": "cifar"}, "cifar100": {"dir": "cifar"}}.get(kind, {})
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            DataConfig(kind, {**where, key: value})
+
+    @pytest.mark.parametrize("kind, params", [
+        ("two_spirals", {"n_per_class": 1, "noise_sd": 0.0}),
+        ("blobs", {"classes": 2, "n_per_class": 1, "spread": 0}),
+        ("cifar10", {"dir": "cifar", "subset_per_class": 1, "downsample_to": 1}),
+        ("cifar10", {"dir": "cifar", "subset_per_class": None, "downsample_to": 32}),
+        ("cifar100", {"dir": "cifar", "downsample_to": None}),
+    ])
+    def test_params_at_their_bounds_accepted(self, kind, params):
+        assert DataConfig(kind, params).params == params
 
     def test_train_re_exports_the_data_names(self):
         assert train.DataConfig is data.DataConfig and train.build_datasets is data.build_datasets
@@ -386,6 +425,60 @@ class TestSgdStep:
         with pytest.raises(StateError):
             sgd_step([p], [np.zeros((2, 2))], None, opt)
 
+    @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_blocked_update_has_the_bits_of_the_unblocked_formula(self, size):
+        rng = np.random.default_rng(size)
+        start = rng.normal(size=size)
+        p = Tensor(start.copy())
+        opt = OptimConfig(learning_rate=3e-3, epochs=1, momentum=0.9)
+        want_p, want_v, vel = start, np.zeros(size), None
+        for _ in range(3):
+            g = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size=size)
+            g[::7] = -0.0
+            vel = sgd_step([p], [g], vel, opt)
+            want_v = opt.momentum * want_v + g
+            want_p = want_p - opt.learning_rate * want_v
+        assert p.data.tobytes() == want_p.tobytes()
+        assert vel[0].tobytes() == want_v.tobytes()
+
+    def test_update_allocates_one_block_not_the_parameter(self):
+        """A float64 gradient is read in place, and ``lr v`` goes through a one-block scratch."""
+        size = 3 * BLOCK + 5
+        p = Tensor(np.zeros(size))
+        g = np.ones(size)
+        opt = OptimConfig(learning_rate=0.5, epochs=1)
+        vel = sgd_step([p], [g], None, opt)
+        _, peak = traced_peak(lambda: sgd_step([p], [g], vel, opt))
+        assert peak < 8 * BLOCK + 64 * 1024 < 8 * size / 2
+        assert np.all(p.data == -0.5 - 0.5 * (opt.momentum * 1.0 + 1.0))
+
+    def test_non_contiguous_velocity_is_updated_in_place(self):
+        rng = np.random.default_rng(4)
+        shape = (BLOCK // 100, 201)  # more than one block
+        start, g, v0 = rng.normal(size=shape), rng.normal(size=shape), rng.normal(size=shape)
+        p, vel = Tensor(start.copy()), [np.asfortranarray(v0)]
+        opt = OptimConfig(learning_rate=3e-3, epochs=1, momentum=0.9)
+        assert sgd_step([p], [g], vel, opt) is vel
+        want_v = opt.momentum * v0 + g
+        assert_array_equal(vel[0], want_v)
+        assert_array_equal(p.data, start - opt.learning_rate * want_v)
+
+    @pytest.mark.parametrize("grad", [np.array(["1", "2", "3"]), ["1", "2", "3"], np.array([1 + 2j, 2, 3]),
+                                      np.array([1.0, 2.0, 3.0], dtype=object), [1j, 0j, 0j]],
+                             ids=["str-array", "str-list", "complex-array", "object-array", "complex-list"])
+    @pytest.mark.filterwarnings("error")
+    def test_non_real_gradient_rejected(self, grad):
+        """Strings were parsed and applied, complex input lost its imaginary part, objects were a bare TypeError."""
+        p = Tensor(np.zeros(3))
+        with pytest.raises(StateError, match="gradient must be real numbers"):
+            sgd_step([p], [grad], None, OptimConfig(learning_rate=0.1, epochs=1))
+        assert_array_equal(p.data, np.zeros(3))
+
+    def test_real_non_float_gradients_convert(self):
+        p = Tensor(np.zeros(3))
+        sgd_step([p], [[1, 2, 3]], None, OptimConfig(learning_rate=1.0, epochs=1))
+        assert_array_equal(p.data, [-1.0, -2.0, -3.0])
+
 
 def quick_fit(family, ds, epochs=3, lr=3e-3, proj=True, seed=0, **margin_kw):
     cfg = ModelConfig(feature_dim=4, margin=margin_for(family, **margin_kw),
@@ -489,6 +582,46 @@ class TestFit:
         monkeypatch.setattr(train, "sgd_step", spy)
         fit(model, ds, OptimConfig(learning_rate=3e-3, epochs=2, batch_size=32))
         assert calls == [([total], [total])] * (2 * math.ceil(len(ds) / 32))
+
+
+def test_fit_step_makes_no_temporary_the_size_of_a_weight_matrix():
+    """Above the arena and one step's tape, fit's traced peak stays under half a first-layer weight matrix.
+
+    The first layer is [2048, 256], 4 MiB, and a batch of 16 keeps the
+    tape small. A weight gradient made outside the arena and added into
+    it, or an update that builds ``lr v`` for the whole arena, is a
+    transient at least that large.
+    """
+    rng = np.random.default_rng(5)
+    n_in, width, batch = 2048, 256, 16
+    ds = Dataset(rng.normal(size=(64, n_in)), np.arange(64) % 4, 4, "wide")
+    cfg = ModelConfig(feature_dim=8, margin=margin_for("cosface"), encoder_layers=(width,))
+    model = build_model(cfg, n_in, 4, seed=0)
+    arena = 3 * 8 * sum(p.size for p in model.parameters())  # values, gradients, velocities
+    rows = np.arange(batch)
+    _, tape = traced_peak(lambda: train._batch_loss(model, ds.features.data[rows], ds.labels[rows], None))
+    _, peak = traced_peak(lambda: fit(model, ds, OptimConfig(learning_rate=3e-3, epochs=1, batch_size=batch)))
+    assert peak - arena - tape < 8 * n_in * width / 2
+
+
+def test_unreached_gradient_slot_reads_zero_in_the_update(monkeypatch):
+    """A parameter that backward leaves unset is not moved by the gradient its slot held a step before."""
+    ds = small_blobs()
+    cfg = ModelConfig(feature_dim=4, margin=margin_for("cosface"), encoder_layers=(8,))
+    model = build_model(cfg, ds.dim, ds.class_count, 0)
+    head_before = model.head.W.data.copy()
+    encoder_before = [W.data.copy() for W, _ in model.layers]
+    real_backward = train.backward
+
+    def backward_missing_the_head(loss):
+        real_backward(loss)  # writes the head's gradient into its slot
+        model.head.W.grad = None  # then leaves it as if nothing had reached it
+
+    monkeypatch.setattr(train, "backward", backward_missing_the_head)
+    fit(model, ds, OptimConfig(learning_rate=3e-2, epochs=2, batch_size=32))
+    assert_array_equal(model.head.W.data, head_before)
+    assert_array_equal(model.head.W.grad, np.zeros_like(head_before))
+    assert all(np.any(W.data != before) for (W, _), before in zip(model.layers, encoder_before))
 
 
 ARENA_CASES = [(family, proj) for family in ("cce", "sphereface", "broadface") for proj in (True, False)]
