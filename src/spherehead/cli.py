@@ -68,24 +68,13 @@ def _parse_dataset(text: str, parser: argparse.ArgumentParser) -> DataConfig:
     )
 
 
-def _parse_seeds(text: str, parser: argparse.ArgumentParser) -> tuple:
-    try:
-        seeds = [int(piece) for piece in text.split(",")]
-    except ValueError:
-        parser.error(f"--seeds wants comma-separated integers, got {text!r}")
-    try:
-        return _checked_seeds(seeds)
-    except SphereheadError as err:
-        parser.error(f"--seeds: {err}")
-
-
-def _parse_widths(text: str, parser: argparse.ArgumentParser) -> tuple:
+def _parse_ints(text: str, flag: str, what: str, parser: argparse.ArgumentParser) -> tuple:
     if text.strip() == "":
         return ()
     try:
         return tuple(int(piece) for piece in text.split(","))
     except ValueError:
-        parser.error(f"--encoder wants comma-separated widths, got {text!r}")
+        parser.error(f"{flag} wants comma-separated {what}, got {text!r}")
 
 
 def _margin_from_flags(args, parser: argparse.ArgumentParser) -> MarginConfig:
@@ -150,13 +139,16 @@ def _write_rows(fh, rows: np.ndarray, first: str = "%.17g") -> None:
 def cmd_train(args, parser: argparse.ArgumentParser) -> int:
     margin = _margin_from_flags(args, parser)
     data_cfg = _parse_dataset(args.dataset, parser)
-    seeds = _parse_seeds(args.seeds, parser)
+    try:
+        seeds = _checked_seeds(_parse_ints(args.seeds, "--seeds", "integers", parser))
+    except SphereheadError as err:
+        parser.error(f"--seeds: {err}")
     lr = args.lr if args.lr is not None else default_learning_rate(args.loss)
     try:
         model_cfg = ModelConfig(
             feature_dim=args.feature_dim,
             margin=margin,
-            encoder_layers=_parse_widths(args.encoder, parser),
+            encoder_layers=_parse_ints(args.encoder, "--encoder", "widths", parser),
             projection_enabled=(args.project == "on"),
         )
         opt = OptimConfig(learning_rate=lr, epochs=args.epochs,

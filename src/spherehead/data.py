@@ -37,12 +37,12 @@ __all__ = [
     "split",
 ]
 
-_CIFAR_FILES = {
-    "cifar10": ["data_batch_1.bin", "data_batch_2.bin", "data_batch_3.bin",
-                "data_batch_4.bin", "data_batch_5.bin", "test_batch.bin"],
-    "cifar100": ["train.bin", "test.bin"],
+# each flavour's (batch files, class count, label byte); a record is its label bytes, then the pixels
+_CIFAR = {
+    "cifar10": (["data_batch_1.bin", "data_batch_2.bin", "data_batch_3.bin",
+                 "data_batch_4.bin", "data_batch_5.bin", "test_batch.bin"], 10, 0),
+    "cifar100": (["train.bin", "test.bin"], 100, 1),
 }
-_CIFAR_CLASSES = {"cifar10": 10, "cifar100": 100}
 _CIFAR_PIXELS = 3072  # 3 planes of 32 x 32
 _CIFAR_SIDE = 32
 
@@ -306,11 +306,11 @@ def _read_cifar(dir: str, which: str, subset_per_class: int | None, downsample_t
     subset is chosen from the label bytes, so a caller converts only the
     rows it keeps. ``downsample_to`` is checked here, not applied.
     """
-    if which not in _CIFAR_FILES:
+    if which not in _CIFAR:
         raise ConfigError(f'which must be "cifar10" or "cifar100", got {which!r}')
-    class_count = _CIFAR_CLASSES[which]
-    record = 1 + _CIFAR_PIXELS if which == "cifar10" else 2 + _CIFAR_PIXELS
-    paths = [os.path.join(dir, filename) for filename in _CIFAR_FILES[which]]
+    filenames, class_count, label_byte = _CIFAR[which]
+    record = label_byte + 1 + _CIFAR_PIXELS
+    paths = [os.path.join(dir, filename) for filename in filenames]
     sizes = []
     for path in paths:
         if not os.path.exists(path):
@@ -326,7 +326,7 @@ def _read_cifar(dir: str, which: str, subset_per_class: int | None, downsample_t
             if fh.readinto(flat[start:start + size]) != size:
                 raise FormatError(f"{path}: shorter than its {size} bytes when read")
         start += size
-    labels = (records[:, 0] if which == "cifar10" else records[:, 1]).astype(np.int64)
+    labels = records[:, label_byte].astype(np.int64)
     if labels.max() >= class_count:
         raise FormatError(f"label byte {labels.max()} out of range for {which}")
     if downsample_to is not None:
@@ -473,7 +473,11 @@ def _seed_streams(seed: int) -> tuple[int, int, int]:
     """The (draw, split, init) seeds of a run seed: the three streams of its SeedSequence.
 
     Records store only the run seed, so this derivation must never drift.
+    A seed that is not a non-negative integer is a ConfigError.
     """
+    seed = _as_int("seed", seed)
+    if seed < 0:
+        raise ConfigError(f"seeds must be non-negative, got {seed}")
     return tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(3))
 
 

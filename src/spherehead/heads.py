@@ -179,11 +179,12 @@ class EmbeddingQueue:
     def push_batch(self, embeddings, labels, snapshots) -> None:
         """Copy B rows in, oldest first: embeddings [B, d], labels [B], snapshots [B, d].
 
-        As B single pushes: past capacity only the last Q rows stay.
-        Embeddings and snapshots may be any array-likes of real numbers;
-        complex, string and object ones are refused. Labels pass
-        ``data._checked_labels`` with no class bound. A bad batch raises
-        :class:`StateError` before anything is written.
+        As B single pushes: the old rows and the batch are joined and the
+        last Q kept; only the batch rows' norms are taken. Embeddings and
+        snapshots may be any array-likes of real numbers; complex, string
+        and object ones are refused. Labels pass ``data._checked_labels``
+        with no class bound. A bad batch raises :class:`StateError` before
+        anything is written.
         """
         try:
             embeddings = _float64(embeddings, StateError, "queue embeddings")
@@ -203,23 +204,21 @@ class EmbeddingQueue:
         if len(self) and embeddings.shape[1] != self._emb.shape[1]:
             raise StateError(f"embedding dim {embeddings.shape[1]} does not match queued {self._emb.shape[1]}")
         B, Q = embeddings.shape[0], self.capacity
-        if Q == 0 or B == 0:
+        if Q == 0 or B == 0:  # x[-0:] is all of x, so an empty queue keeps nothing here
             return
         if not len(self):  # the first row fixes d
             self._emb = self._snaps = np.empty((0, embeddings.shape[1]))
-        skip = max(B - Q, 0)  # rows a later row of the batch would evict
-        emb = np.ascontiguousarray(embeddings[skip:])
-        snaps = np.ascontiguousarray(snapshots[skip:])
+        emb = np.ascontiguousarray(embeddings)
+        snaps = np.ascontiguousarray(snapshots)
         # np.linalg.norm's formula for real rows, without its wrapper; norms of
         # the contiguous rows have the bits of the norms of the stacked queue,
         # and a row near 1e200 overflows to inf here, as it would there
         with np.errstate(over="ignore"):
-            batch = (emb, as_int[skip:], snaps,
+            batch = (emb, as_int, snaps,
                      np.sqrt((emb * emb).sum(axis=1)), np.sqrt((snaps * snaps).sum(axis=1)))
-        drop = max(len(self) + B - skip - Q, 0)  # the oldest rows the batch evicts
         old = (self._emb, self._labels, self._snaps, self._emb_norms, self._snap_norms)
         self._emb, self._labels, self._snaps, self._emb_norms, self._snap_norms = (
-            _read_only(np.concatenate((rows[drop:], new))) for rows, new in zip(old, batch))
+            _read_only(np.concatenate((rows, new))[-Q:]) for rows, new in zip(old, batch))
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows oldest-first, read-only: embeddings [n, d], labels [n], snapshots [n, d]."""

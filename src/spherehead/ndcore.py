@@ -254,25 +254,23 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """
     if t.grad is not None:
         t.grad += g
-    elif t._grad_slot is not None:
-        t.grad = t._grad_slot
-        np.add(g, 0.0, out=t.grad)
     else:
-        # asarray: a 0-d sum comes back from numpy as a scalar
-        t.grad = np.asarray(np.add(g, 0.0, order="C"))
+        # asarray: with no slot, a 0-d sum comes back from numpy as a scalar and an
+        # F-ordered g's sum is F-ordered; asarray's order= is cheaper than np.add's
+        t.grad = np.asarray(np.add(g, 0.0, out=t._grad_slot), order="C")
 
 
 def _accumulate_matmul(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
-    """``_accumulate(t, a @ b)``, with a first contribution computed straight into ``t._grad_slot``.
+    """``_accumulate(t, a @ b)``, with a first contribution computed straight into its slot or a new array.
 
-    ``matmul(out=)`` has the bytes of ``a @ b``, and the ``+= 0.0`` that
-    follows gives the bits of ``0.0 + a @ b``, -0.0 included.
+    Either has the bytes of ``a @ b``, and the ``+= 0.0`` that follows
+    gives the bits of ``0.0 + a @ b``, -0.0 included.
     """
-    if t.grad is None and t._grad_slot is not None:
+    if t.grad is not None:
+        t.grad += a @ b
+    else:
         t.grad = np.matmul(a, b, out=t._grad_slot)
         t.grad += 0.0
-    else:
-        _accumulate(t, a @ b)
 
 
 def _check_2d(op: str, t: Tensor) -> None:

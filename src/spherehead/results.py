@@ -29,9 +29,6 @@ __all__ = [
 
 _MAGIC = "spherehead-run v1"
 
-# scalar fields in file order; histories follow as a block
-_FLOAT_FIELDS = ("wall_time_s", "initial_loss", "final_train_accuracy", "final_test_accuracy")
-
 
 def default_results_dir() -> str:
     """Results root: $SPHEREHEAD_RESULTS if set, else ./results."""
@@ -46,18 +43,28 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _parse_seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"seeds must be non-negative, got {seed}")
+    return seed
+
+
+# the "key: value" lines in file order, as (key, parse, format); histories follow as a block
+_HEADER = (
+    ("experiment", str, format),
+    ("seed", _parse_seed, format),
+    ("config", json.loads, lambda config: json.dumps(config, sort_keys=True, separators=(",", ":"))),
+    *((key, float, _fmt) for key in ("wall_time_s", "initial_loss", "final_train_accuracy", "final_test_accuracy")),
+    ("stopped_early_at", lambda text: None if text == "none" else int(text),
+     lambda stopped: "none" if stopped is None else format(int(stopped))),
+)
+
+
 def serialize_record(record: dict) -> str:
     """Render a run record to its text form (also the digest input)."""
-    lines = [
-        _MAGIC,
-        f"experiment: {record['experiment']}",
-        f"seed: {record['seed']}",
-        "config: " + json.dumps(record["config"], sort_keys=True, separators=(",", ":")),
-    ]
-    for key in _FLOAT_FIELDS:
-        lines.append(f"{key}: {_fmt(record[key])}")
-    stopped = record.get("stopped_early_at")
-    lines.append(f"stopped_early_at: {'none' if stopped is None else int(stopped)}")
+    record = {"stopped_early_at": None, **record}  # the one key a record may leave out
+    lines = [_MAGIC] + [f"{key}: {fmt(record[key])}" for key, _, fmt in _HEADER]
     lines.append("history: epoch loss accuracy")
     for i, (loss, acc) in enumerate(zip(record["epoch_loss"], record["epoch_accuracy"]), start=1):
         lines.append(f"{i} {_fmt(loss)} {_fmt(acc)}")
@@ -92,30 +99,18 @@ def load_run(path: str) -> dict:
     if not lines or lines[0] != _MAGIC:
         raise ParseError(f"{path}: not a run record (missing '{_MAGIC}' header)")
     record: dict = {}
-    idx = 1
-
-    def take(key: str, parse=str):
-        nonlocal idx
+    for idx, (key, parse, _) in enumerate(_HEADER, start=1):
         if idx >= len(lines) or not lines[idx].startswith(key + ": "):
             raise ParseError(f"{path}: expected '{key}:' on line {idx + 1}")
-        text = lines[idx][len(key) + 2 :]
-        idx += 1
         try:
-            return parse(text)
+            record[key] = parse(lines[idx][len(key) + 2 :])
         except ValueError as err:  # json's JSONDecodeError is a ValueError
-            raise ParseError(f"{path}:{idx}: bad {key}: {err}") from err
-
-    record["experiment"] = take("experiment")
-    record["seed"] = take("seed", int)
-    record["config"] = take("config", json.loads)
-    for key in _FLOAT_FIELDS:
-        record[key] = take(key, float)
-    record["stopped_early_at"] = take("stopped_early_at", lambda text: None if text == "none" else int(text))
+            raise ParseError(f"{path}:{idx + 1}: bad {key}: {err}") from err
+    idx = len(_HEADER) + 1
     if idx >= len(lines) or lines[idx] != "history: epoch loss accuracy":
         raise ParseError(f"{path}: expected history header on line {idx + 1}")
-    idx += 1
     losses, accs = [], []
-    for lineno, line in enumerate(lines[idx:], start=idx + 1):
+    for lineno, line in enumerate(lines[idx + 1:], start=idx + 2):
         if not line.strip():
             continue
         parts = line.split()

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import results as results_store
 from .data import DataConfig, Dataset, _seed_streams, build_datasets
-from .errors import (ConfigError, DomainError, LayoutError, ParseError, ShapeError, SphereheadError, StateError,
+from .errors import (ConfigError, DomainError, LayoutError, ParseError, SphereheadError, StateError,
                      TrainingDiverged)
 from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, _norms, head_forward
 from .ndcore import Tensor, _as_bool, _as_int, _as_real, _float64, backward, mlp
@@ -190,10 +190,6 @@ class Model:
         embedding (when enabled) is applied last. The layers are one
         tape node, :func:`~spherehead.ndcore.mlp`.
         """
-        if not isinstance(X, Tensor):
-            X = Tensor(X)
-        if len(X.shape) != 2:
-            raise ShapeError(f"expected a [B, n] batch, got shape {X.shape}")
         h = mlp(X, self.layers)
         if self.config.projection_enabled:
             h = project_batch(h)
@@ -591,12 +587,9 @@ def emit_table(reports) -> str:
         if not report.accuracies:
             raise LayoutError(f"report {report.experiment!r} has no finished seeds")
         cells[key] = report
-    pairs: dict[tuple[str, str], dict[bool, RunReport]] = {}
-    for (dataset, family, proj), report in cells.items():
-        pairs.setdefault((dataset, family), {})[proj] = report
-    for (dataset, family), sides in sorted(pairs.items()):
+    for dataset, family in sorted({key[:2] for key in cells}):
         for flag, label in ((True, "on"), (False, "off")):
-            if flag not in sides:
+            if (dataset, family, flag) not in cells:
                 raise LayoutError(
                     f"dataset {dataset!r}, family {family!r} is missing its projection={label} run"
                 )
@@ -608,14 +601,13 @@ def emit_table(reports) -> str:
         return text
 
     lines = ["test accuracy, mean+-std over seeds (percent); * marks the better mean"]
-    for dataset in sorted({d for d, _ in pairs}):
+    for dataset in sorted({key[0] for key in cells}):
         lines.append("")
         lines.append(f"dataset: {dataset}")
         lines.append(f"{'loss':<12} {'projection on':>16} {'projection off':>16}")
         for family in FAMILIES:
-            sides = pairs.get((dataset, family))
-            if sides is None:
+            if (dataset, family, True) not in cells:
                 continue
-            on, off = sides[True], sides[False]
+            on, off = cells[dataset, family, True], cells[dataset, family, False]
             lines.append(f"{family:<12} {cell(on, off):>16} {cell(off, on):>16}")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,8 @@ rather than only when the benchmark runs. The benchmark's traced
 BroadFace queue is checked against the package's queue too: its push
 and eviction counters rest on ``push``, ``len`` and ``capacity``. So is
 its tape counter, which reads ``trace(loss).nodes``, ``.op`` and
-``.inputs``.
+``.inputs``. And its traced replay of ``fit`` must keep ``fit``'s epoch
+history bit for bit, or the traced run reports no spans.
 """
 
 import importlib
@@ -21,8 +22,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from spherehead.heads import FAMILIES, EmbeddingQueue
+from spherehead.heads import FAMILIES, EmbeddingQueue, MarginConfig
 from spherehead.ndcore import trace
+from spherehead.train import DataConfig, ModelConfig, OptimConfig, build_datasets, build_model, fit, init_seed
 
 from .test_fused import TAPE_NODES, spirals_step_loss
 
@@ -102,3 +104,35 @@ def test_tape_counts_see_one_node_per_stage(benchmark_training, family):
     for projection, ops in TAPE_NODES.items():
         nodes, _, _ = benchmark_training._tape_counts(trace(spirals_step_loss(family, projection)))
         assert nodes == len(ops)
+
+
+@pytest.mark.parametrize("family, queue", [("cosface", None), ("broadface", 16)])
+def test_traced_replay_reproduces_fit_bit_for_bit(benchmark_training, family, queue):
+    """``replay_fit`` keeps ``fit``'s epoch losses and accuracies bit for bit, as the traced run checks.
+
+    The replay's parameters have no gradient slots, so it is the one
+    training loop on ``ndcore``'s unslotted first contribution; a
+    BroadFace replay pushes its batches through ``TracedQueue``.
+    """
+    bench = benchmark_training
+    model_cfg = ModelConfig(feature_dim=4, margin=MarginConfig.for_family(family, s=12.0, queue_capacity=queue),
+                            encoder_layers=(8,))
+    opt = OptimConfig(learning_rate=4e-3, epochs=2, batch_size=16, seed=7)
+    train_ds, _ = build_datasets(DataConfig("two_spirals", {"n_per_class": 40, "noise_sd": 0.1}), 7)
+
+    def untrained():
+        return build_model(model_cfg, train_ds.dim, train_ds.class_count, init_seed(7))
+
+    ref_model, ref = fit(untrained(), train_ds, opt)
+    assert len(ref["epoch_loss"]) == 2
+    model = untrained()
+    history, traced_queue = bench.replay_fit(model, train_ds, opt, 2, bench.SpanRecorder(), family, [])
+    for key in ("epoch_loss", "epoch_accuracy"):
+        assert bench._bits(history[key]) == bench._bits(ref[key]), key
+    assert bench._bits([history["initial_loss"]]) == bench._bits([ref["initial_loss"]])
+    # a last-bit gradient difference can round away before it reaches a loss, not a parameter
+    for got, want in zip(model.parameters(), ref_model.parameters(), strict=True):
+        assert got.data.tobytes() == want.data.tobytes()
+    assert (traced_queue is None) == (queue is None)
+    if queue is not None:
+        assert len(traced_queue) == queue

@@ -380,6 +380,16 @@ class TestMalformedRecord:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("verb", ["eval", "export-embeddings"])
+    def test_negative_seed_is_an_error_naming_the_file_and_line(self, trained_store, tmp_path, verb):
+        """A ``seed: -1`` line once reached numpy's seeding and ended in a traceback."""
+        path = _broken_copy(os.path.join(trained_store, "blobs-cosface-proj", "1.txt"), tmp_path, "seed: ",
+                            lambda line: "seed: -1")
+        argv = [verb, "--run", path] + (["--out", str(tmp_path / "emb.csv")] if verb != "eval" else [])
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}:3: bad seed: seeds must be non-negative, got -1\n"
+
     def test_report_names_the_file(self, trained_store, tmp_path):
         for name in ("blobs-cosface-proj", "blobs-cosface-noproj"):
             shutil.copytree(os.path.join(trained_store, name), tmp_path / name, dirs_exist_ok=True)

@@ -149,6 +149,12 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             load_run(str(path))
 
+    def test_negative_seed_rejected_naming_the_line(self, tmp_path):
+        path = tmp_path / "seed.txt"
+        path.write_text(serialize_record(make_record()).replace("\nseed: 3\n", "\nseed: -1\n"))
+        with pytest.raises(ParseError, match=r"seed\.txt:3: bad seed: seeds must be non-negative, got -1"):
+            load_run(str(path))
+
     def test_malformed_history_row_rejected(self, tmp_path):
         path = tmp_path / "rows.txt"
         path.write_text(serialize_record(make_record()) + "4 0.5\n")

@@ -221,6 +221,28 @@ class TestGradientSlots:
         assert slotted.grad is slotted._grad_slot
         assert slotted.grad.tobytes() == plain.grad.tobytes() == ((0.0 + g1) + g2).tobytes()
 
+    def test_unslotted_first_contribution_is_a_new_c_ordered_zero_plus_g(self):
+        g = np.array([[-0.0, 5e-324], [np.pi, -1.5], [0.0, -5e-324]]).T  # F-ordered
+        t = Tensor(np.ones((2, 3)), requires_grad=True)
+        ndcore._accumulate(t, g)
+        assert t._grad_slot is None and t.grad is not g
+        assert t.grad.flags["C_CONTIGUOUS"]
+        assert t.grad.tobytes() == (0.0 + g).tobytes()
+        assert not np.signbit(t.grad[0, 0])
+
+    def test_unslotted_matmul_has_the_bytes_of_zero_plus_the_product(self):
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(size=(96, 64)), rng.normal(size=(96, 40))
+        a[:, 3] = -0.0  # row 3 of the product is all zeros
+        b[:, 5] = -0.0  # and so is column 5
+        w = Tensor(np.zeros((64, 40)), requires_grad=True)
+        ndcore._accumulate_matmul(w, a.T, b)
+        assert w._grad_slot is None and w.grad.flags["C_CONTIGUOUS"]
+        assert w.grad.tobytes() == (0.0 + a.T @ b).tobytes()
+        assert not np.signbit(w.grad[w.grad == 0.0]).any()
+        ndcore._accumulate_matmul(w, a.T, b)  # a second contribution adds
+        assert w.grad.tobytes() == ((0.0 + a.T @ b) + a.T @ b).tobytes()
+
     def test_two_backward_calls_through_mlp_accumulate_into_the_slots(self):
         """A packed model's gradients after two backward calls have the bits of an unpacked model's."""
         rng = np.random.default_rng(3)

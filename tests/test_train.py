@@ -738,6 +738,18 @@ class TestBuildDatasets:
         b_train, _ = build_datasets(cfg, 8)
         assert not np.array_equal(a_train.features.data, b_train.features.data)
 
+    @pytest.mark.parametrize("seed, message", [(-1, "seeds must be non-negative, got -1"),
+                                               (1.5, "seed must be an integer, got 1.5"),
+                                               (True, "seed must be an integer, got True")])
+    def test_bad_run_seed_is_a_config_error(self, seed, message):
+        """A negative or fractional seed once escaped as numpy's bare ValueError or TypeError."""
+        mc = ModelConfig(feature_dim=4, margin=margin_for("cce"), encoder_layers=(8,))
+        dc, opt = DataConfig("two_spirals"), OptimConfig(learning_rate=3e-3, epochs=1)
+        for call in (lambda: build_datasets(dc, seed), lambda: init_seed(seed),
+                     lambda: train.seeded_run(mc, dc, opt, seed)):
+            with pytest.raises(ConfigError, match=message):
+                call()
+
     def test_delimited_requires_path(self):
         with pytest.raises(ConfigError):
             build_datasets(DataConfig("delimited"), 0)
