@@ -70,8 +70,8 @@ def _checked_labels(labels, class_count: int | None) -> np.ndarray:
     return labels
 
 
-# the range of each bounded data param, checked by DataConfig and by the
-# generators and the CIFAR reader: name -> (test a value must pass, what the error says it must do)
+# the range of each bounded data param, seed, train fraction and queue capacity, checked by the configs,
+# the generators, the CIFAR reader and the queue: name -> (test a value must pass, what the error says it must do)
 _BOUNDS = {
     "n_per_class": (lambda n: n >= 1, "be at least 1"),
     "subset_per_class": (lambda n: n >= 1, "be at least 1"),
@@ -79,14 +79,28 @@ _BOUNDS = {
     "noise_sd": (lambda x: x >= 0.0, "be non-negative"),
     "spread": (lambda x: x >= 0.0, "be non-negative"),
     "downsample_to": (lambda k: k >= 1 and _CIFAR_SIDE % k == 0, f"divide {_CIFAR_SIDE}"),
+    "seed": (lambda s: s >= 0, "be non-negative"),
+    "train fraction": (lambda f: 0.0 < f < 1.0, "be in (0, 1)"),
+    "queue_capacity": (lambda q: q >= 0, "be non-negative"),
 }
 
 
-def _check_bound(name: str, value) -> None:
-    """A ConfigError unless ``value`` is in the range ``_BOUNDS`` gives ``name``."""
+def _check_bound(name: str, value):
+    """``value``, if it is in the range ``_BOUNDS`` gives ``name``; else a ConfigError."""
     test, must = _BOUNDS[name]
     if not test(value):
         raise ConfigError(f"{name} must {must}, got {value}")
+    return value
+
+
+def _as_seed(value) -> int:
+    """The one seed rule, for run and shuffle seeds alike: a non-negative integer, else a ConfigError."""
+    return _check_bound("seed", _as_int("seed", value))
+
+
+def _as_fraction(value) -> float:
+    """A train fraction: a real number in (0, 1), else a ConfigError naming "train fraction"."""
+    return _check_bound("train fraction", _as_real("train fraction", value))
 
 
 class Dataset:
@@ -135,14 +149,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """How to partition a dataset: fraction to train, shuffle seed."""
+    """How to partition a dataset: fraction to train, in (0, 1), and shuffle seed (:func:`_as_seed`)."""
 
     train_fraction: float
     shuffle_seed: int
 
     def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError(f"train fraction must be in (0, 1), got {self.train_fraction!r}")
+        object.__setattr__(self, "train_fraction", _as_fraction(self.train_fraction))
+        object.__setattr__(self, "shuffle_seed", _as_seed(self.shuffle_seed))
 
 
 def gen_two_spirals(n_per_class: int, noise_sd: float, seed: int) -> Dataset:
@@ -457,9 +471,7 @@ class DataConfig:
             elif default is _REQUIRED:
                 raise ConfigError(f"{self.kind} data needs a {key!r} parameter")
         object.__setattr__(self, "params", checked)
-        object.__setattr__(self, "train_fraction", _as_real("train fraction", self.train_fraction))
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError(f"train fraction must be in (0, 1), got {self.train_fraction!r}")
+        object.__setattr__(self, "train_fraction", _as_fraction(self.train_fraction))
 
     def to_dict(self) -> dict:
         return {
@@ -473,12 +485,9 @@ def _seed_streams(seed: int) -> tuple[int, int, int]:
     """The (draw, split, init) seeds of a run seed: the three streams of its SeedSequence.
 
     Records store only the run seed, so this derivation must never drift.
-    A seed that is not a non-negative integer is a ConfigError.
+    A seed that is not a non-negative integer is a ConfigError (:func:`_as_seed`).
     """
-    seed = _as_int("seed", seed)
-    if seed < 0:
-        raise ConfigError(f"seeds must be non-negative, got {seed}")
-    return tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(3))
+    return tuple(int(s) for s in np.random.SeedSequence(_as_seed(seed)).generate_state(3))
 
 
 def build_datasets(cfg: DataConfig, seed: int) -> tuple[Dataset, Dataset]:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _checked_labels
+from .data import _check_bound, _checked_labels
 from .errors import ConfigError, DegenerateInputError, DomainError, LabelError, ShapeError, StateError
 from .ndcore import Tensor, _accumulate, _as_bool, _as_int, _as_real, _float64, _record
 
@@ -65,6 +65,18 @@ _DEFAULT_SCALE = 8.0
 _DEFAULT_QUEUE_CAPACITY = 256
 
 
+def _check_family(family) -> str:
+    """``family`` if it is one of ``FAMILIES``; else a ConfigError listing them."""
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    return family
+
+
+def _as_capacity(value) -> int:
+    """A BroadFace queue capacity: a non-negative integer, else a ConfigError naming "queue_capacity"."""
+    return _check_bound("queue_capacity", _as_int("queue_capacity", value))
+
+
 @dataclass(frozen=True)
 class MarginConfig:
     """Hyperparameters of one head family.
@@ -83,12 +95,11 @@ class MarginConfig:
     use_monotone_psi: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "queue_capacity", _as_int("queue_capacity", self.queue_capacity))
+        object.__setattr__(self, "queue_capacity", _as_capacity(self.queue_capacity))
         for name in ("m", "s"):
             object.__setattr__(self, name, _as_real(name, getattr(self, name)))
         object.__setattr__(self, "use_monotone_psi", _as_bool("use_monotone_psi", self.use_monotone_psi))
-        if self.family not in FAMILIES:
-            raise ConfigError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        _check_family(self.family)
         if not 0.0 < self.s < np.inf:
             raise ConfigError(f"scale must be positive and finite, got {self.s!r}")
         if not np.isfinite(self.m):
@@ -97,8 +108,6 @@ class MarginConfig:
             raise ConfigError(f"sphereface margin must be an integer in 1..4, got {self.m!r}")
         if self.family in ("cosface", "arcface", "broadface") and not 0.0 <= self.m <= 1.0:
             raise ConfigError(f"{self.family} margin must be in [0, 1], got {self.m!r}")
-        if self.queue_capacity < 0:
-            raise ConfigError(f"queue capacity must be non-negative, got {self.queue_capacity!r}")
         if self.queue_capacity > 0 and self.family != "broadface":
             raise ConfigError(f"queue capacity is a broadface knob, not valid for {self.family!r}")
 
@@ -106,8 +115,7 @@ class MarginConfig:
     def for_family(cls, family: str, m: float | None = None, s: float | None = None,
                    queue_capacity: int | None = None, use_monotone_psi: bool = True) -> "MarginConfig":
         """Build a config with the per-family defaults filled in."""
-        if family not in FAMILIES:
-            raise ConfigError(f"unknown family {family!r}, expected one of {FAMILIES}")
+        _check_family(family)
         if m is None:
             m = _DEFAULT_MARGIN[family]
         if s is None:
@@ -161,10 +169,7 @@ class EmbeddingQueue:
     """
 
     def __init__(self, capacity: int):
-        capacity = _as_int("queue capacity", capacity)
-        if capacity < 0:
-            raise ConfigError(f"queue capacity must be non-negative, got {capacity!r}")
-        self.capacity = capacity
+        self.capacity = _as_capacity(capacity)
         self._emb = self._snaps = _read_only(np.empty((0, 0)))
         self._labels = _read_only(np.empty(0, dtype=np.int64))
         self._emb_norms = self._snap_norms = _read_only(np.empty(0))
@@ -487,11 +492,9 @@ def head_forward(features: Tensor, weights: HeadWeights, cfg: MarginConfig,
 
 def broadface_step(batch_features: Tensor, weights: HeadWeights, cfg: MarginConfig,
                    labels, queue: EmbeddingQueue) -> tuple[Tensor, EmbeddingQueue]:
-    """:func:`head_forward` with a queue, behind a broadface check, and the queue back.
+    """:func:`head_forward` with a queue, and the queue back; a family other than broadface is refused there.
 
     Nothing in the package calls it: it stays for the benchmark's
     replay of the training step, which imports it.
     """
-    if cfg.family != "broadface":
-        raise ConfigError(f"broadface_step needs a broadface config, got {cfg.family!r}")
     return head_forward(batch_features, weights, cfg, labels, queue), queue

@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 
-from .data import _read_lines
+from .data import _as_seed, _read_lines
 from .errors import ParseError
 
 __all__ = [
@@ -43,17 +43,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise ValueError(f"seeds must be non-negative, got {seed}")
-    return seed
-
-
 # the "key: value" lines in file order, as (key, parse, format); histories follow as a block
 _HEADER = (
     ("experiment", str, format),
-    ("seed", _parse_seed, format),
+    ("seed", lambda text: _as_seed(int(text)), format),  # the ConfigError of a bad seed is a ValueError
     ("config", json.loads, lambda config: json.dumps(config, sort_keys=True, separators=(",", ":"))),
     *((key, float, _fmt) for key in ("wall_time_s", "initial_loss", "final_train_accuracy", "final_test_accuracy")),
     ("stopped_early_at", lambda text: None if text == "none" else int(text),

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import results as results_store
-from .data import DataConfig, Dataset, _seed_streams, build_datasets
+from .data import DataConfig, Dataset, _as_seed, _seed_streams, build_datasets
 from .errors import (ConfigError, DomainError, LayoutError, ParseError, SphereheadError, StateError,
                      TrainingDiverged)
-from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, _norms, head_forward
+from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, _check_family, _norms, head_forward
 from .ndcore import Tensor, _as_bool, _as_int, _as_real, _float64, backward, mlp
 from .stereo import project_batch
 
@@ -70,9 +70,7 @@ def default_learning_rate(family: str) -> float:
     by s), where larger steps oscillate; the raw-logit baseline
     tolerates a 10x larger step.
     """
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown family {family!r}")
-    return 1e-3 if family == "cce" else 1e-4
+    return 1e-3 if _check_family(family) == "cce" else 1e-4
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,7 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class OptimConfig:
-    """SGD-with-momentum settings plus the run seed."""
+    """SGD-with-momentum settings plus the run seed, which passes the one seed rule (``data._as_seed``)."""
 
     learning_rate: float
     epochs: int
@@ -116,8 +114,9 @@ class OptimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "seed"):
+        for name in ("epochs", "batch_size"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _as_seed(self.seed))
         for name in ("learning_rate", "momentum"):
             object.__setattr__(self, name, _as_real(name, getattr(self, name)))
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0.0:
@@ -128,8 +127,6 @@ class OptimConfig:
             raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -494,21 +491,18 @@ class RunReport:
 
 
 def _checked_seeds(seeds) -> tuple:
-    """``seeds`` as a tuple of ints; a non-sequence, none, a non-integer, a duplicate or a negative is a ConfigError."""
-    seeds = _as_ints("seeds", seeds, "seed")
+    """``seeds`` as a tuple of ints, each through the one seed rule; a non-sequence, none or a duplicate is a ConfigError."""
+    seeds = tuple(map(_as_seed, _as_ints("seeds", seeds, "seed")))
     if not seeds:
         raise ConfigError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"duplicate seeds in {seeds}")
-    if min(seeds) < 0:
-        raise ConfigError(f"seeds must be non-negative, got {min(seeds)}")
     return seeds
 
 
 def run_experiment(model_cfg: ModelConfig, data_cfg: DataConfig, opt: OptimConfig,
-                   seeds, results_dir: str | None = None,
-                   experiment: str | None = None) -> RunReport:
-    """Train once per seed, persist each run record, aggregate.
+                   seeds, results_dir: str | None = None) -> RunReport:
+    """Train once per seed, persist each run record under :func:`experiment_name`, aggregate.
 
     Per seed, :func:`seeded_run` derives the dataset draw, split,
     parameter init and shuffles from that seed, so one integer pins the
@@ -517,7 +511,7 @@ def run_experiment(model_cfg: ModelConfig, data_cfg: DataConfig, opt: OptimConfi
     as failed rather than aborting the batch.
     """
     seeds = _checked_seeds(seeds)
-    name = experiment if experiment is not None else experiment_name(model_cfg, data_cfg)
+    name = experiment_name(model_cfg, data_cfg)
     out_dir = results_dir if results_dir is not None else results_store.default_results_dir()
     config_echo = {"model": model_cfg.to_dict(), "data": data_cfg.to_dict(), "optim": opt.to_dict()}
     accuracies: dict[int, float] = {}

@@ -211,7 +211,7 @@ class TestUsageErrors:
         """A usage error, as --batch 0 is, not numpy's traceback from the data draw."""
         code, out, err = run_cli(["train", "--dataset", "blobs", "--loss", "cce", "--seeds", "1,-1"])
         assert (code, out) == (2, "")
-        assert "spherehead: error: --seeds: seeds must be non-negative, got -1" in err
+        assert "spherehead: error: --seeds: seed must be non-negative, got -1" in err
 
     def test_non_integer_seeds(self):
         assert run_cli(["train", "--dataset", "blobs", "--loss", "cce",
@@ -388,7 +388,7 @@ class TestMalformedRecord:
         argv = [verb, "--run", path] + (["--out", str(tmp_path / "emb.csv")] if verb != "eval" else [])
         code, out, err = run_cli(argv)
         assert (code, out) == (1, "")
-        assert err == f"error: {path}:3: bad seed: seeds must be non-negative, got -1\n"
+        assert err == f"error: {path}:3: bad seed: seed must be non-negative, got -1\n"
 
     def test_report_names_the_file(self, trained_store, tmp_path):
         for name in ("blobs-cosface-proj", "blobs-cosface-noproj"):

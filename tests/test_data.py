@@ -617,3 +617,17 @@ class TestSplit:
             SplitSpec(0.0, shuffle_seed=0)
         with pytest.raises(ConfigError):
             SplitSpec(1.0, shuffle_seed=0)
+
+    @pytest.mark.parametrize("fraction, seed, message", [
+        ("0.5", 1, "train fraction must be a real number"),  # once a bare TypeError from <
+        (0.5, -1, "seed must be non-negative"),  # once numpy's ValueError at split
+        (0.5, 1.5, "seed must be an integer"),  # once a TypeError from SeedSequence at split
+    ])
+    def test_bad_fields_refused_at_construction(self, fraction, seed, message):
+        with pytest.raises(ConfigError, match=message):
+            SplitSpec(fraction, seed)
+
+    def test_fields_stored_as_python_numbers(self):
+        spec = SplitSpec(np.float64(0.7), np.int64(3))
+        assert (type(spec.train_fraction), type(spec.shuffle_seed)) == (float, int)
+        assert_array_equal(split(self._toy(10), spec)[0].labels, split(self._toy(10), SplitSpec(0.7, 3))[0].labels)

@@ -511,7 +511,7 @@ class TestEmbeddingQueue:
 
     @pytest.mark.parametrize("capacity", [2.5, 2.0, True, "4", None])
     def test_capacity_that_is_not_an_integer_is_a_config_error(self, capacity):
-        with pytest.raises(ConfigError, match="queue capacity must be an integer"):
+        with pytest.raises(ConfigError, match="queue_capacity must be an integer"):
             EmbeddingQueue(capacity)
 
     def test_numpy_integer_capacity(self):

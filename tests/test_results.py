@@ -152,7 +152,7 @@ class TestParseErrors:
     def test_negative_seed_rejected_naming_the_line(self, tmp_path):
         path = tmp_path / "seed.txt"
         path.write_text(serialize_record(make_record()).replace("\nseed: 3\n", "\nseed: -1\n"))
-        with pytest.raises(ParseError, match=r"seed\.txt:3: bad seed: seeds must be non-negative, got -1"):
+        with pytest.raises(ParseError, match=r"seed\.txt:3: bad seed: seed must be non-negative, got -1"):
             load_run(str(path))
 
     def test_malformed_history_row_rejected(self, tmp_path):

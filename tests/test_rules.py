@@ -1,0 +1,86 @@
+"""Each config rule has one wording: every entry point that checks it refuses a bad value with the same text.
+
+A second copy of a rule, with its own words, would show here as an entry
+point whose message differs from the others'.
+"""
+
+import pytest
+
+from spherehead.data import DataConfig, SplitSpec, build_datasets
+from spherehead.errors import ConfigError, ParseError
+from spherehead.heads import EmbeddingQueue, MarginConfig
+from spherehead.results import load_run, serialize_record
+from spherehead.train import ModelConfig, OptimConfig, default_learning_rate, run_experiment
+
+from .test_results import make_record
+
+
+def _run_experiment(seed, tmp_path):
+    mc = ModelConfig(feature_dim=4, margin=MarginConfig.for_family("cce"), encoder_layers=(8,))
+    run_experiment(mc, DataConfig("blobs"), OptimConfig(learning_rate=1e-3, epochs=1), [seed],
+                   results_dir=str(tmp_path))
+
+
+def _load_run(seed, tmp_path):
+    path = tmp_path / "record.txt"
+    path.write_text(serialize_record(make_record(seed=seed)))
+    load_run(str(path))
+
+
+# entry point -> (the error it raises, a call with a given seed and a scratch directory)
+SEED_ENTRIES = {
+    "OptimConfig": (ConfigError, lambda seed, _: OptimConfig(learning_rate=1e-3, epochs=1, seed=seed)),
+    "run_experiment": (ConfigError, _run_experiment),
+    "build_datasets": (ConfigError, lambda seed, _: build_datasets(DataConfig("blobs"), seed)),
+    "SplitSpec": (ConfigError, lambda seed, _: SplitSpec(0.5, seed)),
+    "load_run": (ParseError, _load_run),
+}
+
+
+@pytest.mark.parametrize("entry, seed, message", [
+    *((entry, -1, "seed must be non-negative, got -1") for entry in SEED_ENTRIES),
+    # a record's "seed: 1.5" line fails int() before the rule sees it
+    *((entry, 1.5, "seed must be an integer, got 1.5") for entry in SEED_ENTRIES if entry != "load_run"),
+])
+def test_seed_rule(entry, seed, message, tmp_path):
+    """A record's bad seed line is a ParseError that names the file and line, then the rule's words."""
+    error, call = SEED_ENTRIES[entry]
+    with pytest.raises(error) as info:
+        call(seed, tmp_path)
+    where = f"{tmp_path / 'record.txt'}:3: bad seed: " if entry == "load_run" else ""
+    assert str(info.value) == where + message
+
+
+@pytest.mark.parametrize("entry", ["DataConfig", "SplitSpec"])
+@pytest.mark.parametrize("fraction, message", [(1.0, "train fraction must be in (0, 1), got 1.0"),
+                                               (float("nan"), "train fraction must be in (0, 1), got nan"),
+                                               ("0.5", "train fraction must be a real number, got '0.5'")])
+def test_fraction_rule(entry, fraction, message):
+    call = {"DataConfig": lambda: DataConfig("blobs", train_fraction=fraction),
+            "SplitSpec": lambda: SplitSpec(fraction, 1)}[entry]
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("entry", ["MarginConfig", "for_family", "EmbeddingQueue"])
+@pytest.mark.parametrize("capacity, message", [(-1, "queue_capacity must be non-negative, got -1"),
+                                               (1.5, "queue_capacity must be an integer, got 1.5")])
+def test_capacity_rule(entry, capacity, message):
+    call = {"MarginConfig": lambda: MarginConfig(family="broadface", m=0.5, queue_capacity=capacity),
+            "for_family": lambda: MarginConfig.for_family("broadface", queue_capacity=capacity),
+            "EmbeddingQueue": lambda: EmbeddingQueue(capacity)}[entry]
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("entry", ["MarginConfig", "for_family", "default_learning_rate"])
+def test_family_rule(entry):
+    call = {"MarginConfig": lambda: MarginConfig(family="triplet"),
+            "for_family": lambda: MarginConfig.for_family("triplet"),
+            "default_learning_rate": lambda: default_learning_rate("triplet")}[entry]
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert str(info.value) == ("unknown family 'triplet', expected one of "
+                               "('cce', 'sphereface', 'cosface', 'arcface', 'broadface')")

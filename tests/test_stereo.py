@@ -346,6 +346,66 @@ class TestInverseProject:
         inverse_project(p)
 
 
+def _unit_rows(rng, count, n):
+    X = rng.normal(size=(count, n))
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+def _boundaries(n):
+    """Random unit v = (u, c), the difference of two head columns, for dim n; every fourth has c = 0."""
+    rng = np.random.default_rng(90 + n)
+    for trial in range(60):
+        v = rng.normal(size=n + 1)
+        if trial % 4 == 0:
+            v[-1] = 0.0
+        yield rng, v[:-1] / np.linalg.norm(v), v[-1] / np.linalg.norm(v)
+
+
+class TestLiftedBoundaries:
+    """A lifted head's boundary v.p = 0 pulls back to the sphere |x + u/c|^2 = |u/c|^2 + 1.
+
+    With p = phi(x), v.p = (2 u.x + c (|x|^2 - 1)) / (|x|^2 + 1), whose
+    numerator is c (|x + u/c|^2 - |u/c|^2 - 1). When c = 0 the boundary is
+    the hyperplane u.x = 0. On |x| = 1, v.p = u.x for every c.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_points_on_the_sphere_lift_to_the_boundary(self, n):
+        for rng, u, c in _boundaries(n):
+            directions = _unit_rows(rng, 50, n)
+            if c == 0.0:  # the hyperplane u.x = 0, at norms from 1e-2 to 1e2
+                X = (directions - np.outer(directions @ u, u)) * 10.0 ** rng.uniform(-2.0, 2.0, size=(50, 1))
+            else:
+                X = -u / c + np.sqrt(u @ u / c**2 + 1.0) * directions
+            v = np.append(u, c)
+            assert np.max(np.abs(project_rows(X) @ v)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_inside_and_outside_take_opposite_signs(self, n):
+        for rng, u, c in _boundaries(n):
+            directions = _unit_rows(rng, 50, n)
+            if c == 0.0:  # each point and its mirror image across u.x = 0 (u is a unit vector here)
+                inside, outside = directions - 2.0 * np.outer(directions @ u, u), directions
+            else:
+                center, radius = -u / c, np.sqrt(u @ u / c**2 + 1.0)
+                inside = center + radius * rng.uniform(0.0, 0.9, size=(50, 1)) * directions
+                outside = center + radius * rng.uniform(1.1, 3.0, size=(50, 1)) * directions
+            v = np.append(u, c)
+            s_in, s_out = np.sign(project_rows(inside) @ v), np.sign(project_rows(outside) @ v)
+            assert np.all(s_in * s_out == -1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_the_sphere_meets_the_unit_sphere_on_u_dot_x_zero(self, n):
+        for rng, u, c in _boundaries(n):
+            X = _unit_rows(rng, 50, n)
+            # on |x| = 1 the lift is (x, 0), so v.p is u.x: the boundary there is u.x = 0
+            assert_allclose(project_rows(X) @ np.append(u, c), X @ u, rtol=0.0, atol=1e-12)
+            if c != 0.0:  # and the points of the unit sphere with u.x = 0 lie on the predicted sphere
+                W = X - np.outer(X @ u, u) / (u @ u)
+                W /= np.linalg.norm(W, axis=1, keepdims=True)
+                assert_allclose(np.sum((W + u / c) ** 2, axis=1), u @ u / c**2 + 1.0, rtol=1e-12)
+
+
 class TestBallConvexity:
     def test_shell_point_mixed_with_itself(self):
         # alpha x + (1 - alpha) x = x: stays on the shell, never a violation

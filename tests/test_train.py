@@ -738,7 +738,7 @@ class TestBuildDatasets:
         b_train, _ = build_datasets(cfg, 8)
         assert not np.array_equal(a_train.features.data, b_train.features.data)
 
-    @pytest.mark.parametrize("seed, message", [(-1, "seeds must be non-negative, got -1"),
+    @pytest.mark.parametrize("seed, message", [(-1, "seed must be non-negative, got -1"),
                                                (1.5, "seed must be an integer, got 1.5"),
                                                (True, "seed must be an integer, got True")])
     def test_bad_run_seed_is_a_config_error(self, seed, message):
@@ -989,13 +989,16 @@ class TestRunExperiment:
         assert report.failures == {2: "failed: squared norm overflows float64"}
         assert sorted(os.listdir(tmp_path / "blobs-cosface-proj")) == ["1.txt", "3.txt"]
 
-    def test_custom_experiment_name(self, tmp_path):
+    def test_records_are_filed_under_experiment_name(self, tmp_path):
+        """experiment_name is the one naming rule: run_experiment takes no name of its own."""
         mc = ModelConfig(feature_dim=4, margin=margin_for("cce"), encoder_layers=(8,))
         dc = DataConfig("blobs", {"classes": 3, "n_per_class": 20})
         opt = OptimConfig(learning_rate=1e-3, epochs=1, batch_size=16)
-        report = run_experiment(mc, dc, opt, [5], results_dir=str(tmp_path), experiment="custom")
-        assert report.experiment == "custom"
-        assert (tmp_path / "custom" / "5.txt").exists()
+        report = run_experiment(mc, dc, opt, [5], results_dir=str(tmp_path))
+        assert report.experiment == experiment_name(mc, dc) == "blobs-cce-proj"
+        assert (tmp_path / "blobs-cce-proj" / "5.txt").exists()
+        with pytest.raises(TypeError):
+            run_experiment(mc, dc, opt, [5], results_dir=str(tmp_path), experiment="custom")
 
     def test_seed_validation(self, tmp_path):
         mc = ModelConfig(feature_dim=4, margin=margin_for("cce"), encoder_layers=(8,))
