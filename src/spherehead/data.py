@@ -8,13 +8,19 @@ is the one delimited-text parser, shared by :func:`load_delimited` and
 loaders are deterministic functions of their arguments, seeds included.
 
 A :class:`DataConfig` is checked against one table of each kind's params
-(check and default) and one map of their ranges, which the generators
-and the CIFAR reader share, when it is made; :func:`build_datasets`
-turns it and a run seed into a train and a test set.
+(check and default) when it is made; :func:`build_datasets` turns it and
+a run seed into a train and a test set.
+
+Every config rule of the package lives here: the ``_as_*`` type checks
+and ``_BOUNDS``, the range of each bounded field, param and argument.
+One function, :func:`_checked`, applies both, for every config (through
+:func:`_check_fields`) and argument check alike, so each rule has one wording.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from itertools import compress, count
@@ -22,7 +28,7 @@ from itertools import compress, count
 import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError, LabelError, ParseError, ShapeError
-from .ndcore import Tensor, _as_bool, _as_int, _as_real, _float64
+from .ndcore import Tensor, _float64
 
 __all__ = [
     "Dataset",
@@ -70,14 +76,65 @@ def _checked_labels(labels, class_count: int | None) -> np.ndarray:
     return labels
 
 
-# the range of each bounded data param, seed, train fraction and queue capacity, checked by the configs,
-# the generators, the CIFAR reader and the queue: name -> (test a value must pass, what the error says it must do)
+def _as_int(name: str, value) -> int:
+    """``value`` as an int if it is an integer, Python or numpy but not bool; else a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _as_real(name: str, value):
+    """``value`` if it is a real number that fits a float64 but not a bool, a numpy scalar as its Python value.
+
+    Anything else is a ConfigError; an int kept as given is one that
+    converts to a float64 without overflow.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        # no repr: a Python int past 4300 digits cannot be printed
+        raise ConfigError(f"{name} must fit a float64, got a number too large for one") from None
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _as_bool(name: str, value) -> bool:
+    """``value`` as a bool if it is one, Python or numpy; else a ConfigError."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
+def _as_str(name: str, value) -> str:
+    """``value`` if it is a str; else a ConfigError."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _as_optional_int(name: str, value) -> int | None:
+    return value if value is None else _as_int(name, value)
+
+
+def _as_ints(name: str, values, item: str) -> tuple:
+    """``values``, a sequence (not a string) of integers, as a tuple of ints, each :func:`_checked` as ``item``."""
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+        raise ConfigError(f"{name} must be a sequence of integers, got {values!r}")
+    return tuple(_checked(item, _as_int, v) for v in values)
+
+
+# the range of every bounded config field, data param and argument, by the name its errors give it:
+# name -> (test a value must pass, what the error says it must do)
 _BOUNDS = {
-    "n_per_class": (lambda n: n >= 1, "be at least 1"),
-    "subset_per_class": (lambda n: n >= 1, "be at least 1"),
+    **dict.fromkeys(["n_per_class", "subset_per_class", "feature_dim", "encoder width", "epochs", "batch_size",
+                     "input_dim", "class count"], (lambda n: n >= 1, "be at least 1")),
     "classes": (lambda c: c >= 2, "be at least 2"),
-    "noise_sd": (lambda x: x >= 0.0, "be non-negative"),
-    "spread": (lambda x: x >= 0.0, "be non-negative"),
+    **dict.fromkeys(["learning_rate", "noise_sd", "spread"],
+                    (lambda x: 0.0 <= x < math.inf, "be finite and non-negative")),
+    "momentum": (lambda x: 0.0 <= x < 1.0, "be in [0, 1)"),
+    "s": (lambda x: 0.0 < x < math.inf, "be positive and finite"),
+    **dict.fromkeys(["m", "radius"], (math.isfinite, "be finite")),
     "downsample_to": (lambda k: k >= 1 and _CIFAR_SIDE % k == 0, f"divide {_CIFAR_SIDE}"),
     "seed": (lambda s: s >= 0, "be non-negative"),
     "train fraction": (lambda f: 0.0 < f < 1.0, "be in (0, 1)"),
@@ -85,22 +142,32 @@ _BOUNDS = {
 }
 
 
-def _check_bound(name: str, value):
-    """``value``, if it is in the range ``_BOUNDS`` gives ``name``; else a ConfigError."""
-    test, must = _BOUNDS[name]
-    if not test(value):
-        raise ConfigError(f"{name} must {must}, got {value}")
+def _checked(name: str, check, value, what: str | None = None):
+    """``value`` through the type check ``check``, then, unless it is None, the range ``_BOUNDS`` gives ``name``.
+
+    Either failing is a ConfigError naming ``name`` (``what``, if given, for the type).
+    """
+    value = check(what or name, value)
+    if value is not None and name in _BOUNDS:
+        test, must = _BOUNDS[name]
+        if not test(value):
+            raise ConfigError(f"{name} must {must}, got {value}")
     return value
+
+
+def _check_fields(obj, checks: dict) -> None:
+    """Store in each field of the frozen ``obj`` what :func:`_checked` returns for it, in ``checks``' order.
+
+    ``checks`` maps a field to its type check, or to (rule name, check) where the names differ.
+    """
+    for name, check in checks.items():
+        rule, check = check if isinstance(check, tuple) else (name, check)
+        object.__setattr__(obj, name, _checked(rule, check, getattr(obj, name)))
 
 
 def _as_seed(value) -> int:
     """The one seed rule, for run and shuffle seeds alike: a non-negative integer, else a ConfigError."""
-    return _check_bound("seed", _as_int("seed", value))
-
-
-def _as_fraction(value) -> float:
-    """A train fraction: a real number in (0, 1), else a ConfigError naming "train fraction"."""
-    return _check_bound("train fraction", _as_real("train fraction", value))
+    return _checked("seed", _as_int, value)
 
 
 class Dataset:
@@ -108,7 +175,7 @@ class Dataset:
 
     Features that are not finite real numbers (complex, string or object
     ones included) or not [N, n] are a :class:`ShapeError`, and a class
-    count that is not a positive integer a :class:`ConfigError`.
+    count that is not an integer of at least 1 a :class:`ConfigError`.
     """
 
     __slots__ = ("features", "labels", "class_count", "name")
@@ -126,9 +193,7 @@ class Dataset:
             raise ShapeError(
                 f"{features.shape[0]} feature rows need {features.shape[0]} labels, got shape {labels.shape}"
             )
-        class_count = _as_int("class count", class_count)
-        if class_count < 1:
-            raise ConfigError(f"class count must be positive, got {class_count}")
+        class_count = _checked("class count", _as_int, class_count)
         self.features = Tensor(features)
         self.labels = _checked_labels(labels, class_count)
         self.class_count = class_count
@@ -155,8 +220,7 @@ class SplitSpec:
     shuffle_seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "train_fraction", _as_fraction(self.train_fraction))
-        object.__setattr__(self, "shuffle_seed", _as_seed(self.shuffle_seed))
+        _check_fields(self, {"train_fraction": ("train fraction", _as_real), "shuffle_seed": ("seed", _as_int)})
 
 
 def gen_two_spirals(n_per_class: int, noise_sd: float, seed: int) -> Dataset:
@@ -170,8 +234,8 @@ def gen_two_spirals(n_per_class: int, noise_sd: float, seed: int) -> Dataset:
     zero noise the exact negation symmetry cancels and the centering is
     an exact no-op.
     """
-    _check_bound("n_per_class", n_per_class)
-    _check_bound("noise_sd", noise_sd)
+    n_per_class = _checked("n_per_class", _as_int, n_per_class)
+    noise_sd = _checked("noise_sd", _as_real, noise_sd)
     rng = np.random.default_rng(seed)
     t = rng.uniform(np.pi / 2.0, 4.0 * np.pi, size=n_per_class)
     base = t[:, None] * np.stack([np.cos(t), np.sin(t)], axis=1)
@@ -191,9 +255,10 @@ def gen_gaussian_blobs(C: int, n_per_class: int, spread: float, radius: float, s
     Mean of class c sits at radius * (cos(2 pi c / C), sin(2 pi c / C));
     features are centered on their empirical mean afterwards.
     """
-    _check_bound("classes", C)
-    _check_bound("n_per_class", n_per_class)
-    _check_bound("spread", spread)
+    C = _checked("classes", _as_int, C)
+    n_per_class = _checked("n_per_class", _as_int, n_per_class)
+    spread = _checked("spread", _as_real, spread)
+    radius = _checked("radius", _as_real, radius)
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(C) / C
     means = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -322,6 +387,8 @@ def _read_cifar(dir: str, which: str, subset_per_class: int | None, downsample_t
     """
     if which not in _CIFAR:
         raise ConfigError(f'which must be "cifar10" or "cifar100", got {which!r}')
+    subset_per_class = _checked("subset_per_class", _as_optional_int, subset_per_class)
+    _checked("downsample_to", _as_optional_int, downsample_to)
     filenames, class_count, label_byte = _CIFAR[which]
     record = label_byte + 1 + _CIFAR_PIXELS
     paths = [os.path.join(dir, filename) for filename in filenames]
@@ -343,11 +410,8 @@ def _read_cifar(dir: str, which: str, subset_per_class: int | None, downsample_t
     labels = records[:, label_byte].astype(np.int64)
     if labels.max() >= class_count:
         raise FormatError(f"label byte {labels.max()} out of range for {which}")
-    if downsample_to is not None:
-        _check_bound("downsample_to", downsample_to)
     pixels = records[:, -_CIFAR_PIXELS:]
     if subset_per_class is not None:
-        _check_bound("subset_per_class", subset_per_class)
         rng = np.random.default_rng(subset_seed)
         keep = []
         for c in range(class_count):
@@ -412,17 +476,6 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     return ds.take(train), ds.take(test)
 
 
-def _as_str(name: str, value) -> str:
-    """``value`` if it is a str; else a ConfigError."""
-    if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {value!r}")
-    return value
-
-
-def _as_optional_int(name: str, value) -> int | None:
-    return value if value is None else _as_int(name, value)
-
-
 _REQUIRED = object()  # the default of a param its kind cannot do without
 _CIFAR_PARAMS = {"dir": (_as_str, _REQUIRED), "subset_per_class": (_as_optional_int, None),
                  "downsample_to": (_as_optional_int, None)}
@@ -465,13 +518,11 @@ class DataConfig:
         checked = {}
         for key, (check, default) in table.items():
             if key in self.params:
-                value = checked[key] = check(f"data param {key!r}", self.params[key])
-                if value is not None and key in _BOUNDS:
-                    _check_bound(key, value)
+                checked[key] = _checked(key, check, self.params[key], what=f"data param {key!r}")
             elif default is _REQUIRED:
                 raise ConfigError(f"{self.kind} data needs a {key!r} parameter")
         object.__setattr__(self, "params", checked)
-        object.__setattr__(self, "train_fraction", _as_fraction(self.train_fraction))
+        _check_fields(self, {"train_fraction": ("train fraction", _as_real)})
 
     def to_dict(self) -> dict:
         return {

@@ -41,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_bound, _checked_labels
+from .data import _as_bool, _as_int, _as_real, _check_fields, _checked, _checked_labels
 from .errors import ConfigError, DegenerateInputError, DomainError, LabelError, ShapeError, StateError
-from .ndcore import Tensor, _accumulate, _as_bool, _as_int, _as_real, _float64, _record
+from .ndcore import Tensor, _accumulate, _float64, _record
 
 __all__ = [
     "FAMILIES",
@@ -72,11 +72,6 @@ def _check_family(family) -> str:
     return family
 
 
-def _as_capacity(value) -> int:
-    """A BroadFace queue capacity: a non-negative integer, else a ConfigError naming "queue_capacity"."""
-    return _check_bound("queue_capacity", _as_int("queue_capacity", value))
-
-
 @dataclass(frozen=True)
 class MarginConfig:
     """Hyperparameters of one head family.
@@ -95,15 +90,9 @@ class MarginConfig:
     use_monotone_psi: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "queue_capacity", _as_capacity(self.queue_capacity))
-        for name in ("m", "s"):
-            object.__setattr__(self, name, _as_real(name, getattr(self, name)))
-        object.__setattr__(self, "use_monotone_psi", _as_bool("use_monotone_psi", self.use_monotone_psi))
+        _check_fields(self, {"queue_capacity": _as_int, "m": _as_real, "s": _as_real,
+                             "use_monotone_psi": _as_bool})
         _check_family(self.family)
-        if not 0.0 < self.s < np.inf:
-            raise ConfigError(f"scale must be positive and finite, got {self.s!r}")
-        if not np.isfinite(self.m):
-            raise ConfigError(f"margin must be finite, got {self.m!r}")
         if self.family == "sphereface" and self.m not in (1, 2, 3, 4):
             raise ConfigError(f"sphereface margin must be an integer in 1..4, got {self.m!r}")
         if self.family in ("cosface", "arcface", "broadface") and not 0.0 <= self.m <= 1.0:
@@ -169,7 +158,7 @@ class EmbeddingQueue:
     """
 
     def __init__(self, capacity: int):
-        self.capacity = _as_capacity(capacity)
+        self.capacity = _checked("queue_capacity", _as_int, capacity)
         self._emb = self._snaps = _read_only(np.empty((0, 0)))
         self._labels = _read_only(np.empty(0, dtype=np.int64))
         self._emb_norms = self._snap_norms = _read_only(np.empty(0))

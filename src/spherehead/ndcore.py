@@ -5,6 +5,7 @@ row-major numpy float64 array, every differentiable operation attaches a
 closure that pushes gradients back to its inputs, and :func:`backward`
 replays those closures in reverse topological order. A recorded op is
 its output tensor, and :func:`trace` lists those tensors in that order.
+It holds no config rules; those live in :mod:`spherehead.data`.
 
 Deliberate restrictions, chosen to remove whole classes of silent bugs:
 
@@ -52,12 +53,11 @@ so stacked parts each keep their own products.
 
 from __future__ import annotations
 
-import numbers
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -85,36 +85,6 @@ def _float64(data, error: type[Exception], what: str) -> np.ndarray:
     if arr.dtype.kind not in "biuf":
         raise error(f"{what} must be real numbers, got dtype {arr.dtype}")
     return arr.astype(np.float64, copy=False)
-
-
-def _as_int(name: str, value) -> int:
-    """``value`` as an int if it is an integer, Python or numpy but not bool; else a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _as_real(name: str, value):
-    """``value`` if it is a real number that fits a float64 but not a bool, a numpy scalar as its Python value.
-
-    Anything else is a ConfigError; an int kept as given is one that
-    converts to a float64 without overflow.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a real number, got {value!r}")
-    try:
-        float(value)
-    except OverflowError:
-        # no repr: a Python int past 4300 digits cannot be printed
-        raise ConfigError(f"{name} must fit a float64, got a number too large for one") from None
-    return value.item() if isinstance(value, np.generic) else value
-
-
-def _as_bool(name: str, value) -> bool:
-    """``value`` as a bool if it is one, Python or numpy; else a ConfigError."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise ConfigError(f"{name} must be a bool, got {value!r}")
-    return bool(value)
 
 
 def _as_array(data) -> np.ndarray:

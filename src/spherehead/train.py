@@ -23,11 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import results as results_store
-from .data import DataConfig, Dataset, _as_seed, _seed_streams, build_datasets
+from .data import (DataConfig, Dataset, _as_bool, _as_int, _as_ints, _as_real, _check_fields, _checked, _seed_streams,
+                   build_datasets)
 from .errors import (ConfigError, DomainError, LayoutError, ParseError, SphereheadError, StateError,
                      TrainingDiverged)
 from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, _check_family, _norms, head_forward
-from .ndcore import Tensor, _as_bool, _as_int, _as_real, _float64, backward, mlp
+from .ndcore import Tensor, _float64, backward, mlp
 from .stereo import project_batch
 
 __all__ = [
@@ -56,13 +57,6 @@ PLATEAU_REL = 1e-4
 PLATEAU_WINDOW = 10
 
 
-def _as_ints(name: str, values, item: str) -> tuple:
-    """``values``, a sequence of integers, as a tuple of ints; else a ConfigError naming ``name`` or ``item``."""
-    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
-        raise ConfigError(f"{name} must be a sequence of integers, got {values!r}")
-    return tuple(_as_int(item, v) for v in values)
-
-
 def default_learning_rate(family: str) -> float:
     """Family-conditional default step size.
 
@@ -83,14 +77,8 @@ class ModelConfig:
     projection_enabled: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "encoder_layers", _as_ints("encoder_layers", self.encoder_layers, "encoder width"))
-        object.__setattr__(self, "feature_dim", _as_int("feature_dim", self.feature_dim))
-        object.__setattr__(self, "projection_enabled", _as_bool("projection_enabled", self.projection_enabled))
-        if self.feature_dim < 1:
-            raise ConfigError(f"feature_dim must be at least 1, got {self.feature_dim}")
-        for w in self.encoder_layers:
-            if w < 1:
-                raise ConfigError(f"encoder widths must be at least 1, got {w}")
+        _check_fields(self, {"encoder_layers": lambda name, widths: _as_ints(name, widths, "encoder width"),
+                             "feature_dim": _as_int, "projection_enabled": _as_bool})
         if not isinstance(self.margin, MarginConfig):
             raise ConfigError("margin must be a MarginConfig")
 
@@ -114,19 +102,8 @@ class OptimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
-        object.__setattr__(self, "seed", _as_seed(self.seed))
-        for name in ("learning_rate", "momentum"):
-            object.__setattr__(self, name, _as_real(name, getattr(self, name)))
-        if not np.isfinite(self.learning_rate) or self.learning_rate < 0.0:
-            raise ConfigError(f"learning rate must be finite and non-negative, got {self.learning_rate!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum!r}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
+        _check_fields(self, {"learning_rate": _as_real, "epochs": _as_int, "momentum": _as_real,
+                             "batch_size": _as_int, "seed": _as_int})
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -202,13 +179,11 @@ def init_seed(seed: int) -> int:
 
 
 def build_model(config: ModelConfig, input_dim: int, class_count: int, seed: int) -> Model:
-    """Deterministic init: uniform(+-sqrt(6/fan_in)) weights, zero biases."""
-    if input_dim < 1:
-        raise ConfigError(f"input_dim must be at least 1, got {input_dim}")
-    if class_count < 2:
-        raise ConfigError(f"need at least 2 classes, got {class_count}")
+    """Deterministic init: uniform(+-sqrt(6/fan_in)) weights, zero biases; a bad dim or class count is a ConfigError."""
+    input_dim = _checked("input_dim", _as_int, input_dim)
+    class_count = _checked("classes", _as_int, class_count)
     rng = np.random.default_rng(seed)
-    widths = (int(input_dim),) + config.encoder_layers + (config.feature_dim,)
+    widths = (input_dim,) + config.encoder_layers + (config.feature_dim,)
     layers = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         limit = np.sqrt(6.0 / fan_in)
@@ -492,7 +467,7 @@ class RunReport:
 
 def _checked_seeds(seeds) -> tuple:
     """``seeds`` as a tuple of ints, each through the one seed rule; a non-sequence, none or a duplicate is a ConfigError."""
-    seeds = tuple(map(_as_seed, _as_ints("seeds", seeds, "seed")))
+    seeds = _as_ints("seeds", seeds, "seed")
     if not seeds:
         raise ConfigError("need at least one seed")
     if len(set(seeds)) != len(seeds):

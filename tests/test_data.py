@@ -141,6 +141,17 @@ class TestTwoSpirals:
         with pytest.raises(ConfigError):
             gen_two_spirals(10, -0.1, seed=0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((2.5, 0.1, 1), "n_per_class must be an integer, got 2.5"),
+        ((True, 0.1, 1), "n_per_class must be an integer, got True"),
+        ((10, "0.1", 1), "noise_sd must be a real number, got '0.1'"),
+    ])
+    def test_mistyped_argument_is_a_config_error_naming_it(self, args, message):
+        """Each was a bare TypeError from numpy."""
+        with pytest.raises(ConfigError) as info:
+            gen_two_spirals(*args)
+        assert str(info.value) == message
+
 
 class TestGaussianBlobs:
     def test_two_classes_sit_on_the_x_axis(self):
@@ -180,6 +191,16 @@ class TestGaussianBlobs:
             gen_gaussian_blobs(2, 0, 0.1, 1.0, seed=0)
         with pytest.raises(ConfigError):
             gen_gaussian_blobs(2, 10, -0.1, 1.0, seed=0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((3.5, 10, 0.1, 1.0, 0), "classes must be an integer, got 3.5"),  # once "class count must be an integer"
+        ((3, 10, float("inf"), 1.0, 0), "spread must be finite and non-negative, got inf"),
+        ((3, 10, 0.1, float("nan"), 0), "radius must be finite, got nan"),  # once a ShapeError after warnings
+    ])
+    def test_bad_argument_is_a_config_error_naming_it(self, args, message):
+        with pytest.raises(ConfigError) as info:
+            gen_gaussian_blobs(*args)
+        assert str(info.value) == message
 
 
 def assert_same_as_oracle(path, **kwargs):

@@ -4,13 +4,14 @@ A second copy of a rule, with its own words, would show here as an entry
 point whose message differs from the others'.
 """
 
+import numpy as np
 import pytest
 
-from spherehead.data import DataConfig, SplitSpec, build_datasets
+from spherehead.data import DataConfig, Dataset, SplitSpec, build_datasets, gen_gaussian_blobs, gen_two_spirals
 from spherehead.errors import ConfigError, ParseError
 from spherehead.heads import EmbeddingQueue, MarginConfig
 from spherehead.results import load_run, serialize_record
-from spherehead.train import ModelConfig, OptimConfig, default_learning_rate, run_experiment
+from spherehead.train import ModelConfig, OptimConfig, build_model, default_learning_rate, run_experiment
 
 from .test_results import make_record
 
@@ -84,3 +85,58 @@ def test_family_rule(entry):
         call()
     assert str(info.value) == ("unknown family 'triplet', expected one of "
                                "('cce', 'sphereface', 'cosface', 'arcface', 'broadface')")
+
+
+def _model_config(**fields):
+    return ModelConfig(**dict({"feature_dim": 4, "margin": MarginConfig.for_family("cce")}, **fields))
+
+
+# entry point -> (the name its message gives the value, a call with that value)
+AT_LEAST_1_ENTRIES = {
+    "ModelConfig.feature_dim": ("feature_dim", lambda n: _model_config(feature_dim=n)),
+    "ModelConfig.encoder_layers": ("encoder width", lambda n: _model_config(encoder_layers=(8, n))),
+    "OptimConfig.epochs": ("epochs", lambda n: OptimConfig(learning_rate=1e-3, epochs=n)),
+    "OptimConfig.batch_size": ("batch_size", lambda n: OptimConfig(learning_rate=1e-3, epochs=1, batch_size=n)),
+    "DataConfig": ("n_per_class", lambda n: DataConfig("two_spirals", {"n_per_class": n})),
+    "gen_two_spirals": ("n_per_class", lambda n: gen_two_spirals(n, 0.1, 1)),
+    "build_model": ("input_dim", lambda n: build_model(_model_config(), n, 2, 0)),
+    "Dataset": ("class count", lambda n: Dataset(np.zeros((1, 2)), [0], n, "x")),
+}
+
+
+@pytest.mark.parametrize("entry", AT_LEAST_1_ENTRIES)
+@pytest.mark.parametrize("value", [0, -2])
+def test_at_least_1_rule(entry, value):
+    name, call = AT_LEAST_1_ENTRIES[entry]
+    with pytest.raises(ConfigError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be at least 1, got {value}"
+
+
+@pytest.mark.parametrize("entry", ["DataConfig", "gen_gaussian_blobs", "build_model"])
+def test_classes_rule(entry):
+    call = {"DataConfig": lambda: DataConfig("blobs", {"classes": 1}),
+            "gen_gaussian_blobs": lambda: gen_gaussian_blobs(1, 10, 0.1, 1.0, 0),
+            "build_model": lambda: build_model(_model_config(), 3, 1, 0)}[entry]
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert str(info.value) == "classes must be at least 2, got 1"
+
+
+# entry point -> (the name its message gives the value, a call with that value)
+FINITE_NON_NEGATIVE_ENTRIES = {
+    "OptimConfig": ("learning_rate", lambda x: OptimConfig(learning_rate=x, epochs=1)),
+    "DataConfig.noise_sd": ("noise_sd", lambda x: DataConfig("two_spirals", {"noise_sd": x})),
+    "gen_two_spirals": ("noise_sd", lambda x: gen_two_spirals(10, x, 1)),
+    "DataConfig.spread": ("spread", lambda x: DataConfig("blobs", {"spread": x})),
+    "gen_gaussian_blobs": ("spread", lambda x: gen_gaussian_blobs(3, 10, x, 1.0, 0)),
+}
+
+
+@pytest.mark.parametrize("entry", FINITE_NON_NEGATIVE_ENTRIES)
+@pytest.mark.parametrize("value", [-0.5, float("inf"), float("nan")])
+def test_finite_non_negative_rule(entry, value):
+    name, call = FINITE_NON_NEGATIVE_ENTRIES[entry]
+    with pytest.raises(ConfigError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be finite and non-negative, got {value}"

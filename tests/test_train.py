@@ -232,11 +232,15 @@ class TestDataConfig:
     @pytest.mark.parametrize("kind, key, value, message", [
         ("two_spirals", "n_per_class", 0, "n_per_class must be at least 1, got 0"),
         ("two_spirals", "n_per_class", -3, "n_per_class must be at least 1, got -3"),
-        ("two_spirals", "noise_sd", -1.0, "noise_sd must be non-negative, got -1.0"),
-        ("two_spirals", "noise_sd", float("nan"), "noise_sd must be non-negative, got nan"),
+        ("two_spirals", "noise_sd", -1.0, "noise_sd must be finite and non-negative, got -1.0"),
+        ("two_spirals", "noise_sd", float("nan"), "noise_sd must be finite and non-negative, got nan"),
+        ("two_spirals", "noise_sd", float("inf"), "noise_sd must be finite and non-negative, got inf"),
         ("blobs", "classes", 1, "classes must be at least 2, got 1"),
         ("blobs", "n_per_class", 0, "n_per_class must be at least 1, got 0"),
-        ("blobs", "spread", -0.5, "spread must be non-negative, got -0.5"),
+        ("blobs", "spread", -0.5, "spread must be finite and non-negative, got -0.5"),
+        ("blobs", "spread", float("inf"), "spread must be finite and non-negative, got inf"),
+        ("blobs", "radius", float("nan"), "radius must be finite, got nan"),
+        ("blobs", "radius", float("-inf"), "radius must be finite, got -inf"),
         ("cifar10", "downsample_to", 7, "downsample_to must divide 32, got 7"),
         ("cifar10", "downsample_to", 0, "downsample_to must divide 32, got 0"),
         ("cifar100", "downsample_to", 64, "downsample_to must divide 32, got 64"),
@@ -330,6 +334,16 @@ class TestBuildModel:
             build_model(cfg, 0, 2, seed=0)
         with pytest.raises(ConfigError):
             build_model(cfg, 3, 1, seed=0)
+
+    @pytest.mark.parametrize("input_dim, class_count, message", [
+        (2.5, 3, "input_dim must be an integer, got 2.5"),  # once a bare TypeError from numpy
+        (3, 2.0, "classes must be an integer, got 2.0"),
+    ])
+    def test_mistyped_argument_is_a_config_error_naming_it(self, input_dim, class_count, message):
+        cfg = ModelConfig(feature_dim=4, margin=margin_for("cce"))
+        with pytest.raises(ConfigError) as info:
+            build_model(cfg, input_dim, class_count, 0)
+        assert str(info.value) == message
 
 
 class TestForwardFeatures:
