@@ -236,7 +236,7 @@ def gen_two_spirals(n_per_class: int, noise_sd: float, seed: int) -> Dataset:
     """
     n_per_class = _checked("n_per_class", _as_int, n_per_class)
     noise_sd = _checked("noise_sd", _as_real, noise_sd)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_seed(seed))
     t = rng.uniform(np.pi / 2.0, 4.0 * np.pi, size=n_per_class)
     base = t[:, None] * np.stack([np.cos(t), np.sin(t)], axis=1)
     features = np.vstack([base, -base])
@@ -259,7 +259,7 @@ def gen_gaussian_blobs(C: int, n_per_class: int, spread: float, radius: float, s
     n_per_class = _checked("n_per_class", _as_int, n_per_class)
     spread = _checked("spread", _as_real, spread)
     radius = _checked("radius", _as_real, radius)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_seed(seed))
     angles = 2.0 * np.pi * np.arange(C) / C
     means = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     features = np.repeat(means, n_per_class, axis=0)
@@ -389,6 +389,7 @@ def _read_cifar(dir: str, which: str, subset_per_class: int | None, downsample_t
         raise ConfigError(f'which must be "cifar10" or "cifar100", got {which!r}')
     subset_per_class = _checked("subset_per_class", _as_optional_int, subset_per_class)
     _checked("downsample_to", _as_optional_int, downsample_to)
+    subset_seed = _as_seed(subset_seed)
     filenames, class_count, label_byte = _CIFAR[which]
     record = label_byte + 1 + _CIFAR_PIXELS
     paths = [os.path.join(dir, filename) for filename in filenames]
@@ -449,7 +450,8 @@ def load_cifar_binary(dir: str, which: str, subset_per_class: int | None = None,
     label is used. All standard files for the flavor are required and
     concatenated. Pixels scale to [0, 1]; ``downsample_to`` mean-pools
     each plane to k x k; ``subset_per_class`` keeps that many rows per
-    class, chosen by ``subset_seed``.
+    class, chosen by ``subset_seed``, which passes the seed rule
+    (:func:`_as_seed`) whether or not a subset is asked for.
     """
     pixels, labels, class_count = _read_cifar(dir, which, subset_per_class, downsample_to, subset_seed)
     return Dataset(_cifar_features(pixels, downsample_to), labels, class_count, which)

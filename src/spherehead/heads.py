@@ -18,15 +18,19 @@ norms, the clamped cosines, then the family's margin, one entry each in
                 product per part
 
 A loss is one tape node, ``head``, with the features and W as its
-inputs. Its pieces are plain numpy functions that return a value and a
-``back`` function: the cosines, the margin, the softmax-NLL, the target
-swap of sphereface, arcface and broadface, and broadface's drift-corrected
-queue block. ``back(g)`` gives one gradient per input, each in closed
-form: ``(G - (G.u) u) / |x|`` through a normalisation, ``g (softmax -
-onehot)`` through the softmax-NLL and one ``psi'(t)`` per row through
-the target swap. With the encoder as one ``mlp`` node and the lift as
-one ``project_batch`` node, a training step records 3 tape nodes (2
-without the lift) in every family.
+inputs. Features may be a stack [S, B, d], with labels [S, B] and W
+shared [d, C] or one per slice [S, d, C]; the loss is then one mean per
+slice, [S], and each slice has the bytes of its own 2-D call (the stack
+rule in :mod:`spherehead.ndcore`). Its pieces are plain numpy functions
+that return a value and a ``back`` function: the cosines, the margin,
+the softmax-NLL, the target swap of sphereface, arcface and broadface,
+and broadface's drift-corrected queue block. ``back(g)`` gives one
+gradient per input, each in closed form: ``(G - (G.u) u) / |x|``
+through a normalisation, ``g (softmax - onehot)`` through the
+softmax-NLL and one ``psi'(t)`` per row through the target swap. With
+the encoder as one ``mlp`` node and the lift as one ``project_batch``
+node, a training step records 3 tape nodes (2 without the lift) in
+every family.
 
 BroadFace's queue keeps detached embeddings only, so gradient from its
 terms reaches W and nothing else. It is a window, not a ring: five
@@ -43,7 +47,7 @@ import numpy as np
 
 from .data import _as_bool, _as_int, _as_real, _check_fields, _checked, _checked_labels
 from .errors import ConfigError, DegenerateInputError, DomainError, LabelError, ShapeError, StateError
-from .ndcore import Tensor, _accumulate, _float64, _record
+from .ndcore import Tensor, _accumulate, _check_stack, _float64, _record, _refuse_shared
 
 __all__ = [
     "FAMILIES",
@@ -116,7 +120,7 @@ class MarginConfig:
 
 
 class HeadWeights:
-    """The class-weight matrix W of shape [d, C], one column per class.
+    """The class-weight matrix W of shape [d, C], one column per class, or one per stack slice, [S, d, C].
 
     Columns are L2-normalized inside the logit computation; the raw
     matrix is what the optimizer updates.
@@ -127,17 +131,17 @@ class HeadWeights:
     def __init__(self, W: Tensor):
         if not isinstance(W, Tensor):
             W = Tensor(W, requires_grad=True)
-        if W.ndim != 2:
-            raise ShapeError(f"weights must be [d, C], got shape {W.shape}")
+        if W.ndim not in (2, 3):
+            raise ShapeError(f"weights must be [d, C] or [S, d, C], got shape {W.shape}")
         self.W = W
 
     @property
     def dim(self) -> int:
-        return self.W.shape[0]
+        return self.W.shape[-2]
 
     @property
     def class_count(self) -> int:
-        return self.W.shape[1]
+        return self.W.shape[-1]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -224,6 +228,9 @@ class EmbeddingQueue:
 
 
 def _one_hot(labels, class_count: int) -> np.ndarray:
+    """One-hot rows [B, C] of labels [B], or [S, B, C] of a stack's label array [S, B]."""
+    if getattr(labels, "ndim", 1) == 2:
+        return _one_hot(labels.reshape(-1), class_count).reshape(labels.shape + (class_count,))
     labels = _checked_labels(labels, class_count)
     out = np.zeros((labels.size, class_count))
     out[np.arange(labels.size), labels] = 1.0
@@ -231,13 +238,16 @@ def _one_hot(labels, class_count: int) -> np.ndarray:
 
 
 def _norms(t: np.ndarray, axis: int, what: str) -> np.ndarray:
-    """The L2 norms of ``t``'s rows (axis 1) or columns (axis 0), kept as a [B, 1] or [1, C] array.
+    """The L2 norms of the rows (axis 1) or columns (axis 0) of ``t``'s matrices, kept as [..., B, 1] or [..., 1, C].
+
+    ``axis`` counts in each matrix of a stack, so the sum is on the
+    trailing axis ``axis - 2``.
 
     A non-finite entry or a squared norm past float64 raises
     :class:`DomainError`, and a zero norm :class:`DegenerateInputError`.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = (t * t).sum(axis=axis, keepdims=True)
+        sq = (t * t).sum(axis=axis - 2, keepdims=True)
     if sq.size and sq.min() > 0.0 and sq.max() < np.inf:  # a NaN fails both comparisons
         return np.sqrt(sq)
     if not np.isfinite(sq).all():
@@ -249,7 +259,7 @@ def _norms(t: np.ndarray, axis: int, what: str) -> np.ndarray:
 
 
 def _row_products(a: np.ndarray, b: np.ndarray, parts: tuple) -> np.ndarray:
-    """``a @ b`` as one BLAS product per part of ``a``'s rows, written into one array.
+    """``a @ b`` as one BLAS product per part of ``a``'s rows (a stack is one part), written into one array.
 
     OpenBLAS tiles rows by a product's height, so a row may round
     differently inside a taller product: rows stacked from parts keep
@@ -266,11 +276,11 @@ def _row_products(a: np.ndarray, b: np.ndarray, parts: tuple) -> np.ndarray:
 def _unit_cosines(f: np.ndarray, norms: np.ndarray, W: np.ndarray, col_norms: np.ndarray, parts: tuple):
     """cos theta between ``f``'s rows and W's columns, given their norms, clamped to [-1, 1].
 
-    ``parts`` are slices of the rows, and each part gets its own BLAS
-    products (see :func:`_row_products`). Returns the cosines and
-    ``back``: ``back(g)`` gives the rows' gradient, then W's gradient from
-    each part, each ``(G - (G.u) u) / |x|`` for the gradient G of its
-    unit vectors u.
+    ``parts`` are slices of a 2-D batch's rows (a stack is one part), and
+    each part gets its own BLAS products (see :func:`_row_products`).
+    Returns the cosines and ``back``: ``back(g)`` gives the rows'
+    gradient, then W's gradient from each part, each ``(G - (G.u) u) /
+    |x|`` for the gradient G of its unit vectors u.
     """
     unit_features, unit_weights = f / norms, W / col_norms
     raw = _row_products(unit_features, unit_weights, parts)
@@ -278,10 +288,10 @@ def _unit_cosines(f: np.ndarray, norms: np.ndarray, W: np.ndarray, col_norms: np
 
     def back(g):
         g = g * inside
-        g_rows = _row_products(g, unit_weights.T, parts)
-        g_cols = [unit_features[part].T @ g[part] for part in parts]
-        return ((g_rows - (g_rows * unit_features).sum(axis=1, keepdims=True) * unit_features) / norms,
-                *((c - (c * unit_weights).sum(axis=0, keepdims=True) * unit_weights) / col_norms for c in g_cols))
+        g_rows = _row_products(g, unit_weights.mT, parts)
+        g_cols = [unit_features[part].mT @ g[part] for part in parts]
+        return ((g_rows - (g_rows * unit_features).sum(axis=-1, keepdims=True) * unit_features) / norms,
+                *((c - (c * unit_weights).sum(axis=-2, keepdims=True) * unit_weights) / col_norms for c in g_cols))
 
     return np.minimum(np.maximum(raw, -1.0), 1.0), back
 
@@ -289,17 +299,20 @@ def _unit_cosines(f: np.ndarray, norms: np.ndarray, W: np.ndarray, col_norms: np
 def _nll_sum(logits: np.ndarray, onehot: np.ndarray, parts: tuple = (slice(None),)):
     """Summed -log softmax(logits)[target], max-shifted against overflow, and ``back``.
 
-    The rows of each of ``parts`` are summed on their own, and the part
-    sums added in order. The row maxima are constants: subtracting any
-    constant from a row leaves softmax and its gradient unchanged.
-    ``back(g)`` gives the logits' gradient g * (softmax - onehot).
+    The sum is one total, or one per slice of a stack [S, B, C]. The rows
+    of each of ``parts`` (slices of a 2-D batch's rows; a stack is one
+    part) are summed on their own, and the part sums added in order. The
+    row maxima are constants: subtracting any constant from a row leaves
+    softmax and its gradient unchanged. ``back(g)`` gives the logits'
+    gradient g * (softmax - onehot), for g a scalar, or [S, 1, 1] for a
+    stack.
     """
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    sum_e = e.sum(axis=1, keepdims=True)
-    target = (shifted * onehot).sum(axis=1, keepdims=True)
+    sum_e = e.sum(axis=-1, keepdims=True)
+    target = (shifted * onehot).sum(axis=-1, keepdims=True)
     losses = np.log(sum_e) - target
-    total = sum((losses[part].sum() for part in parts[1:]), losses[parts[0]].sum())
+    total = sum((losses[part].sum(axis=(-2, -1)) for part in parts[1:]), losses[parts[0]].sum(axis=(-2, -1)))
     return total, lambda g: g * (e / sum_e - onehot)
 
 
@@ -324,7 +337,7 @@ def _swap_target(cosines: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
     """
     arc = cfg.family != "sphereface"
     m = cfg.m if arc else int(cfg.m)
-    t = (cosines * onehot).sum(axis=1, keepdims=True)
+    t = (cosines * onehot).sum(axis=-1, keepdims=True)
     psi, slope = t, 1.0  # sphereface's psi at m = 1 is t itself
     if arc or m > 1:
         inside = (t > -COS_CLAMP) & (t < COS_CLAMP)
@@ -358,7 +371,7 @@ def _swap_target(cosines: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
 
 def _sphere_margin(cosines: np.ndarray, norms: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
     swapped, back_swap = _swap_target(cosines, onehot, cfg)
-    return norms * swapped, lambda g: (back_swap(g * norms), (g * swapped).sum(axis=1, keepdims=True))
+    return norms * swapped, lambda g: (back_swap(g * norms), (g * swapped).sum(axis=-1, keepdims=True))
 
 
 def _cos_margin(cosines: np.ndarray, norms: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
@@ -410,7 +423,7 @@ def _angular_logits(f: np.ndarray, W: np.ndarray, cfg: MarginConfig, onehot: np.
     compensation.
     """
     norms, col_norms = _norms(f, 1, "feature row"), _norms(W, 0, "weight column")
-    rows, parts, B = f, (slice(None),), f.shape[0]
+    rows, parts, B = f, (slice(None),), f.shape[-2]
     if queue is not None and len(queue) > 0:
         block, block_onehot, back_block = _compensated_block(queue, W)
         rows, parts = np.concatenate((f, block)), (slice(0, B), slice(B, None))
@@ -445,27 +458,38 @@ def head_forward(features: Tensor, weights: HeadWeights, cfg: MarginConfig,
     The node's inputs are the features and W. Its backward takes g /
     count back through the pieces once and accumulates one gradient into
     each input.
+
+    Features may also be a stack [S, B, d] with labels [S, B], and W one
+    per slice [S, d, C] or shared [d, C]: the loss is then [S], one mean
+    per slice. Shared weights are forward-only under a stack (a backward
+    that reaches them raises ShapeError), and a stack takes no queue.
     """
     if queue is not None and cfg.family != "broadface":
         raise ConfigError(f"a queue is a broadface knob, not valid for {cfg.family!r}")
     if not isinstance(features, Tensor):
         features = Tensor(features)
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ShapeError(f"features must be [B, d] with B >= 1, got shape {features.shape}")
-    if features.shape[1] != weights.dim:
-        raise ShapeError(f"feature dim {features.shape[1]} does not match weight dim {weights.dim}")
-    onehot = _one_hot(labels, weights.class_count)
-    if onehot.shape[0] != features.shape[0]:
-        raise ShapeError(f"{features.shape[0]} feature rows but {onehot.shape[0]} labels")
     W, f, w = weights.W, features.data, weights.W.data
+    _check_stack("head", f, w)
+    if 0 in f.shape[:-1]:
+        raise ShapeError(f"features must have B >= 1 rows, got shape {f.shape}")
+    if f.shape[-1] != weights.dim:
+        raise ShapeError(f"feature dim {f.shape[-1]} does not match weight dim {weights.dim}")
+    if queue is not None and f.ndim > 2:
+        raise ShapeError(f"an {f.shape} stack takes no queue: a queue holds the rows of [B, d] batches")
+    onehot = _one_hot(labels, weights.class_count)
+    if onehot.shape[:-1] != f.shape[:-1]:
+        raise ShapeError(f"{f.shape[:-1]} feature rows but {onehot.shape[:-1]} labels")
     if cfg.family == "cce":
-        logits, parts, back_logits = f @ w, (slice(None),), lambda g: (g @ w.T, f.T @ g)
+        logits, parts, back_logits = f @ w, (slice(None),), lambda g: (g @ w.mT, f.mT @ g)
     else:
         logits, onehot, parts, back_logits = _angular_logits(f, w, cfg, onehot, queue)
     total, back_nll = _nll_sum(logits, onehot, parts)
-    count = onehot.shape[0]
+    count = onehot.shape[-2]
 
     def backward_fn(g: np.ndarray) -> None:
+        if g.ndim:  # one loss per slice of a stack
+            _refuse_shared("head", f.shape, (W,))
+            g = g[:, None, None]
         g_f, g_w = back_logits(back_nll(g / float(count)))
         if features.requires_grad:
             _accumulate(features, g_f)

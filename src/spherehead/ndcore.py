@@ -14,7 +14,7 @@ Deliberate restrictions, chosen to remove whole classes of silent bugs:
   flat arena that ``train.fit`` packs its parameters into, and its
   ``_grad_slot`` the view where its first gradient of a step is written;
 * no general ops: a node hands each input a gradient of the input's own
-  shape, and nothing here broadcasts;
+  shape, and the one broadcast is a shared weight under a stack (below);
 * a fixed subgradient convention: relu'(0) = 0 (inside :func:`mlp`).
 
 Everything here is single-threaded per computation; independent graphs in
@@ -26,7 +26,7 @@ the model lifts its features, and ``heads.head_forward``'s ``head`` (the
 logits, softmax-NLL, margin and BroadFace queue block of one loss). Each
 node's backward is its own closed form, and it accumulates one gradient
 into each input. :func:`mlp` writes in place only into arrays it has
-just made (each layer's ``h @ W`` and each lower layer's ``g @ W.T``),
+just made (each layer's ``h @ W`` and each lower layer's ``g @ W.mT``),
 never into its inputs' data, its incoming gradient or a layer input it
 keeps for backward. The primitive chains the nodes stand for live in the
 tests, on ``tests/oracles.py``'s reference ops, which record through
@@ -49,6 +49,23 @@ bits of elementwise ufuncs and row reductions, but not of a BLAS
 product: OpenBLAS tiles rows by the product's height, and a row can round
 differently in a taller product (``(A @ M)[:B]`` against ``A[:B] @ M``),
 so stacked parts each keep their own products.
+
+Stacks. Every node takes an optional leading stack axis: an [S, B, n]
+input is S independent batches, and a [B, n] input is the S = 1 case of
+the same code. Reductions name trailing axes (``axis=-1``, ``-2``) and
+products are ``np.matmul`` with ``.mT``, which makes one BLAS product
+per slice. So each slice has the bytes of its own 2-D call, provided it
+starts 16-byte aligned, as a fresh array does; every slice of a stack of
+even-height batches does. The Katmai kernel's ddot (``np.vecdot``, as
+``OPENBLAS_CORETYPE=Prescott`` loads it) rounds by that alignment; the
+SkylakeX and Haswell kernels round alike at every 8-byte offset. The
+rule held for all 2134 slices of random stacks (S 2-5, even B 2-78, n
+and k 1-69) under all three kernels, and ``tests/stack_check.py``
+re-checks it under each kernel the CPU loads. A weight is shared, [n,
+k], or one per slice, [S, n, k]. A shared weight that needs a gradient
+is forward-only under a stack: a backward that reaches it raises
+:class:`ShapeError`, and never sums over the stack. A stack's loss is
+one loss per slice, [S], and ``backward`` seeds each with 1.
 """
 
 from __future__ import annotations
@@ -184,16 +201,17 @@ def trace(root: Tensor) -> Tape:
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires-grad tensor reachable from ``loss``.
 
-    ``loss`` must be a scalar. Gradients accumulate additively across calls;
-    callers zero them between steps. The walk is :func:`trace`'s order,
-    reversed.
+    ``loss`` must be a scalar, or a stacked ``head`` node's one loss per
+    slice [S], each seeded with 1. Gradients accumulate additively across
+    calls; callers zero them between steps. The walk is :func:`trace`'s
+    order, reversed.
     """
-    if loss.ndim != 0:
-        raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if loss.ndim > (loss.op == "head"):
+        raise ShapeError(f"backward needs a scalar loss or a head's one loss per slice, got shape {loss.shape}")
     if not loss.requires_grad:
         return
     order = _post_order(loss)
-    _accumulate(loss, np.ones(()))
+    _accumulate(loss, np.ones(loss.data.shape))
     for t in reversed(order):
         if t.grad is not None:
             t._backward(t.grad)
@@ -243,62 +261,81 @@ def _accumulate_matmul(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
         t.grad += 0.0
 
 
-def _check_2d(op: str, t: Tensor) -> None:
-    if t.ndim != 2:
-        raise ShapeError(f"{op} needs a 2-D tensor, got shape {t.shape}")
+def _check_stack(op: str, x: np.ndarray, W: np.ndarray) -> None:
+    """A ShapeError unless ``x`` is a batch [B, n] or a stack [S, B, n], and W is shared [n, k] or [S, n, k]."""
+    if W.ndim != 2 and (W.ndim != 3 or x.ndim != 3 or W.shape[0] != x.shape[0]) or x.ndim not in (2, 3):
+        raise ShapeError(f"{op} needs a [B, n] batch or an [S, B, n] stack, and a weight [n, k] or one per "
+                         f"slice [S, n, k], got {x.shape} and {W.shape}")
+
+
+def _refuse_shared(op: str, stack: tuple, params) -> None:
+    """A backward through ``op`` from a stack: a ShapeError if a shared (2-D) weight in ``params`` needs a gradient."""
+    shared = [p.shape for p in params if p.ndim == 2 and p.requires_grad]
+    if shared:
+        raise ShapeError(f"{op}: backward from an {stack} stack reaches shared weights {shared}; "
+                         f"give each slice its own [S, ...] weight")
 
 
 def mlp(x: Tensor, layers) -> Tensor:
     """The encoder ``h <- relu(h @ W + b)`` over ``layers``, the last one affine only, as one tape node.
 
-    ``layers`` is a sequence of (W [n, k], b [1, k]) pairs. Walking the
-    layers backwards, a hidden layer's gradient is first masked by its
-    ReLU (``z * (z > 0)``); then the bias gets the column sums of the
-    gradient, the layer's input ``g @ W.T`` and W ``h_in.T @ g``, which
-    a first contribution computes straight into W's gradient slot. Only
-    the masks and each layer's input are kept.
+    ``x`` is [B, n] or a stack [S, B, n], and ``layers`` a sequence of
+    (W [n, k], b [1, k]) pairs, shared by the slices, or of ([S, n, k],
+    [S, 1, k]) pairs, one per slice, every layer alike. Walking the layers backwards, a
+    hidden layer's gradient is first masked by its ReLU (``z * (z >
+    0)``); then the bias gets the column sums of the gradient, the
+    layer's input ``g @ W.mT`` and W ``h_in.mT @ g``, which a first
+    contribution computes straight into W's gradient slot. Only the masks
+    and each layer's input are kept.
 
     Each layer's bias add and ReLU mask write in place into the fresh
-    array of its ``h @ W``, and backward masks the fresh ``g @ W.T`` of
+    array of its ``h @ W``, and backward masks the fresh ``g @ W.mT`` of
     the layer above in place. ``x.data``, the parameters, the stored layer
     inputs and the node's incoming gradient are never written.
     """
     if not isinstance(x, Tensor):
         x = Tensor(x)
-    _check_2d("mlp", x)
     layers = tuple(layers)
     if not layers:
         raise ShapeError("mlp needs at least one layer")
-    h = x.data
+    h, w0 = x.data, layers[0][0].data
+    _check_stack("mlp", h, w0)
+    lead = w0.shape[:-2]  # () when the layers are shared, (S,) when they are one per slice
     inputs, masks = [], []
     for i, (W, b) in enumerate(layers):
-        _check_2d("mlp", W)
-        if h.shape[1] != W.shape[0]:
-            raise ShapeError(f"mlp layer {i}: inner dimensions disagree, {h.shape} x {W.shape}")
-        if b.shape != (1, W.shape[1]):
-            raise ShapeError(f"mlp layer {i}: bias must be [1, {W.shape[1]}], got {b.shape}")
+        w = W.data
+        if w.ndim != w0.ndim or w.shape[:-2] != lead:
+            raise ShapeError(f"mlp layer {i}: weight {w.shape} is not laid out as layer 0's {w0.shape}")
+        if h.shape[-1] != w.shape[-2]:
+            raise ShapeError(f"mlp layer {i}: inner dimensions disagree, {h.shape} x {w.shape}")
+        if b.data.shape != lead + (1, w.shape[-1]):
+            raise ShapeError(f"mlp layer {i}: bias must be {[*lead, 1, w.shape[-1]]}, got {b.shape}")
         inputs.append(h)
-        h = h @ W.data  # a fresh array: the adds and masks below write into it
+        h = h @ w  # a fresh array: the adds and masks below write into it
         h += b.data
         if i < len(layers) - 1:
             mask = h > 0.0  # subgradient 0 at exactly 0
             masks.append(mask)
             h *= mask
 
+    params = tuple(p for layer in layers for p in layer)
+
     def backward_fn(g: np.ndarray) -> None:
+        if g.ndim > 2:
+            _refuse_shared("mlp", x.shape, params)
         for i in range(len(layers) - 1, -1, -1):
             W, b = layers[i]
             if i < len(masks):
-                g *= masks[i]  # g is the fresh g @ W.T of the layer above
+                g *= masks[i]  # g is the fresh g @ W.mT of the layer above
             if b.requires_grad:
-                _accumulate(b, g.sum(axis=0, keepdims=True))
+                _accumulate(b, g.sum(axis=-2, keepdims=True))
             g_in = None
             if i > 0:
-                g_in = g @ W.data.T
+                g_in = g @ W.data.mT
             elif x.requires_grad:
-                _accumulate(x, g @ W.data.T)
+                _accumulate(x, g @ W.data.mT)
             if W.requires_grad:
-                _accumulate_matmul(W, inputs[i].T, g)
+                _accumulate_matmul(W, inputs[i].mT, g)
             g = g_in
 
-    return _record("mlp", (x,) + tuple(p for layer in layers for p in layer), h, backward_fn)
+    return _record("mlp", (x,) + params, h, backward_fn)

@@ -151,22 +151,24 @@ def _check_sphere(P: np.ndarray, tol: float, allow_pole: bool = False) -> None:
 
 
 def _lift(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """phi of every row of a 2-D X, and the squared norms ``np.vecdot(X, X)`` as an [N, 1] column.
+    """phi of every row of X [N, n] or a stack [S, N, n], and the squared norms ``np.vecdot(X, X)`` as a column [..., N, 1].
 
-    A non-finite entry or a squared norm past float64 raises :class:`DomainError`.
+    A non-finite entry or a squared norm past float64 raises
+    :class:`DomainError`; in a stack, its row is counted through the
+    stack, slice * N + row.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.vecdot(X, X)[:, None]
+        sq = np.vecdot(X, X)[..., None]
     if not np.isfinite(sq).all():
-        finite = np.isfinite(X).all(axis=1)
+        finite = np.isfinite(X).all(axis=-1)
         if not finite.all():
             raise _row_error(DomainError, "non-finite entries", ~finite)
-        raise _row_error(DomainError, "squared norm overflows float64", np.isinf(sq[:, 0]))
-    n = X.shape[1]
-    out = np.empty((X.shape[0], n + 1))
+        raise _row_error(DomainError, "squared norm overflows float64", np.isinf(sq[..., 0]))
+    n = X.shape[-1]
+    out = np.empty(X.shape[:-1] + (n + 1,))
     denom = sq + 1.0
-    np.divide(2.0 * X, denom, out=out[:, :n])
-    np.divide(sq - 1.0, denom, out=out[:, n:])
+    np.divide(2.0 * X, denom, out=out[..., :n])
+    np.divide(sq - 1.0, denom, out=out[..., n:])
     return out, sq
 
 
@@ -189,7 +191,7 @@ def project_rows(X) -> np.ndarray:
 
 
 def project_batch(X: Tensor) -> Tensor:
-    """Row-wise projection on the gradient tape: [B, n] -> [B, n+1], one node.
+    """Row-wise projection on the gradient tape: [B, n] -> [B, n+1], or a stack [S, B, n] -> [S, B, n+1], one node.
 
     The forward pass is ``_lift``, as in :func:`project_rows`. The
     backward pass applies the lift's Jacobian in one pass: with D =
@@ -198,16 +200,16 @@ def project_batch(X: Tensor) -> Tensor:
     """
     if not isinstance(X, Tensor):
         X = Tensor(X)
-    if X.ndim != 2:
-        raise ShapeError(f"project_batch needs a [B, n] tensor, got shape {X.shape}")
+    if X.ndim not in (2, 3):
+        raise ShapeError(f"project_batch needs a [B, n] or [S, B, n] tensor, got shape {X.shape}")
     x = X.data
     out, norm = _lift(x)
-    n = x.shape[1]
+    n = x.shape[-1]
 
     def backward_fn(g: np.ndarray) -> None:
-        ga, gb = g[:, :n], g[:, n:]
+        ga, gb = g[..., :n], g[..., n:]
         denom = norm + 1.0
-        _accumulate(X, (2.0 * ga + 4.0 * x * (gb - np.vecdot(ga, x)[:, None]) / denom) / denom)
+        _accumulate(X, (2.0 * ga + 4.0 * x * (gb - np.vecdot(ga, x)[..., None]) / denom) / denom)
 
     return _record("project_batch", (X,), out, backward_fn)
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import results as results_store
-from .data import (DataConfig, Dataset, _as_bool, _as_int, _as_ints, _as_real, _check_fields, _checked, _seed_streams,
-                   build_datasets)
+from .data import (DataConfig, Dataset, _as_bool, _as_int, _as_ints, _as_real, _as_seed, _check_fields, _checked,
+                   _seed_streams, build_datasets)
 from .errors import (ConfigError, DomainError, LayoutError, ParseError, SphereheadError, StateError,
                      TrainingDiverged)
 from .heads import FAMILIES, EmbeddingQueue, HeadWeights, MarginConfig, _check_family, _norms, head_forward
@@ -179,10 +179,10 @@ def init_seed(seed: int) -> int:
 
 
 def build_model(config: ModelConfig, input_dim: int, class_count: int, seed: int) -> Model:
-    """Deterministic init: uniform(+-sqrt(6/fan_in)) weights, zero biases; a bad dim or class count is a ConfigError."""
+    """Deterministic init: uniform(+-sqrt(6/fan_in)) weights, zero biases; a bad dim, class count or seed is a ConfigError."""
     input_dim = _checked("input_dim", _as_int, input_dim)
     class_count = _checked("classes", _as_int, class_count)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_seed(seed))
     widths = (input_dim,) + config.encoder_layers + (config.feature_dim,)
     layers = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
@@ -244,24 +244,42 @@ def sgd_step(params: list, grads: list, velocities: list | None, opt: OptimConfi
     return velocities
 
 
+# rows per call of evaluate's forward and of the initial-loss pass's stacks
+_EVAL_CHUNK = 4096
+
+
 def _batch_loss(model: Model, X: np.ndarray, y: np.ndarray, queue: EmbeddingQueue | None) -> Tensor:
     return head_forward(model.forward_features(Tensor(X)), model.head, model.config.margin, y, queue)
 
 
 def _dataset_loss(model: Model, ds: Dataset, batch_size: int) -> float:
-    """Sample-weighted mean loss over the dataset, no parameter updates.
+    """Sample-weighted mean loss over the dataset's batches in order, no parameter updates.
 
-    broadface is measured without a queue (its empty-queue loss), so the
-    measurement never touches training state.
+    Full batches of an even size go as views into stacks [S, batch_size,
+    n] of at most ``_EVAL_CHUNK`` rows, one :func:`_batch_loss` call per
+    stack; an even size keeps every slice 16-byte aligned, as the stack
+    rule in ``ndcore`` needs. Every other batch (odd, alone in its stack,
+    or the last partial one) is a 2-D call. Each slice
+    has the bits of its own 2-D call, and the batch losses times their
+    sizes add in batch order. broadface is measured without a queue (its
+    empty-queue loss), so the measurement never touches training state.
     """
+    X, y, n = ds.features.data, ds.labels, len(ds)
+    full = n - n % batch_size
+    rows = max(_EVAL_CHUNK // batch_size, 1) * batch_size if batch_size % 2 == 0 else batch_size
+    bounds = [*range(0, full, rows), full]
+    batches = [(X[a:b], y[a:b]) if b - a == batch_size else
+               (X[a:b].reshape(-1, batch_size, X.shape[1]), y[a:b].reshape(-1, batch_size))
+               for a, b in zip(bounds, bounds[1:])]
+    if full < n:
+        batches.append((X[full:], y[full:]))
     total = 0.0
-    n = len(ds)
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
+    for X_batches, y_batches in batches:
         # as in fit's steps: a blow-up shows as a non-finite loss
         with np.errstate(over="ignore", invalid="ignore"):
-            loss = _batch_loss(model, ds.features.data[start:stop], ds.labels[start:stop], None)
-        total += loss.item() * (stop - start)
+            losses = _batch_loss(model, X_batches, y_batches, None).data
+        for loss in losses.reshape(-1).tolist():
+            total += loss * y_batches.shape[-1]
     return total / n
 
 
@@ -366,9 +384,6 @@ def fit(model: Model, train_ds: Dataset, opt: OptimConfig) -> tuple[Model, dict]
                 history["stopped_early_at"] = epoch
                 break
     return model, history
-
-
-_EVAL_CHUNK = 4096
 
 
 def evaluate(model: Model, ds: Dataset) -> float:

@@ -25,11 +25,16 @@ Two exceptions sit on ``ndcore``'s own recording and accumulation:
   record one of ``heads``' numpy pieces as a node of its own, so that a
   piece can be checked alone against its chain and central differences.
 
-A third is a bit reference rather than a formula: :func:`two_pass_broadface_step`
-is the queued BroadFace step as two ArcFace passes, one over the batch
-and one over the queue block, each with its own products and sums, on
-``heads``' unchanged pieces (``_norms``, ``_one_hot``, ``_swap_target``).
-The one-pass head must give its bits exactly.
+Two more are bit references rather than formulas:
+
+* :func:`two_pass_broadface_step` is the queued BroadFace step as two
+  ArcFace passes, one over the batch and one over the queue block, each
+  with its own products and sums, on ``heads``' unchanged pieces
+  (``_norms``, ``_one_hot``, ``_swap_target``). The one-pass head must
+  give its bits exactly.
+* :func:`per_batch_loss` is ``fit``'s initial loss as one 2-D
+  ``train._batch_loss`` call per batch, in order. The stacked pass must
+  give its bits exactly.
 """
 
 from collections import deque
@@ -37,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from spherehead import heads
+from spherehead import heads, train
 from spherehead.errors import ConfigError, DegenerateInputError, DomainError, ParseError, ShapeError, StateError
 from spherehead.ndcore import Tensor, _accumulate, _record
 
@@ -546,6 +551,18 @@ def two_pass_broadface_step(X, W, cfg, labels, queue):
     with np.errstate(over="ignore"):
         norms = [np.linalg.norm(kept[0], axis=1), np.linalg.norm(kept[2], axis=1)]
     return (total + block_total) / count, g_x, g_w, kept + norms
+
+
+def per_batch_loss(model, ds, batch_size):
+    """The sample-weighted mean of the queue-less batch losses, each batch its own 2-D call."""
+    total = 0.0
+    n = len(ds)
+    for start in range(0, n, batch_size):
+        stop = min(start + batch_size, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = train._batch_loss(model, ds.features.data[start:stop], ds.labels[start:stop], None)
+        total += loss.item() * (stop - start)
+    return total / n
 
 
 def oracle_lift_row(x):

@@ -155,7 +155,14 @@ CHAIN_LOGITS = {
 
 
 def chain_head_forward(features, weights, cfg, labels, queue=None):
-    """``head_forward`` as the tape of its chain: the chain pieces, joined by ``add`` and ``div``."""
+    """``head_forward`` as the tape of its chain: the chain pieces, joined by ``add`` and ``div``.
+
+    A stack [S, B, d], as ``fit``'s initial-loss pass makes, goes one
+    slice at a time, forward only: the loss is the slices' losses, [S].
+    """
+    if features.ndim == 3:
+        return Tensor([chain_head_forward(Tensor(f), weights, cfg, y, queue).item()
+                       for f, y in zip(features.data, labels)])
     onehot = _one_hot(labels, weights.class_count)
     total = chain_nll_sum(CHAIN_LOGITS[cfg.family](features, weights, cfg, onehot), onehot)
     count = onehot.shape[0]

@@ -7,12 +7,14 @@ point whose message differs from the others'.
 import numpy as np
 import pytest
 
-from spherehead.data import DataConfig, Dataset, SplitSpec, build_datasets, gen_gaussian_blobs, gen_two_spirals
+from spherehead.data import (DataConfig, Dataset, SplitSpec, build_datasets, gen_gaussian_blobs, gen_two_spirals,
+                             load_cifar_binary)
 from spherehead.errors import ConfigError, ParseError
 from spherehead.heads import EmbeddingQueue, MarginConfig
 from spherehead.results import load_run, serialize_record
 from spherehead.train import ModelConfig, OptimConfig, build_model, default_learning_rate, run_experiment
 
+from .test_data import write_cifar10_dir
 from .test_results import make_record
 
 
@@ -28,6 +30,15 @@ def _load_run(seed, tmp_path):
     load_run(str(path))
 
 
+def _build_model(seed, _):
+    build_model(ModelConfig(feature_dim=2, margin=MarginConfig.for_family("cce"), encoder_layers=(4,)), 2, 2, seed)
+
+
+def _load_cifar_binary(seed, tmp_path):
+    """No subset is asked for, so the seed draws nothing, and is checked all the same."""
+    load_cifar_binary(str(write_cifar10_dir(tmp_path, records_per_file=2)), "cifar10", subset_seed=seed)
+
+
 # entry point -> (the error it raises, a call with a given seed and a scratch directory)
 SEED_ENTRIES = {
     "OptimConfig": (ConfigError, lambda seed, _: OptimConfig(learning_rate=1e-3, epochs=1, seed=seed)),
@@ -35,6 +46,10 @@ SEED_ENTRIES = {
     "build_datasets": (ConfigError, lambda seed, _: build_datasets(DataConfig("blobs"), seed)),
     "SplitSpec": (ConfigError, lambda seed, _: SplitSpec(0.5, seed)),
     "load_run": (ParseError, _load_run),
+    "gen_two_spirals": (ConfigError, lambda seed, _: gen_two_spirals(10, 0.1, seed)),
+    "gen_gaussian_blobs": (ConfigError, lambda seed, _: gen_gaussian_blobs(3, 5, 1.0, 4.0, seed)),
+    "build_model": (ConfigError, _build_model),
+    "load_cifar_binary": (ConfigError, _load_cifar_binary),
 }
 
 

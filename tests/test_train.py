@@ -32,7 +32,7 @@ from spherehead.train import (
 )
 
 from .helpers import traced_peak
-from .oracles import reduce_sum
+from .oracles import per_batch_loss, reduce_sum
 
 BLOCK = train._UPDATE_BLOCK
 
@@ -676,6 +676,52 @@ def test_fit_keeps_parameter_tensors_and_their_trained_values(family, projection
     for p in params:
         digest.update(p.data.tobytes())
     assert digest.hexdigest() == TWO_FIT_DIGESTS[family, projection]
+
+
+def _initial_loss_model(family, projection, ds):
+    cfg = ModelConfig(feature_dim=3, margin=margin_for(family, s=12.0), encoder_layers=(16,),
+                      projection_enabled=projection)
+    return build_model(cfg, ds.dim, ds.class_count, 5)
+
+
+class TestInitialLoss:
+    """``fit``'s initial loss, its full batches stacked, has the bits of one 2-D call per batch."""
+
+    # (rows, batch size): a partial last batch; full batches only; more full
+    # batches than one _EVAL_CHUNK stack holds; a batch larger than
+    # _EVAL_CHUNK; fewer rows than one batch; odd batches
+    SIZES = [(100, 32), (96, 32), (5000, 8), (5000, 4100), (20, 32), (100, 7)]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("projection", [True, False])
+    @pytest.mark.parametrize("rows, batch", SIZES)
+    def test_fit_initial_loss_is_the_per_batch_loss(self, family, projection, rows, batch):
+        ds = data.gen_two_spirals(rows // 2, 0.1, 11)
+        want = per_batch_loss(_initial_loss_model(family, projection, ds), ds, batch)
+        _, history = fit(_initial_loss_model(family, projection, ds), ds,
+                         OptimConfig(learning_rate=1e-3, epochs=1, batch_size=batch))
+        assert history["initial_loss"].hex() == want.hex()
+
+    @pytest.mark.parametrize("rows, batch, shapes", [
+        (5000, 8, [(512, 8, 2), (113, 8, 2)]),
+        (4104, 8, [(512, 8, 2), (8, 2)]),  # a batch alone in its stack is a 2-D call
+        (5000, 4100, [(4100, 2), (900, 2)]),
+        (100, 32, [(3, 32, 2), (4, 2)]),
+        (20, 32, [(20, 2)]),
+        (100, 7, [(7, 2)] * 14 + [(2, 2)]),  # an odd batch would misalign every other slice
+    ])
+    def test_one_call_per_stack_of_views(self, rows, batch, shapes, monkeypatch):
+        ds = data.gen_two_spirals(rows // 2, 0.1, 11)
+        calls, real = [], train._batch_loss
+
+        def spy(model, X, y, queue):
+            assert queue is None and np.shares_memory(X, ds.features.data) and y.shape == X.shape[:-1]
+            calls.append(X.shape)
+            return real(model, X, y, queue)
+
+        monkeypatch.setattr(train, "_batch_loss", spy)
+        train._dataset_loss(_initial_loss_model("arcface", True, ds), ds, batch)
+        assert calls == shapes
 
 
 class TestEvaluate:
