@@ -280,8 +280,8 @@ def _read_lines(path: str) -> list[str]:
             raise ParseError(f"{path}:{lineno}: not UTF-8 text: {err.reason}") from err
 
 
-# rows per numpy parse call and per formatted write; whole-file blocks
-# would hold a Python string per cell of the file at once
+# rows per formatted write of `spherehead project`; one write of the
+# whole array would hold a Python float per value of the file at once
 _BLOCK_ROWS = 2048
 
 
@@ -290,13 +290,14 @@ def read_delimited(path: str, delimiter: str = ",", header: bool = False):
 
     Returns the array and a sequence holding the 1-based line number of
     each row. With ``header`` the first line is skipped. The first row
-    sets the width; no rows give a [0, 0] array. Each block of lines is
-    joined, split into cells and converted by one numpy call, which
-    accepts and rounds each cell exactly as ``float()`` does. If a block
-    fails, the rows are parsed again one line at a time, which raises
-    :class:`ParseError` at ``path:lineno`` for a ragged row or a cell
-    that is not a number, as does a byte that is not UTF-8. An empty
-    delimiter is a :class:`ConfigError`.
+    sets the width; no rows give a [0, 0] array. The rows go through
+    one ``np.loadtxt`` call, whose C reader rounds each cell exactly as
+    ``float()`` does. A file it refuses (a bad cell, a ragged row, a
+    multi-character or line-break delimiter, or a spelling only
+    ``float()`` reads: ``1_000``, non-ASCII digits) is parsed again one
+    line at a time, which raises :class:`ParseError` at ``path:lineno``
+    for a ragged row or a cell that is not a number, as does a byte that
+    is not UTF-8. An empty delimiter is a :class:`ConfigError`.
     """
     if not delimiter:
         raise ConfigError(f"{path}: the delimiter must be a non-empty string, got {delimiter!r}")
@@ -310,15 +311,12 @@ def read_delimited(path: str, delimiter: str = ",", header: bool = False):
     if not rows:
         return np.empty((0, 0)), linenos
     width = rows[0].count(delimiter) + 1
-    X = np.empty((len(rows), width))
     try:
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[start:start + _BLOCK_ROWS]
-            if any(line.count(delimiter) != width - 1 for line in block):
-                raise ValueError("ragged rows")
-            cells = np.array(delimiter.join(block).split(delimiter), dtype=np.float64)
-            X[start:start + len(block)] = cells.reshape(len(block), width)
-    except ValueError:
+        X = np.loadtxt(rows, dtype=np.float64, delimiter=delimiter, comments=None, ndmin=2)
+        # numpy also strips U+001F around a cell as whitespace, which float() refuses
+        if X.shape[1] != width or any("\x1f" in row for row in rows):
+            raise ValueError
+    except (ValueError, TypeError):
         X = np.array([_parse_line(path, lineno, line, delimiter, width)
                       for lineno, line in zip(linenos, rows)])
     return X, linenos

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from spherehead import data
 from spherehead.data import (
     _BLOCK_ROWS,
     Dataset,
@@ -17,6 +19,7 @@ from spherehead.data import (
     gen_two_spirals,
     load_cifar_binary,
     load_delimited,
+    read_delimited,
     split,
 )
 from spherehead.errors import ConfigError, DomainError, FormatError, LabelError, ParseError, ShapeError
@@ -338,6 +341,8 @@ class TestLoadDelimited:
         ("0,1\n\n1,nan\n", False, DomainError, ":3: non-finite entries"),
         ("h\n0,1\n1,-inf\n", True, DomainError, ":3: non-finite entries"),
         ("0,1\n1,1e999\n", False, DomainError, ":2: non-finite entries"),
+        # numpy's reader strips U+001F around a cell as whitespace; float() refuses it
+        ("0,1.5,2\n1,3\x1f,4\n", False, ParseError, ":2: column 2: not a number: '3'"),
         ("0,1\n" * (_BLOCK_ROWS + 3) + "1,oops\n", False, ParseError,
          f":{_BLOCK_ROWS + 4}: column 2: not a number: 'oops'"),
         ("\n0,1\n" * (_BLOCK_ROWS + 3) + "1,2,3\n", False, ParseError,
@@ -367,6 +372,116 @@ class TestLoadDelimited:
         path = tmp_path_factory.mktemp("parity") / "data.txt"
         path.write_bytes(text.encode())
         assert_same_as_oracle(path, delimiter=delimiter, label_column=label_column, header=header)
+
+
+def numeric_spellings(seed: int) -> list[str]:
+    """About 100k number spellings, each one that ``float()`` reads.
+
+    Random doubles at 17, 25 and 40 significant digits, ``%.3e`` and
+    ``repr``; random 17-, 25- and 40-digit decimal strings; subnormals;
+    the exact midpoints between neighbouring doubles, where rounding
+    ties to even; signed zeros, overflow and underflow; and
+    ``nan``/``inf``/``infinity`` in mixed case and sign.
+    """
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=8000) * 10.0 ** rng.uniform(-300, 300, size=8000)
+    subnormals = (rng.integers(1, 1 << 52, size=2000, dtype=np.uint64).view(np.float64)
+                  * rng.choice([-1.0, 1.0], size=2000))
+    spellings = []
+    for v in np.concatenate([values, subnormals]).tolist():
+        spellings += [f"{v:.16e}", f"{v:.24e}", f"{v:.39e}", f"{v:.3e}", repr(v), f"{v:.17g}"]
+    for digits in (17, 25, 40):
+        mantissas = rng.integers(0, 10, size=(10_000, digits))
+        exponents = rng.integers(-345, 330, size=10_000)
+        signs = rng.choice(["", "-", "+"], size=10_000)
+        for sign, mantissa, exponent in zip(signs, mantissas.tolist(), exponents.tolist()):
+            spellings.append(f"{sign}{mantissa[0]}.{''.join(map(str, mantissa[1:]))}e{exponent}")
+    with localcontext() as ctx:
+        ctx.prec = 1200  # enough for every midpoint's exact decimal expansion
+        for v in np.concatenate([values[:1000], subnormals[:500], [5e-324, 2.2250738585072009e-308]]):
+            above = np.nextafter(v, np.inf)
+            middle = (Decimal(float(v)) + Decimal(float(above))) / 2
+            spellings += [f"{middle:e}", f"{middle.next_plus():e}", f"{middle.next_minus():e}"]
+    spellings += ["0", "-0", "+0", "-0.0", "0e0", "-0e-5", "1e400", "-1e400", "1e-400", "-1e-400",
+                  "1.7976931348623157e308", "1.7976931348623159e308", "4.9406564584124654e-324",
+                  "2.4703282292062327e-324", "2.4703282292062328e-324", ".5", "5.", "+.5e-1"]
+    for word in ("nan", "inf", "infinity"):
+        for _ in range(200):
+            cased = "".join(c.upper() if flip else c for c, flip in zip(word, rng.integers(0, 2, len(word))))
+            spellings.append(str(rng.choice(["", "-", "+"])) + cased)
+    return spellings
+
+
+def refuse_per_line_pass(*args):
+    raise AssertionError("the per-line pass ran")
+
+
+class TestReaderPaths:
+    """Which files numpy's reader takes, and that each answer is float()'s."""
+
+    @pytest.mark.parametrize("text, delimiter", [
+        ("0::1.5::-2\n1::3e-3::4\n", "::"),
+        ("0, 1.5, -2\n1, 3e-3, 4\n", ", "),
+        ("0,١.٥,2\n1,3,٤\n", ","),
+        ("0,0.0_1,2\n1,3,1_000\n", ","),
+        ("0,\u00a01.5\u00a0,2\n1,\u00a03,4\n", ","),  # no-break space padding
+        ("0,\u20031.5,2\u2003\n1,3,4\n", ","),  # em space padding
+    ])
+    def test_unusual_delimiters_and_spellings_match_the_per_cell_loader(self, tmp_path, text, delimiter):
+        path = tmp_path / "fallback.txt"
+        path.write_bytes(text.encode())
+        assert_same_as_oracle(path, delimiter=delimiter)
+
+    @pytest.mark.parametrize("delimiter", ["\n", "\r"])
+    def test_line_break_delimiter_reads_one_cell_per_row(self, tmp_path, delimiter):
+        # numpy's reader refuses a line break as the delimiter with a TypeError
+        path = tmp_path / "column.txt"
+        path.write_text("1.5\n-2\n")
+        X, linenos = read_delimited(str(path), delimiter=delimiter)
+        assert X.tobytes() == np.array([[1.5], [-2.0]]).tobytes()
+        assert list(linenos) == [1, 2]
+
+    def test_last_line_underscore_takes_the_per_line_pass(self, tmp_path):
+        rng = np.random.default_rng(29)
+        count = _BLOCK_ROWS + 7
+        lines = [f"{k},{v:.17g},{w!r}" for k, v, w in
+                 zip(rng.integers(0, 3, size=count).tolist(), rng.normal(size=count), rng.normal(size=count).tolist())]
+        lines[-1] = "2,1_000,-0.5"
+        path = tmp_path / "late.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert_same_as_oracle(path)
+
+    def test_project_rows_shape_takes_numpys_reader(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(10_000, 16)) * 10.0 ** rng.uniform(-2, 2, size=(10_000, 1))
+        path = tmp_path / "shard.csv"
+        np.savetxt(path, X, fmt="%.17g", delimiter=",")
+        monkeypatch.setattr(data, "_parse_line", refuse_per_line_pass)
+        rows, linenos = read_delimited(str(path))
+        assert rows.tobytes() == X.tobytes()
+        assert list(linenos) == list(range(1, 10_001))
+
+    def test_crlf_with_blank_lines_takes_numpys_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"h,x\r\n0, 1.5\r\n\r\n1,-2e-3 \r\n  \r\n\t\r\n2,+7\r\n")
+        monkeypatch.setattr(data, "_parse_line", refuse_per_line_pass)
+        rows, linenos = read_delimited(str(path), header=True)
+        assert rows.tobytes() == np.array([[0.0, 1.5], [1.0, -2e-3], [2.0, 7.0]]).tobytes()
+        assert list(linenos) == [2, 4, 7]
+
+    def test_numpys_reader_rounds_every_spelling_as_float_does(self, tmp_path, monkeypatch):
+        # pyproject allows any numpy >= 2.0; a reader that rounded one
+        # spelling differently would move a csv: dataset without a word
+        spellings = numeric_spellings(2109)
+        assert len(spellings) > 90_000
+        path = tmp_path / "spellings.txt"
+        path.write_text("\n".join(spellings) + "\n")
+        monkeypatch.setattr(data, "_parse_line", refuse_per_line_pass)
+        rows, _ = read_delimited(str(path))
+        expected = np.array([float(s) for s in spellings])
+        assert rows.shape == (len(spellings), 1)
+        mismatched = np.flatnonzero(rows[:, 0].view(np.uint64) != expected.view(np.uint64))
+        assert not mismatched.size, [spellings[i] for i in mismatched[:5]]
 
 
 def write_cifar10_dir(dirpath, records_per_file=40, rng_seed=0, mutate=None):
