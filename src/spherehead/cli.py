@@ -21,11 +21,10 @@ import sys
 
 import numpy as np
 
-from .data import _BLOCK_ROWS, read_delimited
+from .data import read_delimited
 from .errors import DomainError, LayoutError, ParseError, SphereheadError
 from .heads import FAMILIES, MarginConfig
-from .ndcore import Tensor
-from .results import default_results_dir, list_runs, load_run
+from .results import _record_paths, default_results_dir, list_runs, load_run
 from .stereo import project_rows
 from .train import (
     DataConfig,
@@ -44,24 +43,27 @@ from .train import (
 
 __all__ = ["main", "build_parser"]
 
+# rows per formatted write of `spherehead project` and `export-embeddings`;
+# one write of the whole array would hold a Python float per value at once
+_BLOCK_ROWS = 2048
+
+# the desk-scale CIFAR subset: 100 images per class, downsampled to 8x8
+_DESK_CIFAR = {"subset_per_class": 100, "downsample_to": 8}
+
 
 def _parse_dataset(text: str, parser: argparse.ArgumentParser) -> DataConfig:
     if text == "spirals":
         return DataConfig("two_spirals")
     if text == "blobs":
         return DataConfig("blobs")
-    for prefix, kind, key in (("csv:", "delimited", "path"),
-                              ("cifar10:", "cifar10", "dir"),
-                              ("cifar100:", "cifar100", "dir")):
+    for prefix, kind, key, defaults in (("csv:", "delimited", "path", {}),
+                                        ("cifar10:", "cifar10", "dir", _DESK_CIFAR),
+                                        ("cifar100:", "cifar100", "dir", _DESK_CIFAR)):
         if text.startswith(prefix):
             value = text[len(prefix):]
             if not value:
                 parser.error(f"dataset spec {text!r} is missing its {key}")
-            params = {key: value}
-            if kind in ("cifar10", "cifar100"):
-                params["subset_per_class"] = 100
-                params["downsample_to"] = 8
-            return DataConfig(kind, params)
+            return DataConfig(kind, {key: value, **defaults})
     parser.error(
         f"unknown dataset {text!r}; expected spirals, blobs, csv:<path>, "
         "cifar10:<dir>, or cifar100:<dir>"
@@ -103,11 +105,7 @@ def _retrain_stored_run(args, parser: argparse.ArgumentParser):
     """
     path = args.run
     if os.path.isdir(path):
-        records = sorted(
-            os.path.join(path, name)
-            for name in os.listdir(path)
-            if name.endswith(".txt")
-        )
+        records = _record_paths(path)
         if not records:
             parser.error(f"--run directory {path!r} holds no run records")
         if len(records) > 1:
@@ -124,13 +122,13 @@ def _retrain_stored_run(args, parser: argparse.ArgumentParser):
     return record, model, history, (train_ds if args.split == "train" else test_ds)
 
 
-def _write_rows(fh, rows: np.ndarray, first: str = "%.17g") -> None:
+def _write_rows(fh, rows: np.ndarray) -> None:
     """Write rows as comma-separated lines, one block of rows per write.
 
-    Every value is printed ``%.17g`` (17 significant digits round-trip
-    float64), except column 0, which is printed with ``first``.
+    Every value is printed ``%.17g``: 17 significant digits round-trip
+    float64, and an integer-valued double below 1e17 prints as ``%d`` would.
     """
-    template = ",".join([first] + ["%.17g"] * (rows.shape[1] - 1)) + "\n"
+    template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     for start in range(0, rows.shape[0], _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
         fh.write((template * block.shape[0]) % tuple(block.ravel().tolist()))
@@ -155,8 +153,7 @@ def cmd_train(args, parser: argparse.ArgumentParser) -> int:
                           momentum=args.momentum, batch_size=args.batch)
     except SphereheadError as err:
         parser.error(str(err))
-    out_dir = args.out if args.out is not None else default_results_dir()
-    report = run_experiment(model_cfg, data_cfg, opt, seeds, results_dir=out_dir)
+    report = run_experiment(model_cfg, data_cfg, opt, seeds, results_dir=args.out)
     for seed in sorted(report.accuracies):
         print(f"seed {seed}: test accuracy {report.accuracies[seed]:.4f}")
     for seed in report.failed_seeds:
@@ -196,10 +193,10 @@ def cmd_project(args, parser: argparse.ArgumentParser) -> int:
 
 def cmd_export_embeddings(args, parser: argparse.ArgumentParser) -> int:
     record, model, _, ds = _retrain_stored_run(args, parser)
-    feats = model.forward_features(Tensor(ds.features.data))
+    feats = model.forward_features(ds.features.data)
     labeled = np.column_stack([np.asarray(ds.labels, dtype=np.float64), feats.data])
     with open(args.out, "w", encoding="utf-8") as fh:
-        _write_rows(fh, labeled, first="%d")
+        _write_rows(fh, labeled)
     print(f"wrote {len(ds)} rows of {feats.shape[1]} features to {args.out}")
     return 0
 

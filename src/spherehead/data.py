@@ -280,11 +280,6 @@ def _read_lines(path: str) -> list[str]:
             raise ParseError(f"{path}:{lineno}: not UTF-8 text: {err.reason}") from err
 
 
-# rows per formatted write of `spherehead project`; one write of the
-# whole array would hold a Python float per value of the file at once
-_BLOCK_ROWS = 2048
-
-
 def read_delimited(path: str, delimiter: str = ",", header: bool = False):
     """Parse the non-blank lines of a delimited numeric file into float64 [N, width].
 

@@ -122,6 +122,11 @@ def load_run(path: str) -> dict:
     return record
 
 
+def _record_paths(exp_dir: str) -> list[str]:
+    """The sorted paths of the run records (``*.txt``) in ``exp_dir``; a save's leftover ``.tmp`` is not one."""
+    return sorted(os.path.join(exp_dir, name) for name in os.listdir(exp_dir) if name.endswith(".txt"))
+
+
 def list_runs(results_dir: str) -> dict[str, list[str]]:
     """Map experiment name -> sorted record paths under results_dir."""
     out: dict[str, list[str]] = {}
@@ -131,11 +136,7 @@ def list_runs(results_dir: str) -> dict[str, list[str]]:
         exp_dir = os.path.join(results_dir, experiment)
         if not os.path.isdir(exp_dir):
             continue
-        paths = [
-            os.path.join(exp_dir, name)
-            for name in sorted(os.listdir(exp_dir))
-            if name.endswith(".txt")
-        ]
+        paths = _record_paths(exp_dir)
         if paths:
             out[experiment] = paths
     return out

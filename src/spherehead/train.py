@@ -249,7 +249,10 @@ _EVAL_CHUNK = 4096
 
 
 def _batch_loss(model: Model, X: np.ndarray, y: np.ndarray, queue: EmbeddingQueue | None) -> Tensor:
-    return head_forward(model.forward_features(Tensor(X)), model.head, model.config.margin, y, queue)
+    # a blow-up surfaces as a non-finite loss, so the intermediate
+    # overflow warnings are pure noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        return head_forward(model.forward_features(X), model.head, model.config.margin, y, queue)
 
 
 def _dataset_loss(model: Model, ds: Dataset, batch_size: int) -> float:
@@ -275,9 +278,7 @@ def _dataset_loss(model: Model, ds: Dataset, batch_size: int) -> float:
         batches.append((X[full:], y[full:]))
     total = 0.0
     for X_batches, y_batches in batches:
-        # as in fit's steps: a blow-up shows as a non-finite loss
-        with np.errstate(over="ignore", invalid="ignore"):
-            losses = _batch_loss(model, X_batches, y_batches, None).data
+        losses = _batch_loss(model, X_batches, y_batches, None).data
         for loss in losses.reshape(-1).tolist():
             total += loss * y_batches.shape[-1]
     return total / n
@@ -354,10 +355,7 @@ def fit(model: Model, train_ds: Dataset, opt: OptimConfig) -> tuple[Model, dict]
         epoch_total = 0.0
         for batch_index, start in enumerate(range(0, n, opt.batch_size)):
             idx = perm[start : start + opt.batch_size]
-            # a blow-up surfaces as a non-finite loss below, so the
-            # intermediate overflow warnings are pure noise
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss = _batch_loss(model, X_all[idx], y_all[idx], queue)
+            loss = _batch_loss(model, X_all[idx], y_all[idx], queue)
             value = loss.item()
             trajectory.append(value)
             if not math.isfinite(value):
@@ -403,7 +401,7 @@ def evaluate(model: Model, ds: Dataset) -> float:
         stop = min(start + _EVAL_CHUNK, len(ds))
         # an overflow surfaces as a non-finite feature below
         with np.errstate(over="ignore", invalid="ignore"):
-            feats = model.forward_features(Tensor(ds.features.data[start:stop])).data
+            feats = model.forward_features(ds.features.data[start:stop]).data
         if not np.isfinite(feats).all():
             raise DomainError("evaluation features: non-finite entries")
         pred = np.argmax(feats @ columns, axis=1)

@@ -308,6 +308,25 @@ class TestEvalVerb:
         assert code == 2
         assert "seed file" in err
 
+    def test_directory_with_one_record_and_stray_files(self, trained_store, tmp_path):
+        """A notes file and an interrupted save's ``.tmp`` are not records, for eval and report alike."""
+        clean, cluttered = tmp_path / "clean", tmp_path / "cluttered"
+        for store in (clean, cluttered):
+            for experiment in ("blobs-cosface-proj", "blobs-cosface-noproj"):
+                (store / experiment).mkdir(parents=True)
+                shutil.copy(os.path.join(trained_store, experiment, "1.txt"), store / experiment)
+        run_dir = cluttered / "blobs-cosface-proj"
+        record = (run_dir / "1.txt").read_text()
+        (run_dir / "notes.md").write_text("scratch")
+        (run_dir / "1.txt.4242.tmp").write_text(record[:len(record) // 2])
+        code, out, err = run_cli(["eval", "--run", str(run_dir)])
+        assert (code, err) == (0, "")  # the re-trained accuracy agrees with the one record
+        assert out.startswith("blobs-cosface-proj seed 1 test accuracy ")
+        code, out, err = run_cli(["report", "--results", str(cluttered)])
+        assert (code, err) == (0, "")
+        assert out == run_cli(["report", "--results", str(clean)])[1]
+        assert out.count("+-0.00") == 2  # one seed in each cell
+
     @pytest.mark.parametrize("project", [True, False], ids=["proj", "noproj"])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_retraining_reproduces_the_stored_run(self, family, project, tmp_path):

@@ -55,7 +55,7 @@ def chain_linear(x, W, b):
 
 
 def chain_mlp(x, layers):
-    h = x
+    h = x if isinstance(x, Tensor) else Tensor(x)  # as mlp, which takes a batch array too
     for i, (W, b) in enumerate(layers):
         h = chain_linear(h, W, b)
         if i < len(layers) - 1:
