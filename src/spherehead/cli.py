@@ -24,7 +24,7 @@ import numpy as np
 from .data import read_delimited
 from .errors import DomainError, LayoutError, ParseError, SphereheadError
 from .heads import FAMILIES, MarginConfig
-from .results import _record_paths, default_results_dir, list_runs, load_run
+from .results import _record_paths, list_runs, load_run
 from .stereo import project_rows
 from .train import (
     DataConfig,
@@ -202,8 +202,7 @@ def cmd_export_embeddings(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_report(args, parser: argparse.ArgumentParser) -> int:
-    results_dir = args.results if args.results is not None else default_results_dir()
-    runs = list_runs(results_dir)
+    runs = list_runs(args.results)
     reports = []
     for experiment, paths in runs.items():
         records = [_load_record(p)[0] for p in paths]

@@ -71,7 +71,7 @@ def _checked_labels(labels, class_count: int | None) -> np.ndarray:
         raise LabelError("labels must be integers")
     labels = labels.astype(np.int64)
     high = np.inf if class_count is None else class_count
-    if labels.size and (labels.min() < 0 or labels.max() >= high):
+    if labels.size and (np.minimum.reduce(labels) < 0 or class_count is not None and np.maximum.reduce(labels) >= high):
         raise LabelError(f"labels must lie in [0, {high}), got range [{labels.min()}, {labels.max()}]")
     return labels
 

@@ -199,12 +199,12 @@ class EmbeddingQueue:
             as_int = _checked_labels(labels, None)
         except LabelError as err:
             raise StateError(f"queue {err}") from err
-        if len(self) and embeddings.shape[1] != self._emb.shape[1]:
+        if self._labels.shape[0] and embeddings.shape[1] != self._emb.shape[1]:
             raise StateError(f"embedding dim {embeddings.shape[1]} does not match queued {self._emb.shape[1]}")
         B, Q = embeddings.shape[0], self.capacity
         if Q == 0 or B == 0:  # x[-0:] is all of x, so an empty queue keeps nothing here
             return
-        if not len(self):  # the first row fixes d
+        if not self._labels.shape[0]:  # the first row fixes d
             self._emb = self._snaps = np.empty((0, embeddings.shape[1]))
         emb = np.ascontiguousarray(embeddings)
         snaps = np.ascontiguousarray(snapshots)
@@ -213,10 +213,10 @@ class EmbeddingQueue:
         # and a row near 1e200 overflows to inf here, as it would there
         with np.errstate(over="ignore"):
             batch = (emb, as_int, snaps,
-                     np.sqrt((emb * emb).sum(axis=1)), np.sqrt((snaps * snaps).sum(axis=1)))
+                     np.sqrt(np.add.reduce(emb * emb, axis=1)), np.sqrt(np.add.reduce(snaps * snaps, axis=1)))
         old = (self._emb, self._labels, self._snaps, self._emb_norms, self._snap_norms)
-        self._emb, self._labels, self._snaps, self._emb_norms, self._snap_norms = (
-            _read_only(np.concatenate((rows, new))[-Q:]) for rows, new in zip(old, batch))
+        self._emb, self._labels, self._snaps, self._emb_norms, self._snap_norms = map(
+            _read_only, [np.concatenate((rows, new))[-Q:] for rows, new in zip(old, batch)])
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows oldest-first, read-only: embeddings [n, d], labels [n], snapshots [n, d]."""
@@ -237,6 +237,7 @@ def _one_hot(labels, class_count: int) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _norms(t: np.ndarray, axis: int, what: str) -> np.ndarray:
     """The L2 norms of the rows (axis 1) or columns (axis 0) of ``t``'s matrices, kept as [..., B, 1] or [..., 1, C].
 
@@ -246,16 +247,15 @@ def _norms(t: np.ndarray, axis: int, what: str) -> np.ndarray:
     A non-finite entry or a squared norm past float64 raises
     :class:`DomainError`, and a zero norm :class:`DegenerateInputError`.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = (t * t).sum(axis=axis - 2, keepdims=True)
-    if sq.size and sq.min() > 0.0 and sq.max() < np.inf:  # a NaN fails both comparisons
+    sq = np.add.reduce(t * t, axis=axis - 2, keepdims=True)
+    # a NaN square fails both comparisons
+    if not sq.size or np.minimum.reduce(sq, axis=None) > 0.0 and np.maximum.reduce(sq, axis=None) < np.inf:
         return np.sqrt(sq)
     if not np.isfinite(sq).all():
         problem = "non-finite entries" if not np.isfinite(t).all() else "squared norm overflows float64"
         raise DomainError(f"{what}: {problem}")
-    if np.any(sq == 0.0):
-        raise DegenerateInputError(f"zero-norm {what} cannot be normalized")
-    return np.sqrt(sq)
+    # every square is finite, so the smallest is not above 0: a sum of squares, it is 0
+    raise DegenerateInputError(f"zero-norm {what} cannot be normalized")
 
 
 def _row_products(a: np.ndarray, b: np.ndarray, parts: tuple) -> np.ndarray:
@@ -284,14 +284,14 @@ def _unit_cosines(f: np.ndarray, norms: np.ndarray, W: np.ndarray, col_norms: np
     """
     unit_features, unit_weights = f / norms, W / col_norms
     raw = _row_products(unit_features, unit_weights, parts)
-    inside = (raw > -1.0) & (raw < 1.0)  # the clamp passes no gradient at its bounds
+    inside = np.abs(raw) < 1.0  # the clamp passes no gradient at its bounds
 
     def back(g):
         g = g * inside
         g_rows = _row_products(g, unit_weights.mT, parts)
         g_cols = [unit_features[part].mT @ g[part] for part in parts]
-        return ((g_rows - (g_rows * unit_features).sum(axis=-1, keepdims=True) * unit_features) / norms,
-                *((c - (c * unit_weights).sum(axis=-2, keepdims=True) * unit_weights) / col_norms for c in g_cols))
+        return ((g_rows - np.add.reduce(g_rows * unit_features, axis=-1, keepdims=True) * unit_features) / norms,
+                *[(c - np.add.reduce(c * unit_weights, axis=-2, keepdims=True) * unit_weights) / col_norms for c in g_cols])
 
     return np.minimum(np.maximum(raw, -1.0), 1.0), back
 
@@ -307,12 +307,14 @@ def _nll_sum(logits: np.ndarray, onehot: np.ndarray, parts: tuple = (slice(None)
     gradient g * (softmax - onehot), for g a scalar, or [S, 1, 1] for a
     stack.
     """
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    sum_e = e.sum(axis=-1, keepdims=True)
-    target = (shifted * onehot).sum(axis=-1, keepdims=True)
+    sum_e = np.add.reduce(e, axis=-1, keepdims=True)
+    target = np.add.reduce(shifted * onehot, axis=-1, keepdims=True)
     losses = np.log(sum_e) - target
-    total = sum((losses[part].sum(axis=(-2, -1)) for part in parts[1:]), losses[parts[0]].sum(axis=(-2, -1)))
+    total = np.add.reduce(losses[parts[0]], axis=(-2, -1))
+    for part in parts[1:]:
+        total = total + np.add.reduce(losses[part], axis=(-2, -1))
     return total, lambda g: g * (e / sum_e - onehot)
 
 
@@ -337,31 +339,31 @@ def _swap_target(cosines: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
     """
     arc = cfg.family != "sphereface"
     m = cfg.m if arc else int(cfg.m)
-    t = (cosines * onehot).sum(axis=-1, keepdims=True)
+    t = np.add.reduce(cosines * onehot, axis=-1, keepdims=True)
     psi, slope = t, 1.0  # sphereface's psi at m = 1 is t itself
     if arc or m > 1:
-        inside = (t > -COS_CLAMP) & (t < COS_CLAMP)
+        inside = np.abs(t) < COS_CLAMP
         clamped = np.minimum(np.maximum(t, -COS_CLAMP), COS_CLAMP)
         theta = np.arccos(clamped)
         angle = theta + m if arc else theta * float(m)
         psi = np.cos(angle)
-        slope = (1.0 if arc else float(m)) * np.sin(angle) / np.sqrt(1.0 - clamped * clamped) * inside
-        if arc:
+        slope = (np.sin(angle) if arc else float(m) * np.sin(angle)) / np.sqrt(1.0 - clamped * clamped) * inside
+        if arc:  # psi and slope are fresh arrays, so the fallback rows are written in place
             fall = theta > np.pi - m
-            psi, slope = np.where(fall, t - m * np.sin(m), psi), np.where(fall, 1.0, slope)
+            np.subtract(t, m * np.sin(m), out=psi, where=fall)
+            slope[fall] = 1.0
         elif cfg.use_monotone_psi:
             k = np.floor(m * theta / np.pi)
             sign = np.where(k % 2 == 0, 1.0, -1.0)
             psi, slope = psi * sign - 2.0 * k, slope * sign
     out = cosines + (psi - t) * onehot
-    scale = cfg.s if arc else 1.0
-    target = onehot == 1.0
 
     def back(g):
-        g = g * scale
-        return np.where(target, g * slope, g)
+        if arc:  # sphereface's scale is 1, and x * 1.0 is x
+            g = g * cfg.s
+        return np.where(onehot, g * slope, g)  # onehot's 1.0s are the targets
 
-    return out * scale, back
+    return (out * cfg.s if arc else out), back
 
 
 # Each angular family's margin: (cosines, row norms |x|, onehot, cfg) -> (logits,
@@ -371,7 +373,7 @@ def _swap_target(cosines: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
 
 def _sphere_margin(cosines: np.ndarray, norms: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
     swapped, back_swap = _swap_target(cosines, onehot, cfg)
-    return norms * swapped, lambda g: (back_swap(g * norms), (g * swapped).sum(axis=-1, keepdims=True))
+    return norms * swapped, lambda g: (back_swap(g * norms), np.add.reduce(g * swapped, axis=-1, keepdims=True))
 
 
 def _cos_margin(cosines: np.ndarray, norms: np.ndarray, onehot: np.ndarray, cfg: MarginConfig):
@@ -400,7 +402,7 @@ def _compensated_block(queue: EmbeddingQueue, W: np.ndarray):
     if emb.shape[1] != W.shape[0]:
         raise StateError(f"queued embedding dim {emb.shape[1]} does not match weight dim {W.shape[0]}")
     emb_norms, snap_norms = queue.stacked_norms()
-    if np.any(snap_norms == 0.0):
+    if np.logical_or.reduce(snap_norms == 0.0):
         raise DegenerateInputError("zero-norm snapshot weight column cannot anchor compensation")
     ratios = (emb_norms / snap_norms)[:, None]  # [Q, 1]
     onehot = _one_hot(labels, W.shape[1])
@@ -472,11 +474,11 @@ def head_forward(features: Tensor, weights: HeadWeights, cfg: MarginConfig,
     _check_stack("head", f, w)
     if 0 in f.shape[:-1]:
         raise ShapeError(f"features must have B >= 1 rows, got shape {f.shape}")
-    if f.shape[-1] != weights.dim:
-        raise ShapeError(f"feature dim {f.shape[-1]} does not match weight dim {weights.dim}")
+    if f.shape[-1] != w.shape[-2]:
+        raise ShapeError(f"feature dim {f.shape[-1]} does not match weight dim {w.shape[-2]}")
     if queue is not None and f.ndim > 2:
         raise ShapeError(f"an {f.shape} stack takes no queue: a queue holds the rows of [B, d] batches")
-    onehot = _one_hot(labels, weights.class_count)
+    onehot = _one_hot(labels, w.shape[-1])
     if onehot.shape[:-1] != f.shape[:-1]:
         raise ShapeError(f"{f.shape[:-1]} feature rows but {onehot.shape[:-1]} labels")
     if cfg.family == "cce":
@@ -496,7 +498,7 @@ def head_forward(features: Tensor, weights: HeadWeights, cfg: MarginConfig,
         if W.requires_grad:
             _accumulate(W, g_w)
 
-    loss = _record("head", (features, W), total / float(count), backward_fn)
+    loss = _record("head", (features, W), np.asarray(total / float(count)), backward_fn)
     if queue is not None:
         labels = np.asarray(labels, dtype=np.int64)
         queue.push_batch(f, labels, w[:, labels].T)

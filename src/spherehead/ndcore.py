@@ -33,6 +33,18 @@ tests, on ``tests/oracles.py``'s reference ops, which record through
 :func:`_record` and :func:`_accumulate`; they are tolerance references,
 not bit-for-bit ones.
 
+Checks and errstate. A training step runs each check once, in the public
+function that owns it: :func:`mlp`'s per-layer shapes, the lift's
+finiteness (``stereo.project_batch``), ``heads.head_forward``'s shapes,
+label range and norm bounds, and ``train.sgd_step``'s shapes. With a
+BroadFace queue, ``EmbeddingQueue.push_batch`` also checks the rows it
+is handed, as it does for any caller. Backward runs no check but the
+stack refusal below. ``train._batch_loss`` holds the step's
+``np.errstate``, around the whole forward pass. The lift's and the
+norms' private helpers (``stereo._lift``, ``heads._norms``) hold their
+own as decorators, so that a direct call of a public function raises
+its typed error and lets no warning escape.
+
 Gradient slots. A tensor whose ``grad`` is None has no gradient yet.
 Its first contribution is written as ``0.0 + g``: into a fresh array,
 or into ``_grad_slot`` when the tensor has one, so a training step
@@ -104,14 +116,6 @@ def _float64(data, error: type[Exception], what: str) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
-def _as_array(data) -> np.ndarray:
-    arr = _float64(data, DomainError, "tensor data")
-    if arr.ndim > 0 and not arr.flags["C_CONTIGUOUS"]:
-        # ascontiguousarray would promote 0-d to 1-d, so guard the rank
-        arr = np.ascontiguousarray(arr)
-    return arr
-
-
 class Tensor:
     """A dense float64 array; a recorded op's output also holds its ``op`` and ``inputs``.
 
@@ -121,7 +125,12 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_grad_slot", "op", "inputs", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
+            data = _float64(data, DomainError, "tensor data")
+        if data.ndim and not data.flags.c_contiguous:
+            # ascontiguousarray would promote 0-d to 1-d, so guard the rank
+            data = np.ascontiguousarray(data)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._grad_slot: np.ndarray | None = None
@@ -146,7 +155,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(()))
+        return self.data.item()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}, op={self.op!r})"
@@ -206,12 +215,12 @@ def backward(loss: Tensor) -> None:
     calls; callers zero them between steps. The walk is :func:`trace`'s
     order, reversed.
     """
-    if loss.ndim > (loss.op == "head"):
+    if loss.data.ndim > (loss.op == "head"):
         raise ShapeError(f"backward needs a scalar loss or a head's one loss per slice, got shape {loss.shape}")
     if not loss.requires_grad:
         return
     order = _post_order(loss)
-    _accumulate(loss, np.ones(loss.data.shape))
+    _accumulate(loss, np.zeros(loss.data.shape) + 1.0)  # ones, without np.ones' Python wrapper
     for t in reversed(order):
         if t.grad is not None:
             t._backward(t.grad)
@@ -227,9 +236,10 @@ def _record(
     backward_fn: Callable[[np.ndarray], None],
 ) -> Tensor:
     out = Tensor(data)
-    # constants fold out of the tape entirely
-    if any(t.requires_grad for t in inputs):
-        out.requires_grad, out.op, out.inputs, out._backward = True, op, inputs, backward_fn
+    for t in inputs:  # constants fold out of the tape entirely
+        if t.requires_grad:
+            out.requires_grad, out.op, out.inputs, out._backward = True, op, inputs, backward_fn
+            break
     return out
 
 
@@ -243,9 +253,9 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is not None:
         t.grad += g
     else:
-        # asarray: with no slot, a 0-d sum comes back from numpy as a scalar and an
+        # with no slot, asarray: a 0-d sum comes back from numpy as a scalar and an
         # F-ordered g's sum is F-ordered; asarray's order= is cheaper than np.add's
-        t.grad = np.asarray(np.add(g, 0.0, out=t._grad_slot), order="C")
+        t.grad = np.asarray(g + 0.0, order="C") if t._grad_slot is None else np.add(g, 0.0, out=t._grad_slot)
 
 
 def _accumulate_matmul(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
@@ -300,25 +310,23 @@ def mlp(x: Tensor, layers) -> Tensor:
         raise ShapeError("mlp needs at least one layer")
     h, w0 = x.data, layers[0][0].data
     _check_stack("mlp", h, w0)
-    lead = w0.shape[:-2]  # () when the layers are shared, (S,) when they are one per slice
-    inputs, masks = [], []
+    lead, last = w0.shape[:-2], len(layers) - 1  # lead: () when the layers are shared, (S,) when one per slice
+    inputs, masks, params = [], [], ()
     for i, (W, b) in enumerate(layers):
-        w = W.data
+        w, bias = W.data, b.data
         if w.ndim != w0.ndim or w.shape[:-2] != lead:
             raise ShapeError(f"mlp layer {i}: weight {w.shape} is not laid out as layer 0's {w0.shape}")
         if h.shape[-1] != w.shape[-2]:
             raise ShapeError(f"mlp layer {i}: inner dimensions disagree, {h.shape} x {w.shape}")
-        if b.data.shape != lead + (1, w.shape[-1]):
-            raise ShapeError(f"mlp layer {i}: bias must be {[*lead, 1, w.shape[-1]]}, got {b.shape}")
+        if bias.shape != lead + (1, w.shape[-1]):
+            raise ShapeError(f"mlp layer {i}: bias must be {[*lead, 1, w.shape[-1]]}, got {bias.shape}")
         inputs.append(h)
+        params += (W, b)
         h = h @ w  # a fresh array: the adds and masks below write into it
-        h += b.data
-        if i < len(layers) - 1:
-            mask = h > 0.0  # subgradient 0 at exactly 0
-            masks.append(mask)
-            h *= mask
-
-    params = tuple(p for layer in layers for p in layer)
+        h += bias
+        if i < last:
+            masks.append(h > 0.0)  # subgradient 0 at exactly 0
+            h *= masks[-1]
 
     def backward_fn(g: np.ndarray) -> None:
         if g.ndim > 2:
@@ -328,7 +336,7 @@ def mlp(x: Tensor, layers) -> Tensor:
             if i < len(masks):
                 g *= masks[i]  # g is the fresh g @ W.mT of the layer above
             if b.requires_grad:
-                _accumulate(b, g.sum(axis=-2, keepdims=True))
+                _accumulate(b, np.add.reduce(g, axis=-2, keepdims=True))
             g_in = None
             if i > 0:
                 g_in = g @ W.data.mT

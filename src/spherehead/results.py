@@ -127,8 +127,10 @@ def _record_paths(exp_dir: str) -> list[str]:
     return sorted(os.path.join(exp_dir, name) for name in os.listdir(exp_dir) if name.endswith(".txt"))
 
 
-def list_runs(results_dir: str) -> dict[str, list[str]]:
-    """Map experiment name -> sorted record paths under results_dir."""
+def list_runs(results_dir: str | None = None) -> dict[str, list[str]]:
+    """Map experiment name -> sorted record paths under results_dir, :func:`default_results_dir` when None."""
+    if results_dir is None:
+        results_dir = default_results_dir()
     out: dict[str, list[str]] = {}
     if not os.path.isdir(results_dir):
         return out

@@ -150,6 +150,7 @@ def _check_sphere(P: np.ndarray, tol: float, allow_pole: bool = False) -> None:
             raise _row_error(PoleSingularityError, "the north pole is excluded from the sphere image", pole)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _lift(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """phi of every row of X [N, n] or a stack [S, N, n], and the squared norms ``np.vecdot(X, X)`` as a column [..., N, 1].
 
@@ -157,9 +158,8 @@ def _lift(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :class:`DomainError`; in a stack, its row is counted through the
     stack, slice * N + row.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.vecdot(X, X)[..., None]
-    if not np.isfinite(sq).all():
+    sq = np.vecdot(X, X)[..., None]
+    if sq.size and not np.maximum.reduce(sq, axis=None) < np.inf:  # a NaN or inf square is the max
         finite = np.isfinite(X).all(axis=-1)
         if not finite.all():
             raise _row_error(DomainError, "non-finite entries", ~finite)
@@ -200,9 +200,9 @@ def project_batch(X: Tensor) -> Tensor:
     """
     if not isinstance(X, Tensor):
         X = Tensor(X)
-    if X.ndim not in (2, 3):
-        raise ShapeError(f"project_batch needs a [B, n] or [S, B, n] tensor, got shape {X.shape}")
     x = X.data
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"project_batch needs a [B, n] or [S, B, n] tensor, got shape {x.shape}")
     out, norm = _lift(x)
     n = x.shape[-1]
 

@@ -149,12 +149,7 @@ class Model:
         self.class_count = int(class_count)
 
     def parameters(self) -> list:
-        params = []
-        for W, b in self.layers:
-            params.append(W)
-            params.append(b)
-        params.append(self.head.W)
-        return params
+        return [p for W, b in self.layers for p in (W, b)] + [self.head.W]
 
     def forward_features(self, X) -> Tensor:
         """Encode a [B, n] batch into head-ready features.
@@ -248,11 +243,11 @@ def sgd_step(params: list, grads: list, velocities: list | None, opt: OptimConfi
 _EVAL_CHUNK = 4096
 
 
+# a blow-up surfaces as a non-finite loss, so the intermediate overflow
+# warnings are pure noise
+@np.errstate(over="ignore", invalid="ignore")
 def _batch_loss(model: Model, X: np.ndarray, y: np.ndarray, queue: EmbeddingQueue | None) -> Tensor:
-    # a blow-up surfaces as a non-finite loss, so the intermediate
-    # overflow warnings are pure noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        return head_forward(model.forward_features(X), model.head, model.config.margin, y, queue)
+    return head_forward(model.forward_features(X), model.head, model.config.margin, y, queue)
 
 
 def _dataset_loss(model: Model, ds: Dataset, batch_size: int) -> float:

@@ -510,6 +510,15 @@ class TestReportVerb:
         assert "cosface" in out
         assert "projection on" in out and "projection off" in out
 
+    def test_no_results_flag_reads_the_environment_store(self, trained_store, monkeypatch, tmp_path):
+        """With no ``--results``, report reads ``$SPHEREHEAD_RESULTS``, not ``./results``."""
+        monkeypatch.setenv("SPHEREHEAD_RESULTS", trained_store)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["report"])
+        assert (code, err) == (0, "")
+        assert out == run_cli(["report", "--results", trained_store])[1]
+        assert "dataset: blobs" in out
+
     def test_unpaired_store_names_missing_half(self, tmp_path):
         code, _, _ = run_cli(["train", "--dataset", "blobs", "--loss", "cce",
                               "--project", "on", "--out", str(tmp_path),
