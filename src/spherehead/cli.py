@@ -32,6 +32,8 @@ from .train import (
     OptimConfig,
     RunReport,
     _checked_seeds,
+    _constant,
+    _finite_features,
     configs_from_echo,
     default_learning_rate,
     emit_table,
@@ -193,8 +195,8 @@ def cmd_project(args, parser: argparse.ArgumentParser) -> int:
 
 def cmd_export_embeddings(args, parser: argparse.ArgumentParser) -> int:
     record, model, _, ds = _retrain_stored_run(args, parser)
-    feats = model.forward_features(ds.features.data)
-    labeled = np.column_stack([np.asarray(ds.labels, dtype=np.float64), feats.data])
+    feats = _finite_features(_constant(model), ds.features.data)  # refused before the file is opened
+    labeled = np.column_stack([np.asarray(ds.labels, dtype=np.float64), feats])
     with open(args.out, "w", encoding="utf-8") as fh:
         _write_rows(fh, labeled)
     print(f"wrote {len(ds)} rows of {feats.shape[1]} features to {args.out}")

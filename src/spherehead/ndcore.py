@@ -28,7 +28,9 @@ node's backward is its own closed form, and it accumulates one gradient
 into each input. :func:`mlp` writes in place only into arrays it has
 just made (each layer's ``h @ W`` and each lower layer's ``g @ W.mT``),
 never into its inputs' data, its incoming gradient or a layer input it
-keeps for backward. The primitive chains the nodes stand for live in the
+keeps for backward. It keeps layer inputs and ReLU masks only when its
+node is recorded; a forward-only pass on constant tensors keeps nothing
+for a backward. The primitive chains the nodes stand for live in the
 tests, on ``tests/oracles.py``'s reference ops, which record through
 :func:`_record` and :func:`_accumulate`; they are tolerance references,
 not bit-for-bit ones.
@@ -296,7 +298,9 @@ def mlp(x: Tensor, layers) -> Tensor:
     0)``); then the bias gets the column sums of the gradient, the
     layer's input ``g @ W.mT`` and W ``h_in.mT @ g``, which a first
     contribution computes straight into W's gradient slot. Only the masks
-    and each layer's input are kept.
+    and each layer's input are kept, and only when the node is recorded
+    (``x`` or a layer parameter requires grad); a forward-only call frees
+    each layer's input once the next layer is made.
 
     Each layer's bias add and ReLU mask write in place into the fresh
     array of its ``h @ W``, and backward masks the fresh ``g @ W.mT`` of
@@ -311,6 +315,11 @@ def mlp(x: Tensor, layers) -> Tensor:
     h, w0 = x.data, layers[0][0].data
     _check_stack("mlp", h, w0)
     lead, last = w0.shape[:-2], len(layers) - 1  # lead: () when the layers are shared, (S,) when one per slice
+    keep = x.requires_grad  # _record records the node when any input requires grad; only then keep for backward
+    for W, b in layers:
+        if W.requires_grad or b.requires_grad:
+            keep = True
+            break
     inputs, masks, params = [], [], ()
     for i, (W, b) in enumerate(layers):
         w, bias = W.data, b.data
@@ -320,13 +329,16 @@ def mlp(x: Tensor, layers) -> Tensor:
             raise ShapeError(f"mlp layer {i}: inner dimensions disagree, {h.shape} x {w.shape}")
         if bias.shape != lead + (1, w.shape[-1]):
             raise ShapeError(f"mlp layer {i}: bias must be {[*lead, 1, w.shape[-1]]}, got {bias.shape}")
-        inputs.append(h)
+        if keep:
+            inputs.append(h)
         params += (W, b)
         h = h @ w  # a fresh array: the adds and masks below write into it
         h += bias
         if i < last:
-            masks.append(h > 0.0)  # subgradient 0 at exactly 0
-            h *= masks[-1]
+            mask = h > 0.0  # subgradient 0 at exactly 0
+            h *= mask
+            if keep:
+                masks.append(mask)
 
     def backward_fn(g: np.ndarray) -> None:
         if g.ndim > 2:

@@ -243,6 +243,27 @@ def sgd_step(params: list, grads: list, velocities: list | None, opt: OptimConfi
 _EVAL_CHUNK = 4096
 
 
+def _constant(model: Model) -> Model:
+    """``model`` on its parameter arrays as constant Tensors, for forward-only passes.
+
+    Each Tensor takes its C-contiguous float64 array as itself, so nothing
+    is copied. No node of a pass through it is recorded, so ``mlp`` keeps
+    no layer input or ReLU mask, and no closure outlives the call.
+    """
+    layers = [(Tensor(W.data), Tensor(b.data)) for W, b in model.layers]
+    return Model(model.config, layers, HeadWeights(Tensor(model.head.W.data)), model.class_count)
+
+
+# an overflow surfaces as a non-finite feature, so the warnings are noise
+@np.errstate(over="ignore", invalid="ignore")
+def _finite_features(model: Model, X: np.ndarray) -> np.ndarray:
+    """``model``'s features of the rows ``X``; a DomainError if any entry is non-finite."""
+    feats = model.forward_features(X).data
+    if not np.isfinite(feats).all():
+        raise DomainError("evaluation features: non-finite entries")
+    return feats
+
+
 # a blow-up surfaces as a non-finite loss, so the intermediate overflow
 # warnings are pure noise
 @np.errstate(over="ignore", invalid="ignore")
@@ -261,7 +282,10 @@ def _dataset_loss(model: Model, ds: Dataset, batch_size: int) -> float:
     has the bits of its own 2-D call, and the batch losses times their
     sizes add in batch order. broadface is measured without a queue (its
     empty-queue loss), so the measurement never touches training state.
+    The model runs on constant Tensors (:func:`_constant`), so no node is
+    recorded and no layer input or mask is kept for a backward.
     """
+    model = _constant(model)
     X, y, n = ds.features.data, ds.labels, len(ds)
     full = n - n % batch_size
     rows = max(_EVAL_CHUNK // batch_size, 1) * batch_size if batch_size % 2 == 0 else batch_size
@@ -386,20 +410,18 @@ def evaluate(model: Model, ds: Dataset) -> float:
     columns; any train-time scale or margin shift cancels at argmax. The
     raw-logit baseline keeps its weights as trained. A row whose
     features come out non-finite, from finite weights too large, say,
-    raises DomainError rather than being scored.
+    raises DomainError rather than being scored. The encoder and lift run
+    on constant Tensors (:func:`_constant`), so they record nothing and
+    keep no layer input or mask for a backward.
     """
     _check_dataset(model, ds, "evaluate")
     W = model.head.W.data
     columns = W if model.config.margin.family == "cce" else W / _norms(W, 0, "weight column")
+    model = _constant(model)
     hits = 0
     for start in range(0, len(ds), _EVAL_CHUNK):
         stop = min(start + _EVAL_CHUNK, len(ds))
-        # an overflow surfaces as a non-finite feature below
-        with np.errstate(over="ignore", invalid="ignore"):
-            feats = model.forward_features(ds.features.data[start:stop]).data
-        if not np.isfinite(feats).all():
-            raise DomainError("evaluation features: non-finite entries")
-        pred = np.argmax(feats @ columns, axis=1)
+        pred = np.argmax(_finite_features(model, ds.features.data[start:stop]) @ columns, axis=1)
         hits += int(np.sum(pred == ds.labels[start:stop]))
     return hits / len(ds)
 

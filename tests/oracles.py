@@ -35,6 +35,10 @@ Two more are bit references rather than formulas:
 * :func:`per_batch_loss` is ``fit``'s initial loss as one 2-D
   ``train._batch_loss`` call per batch, in order. The stacked pass must
   give its bits exactly.
+* :func:`recorded_eval_hits` is ``evaluate``'s hit count through the
+  recording forward, ``model.forward_features`` on the model's own
+  parameters, one ``train._EVAL_CHUNK`` chunk at a time. The pass on
+  constant tensors must score the same rows.
 """
 
 from collections import deque
@@ -563,6 +567,20 @@ def per_batch_loss(model, ds, batch_size):
             loss = train._batch_loss(model, ds.features.data[start:stop], ds.labels[start:stop], None)
         total += loss.item() * (stop - start)
     return total / n
+
+
+def recorded_eval_hits(model, ds):
+    """The rows ``evaluate`` scores right, from the argmax of ``model.forward_features(chunk).data`` per chunk."""
+    W = model.head.W.data
+    columns = W if model.config.margin.family == "cce" else W / heads._norms(W, 0, "weight column")
+    hits = 0
+    for start in range(0, len(ds), train._EVAL_CHUNK):
+        chunk = slice(start, start + train._EVAL_CHUNK)
+        with np.errstate(over="ignore", invalid="ignore"):
+            feats = model.forward_features(ds.features.data[chunk])
+        assert feats.requires_grad and feats.op in ("mlp", "project_batch")  # the recording path
+        hits += int(np.sum(np.argmax(feats.data @ columns, axis=1) == ds.labels[chunk]))
+    return hits
 
 
 def oracle_lift_row(x):

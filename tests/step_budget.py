@@ -12,14 +12,17 @@ generator counts once per resume, as the profiler reports it.
 
 Run as ``python -m tests.step_budget``. It prints one row per
 configuration: cce without the lift, then each angular family with the
-lift, broadface with a queue of 256. Each row has the frame counts and a
-best-of step time in microseconds. ``tests/test_step_budget.py`` pins the
-spherehead frame counts as ceilings; numpy's frames depend on the numpy
-version, so only this script reports them.
+lift, broadface with a queue of 256. Each row has the frame counts, the
+minor page faults of a warmed step plus one ``evaluate`` of the training
+set, and a best-of step time in microseconds.
+``tests/test_step_budget.py`` pins the spherehead frame counts as
+ceilings; numpy's frames depend on the numpy version, and the page
+faults on the C library's allocator, so only this script reports them.
 """
 
 import math
 import os
+import resource
 import sys
 from time import perf_counter
 
@@ -110,12 +113,25 @@ def count_step(step) -> dict:
     return counts
 
 
-def warmed_step(family: str, lift: bool):
-    """A configuration's step after ``WARM_STEPS`` steps."""
-    step = fit_step(*spirals_model(family, lift))
+def warm(step):
+    """``step`` after ``WARM_STEPS`` calls."""
     for _ in range(WARM_STEPS):
         step()
     return step
+
+
+def warmed_step(family: str, lift: bool):
+    """A configuration's step after ``WARM_STEPS`` steps."""
+    return warm(fit_step(*spirals_model(family, lift)))
+
+
+def faults_per_step(step, model, ds, repeats: int = 50) -> float:
+    """Minor page faults per call of ``step`` followed by ``evaluate`` on ``ds``, the mean over ``repeats`` pairs."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(repeats):
+        step()
+        train.evaluate(model, ds)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / repeats
 
 
 def best_step_us(step, repeats: int = 7, number: int = 200) -> float:
@@ -130,13 +146,14 @@ def best_step_us(step, repeats: int = 7, number: int = 200) -> float:
 
 
 def main() -> int:
-    print(f"{'configuration':<22} {'spherehead':>10} {'numpy':>6} {'C calls':>8} {'step us':>8}")
+    print(f"{'configuration':<22} {'spherehead':>10} {'numpy':>6} {'C calls':>8} {'faults':>7} {'step us':>8}")
     for family, lift in CONFIGS:
-        step = warmed_step(family, lift)
+        model, ds, opt = spirals_model(family, lift)
+        step = warm(fit_step(model, ds, opt))
         counts = count_step(step)
         name = f"{family} {'+ lift' if lift else 'no lift'}" + (f" Q {QUEUE}" if family == "broadface" else "")
         print(f"{name:<22} {counts['spherehead']:>10} {counts['numpy']:>6} {counts['c_calls']:>8} "
-              f"{best_step_us(step):>8.1f}")
+              f"{faults_per_step(step, model, ds):>7.1f} {best_step_us(step):>8.1f}")
     return 0
 
 

@@ -493,6 +493,18 @@ class TestExportVerb:
         feats = model.forward_features(Tensor(test_ds.features.data)).data
         assert out_file.read_text() == oracle_render_rows(feats, labels=test_ds.labels)
 
+    @pytest.mark.parametrize("verb", ["eval", "export-embeddings"])
+    def test_non_finite_features_are_an_error_and_no_file(self, trained_store, tmp_path, monkeypatch, verb):
+        """Overflowing features once went out as ``inf`` rows with exit 0; export now refuses them as eval does."""
+        run_file = os.path.join(trained_store, "blobs-cosface-noproj", "1.txt")
+        retrained = cli._retrain_stored_run(argparse.Namespace(run=run_file, split="test"), cli.build_parser())
+        retrained[1].layers[-1][0].data *= 1e308
+        monkeypatch.setattr(cli, "_retrain_stored_run", lambda args, parser: retrained)
+        out_file = tmp_path / "emb.csv"
+        argv = [verb, "--run", run_file] + (["--out", str(out_file)] if verb != "eval" else [])
+        assert run_cli(argv) == (1, "", "error: evaluation features: non-finite entries\n")
+        assert not out_file.exists()
+
     def test_labels_are_integers_in_range(self, trained_store, tmp_path):
         run_file = os.path.join(trained_store, "blobs-cosface-proj", "1.txt")
         out_file = tmp_path / "emb.csv"

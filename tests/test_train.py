@@ -32,7 +32,7 @@ from spherehead.train import (
 )
 
 from .helpers import traced_peak
-from .oracles import per_batch_loss, reduce_sum
+from .oracles import per_batch_loss, recorded_eval_hits, reduce_sum
 
 BLOCK = train._UPDATE_BLOCK
 
@@ -771,6 +771,47 @@ class TestEvaluate:
         model.layers[0][0].data[:, 0] = 1e308
         with pytest.raises(DomainError, match="^evaluation features: non-finite entries$"):
             evaluate(model, ds)
+
+
+class TestForwardOnlyPasses:
+    """``evaluate`` and the initial-loss pass run on constant tensors: the same scores, no kept layer inputs."""
+
+    ROWS, WIDTH = 1024, 256
+    HIDDEN_OUTPUT = ROWS * WIDTH * 8  # bytes of one hidden layer's output
+    PASSES = {
+        "evaluate": evaluate,
+        "initial-loss-b32": lambda model, ds: train._dataset_loss(model, ds, 32),
+        "initial-loss-b1024": lambda model, ds: train._dataset_loss(model, ds, 1024),
+    }
+
+    @pytest.mark.parametrize("family", ["cce", "arcface", "broadface"])
+    @pytest.mark.parametrize("projection", [True, False])
+    @pytest.mark.parametrize("name", list(PASSES))
+    def test_traced_peak_holds_no_layer_inputs(self, family, projection, name):
+        """Under 2.5 hidden-layer outputs: a layer's input and output and a mask, not every layer's input.
+
+        A pass through the recording ``mlp`` keeps the input and ReLU mask
+        of each of the three hidden layers until it returns, about 3.5
+        hidden-layer outputs at its peak.
+        """
+        rng = np.random.default_rng(4)
+        ds = Dataset(rng.normal(size=(self.ROWS, 6)), np.arange(self.ROWS) % 4, 4, "wide")
+        cfg = ModelConfig(feature_dim=8, margin=margin_for(family), encoder_layers=(self.WIDTH,) * 3,
+                          projection_enabled=projection)
+        model = build_model(cfg, ds.dim, ds.class_count, seed=0)
+        _, peak = traced_peak(lambda: self.PASSES[name](model, ds))
+        assert peak < 2.5 * self.HIDDEN_OUTPUT, peak / self.HIDDEN_OUTPUT
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("projection", [True, False])
+    def test_evaluate_scores_what_the_recording_forward_scores(self, family, projection):
+        ds = data.gen_two_spirals(2100, 0.1, 13)
+        assert len(ds) > train._EVAL_CHUNK
+        cfg = ModelConfig(feature_dim=4, margin=margin_for(family, s=None if family == "cce" else 12.0),
+                          encoder_layers=(16,), projection_enabled=projection)
+        model = build_model(cfg, ds.dim, ds.class_count, 3)
+        fit(model, ds, OptimConfig(learning_rate=3e-2 if family == "cce" else 3e-3, epochs=1, batch_size=256))
+        assert evaluate(model, ds) == recorded_eval_hits(model, ds) / len(ds)
 
 
 class TestBuildDatasets:
